@@ -20,7 +20,6 @@ from . import numeric
 from .distributions import (
     GammaParams,
     SummaryStats,
-    gamma_pdf,
     gamma_summaries,
     poisson_process_waiting_times,
     skellam_dist,
@@ -331,7 +330,7 @@ def _cmd_infer(args) -> None:
     prior = _prior_from_args(args)
     estimate = rate_posterior(CountObservation(args.x, args.T), prior)
     posterior = estimate.posterior
-    xs, ys = numeric.pdf_curve(lambda r: gamma_pdf(r, posterior))
+    xs, ys = numeric.pdf_curve(posterior)
     if args.format == "json":
         payload = {
             "data": {"x": args.x, "T": args.T},
@@ -399,7 +398,7 @@ def _cmd_ratio(args) -> None:
             }
             for m, p in posts.items()
         }
-        grids = {m: numeric.pdf_curve(p.pdf) for m, p in posts.items()}
+        grids = {m: numeric.pdf_curve(p) for m, p in posts.items()}
         payload["curves"] = {
             m: {"rho": xs.tolist(), "density": ys.tolist()} for m, (xs, ys) in grids.items()
         }
@@ -408,12 +407,12 @@ def _cmd_ratio(args) -> None:
         buf = io.StringIO()
         if len(models) == 1:
             post = posts[models[0]]
-            xs, ys = numeric.pdf_curve(post.pdf)
+            xs, ys = numeric.pdf_curve(post)
             buf.write("rho,density\n")
             for x, y in zip(xs, ys):
                 buf.write(f"{float(x)!r},{float(y)!r}\n")
         else:
-            hi = max(numeric.pdf_quantile(posts[m].pdf, 0.999) for m in models)
+            hi = max(numeric.pdf_quantile(posts[m], 0.999) for m in models)
             xs = np.linspace(0.0, hi, 512)
             cols = {m: posts[m].pdf(xs) for m in models}
             buf.write("rho,density_a,density_b\n")
@@ -531,7 +530,7 @@ def _cmd_combine_ratio(args) -> None:
         }
         _write(args, _json_dump(payload))
     elif args.format == "csv":
-        xs, ys = numeric.pdf_curve(post.pdf)
+        xs, ys = numeric.pdf_curve(post)
         buf = io.StringIO()
         buf.write("rho,density\n")
         for x, y in zip(xs, ys):

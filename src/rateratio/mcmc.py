@@ -289,6 +289,11 @@ def _gamma_logprior(v: float, prior: GammaParams) -> float:
     return (prior.alpha - 1.0) * math.log(v) - prior.beta * v
 
 
+def _latent_start(x: int, eff: _Efficiency) -> int:
+    """Initial produced count for x observed at efficiency eff: about x / eps, never below x."""
+    return max(x, round(x / eff.initial()))
+
+
 def build_model(spec: ModelSpec) -> Model:
     """Assemble nodes, conditionals, deterministic readouts and initial state."""
     x1, t1 = spec.data1.x, spec.data1.T
@@ -379,7 +384,8 @@ def build_model(spec: ModelSpec) -> Model:
             _Node("n1", "int", ld_n1, lower=lambda s: x1),
             _Node("n2", "int", ld_n2, lower=lambda s: x2),
         ]
-        initial: dict[str, float] = {"n1": x1, "n2": x2}
+        # latent counts start near their posterior, x_i / eps_i, as r2 and rho do
+        initial: dict[str, float] = {"n1": _latent_start(x1, eff1), "n2": _latent_start(x2, eff2)}
         if eff1.is_stochastic:
 
             def ld_eps1(s: dict) -> float:
@@ -510,7 +516,7 @@ def build_model(spec: ModelSpec) -> Model:
         prior_b = prb[i]
         initial[f"rb{i}"] = prior_b.alpha / prior_b.beta
         initial[f"s{i}"] = x
-        initial[f"nS{i}"] = x
+        initial[f"nS{i}"] = _latent_start(x, eff_s[i])
         initial[f"nB{i}"] = 0
 
         for label, eff, observed_of in (

@@ -1,63 +1,44 @@
-"""Generic numeric CDF inversion and curve sampling for densities on [0, inf)."""
+"""Checked quantiles and plot grids for closed-form laws on [0, inf).
+
+A law is any object with vectorized `pdf`, `cdf` and `ppf` methods, such as
+`GammaParams` or `RatioPosterior`.  Their CDFs and quantiles are exact
+special-function identities, so nothing here integrates or searches.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-from scipy import integrate, optimize
 
 
 __all__ = ["pdf_cdf", "pdf_quantile", "pdf_curve"]
 
 
-def pdf_cdf(pdf: Callable[[float], float], x: float) -> float:
-    """Integrate a density from 0 to x with adaptive quadrature."""
-    if x <= 0:
-        return 0.0
-    value, _ = integrate.quad(pdf, 0.0, x, limit=200)
-    return value
+def pdf_cdf(law, x):
+    """P(X <= x) under the law."""
+    return law.cdf(x)
 
 
-def pdf_quantile(pdf: Callable[[float], float], q: float, tol: float = 1e-6) -> float:
-    """Invert the CDF of a density on [0, inf) at probability q.
-
-    Brackets the quantile by doubling an upper bound until the integrated
-    mass exceeds q, then solves CDF(x) = q by bisection to tolerance `tol`
-    in probability.
-    """
+def pdf_quantile(law, q: float, tol: float = 1e-6) -> float:
+    """Quantile of the law at probability q, checked to `tol` in probability."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1), got {q}")
-    upper = 1.0
-    for _ in range(80):
-        if pdf_cdf(pdf, upper) >= q:
-            break
-        upper *= 2.0
-    else:
-        raise ValueError(f"could not bracket quantile {q}; density may not normalize")
-    root = optimize.brentq(lambda x: pdf_cdf(pdf, x) - q, 0.0, upper, xtol=1e-12, rtol=8.9e-16)
-    # brentq solves in x; verify the probability-space tolerance
-    if abs(pdf_cdf(pdf, root) - q) > tol:
+    root = float(law.ppf(q))
+    if not abs(pdf_cdf(law, root) - q) <= tol:  # "not <=" also rejects a NaN root
         raise ValueError(f"quantile inversion did not reach tolerance {tol}")
     return root
 
 
-def pdf_curve(
-    pdf: Callable[[float], float],
-    n_points: int = 512,
-    q_hi: float = 0.999,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a density on an even grid over [0, quantile(q_hi)].
+def pdf_curve(law, n_points: int = 512, q_hi: float = 0.999) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the law's density on an even grid over [0, quantile(q_hi)].
 
     Returns (x, f(x)) arrays of length n_points, plot-ready.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    hi = pdf_quantile(pdf, q_hi)
-    xs = np.linspace(0.0, hi, int(n_points))
-    ys = np.array([pdf(float(x)) for x in xs])
+    xs = np.linspace(0.0, pdf_quantile(law, q_hi), int(n_points))
+    ys = law.pdf(xs)
     if not np.isfinite(ys[0]):
         # density with a pole at 0: nudge the first grid point off the origin
         xs[0] = xs[1] / 2.0
-        ys[0] = pdf(float(xs[0]))
+        ys[0] = law.pdf(xs[0])
     return xs, ys

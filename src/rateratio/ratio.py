@@ -25,8 +25,10 @@ from .distributions import (
     GammaParams,
     SummaryStats,
     _ratio_moments,
+    gamma_ratio_cdf,
     gamma_ratio_logpdf,
     gamma_ratio_pdf,
+    gamma_ratio_ppf,
 )
 from .inference import FLAT_PRIOR, CountObservation
 
@@ -202,22 +204,32 @@ class RatioPosteriorSpec:
 
 @dataclass(frozen=True)
 class RatioPosterior:
-    """A closed-form rho posterior bundled with its summaries."""
+    """A closed-form rho posterior bundled with its summaries.
+
+    Both models give a Gamma-ratio law, so pdf, cdf and ppf are all exact.
+    """
 
     spec: RatioPosteriorSpec
     summaries: SummaryStats
 
     def pdf(self, rho):
-        if self.spec.model == "A":
-            return model_a_pdf(rho, self.spec.data1, self.spec.data2)
-        return model_b_pdf(rho, self.spec.data1, self.spec.data2, self.spec.prior_r2)
+        return gamma_ratio_pdf(rho, *self._params())
 
     def logpdf(self, rho):
+        return gamma_ratio_logpdf(rho, *self._params())
+
+    def cdf(self, rho):
+        """P(rho' <= rho) under this posterior."""
+        return gamma_ratio_cdf(rho, *self._params())
+
+    def ppf(self, q):
+        """Posterior quantile of rho at probability q."""
+        return gamma_ratio_ppf(q, *self._params())
+
+    def _params(self) -> tuple[GammaParams, GammaParams]:
         if self.spec.model == "A":
-            num, den = _model_a_num(self.spec.data1), _model_a_den(self.spec.data2)
-        else:
-            num, den = _model_b_params(self.spec.data1, self.spec.data2, self.spec.prior_r2)
-        return gamma_ratio_logpdf(rho, num, den)
+            return _model_a_num(self.spec.data1), _model_a_den(self.spec.data2)
+        return _model_b_params(self.spec.data1, self.spec.data2, self.spec.prior_r2)
 
 
 def ratio_posterior(spec: RatioPosteriorSpec) -> RatioPosterior:

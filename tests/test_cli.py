@@ -32,6 +32,17 @@ class TestPredict:
         assert lines[0] == "d,probability"
         assert [row.split(",")[0] for row in lines[1:]] == ["-2", "-1", "0", "1", "2"]
 
+    @pytest.mark.parametrize("l1,l2", [("0.105", "0.119"), ("1e6", "1e6")])
+    def test_diff_small_and_large_lambda(self, capsys, l1, l2):
+        # small rates once failed the 1e-9 mass check; 1e6 took O(lambda^1.5) time
+        code, out, _ = run_cli(
+            capsys, ["predict", "diff", "--l1", l1, "--l2", l2, "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean"] == pytest.approx(float(l1) - float(l2), abs=1e-6)
+        assert sum(payload["pmf"]) == pytest.approx(1.0, abs=1e-9)
+
     def test_diff_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["predict", "diff", "--l1", "0", "--l2", "1"])
         assert code == 2
@@ -92,6 +103,14 @@ class TestInfer:
         code, _, err = run_cli(capsys, ["infer", "--x", "-1", "--T", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("x,T", [("0", "1e9"), ("100000000", "1")])
+    def test_extreme_scales_have_a_curve(self, capsys, x, T):
+        # once "could not bracket quantile" (exit 3)
+        code, out, _ = run_cli(capsys, ["infer", "--x", x, "--T", T, "--format", "json"])
+        assert code == 0
+        curve = json.loads(out)["curve"]
+        assert len(curve["r"]) == 512 and all(math.isfinite(y) for y in curve["density"])
+
 
 class TestRatio:
     def test_model_a(self, capsys):
@@ -138,6 +157,18 @@ class TestRatio:
         summaries = json.loads(out)["models"]["A"]["summaries"]
         assert summaries["sd"] is None
         assert "undefined" in summaries and "sd" in summaries["undefined"]
+
+    def test_large_counts_curve_end(self, capsys):
+        # once "quantile inversion did not reach tolerance" (exit 3); the
+        # closed-form 0.999 quantile is 1.0043798
+        code, out, _ = run_cli(
+            capsys,
+            ["ratio", "--x1", "1000000", "--T1", "1", "--x2", "1000000", "--T2", "1",
+             "--format", "csv"],
+        )
+        assert code == 0
+        last = out.strip().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(1.0043798, abs=1e-7)
 
     def test_domain_error_exit_code(self, capsys):
         # passes parsing, then hits the flat-prior x2=0 domain condition

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from rateratio.distributions import (
     DiscreteDist,
@@ -14,7 +14,10 @@ from rateratio.distributions import (
     gamma_cdf,
     gamma_logpdf,
     gamma_pdf,
+    gamma_ppf,
+    gamma_ratio_cdf,
     gamma_ratio_pdf,
+    gamma_ratio_ppf,
     gamma_ratio_summaries,
     gamma_sample,
     gamma_summaries,
@@ -138,6 +141,42 @@ class TestSkellam:
         assert dist.mean() == pytest.approx(3.0, abs=1e-9)
         assert dist.sd() == pytest.approx(math.sqrt(7.0), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "lambda1,lambda2",
+        [(1e-6, 1e-6), (0.1, 0.1), (1.0, 1.0), (1e4, 1e4), (1e6, 1e6), (0.105, 0.119),
+         # unequal rates reach orders where ive underflows (the Debye branch)
+         (1e4, 10**3.8), (100.0, 2e-4), (1e6, 1.2e6)],
+    )
+    def test_dist_across_scales(self, lambda1, lambda2):
+        dist = skellam_dist(lambda1, lambda2)
+        assert dist.probs.sum() >= 1.0 - 1e-9
+        picks = dist.values[np.linspace(0, dist.values.size - 1, 41).astype(int)]
+        ref = stats.skellam.pmf(picks, lambda1, lambda2)
+        got = np.array([dist.prob(d) for d in picks])
+        live = ref > 1e-300
+        np.testing.assert_allclose(got[live], ref[live], rtol=1e-9)
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(1.0, 1.0), (2.5, 4.0), (30.0, 0.05)])
+    def test_matches_truncated_sum(self, lambda1, lambda2):
+        # reference: the direct double sum over (x1, x2 = x1 - d) it replaced
+        x1 = np.arange(0, 200)
+        log1 = special.xlogy(x1, lambda1) - lambda1 - special.gammaln(x1 + 1.0)
+        log2 = special.xlogy(x1, lambda2) - lambda2 - special.gammaln(x1 + 1.0)
+        ds = np.arange(-15, 40)
+        brute = [np.exp(log1[max(0, d):200 + min(0, d)] + log2[max(0, -d):200 - max(0, d)]).sum()
+                 for d in ds]
+        np.testing.assert_allclose(skellam_pmf(ds, lambda1, lambda2), brute, rtol=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        ds = np.arange(-12, 13)
+        np.testing.assert_array_equal(
+            skellam_pmf(ds, 3.0, 0.7), [skellam_pmf(int(d), 3.0, 0.7) for d in ds]
+        )
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError):
+            skellam_pmf(0.5, 1.0, 1.0)
+
 
 class TestDiscreteDist:
     def test_rejects_unnormalized(self):
@@ -183,6 +222,95 @@ class TestGammaCdf:
         xs = np.linspace(0, 10, 100)
         cdf = gamma_cdf(xs, p)
         assert np.all(np.diff(cdf) >= 0)
+
+
+LEVELS = np.array([1e-9, 0.001, 0.025, 0.5, 0.975, 0.999, 1 - 1e-9])
+
+
+class TestGammaPpf:
+    @pytest.mark.parametrize(
+        "alpha,beta,levels",
+        [(4.0, 3.0, LEVELS), (0.5, 1.0, LEVELS), (1.0, 1e9, LEVELS), (6.25, 1.25, LEVELS),
+         (1e6 + 1.0, 1.0, LEVELS), (1e8 + 1.0, 1.0, LEVELS[2:])],
+    )
+    def test_inverts_reference_cdf(self, alpha, beta, levels):
+        got = gamma_ppf(levels, GammaParams(alpha, beta))
+        np.testing.assert_allclose(
+            stats.gamma.cdf(got, alpha, scale=1 / beta), levels, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.xfail(strict=True, reason="SciPy gammainc/gammaincinv lower tail at shape 1e8")
+    def test_huge_shape_lower_tail(self):
+        # At shape 1e8 the Wilson-Hilferty cube-root normal law is exact to
+        # ~1e-15 in probability (it also agrees with a 30-digit series), and
+        # it puts 1.56e-6, not 1e-6, below SciPy's 1e-6 quantile.
+        alpha, q = 1e8 + 1.0, 1e-6
+        x = gamma_ppf(q, GammaParams(alpha, 1.0))
+        z = ((x / alpha) ** (1 / 3) - (1 - 1 / (9 * alpha))) * math.sqrt(9 * alpha)
+        assert stats.norm.cdf(z) == pytest.approx(q, abs=1e-9)
+
+    def test_edges_and_range(self):
+        p = GammaParams(2.0, 1.0)
+        assert gamma_ppf(0.0, p) == 0.0 and gamma_ppf(1.0, p) == math.inf
+        with pytest.raises(ValueError):
+            gamma_ppf(1.5, p)
+        with pytest.raises(ValueError):
+            gamma_ppf(0.5, GammaParams(1.0, 0.0))
+
+    def test_params_law_methods(self):
+        p = GammaParams(4.0, 3.0)
+        assert p.pdf(1.0) == gamma_pdf(1.0, p)
+        assert p.cdf(1.0) == gamma_cdf(1.0, p)
+        assert p.ppf(0.5) == gamma_ppf(0.5, p)
+
+
+# (alpha1, beta1, alpha2, beta2): small, skewed, pole at 0, and large counts
+RATIO_PARAMS = [
+    (2.0, 1.0, 3.0, 2.0),
+    (4.0, 3.0, 7.0, 6.0),
+    (0.5, 2.0, 1.5, 0.1),
+    (1e6 + 1.0, 1.0, 1e6 + 1.0, 1.0),
+    (1.0, 1e-9, 1e8, 3.0),
+]
+
+
+class TestGammaRatioCdf:
+    @pytest.mark.parametrize("a1,b1,a2,b2", RATIO_PARAMS)
+    def test_matches_beta_prime(self, a1, b1, a2, b2):
+        # Z1/Z2 = (b2/b1) * BetaPrime(a1, a2)
+        scale = b2 / b1
+        rhos = scale * stats.betaprime.ppf([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6], a1, a2)
+        got = gamma_ratio_cdf(rhos, GammaParams(a1, b1), GammaParams(a2, b2))
+        ref = stats.betaprime.cdf(rhos / scale, a1, a2)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_limits(self):
+        p1, p2 = GammaParams(2.0, 1.0), GammaParams(3.0, 2.0)
+        assert gamma_ratio_cdf(0.0, p1, p2) == 0.0
+        assert gamma_ratio_cdf(1e300, p1, p2) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            gamma_ratio_cdf(-1.0, p1, p2)
+
+
+class TestGammaRatioPpf:
+    @pytest.mark.parametrize("a1,b1,a2,b2", RATIO_PARAMS)
+    def test_inverts_beta_prime_cdf(self, a1, b1, a2, b2):
+        rho = gamma_ratio_ppf(LEVELS, GammaParams(a1, b1), GammaParams(a2, b2))
+        np.testing.assert_allclose(
+            stats.betaprime.cdf(rho * b1 / b2, a1, a2), LEVELS, rtol=0, atol=1e-12
+        )
+
+    def test_large_count_upper_quantile(self):
+        # 0.999 quantile of the Model A ratio for 1e6 counts in unit time on both sides
+        p = GammaParams(1e6 + 1.0, 1.0)
+        assert gamma_ratio_ppf(0.999, p, p) == pytest.approx(1.0043798120, abs=1e-9)
+
+    def test_edges_and_range(self):
+        p1, p2 = GammaParams(2.0, 1.0), GammaParams(3.0, 2.0)
+        assert gamma_ratio_ppf(0.0, p1, p2) == 0.0
+        assert gamma_ratio_ppf(1.0, p1, p2) == math.inf
+        with pytest.raises(ValueError):
+            gamma_ratio_ppf(-0.1, p1, p2)
 
 
 class TestGammaSummaries:

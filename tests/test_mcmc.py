@@ -6,6 +6,7 @@ import pytest
 
 from rateratio.distributions import GammaParams
 from rateratio.inference import CountObservation
+from rateratio.ratio import model_b_summaries
 from rateratio.mcmc import (
     MCMC_FLAT_PRIOR,
     Chain,
@@ -156,6 +157,20 @@ class TestRunChain:
         )
         s = summarize_chain(eff).variables["rho"]
         assert abs(s.mean - 1.6) <= 4 * s.batch_se
+
+    def test_b_eff_short_chain_starts_near_posterior(self):
+        # Fixed efficiencies thin the counts, so the rho posterior is Model B's
+        # closed form with T_i -> eps_i * T_i.  Latent counts that started at
+        # x_i, far below x_i / eps_i, left a 3000-sweep chain about 6 SE high.
+        d1, d2, eps = CountObservation(465, 5.0), CountObservation(800, 5.0), (0.9, 0.24)
+        spec = ModelSpec("B_EFF", d1, d2, priors=dict(FLAT), efficiencies=eps)
+        s = summarize_chain(run_chain(build_model(spec), 3000, seed=1)).variables["rho"]
+        exact = model_b_summaries(
+            CountObservation(d1.x, eps[0] * d1.T),
+            CountObservation(d2.x, eps[1] * d2.T),
+            MCMC_FLAT_PRIOR,
+        ).mean
+        assert abs(s.mean - exact) <= 5 * s.batch_se
 
     def test_b_eff_beta_efficiency_runs(self):
         chain = run_chain(

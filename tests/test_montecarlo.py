@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from rateratio.distributions import GammaParams, gamma_ratio_pdf, skellam_pmf
+from rateratio.distributions import GammaParams, gamma_ratio_pdf, poisson_pmf, skellam_pmf
 from rateratio.montecarlo import (
     simulate_count_difference,
     simulate_count_ratio,
@@ -19,7 +20,46 @@ def mass_identity(report):
     return report.frac_nan + report.frac_inf + report.hist_mass + report.frac_overflow
 
 
+def count_ratio_masses(lambda1, lambda2, cutoff, bins):
+    """Exact (nan, inf, per-bin, overflow) masses of X1/X2 for Poisson counts.
+
+    Enumerates every pair (k1, k2) up to lambda + 12 sd + 30, where the
+    truncated tail is below 1e-15, and bins the ratios with the same
+    np.histogram call the simulator uses.
+    """
+    ks = [np.arange(int(lam + 12 * math.sqrt(lam) + 30)) for lam in (lambda1, lambda2)]
+    p1, p2 = poisson_pmf(ks[0], lambda1), poisson_pmf(ks[1], lambda2)
+    k1, k2 = np.meshgrid(ks[0], ks[1][1:].astype(float), indexing="ij")
+    weight = np.outer(p1, p2[1:])
+    ratio = k1 / k2
+    hist = np.histogram(ratio, bins=bins, range=(0.0, cutoff), weights=weight)[0]
+    overflow = weight[ratio > cutoff].sum()
+    return p1[0] * p2[0], (1.0 - p1[0]) * p2[0], hist, overflow
+
+
+def assert_binomial_5sigma(count, n, p):
+    """count lies in the exact binomial interval with 5-sigma normal tail mass on each side."""
+    tail = stats.norm.sf(5.0)
+    lo, hi = stats.binom.ppf(tail, n, p), stats.binom.isf(tail, n, p)
+    assert np.all((lo <= count) & (count <= hi)), (count, lo, hi)
+
+
 class TestCountRatio:
+    @pytest.mark.parametrize(
+        "lambda1,lambda2,cutoff,bins", [(2.0, 1.5, 8.0, 150), (0.3, 0.2, 4.0, 40)]
+    )
+    def test_exact_oracle(self, lambda1, lambda2, cutoff, bins):
+        n = 1_000_000
+        report = simulate_count_ratio(lambda1, lambda2, n, cutoff, bins, seed=5)
+        p_nan, p_inf, p_bins, p_over = count_ratio_masses(lambda1, lambda2, cutoff, bins)
+        assert p_nan == pytest.approx(math.exp(-(lambda1 + lambda2)), rel=1e-12)
+        assert p_nan + p_inf + p_bins.sum() + p_over == pytest.approx(1.0, abs=1e-12)
+        assert_binomial_5sigma(round(report.frac_nan * n), n, p_nan)
+        assert_binomial_5sigma(round(report.frac_inf * n), n, p_inf)
+        assert_binomial_5sigma(round(report.frac_overflow * n), n, p_over)
+        # bins no ratio k1/k2 can reach have exact mass 0 and must stay empty
+        assert_binomial_5sigma(report.counts, n, p_bins)
+
     def test_zero_denominator_classification(self):
         n = 1_000_000
         report = simulate_count_ratio(1.0, 1.0, n, seed=12)

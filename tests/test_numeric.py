@@ -1,29 +1,46 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from rateratio import numeric
-from rateratio.distributions import GammaParams, gamma_pdf
+from rateratio.distributions import GammaParams
+from rateratio.inference import CountObservation
+from rateratio.ratio import RatioPosteriorSpec, ratio_posterior
 
 
 class TestPdfQuantile:
     @pytest.mark.parametrize("q", [0.025, 0.25, 0.5, 0.75, 0.975, 0.999])
     def test_gamma_inversion(self, q):
         p = GammaParams(4.0, 3.0)
-        got = numeric.pdf_quantile(lambda x: gamma_pdf(x, p), q)
+        got = numeric.pdf_quantile(p, q)
         # tolerance contract is in probability space
         assert stats.gamma.cdf(got, 4.0, scale=1 / 3.0) == pytest.approx(q, abs=1e-6)
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
-            numeric.pdf_quantile(lambda x: gamma_pdf(x, GammaParams(1.0, 1.0)), 1.5)
+            numeric.pdf_quantile(GammaParams(1.0, 1.0), 1.5)
+
+    def test_tolerance_check_raises(self):
+        # a law whose ppf disagrees with its cdf fails the probability check
+        class Broken:
+            def cdf(self, x):
+                return stats.expon.cdf(x)
+
+            def ppf(self, q):
+                return stats.expon.ppf(q) * 1.01
+
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric.pdf_quantile(Broken(), 0.5)
 
 
 class TestPdfCdf:
     def test_matches_reference(self):
         p = GammaParams(6.25, 1.25)
         for x in (0.5, 3.0, 8.0):
-            assert numeric.pdf_cdf(lambda t: gamma_pdf(t, p), x) == pytest.approx(
+            assert numeric.pdf_cdf(p, x) == pytest.approx(
                 stats.gamma.cdf(x, 6.25, scale=0.8), abs=1e-9
             )
 
@@ -31,16 +48,40 @@ class TestPdfCdf:
 class TestPdfCurve:
     def test_shape_and_span(self):
         p = GammaParams(4.0, 3.0)
-        xs, ys = numeric.pdf_curve(lambda x: gamma_pdf(x, p))
+        xs, ys = numeric.pdf_curve(p)
         assert xs.shape == (512,) and ys.shape == (512,)
         assert xs[0] == 0.0
         q999 = stats.gamma.ppf(0.999, 4.0, scale=1 / 3.0)
         assert xs[-1] == pytest.approx(q999, rel=1e-3)
         assert np.all(np.isfinite(ys))
 
+    def test_end_point_is_exact_quantile(self):
+        post = ratio_posterior(
+            RatioPosteriorSpec("B", CountObservation(3, 3.0), CountObservation(6, 6.0))
+        )
+        xs, ys = numeric.pdf_curve(post, n_points=64)
+        assert xs.shape == (64,) and ys.shape == (64,)
+        assert xs[-1] == post.ppf(0.999)
+        np.testing.assert_array_equal(ys, post.pdf(xs))
+
     def test_singular_origin_nudged(self):
         # alpha < 1 diverges at 0; the first grid point moves off the origin
         p = GammaParams(0.5, 1.0)
-        xs, ys = numeric.pdf_curve(lambda x: gamma_pdf(x, p))
+        xs, ys = numeric.pdf_curve(p)
         assert xs[0] > 0.0
         assert np.all(np.isfinite(ys))
+        assert xs[0] == xs[1] / 2.0
+        assert ys[0] == p.pdf(xs[0])
+
+
+def test_cli_import_skips_quadrature_and_root_finding():
+    # numeric is exact now; loading scipy.integrate or scipy.optimize would
+    # add about a quarter second to every command's start-up
+    code = (
+        "import sys, rateratio.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
