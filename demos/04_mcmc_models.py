@@ -2,11 +2,12 @@
 Sampling the models that have no closed form
 ============================================
 
-Detection efficiencies and backgrounds break conjugacy: the observed
-count is a binomial thinning of a latent Poisson count, possibly mixed
-with background events.  A small Metropolis-within-Gibbs sampler covers
-those variants.  We first check it against a closed-form case, then run
-the full model with uncertain efficiencies and backgrounds.
+Detection efficiencies and backgrounds leave no closed-form posterior: the
+observed count is a binomial thinning of a latent Poisson count, possibly
+mixed with background events.  Each node still has an exact conditional
+law, so a small Gibbs sampler redraws them in turn.  We first check it
+against a closed-form case, then run the full model with uncertain
+efficiencies and backgrounds.
 """
 
 from rateratio import (

@@ -65,6 +65,9 @@ class UsageError(Exception):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        # draw the seed once and use it everywhere, so the output can report it
+        args.seed = np.random.SeedSequence().entropy
     try:
         args.handler(args)
     except UsageError as exc:
@@ -78,7 +81,9 @@ def main(argv=None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed for reproducible runs")
+    common.add_argument(
+        "--seed", type=int, default=None, help="RNG seed (default: drawn fresh and reported)"
+    )
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", help="output format"
     )
@@ -176,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m_wait.add_argument("--paths", type=int, default=1)
     m_wait.set_defaults(handler=_cmd_mc_waiting)
 
-    mcmc = sub.add_parser("mcmc", parents=[common], help="run a Metropolis-within-Gibbs chain")
+    mcmc = sub.add_parser("mcmc", parents=[common], help="run an exact Gibbs chain")
     mcmc.add_argument("--spec", required=True, help="JSON model spec file")
     mcmc.add_argument("--n-iter", type=int, default=100_000)
     mcmc.add_argument("--burn-in", type=int, default=None)

@@ -1,4 +1,4 @@
-"""Metropolis-within-Gibbs sampling for a fixed family of counting models.
+"""Exact Gibbs sampling for a fixed family of counting models.
 
 Four variants of one directed acyclic model are supported:
 
@@ -14,11 +14,12 @@ Four variants of one directed acyclic model are supported:
              observed x_i = s_i + (x_i - s_i) with
              s_i ~ Binom(nS_i, epsS_i) and x_i - s_i ~ Binom(nB_i, epsB_i).
 
-Positive continuous nodes move by Gaussian random walks on the log scale
-(logit scale for efficiencies), adapting toward ~0.44 acceptance during
-burn-in and frozen afterwards.  Latent counts move by bounded integer random
-walks; the split s_i moves by a transfer step that shifts (s_i, nS_i, nB_i)
-together so the chain still mixes when an efficiency is exactly 1.
+Every variant is conditionally conjugate, so each node is redrawn exactly
+from its full conditional (Gelfand & Smith 1990), as BUGS-family samplers
+do: rates by Gamma-Poisson conjugacy, latent produced counts by Poisson
+thinning, efficiencies by Beta-binomial conjugacy, and in B_EFF_BKG the
+split s_i together with nS_i and nB_i as one block.  Model A's rates are
+independent a posteriori and drawn iid.
 
 Flat priors are encoded as Gamma(1, 1e-6), the conventional proper stand-in
 used by BUGS-family samplers; closed-form modules keep the exact improper
@@ -61,10 +62,6 @@ MCMC_FLAT_PRIOR = GammaParams(1.0, 1e-6)
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 
-_ADAPT_WINDOW = 50
-_ADAPT_GAIN = 0.66
-_TARGET_ACCEPT = 0.44
-
 Variant = Literal["A", "B", "B_EFF", "B_EFF_BKG"]
 
 _REQUIRED_PRIORS: dict[str, tuple[str, ...]] = {
@@ -76,7 +73,11 @@ _REQUIRED_PRIORS: dict[str, tuple[str, ...]] = {
 
 
 class InitializationError(RuntimeError):
-    """The chain could not start: non-finite log density at the initial state."""
+    """The chain could not start from its initial state.
+
+    Exact conditional draws start from any state, so run_chain no longer
+    raises it; it stays for callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,27 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class _Node:
-    """One stochastic node: full-conditional log density plus move metadata."""
+    """One block of the state and the exact draw from its full conditional.
+
+    update(state, rng) redraws the block in place.  A rate whose Gamma
+    conditional has a constant shape also carries that shape and its rate as
+    a function of the state: run_chain then draws the standard-Gamma variates
+    of every sweep in one call, and a sweep only divides.
+    """
 
     name: str
-    kind: Literal["pos", "unit", "int", "alloc"]
-    logdensity: Callable[[dict], float]
-    # integer nodes: inclusive lower bound given the rest of the state
-    lower: Callable[[dict], int] | None = None
-    # alloc nodes: (split, n_signal, n_background) state keys and the fixed total
-    alloc_names: tuple[str, str, str] | None = None
-    alloc_total: int | None = None
-    initial_step: float = 0.5
+    update: Callable[[dict, np.random.Generator], None]
+    shape: float | None = None
+    rate: Callable[[dict], float] | None = None
 
 
 class Model:
-    """A built model: immutable nodes, deterministic readouts, initial state."""
+    """A built model: nodes in sweep order, deterministic readouts, initial state.
+
+    The deterministic readouts read only the rates r1, r2 and rho (fixed
+    efficiencies are constants); run_chain applies them elementwise to the
+    recorded draws.
+    """
 
     def __init__(
         self,
@@ -203,11 +210,6 @@ class Model:
 
     def init_state(self) -> dict:
         return dict(self._initial)
-
-    def value_of(self, state: dict, name: str) -> float:
-        if name in state:
-            return float(state[name])
-        return float(self.deterministics[name](state))
 
 
 @dataclass(frozen=True)
@@ -262,36 +264,101 @@ class ChainSummary:
         }
 
 
-def _binom_logpmf(x: int, n: int, p: float) -> float:
-    if x < 0 or x > n:
-        return -math.inf
-    if p >= 1.0:
-        return 0.0 if x == n else -math.inf
-    if p <= 0.0:
-        return 0.0 if x == 0 else -math.inf
-    return (
-        math.lgamma(n + 1.0)
-        - math.lgamma(x + 1.0)
-        - math.lgamma(n - x + 1.0)
-        + x * math.log(p)
-        + (n - x) * math.log1p(-p)
-    )
-
-
-def _pois_logpmf(n: int, lam: float) -> float:
-    if lam <= 0.0 or n < 0:
-        return -math.inf
-    return n * math.log(lam) - lam - math.lgamma(n + 1.0)
-
-
-def _gamma_logprior(v: float, prior: GammaParams) -> float:
-    # unnormalized: the normalization is constant along the chain
-    return (prior.alpha - 1.0) * math.log(v) - prior.beta * v
-
-
 def _latent_start(x: int, eff: _Efficiency) -> int:
     """Initial produced count for x observed at efficiency eff: about x / eps, never below x."""
     return max(x, round(x / eff.initial()))
+
+
+def _gamma_node(name: str, shape, rate: Callable[[dict], float]) -> _Node:
+    """name | rest ~ Gamma(shape, rate(state)): the conjugate update of a Poisson rate.
+
+    shape is a number, or a function of the state when latent counts enter it.
+    """
+    shape_of = shape if callable(shape) else (lambda state: shape)
+
+    def update(state: dict, rng: np.random.Generator) -> None:
+        state[name] = rng.standard_gamma(shape_of(state)) / rate(state)
+
+    return _Node(name, update, None if callable(shape) else float(shape), rate)
+
+
+def _ratio_nodes(priors: Mapping[str, GammaParams], t1: float, t2: float, n1, n2) -> list[_Node]:
+    """rho and r2 of the B family, given the signal counts produced in each channel.
+
+    rho | r2 ~ Gamma(a_rho + n1, b_rho + r2*T1) and
+    r2 | rho ~ Gamma(a_2 + n1 + n2, b_2 + rho*T1 + T2).  n1 and n2 are the
+    observed counts in Model B, else the names of latent counts in the state.
+    """
+    prho, pr2 = priors["rho"], priors["r2"]
+
+    def rho_rate(s: dict) -> float:
+        return prho.beta + s["r2"] * t1
+
+    def r2_rate(s: dict) -> float:
+        return pr2.beta + s["rho"] * t1 + t2
+
+    if isinstance(n1, str):
+        return [
+            _gamma_node("rho", lambda s: prho.alpha + s[n1], rho_rate),
+            _gamma_node("r2", lambda s: pr2.alpha + s[n1] + s[n2], r2_rate),
+        ]
+    return [
+        _gamma_node("rho", prho.alpha + n1, rho_rate),
+        _gamma_node("r2", pr2.alpha + n1 + n2, r2_rate),
+    ]
+
+
+def _eps_of(eff: _Efficiency, name: str) -> Callable[[dict], float]:
+    """An efficiency as a function of the state: its node's value, or the fixed number."""
+    if eff.is_stochastic:
+        return lambda s: s[name]
+    return lambda s: eff.fixed
+
+
+def _thinning_node(name: str, x: int, expected, eps) -> _Node:
+    """n | rest = x + Pois(lambda*(1 - eps)): the produced count behind x seen at eps.
+
+    By Poisson thinning the produced counts that went unseen are independent
+    of the x that were seen.
+    """
+
+    def update(state: dict, rng: np.random.Generator) -> None:
+        state[name] = x + rng.poisson(expected(state) * (1.0 - eps(state)))
+
+    return _Node(name, update)
+
+
+def _efficiency_node(name: str, eff: _Efficiency, observed, produced) -> _Node:
+    """eps | rest ~ Beta(a + k, b + n - k) when k of n produced counts were seen."""
+
+    def update(state: dict, rng: np.random.Generator) -> None:
+        k = observed(state)
+        state[name] = rng.beta(eff.a + k, eff.b + produced(state) - k)
+
+    return _Node(name, update)
+
+
+def _split_node(i: int, x: int, signal, background, eps_s, eps_b) -> _Node:
+    """(s_i, nS_i, nB_i) | rest as one block, named after the split s_i.
+
+    The seen signal and background counts are independent Poisson variates
+    with means lambda_S*epsS and lambda_B*epsB, so given their sum x the
+    split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)).
+    The unseen parts of each leg are Poisson with means lambda*(1 - eps).
+    """
+    s_key, ns_key, nb_key = f"s{i}", f"nS{i}", f"nB{i}"
+
+    def update(state: dict, rng: np.random.Generator) -> None:
+        lam_s, lam_b = signal(state), background(state)
+        es, eb = eps_s(state), eps_b(state)
+        seen_s, seen_b = lam_s * es, lam_b * eb
+        # with x = 0 there is nothing to split, and both means may have underflowed to 0
+        split = rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
+        state[s_key] = split
+        state[ns_key] = split + rng.poisson(lam_s * (1.0 - es))
+        state[nb_key] = x - split + rng.poisson(lam_b * (1.0 - eb))
+
+    return _Node(s_key, update)
 
 
 def build_model(spec: ModelSpec) -> Model:
@@ -302,14 +369,11 @@ def build_model(spec: ModelSpec) -> Model:
 
     if spec.variant == "A":
         pr1, pr2 = priors["r1"], priors["r2"]
-
-        def ld_r1(s: dict) -> float:
-            return _gamma_logprior(s["r1"], pr1) + x1 * math.log(s["r1"] * t1) - s["r1"] * t1
-
-        def ld_r2(s: dict) -> float:
-            return _gamma_logprior(s["r2"], pr2) + x2 * math.log(s["r2"] * t2) - s["r2"] * t2
-
-        nodes = [_Node("r1", "pos", ld_r1), _Node("r2", "pos", ld_r2)]
+        # the rates are independent a posteriori: neither conditional reads the state
+        nodes = [
+            _gamma_node("r1", pr1.alpha + x1, lambda s: pr1.beta + t1),
+            _gamma_node("r2", pr2.alpha + x2, lambda s: pr2.beta + t2),
+        ]
         deterministics = {
             "rho": lambda s: s["r1"] / s["r2"],
             "lambda1": lambda s: s["r1"] * t1,
@@ -318,116 +382,46 @@ def build_model(spec: ModelSpec) -> Model:
         initial = {"r1": (x1 + 1.0) / t1, "r2": (x2 + 1.0) / t2}
         return Model(spec, nodes, deterministics, initial)
 
+    deterministics = {
+        "r1": lambda s: s["rho"] * s["r2"],
+        "lambda1": lambda s: s["rho"] * s["r2"] * t1,
+        "lambda2": lambda s: s["r2"] * t2,
+    }
+    expected = {1: deterministics["lambda1"], 2: deterministics["lambda2"]}
+
     if spec.variant == "B":
-        prho, pr2 = priors["rho"], priors["r2"]
-
-        def ld_rho(s: dict) -> float:
-            lam1 = s["rho"] * s["r2"] * t1
-            return _gamma_logprior(s["rho"], prho) + x1 * math.log(lam1) - lam1
-
-        def ld_r2(s: dict) -> float:
-            lam1 = s["rho"] * s["r2"] * t1
-            lam2 = s["r2"] * t2
-            return (
-                _gamma_logprior(s["r2"], pr2)
-                + x1 * math.log(lam1)
-                - lam1
-                + x2 * math.log(lam2)
-                - lam2
-            )
-
-        nodes = [_Node("rho", "pos", ld_rho), _Node("r2", "pos", ld_r2)]
-        deterministics = {
-            "r1": lambda s: s["rho"] * s["r2"],
-            "lambda1": lambda s: s["rho"] * s["r2"] * t1,
-            "lambda2": lambda s: s["r2"] * t2,
-        }
         r2_init = (x2 + 1.0) / t2
         initial = {"r2": r2_init, "rho": ((x1 + 1.0) / t1) / r2_init}
-        return Model(spec, nodes, deterministics, initial)
+        return Model(spec, _ratio_nodes(priors, t1, t2, x1, x2), deterministics, initial)
 
     if spec.variant == "B_EFF":
-        prho, pr2 = priors["rho"], priors["r2"]
-        eff1 = _Efficiency.parse(spec.efficiencies[0], "efficiencies[0]")
-        eff2 = _Efficiency.parse(spec.efficiencies[1], "efficiencies[1]")
-
-        def eps1(s: dict) -> float:
-            return s["eps1"] if eff1.is_stochastic else eff1.fixed
-
-        def eps2(s: dict) -> float:
-            return s["eps2"] if eff2.is_stochastic else eff2.fixed
-
-        def ld_rho(s: dict) -> float:
-            lam1 = s["rho"] * s["r2"] * t1
-            return _gamma_logprior(s["rho"], prho) + _pois_logpmf(s["n1"], lam1)
-
-        def ld_r2(s: dict) -> float:
-            lam1 = s["rho"] * s["r2"] * t1
-            lam2 = s["r2"] * t2
-            return (
-                _gamma_logprior(s["r2"], pr2)
-                + _pois_logpmf(s["n1"], lam1)
-                + _pois_logpmf(s["n2"], lam2)
-            )
-
-        def ld_n1(s: dict) -> float:
-            lam1 = s["rho"] * s["r2"] * t1
-            return _pois_logpmf(s["n1"], lam1) + _binom_logpmf(x1, s["n1"], eps1(s))
-
-        def ld_n2(s: dict) -> float:
-            lam2 = s["r2"] * t2
-            return _pois_logpmf(s["n2"], lam2) + _binom_logpmf(x2, s["n2"], eps2(s))
-
-        nodes = [
-            _Node("rho", "pos", ld_rho),
-            _Node("r2", "pos", ld_r2),
-            _Node("n1", "int", ld_n1, lower=lambda s: x1),
-            _Node("n2", "int", ld_n2, lower=lambda s: x2),
+        effs = {
+            i: _Efficiency.parse(spec.efficiencies[i - 1], f"efficiencies[{i - 1}]")
+            for i in (1, 2)
+        }
+        data = {1: x1, 2: x2}
+        nodes = _ratio_nodes(priors, t1, t2, "n1", "n2")
+        nodes += [
+            _thinning_node(f"n{i}", data[i], expected[i], _eps_of(effs[i], f"eps{i}"))
+            for i in (1, 2)
         ]
         # latent counts start near their posterior, x_i / eps_i, as r2 and rho do
-        initial: dict[str, float] = {"n1": _latent_start(x1, eff1), "n2": _latent_start(x2, eff2)}
-        if eff1.is_stochastic:
-
-            def ld_eps1(s: dict) -> float:
-                e = s["eps1"]
-                return (
-                    (eff1.a - 1.0) * math.log(e)
-                    + (eff1.b - 1.0) * math.log1p(-e)
-                    + _binom_logpmf(x1, s["n1"], e)
+        initial: dict[str, float] = {f"n{i}": _latent_start(data[i], effs[i]) for i in (1, 2)}
+        for i in (1, 2):
+            eff, label = effs[i], f"eps{i}"
+            if eff.is_stochastic:
+                nodes.append(
+                    _efficiency_node(label, eff, lambda s, x=data[i]: x, lambda s, n=f"n{i}": s[n])
                 )
-
-            nodes.append(_Node("eps1", "unit", ld_eps1))
-            initial["eps1"] = eff1.initial()
-        if eff2.is_stochastic:
-
-            def ld_eps2(s: dict) -> float:
-                e = s["eps2"]
-                return (
-                    (eff2.a - 1.0) * math.log(e)
-                    + (eff2.b - 1.0) * math.log1p(-e)
-                    + _binom_logpmf(x2, s["n2"], e)
-                )
-
-            nodes.append(_Node("eps2", "unit", ld_eps2))
-            initial["eps2"] = eff2.initial()
-
-        deterministics = {
-            "r1": lambda s: s["rho"] * s["r2"],
-            "lambda1": lambda s: s["rho"] * s["r2"] * t1,
-            "lambda2": lambda s: s["r2"] * t2,
-        }
-        if not eff1.is_stochastic:
-            deterministics["eps1"] = lambda s: eff1.fixed
-        if not eff2.is_stochastic:
-            deterministics["eps2"] = lambda s: eff2.fixed
-        r2_init = (x2 / eff2.initial() + 1.0) / t2
+                initial[label] = eff.initial()
+            else:
+                deterministics[label] = _eps_of(eff, label)
+        r2_init = (x2 / effs[2].initial() + 1.0) / t2
         initial["r2"] = r2_init
-        initial["rho"] = ((x1 / eff1.initial() + 1.0) / t1) / r2_init
+        initial["rho"] = ((x1 / effs[1].initial() + 1.0) / t1) / r2_init
         return Model(spec, nodes, deterministics, initial)
 
     # B_EFF_BKG
-    prho, pr2 = priors["rho"], priors["r2"]
-    prb = {1: priors["rb1"], 2: priors["rb2"]}
     sig_eff_raw = spec.efficiencies if spec.efficiencies is not None else (1.0, 1.0)
     bkg_eff_raw = (
         spec.background_efficiencies if spec.background_efficiencies is not None else (1.0, 1.0)
@@ -440,104 +434,43 @@ def build_model(spec: ModelSpec) -> Model:
         1: _Efficiency.parse(bkg_eff_raw[0], "background_efficiencies[0]"),
         2: _Efficiency.parse(bkg_eff_raw[1], "background_efficiencies[1]"),
     }
-    data = {1: (x1, t1), 2: (x2, t2)}
-
-    def lam_s(s: dict, i: int) -> float:
-        _, t = data[i]
-        rate = s["rho"] * s["r2"] if i == 1 else s["r2"]
-        return rate * t
-
-    def lam_b(s: dict, i: int) -> float:
-        _, t = data[i]
-        return s[f"rb{i}"] * t
-
-    def eps_value(s: dict, eff: _Efficiency, key: str) -> float:
-        return s[key] if eff.is_stochastic else eff.fixed
-
-    def channel_terms(s: dict, i: int) -> float:
-        x, _ = data[i]
-        split = s[f"s{i}"]
-        return (
-            _pois_logpmf(s[f"nS{i}"], lam_s(s, i))
-            + _pois_logpmf(s[f"nB{i}"], lam_b(s, i))
-            + _binom_logpmf(split, s[f"nS{i}"], eps_value(s, eff_s[i], f"epsS{i}"))
-            + _binom_logpmf(x - split, s[f"nB{i}"], eps_value(s, eff_b[i], f"epsB{i}"))
-        )
-
-    def ld_rho(s: dict) -> float:
-        return _gamma_logprior(s["rho"], prho) + _pois_logpmf(s["nS1"], lam_s(s, 1))
-
-    def ld_r2(s: dict) -> float:
-        return (
-            _gamma_logprior(s["r2"], pr2)
-            + _pois_logpmf(s["nS1"], lam_s(s, 1))
-            + _pois_logpmf(s["nS2"], lam_s(s, 2))
-        )
-
-    nodes = [_Node("rho", "pos", ld_rho), _Node("r2", "pos", ld_r2)]
-    deterministics: dict[str, Callable[[dict], float]] = {
-        "r1": lambda s: s["rho"] * s["r2"],
-        "lambda1": lambda s: lam_s(s, 1),
-        "lambda2": lambda s: lam_s(s, 2),
-    }
+    nodes = _ratio_nodes(priors, t1, t2, "nS1", "nS2")
     initial = {}
 
-    for i in (1, 2):
-        x, t = data[i]
-
-        def ld_rb(s: dict, i=i) -> float:
-            return _gamma_logprior(s[f"rb{i}"], prb[i]) + _pois_logpmf(s[f"nB{i}"], lam_b(s, i))
-
-        def ld_ns(s: dict, i=i) -> float:
-            return _pois_logpmf(s[f"nS{i}"], lam_s(s, i)) + _binom_logpmf(
-                s[f"s{i}"], s[f"nS{i}"], eps_value(s, eff_s[i], f"epsS{i}")
-            )
-
-        def ld_nb(s: dict, i=i, x=x) -> float:
-            return _pois_logpmf(s[f"nB{i}"], lam_b(s, i)) + _binom_logpmf(
-                x - s[f"s{i}"], s[f"nB{i}"], eps_value(s, eff_b[i], f"epsB{i}")
-            )
-
-        def ld_alloc(s: dict, i=i) -> float:
-            return channel_terms(s, i)
-
-        nodes.append(_Node(f"rb{i}", "pos", ld_rb))
-        nodes.append(_Node(f"nS{i}", "int", ld_ns, lower=lambda s, i=i: s[f"s{i}"]))
-        nodes.append(_Node(f"nB{i}", "int", ld_nb, lower=lambda s, i=i, x=x: x - s[f"s{i}"]))
+    for i, x, t in ((1, x1, t1), (2, x2, t2)):
+        prior_b = priors[f"rb{i}"]
+        rb, s_key, ns_key, nb_key = f"rb{i}", f"s{i}", f"nS{i}", f"nB{i}"
         nodes.append(
-            _Node(
-                f"s{i}",
-                "alloc",
-                ld_alloc,
-                alloc_names=(f"s{i}", f"nS{i}", f"nB{i}"),
-                alloc_total=x,
+            _gamma_node(
+                rb,
+                lambda s, nb_key=nb_key, a=prior_b.alpha: a + s[nb_key],
+                lambda s, rate=prior_b.beta + t: rate,
             )
         )
-        prior_b = prb[i]
-        initial[f"rb{i}"] = prior_b.alpha / prior_b.beta
-        initial[f"s{i}"] = x
-        initial[f"nS{i}"] = _latent_start(x, eff_s[i])
-        initial[f"nB{i}"] = 0
+        nodes.append(
+            _split_node(
+                i,
+                x,
+                expected[i],
+                lambda s, rb=rb, t=t: s[rb] * t,
+                _eps_of(eff_s[i], f"epsS{i}"),
+                _eps_of(eff_b[i], f"epsB{i}"),
+            )
+        )
+        initial[rb] = prior_b.alpha / prior_b.beta
+        initial[s_key] = x
+        initial[ns_key] = _latent_start(x, eff_s[i])
+        initial[nb_key] = 0
 
-        for label, eff, observed_of in (
-            (f"epsS{i}", eff_s[i], lambda s, i=i: (s[f"s{i}"], s[f"nS{i}"])),
-            (f"epsB{i}", eff_b[i], lambda s, i=i, x=x: (x - s[f"s{i}"], s[f"nB{i}"])),
+        for label, eff, observed, produced in (
+            (f"epsS{i}", eff_s[i], lambda s, k=s_key: s[k], lambda s, n=ns_key: s[n]),
+            (f"epsB{i}", eff_b[i], lambda s, k=s_key, x=x: x - s[k], lambda s, n=nb_key: s[n]),
         ):
             if eff.is_stochastic:
-
-                def ld_eps(s: dict, eff=eff, observed_of=observed_of, label=label) -> float:
-                    e = s[label]
-                    obs, n_latent = observed_of(s)
-                    return (
-                        (eff.a - 1.0) * math.log(e)
-                        + (eff.b - 1.0) * math.log1p(-e)
-                        + _binom_logpmf(obs, n_latent, e)
-                    )
-
-                nodes.append(_Node(label, "unit", ld_eps))
+                nodes.append(_efficiency_node(label, eff, observed, produced))
                 initial[label] = eff.initial()
             else:
-                deterministics[label] = lambda s, eff=eff: eff.fixed
+                deterministics[label] = _eps_of(eff, label)
 
     r2_init = (x2 / eff_s[2].initial() + 1.0) / t2
     initial["r2"] = r2_init
@@ -545,154 +478,73 @@ def build_model(spec: ModelSpec) -> Model:
     return Model(spec, nodes, deterministics, initial)
 
 
-class _NodeRuntime:
-    """Per-run mutable sampler state for one node."""
+def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], None]:
+    """The update of one node, bound to rng, for a chain of the given number of sweeps."""
+    if node.shape is None:
+        return lambda state: node.update(state, rng)
+    # a memoryview yields Python floats without a list of them all in memory
+    gammas = iter(memoryview(rng.standard_gamma(node.shape, sweeps)))
+    name, rate = node.name, node.rate
 
-    __slots__ = ("log_step", "width", "window_proposed", "window_accepted", "proposed", "accepted")
+    def step(state: dict) -> None:
+        state[name] = next(gammas) / rate(state)
 
-    def __init__(self, node: _Node) -> None:
-        self.log_step = math.log(node.initial_step)
-        self.width = 2
-        self.window_proposed = 0
-        self.window_accepted = 0
-        self.proposed = 0
-        self.accepted = 0
-
-    def record(self, accepted: bool, adapting: bool) -> None:
-        self.proposed += 1
-        self.accepted += accepted
-        if adapting:
-            self.window_proposed += 1
-            self.window_accepted += accepted
-            if self.window_proposed >= _ADAPT_WINDOW:
-                rate = self.window_accepted / self.window_proposed
-                self.log_step += _ADAPT_GAIN * (rate - _TARGET_ACCEPT)
-                self.width = max(1, round(math.exp(self.log_step)))
-                self.window_proposed = 0
-                self.window_accepted = 0
-
-    @property
-    def step(self) -> float:
-        return math.exp(self.log_step)
-
-
-def _step_node(node: _Node, rt: _NodeRuntime, state: dict, rng, adapting: bool) -> None:
-    if node.kind == "pos":
-        v = state[node.name]
-        z = math.log(v)
-        z_new = z + rt.step * rng.standard_normal()
-        v_new = math.exp(z_new)
-        if v_new <= 0.0 or math.isinf(v_new):
-            rt.record(False, adapting)
-            return
-        cur = node.logdensity(state) + z
-        state[node.name] = v_new
-        new = node.logdensity(state) + z_new
-        if math.log(rng.random() or 1e-300) < new - cur:
-            rt.record(True, adapting)
-        else:
-            state[node.name] = v
-            rt.record(False, adapting)
-    elif node.kind == "unit":
-        v = state[node.name]
-        z = math.log(v) - math.log1p(-v)
-        z_new = z + rt.step * rng.standard_normal()
-        v_new = 1.0 / (1.0 + math.exp(-z_new))
-        if not (0.0 < v_new < 1.0):
-            rt.record(False, adapting)
-            return
-        cur = node.logdensity(state) + math.log(v) + math.log1p(-v)
-        state[node.name] = v_new
-        new = node.logdensity(state) + math.log(v_new) + math.log1p(-v_new)
-        if math.log(rng.random() or 1e-300) < new - cur:
-            rt.record(True, adapting)
-        else:
-            state[node.name] = v
-            rt.record(False, adapting)
-    elif node.kind == "int":
-        v = state[node.name]
-        j = int(rng.integers(1, rt.width + 1))
-        if rng.random() < 0.5:
-            j = -j
-        v_new = v + j
-        if v_new < node.lower(state):
-            rt.record(False, adapting)
-            return
-        cur = node.logdensity(state)
-        state[node.name] = v_new
-        new = node.logdensity(state)
-        if math.log(rng.random() or 1e-300) < new - cur:
-            rt.record(True, adapting)
-        else:
-            state[node.name] = v
-            rt.record(False, adapting)
-    else:  # alloc: transfer counts between the signal and background legs
-        s_name, ns_name, nb_name = node.alloc_names
-        s, ns, nb = state[s_name], state[ns_name], state[nb_name]
-        j = int(rng.integers(1, rt.width + 1))
-        if rng.random() < 0.5:
-            j = -j
-        s_new, ns_new, nb_new = s + j, ns + j, nb - j
-        if s_new < 0 or s_new > node.alloc_total or ns_new < 0 or nb_new < 0:
-            rt.record(False, adapting)
-            return
-        cur = node.logdensity(state)
-        state[s_name], state[ns_name], state[nb_name] = s_new, ns_new, nb_new
-        new = node.logdensity(state)
-        if math.log(rng.random() or 1e-300) < new - cur:
-            rt.record(True, adapting)
-        else:
-            state[s_name], state[ns_name], state[nb_name] = s, ns, nb
-            rt.record(False, adapting)
+    return step
 
 
 def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) -> Chain:
-    """Run one chain: burn-in with step adaptation, then n_iter recorded sweeps.
+    """Run one chain of exact Gibbs sweeps: burn_in discarded, then n_iter recorded.
 
-    burn_in defaults to max(1000, n_iter // 100); that is deliberately longer
-    than the reference scripts' 100 updates, which rely on a more efficient
-    sampler.  Raises InitializationError if any full conditional is non-finite
-    at the initial state.
+    A sweep redraws each node in turn from its full conditional, so every
+    update is accepted and nothing is tuned.  Model A's conditionals read
+    nothing from the state, so its n_iter draws are iid and drawn at once.
+    burn_in defaults to max(1000, n_iter // 100), far longer than the
+    reference scripts' 100 updates, so that latent counts forget their start.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     if burn_in is None:
         burn_in = max(1000, n_iter // 100)
-    burn_in = int(burn_in)
+    burn_in, n_iter = int(burn_in), int(n_iter)
     rng = np.random.default_rng(seed)
     state = model.init_state()
-    for node in model.nodes:
-        value = node.logdensity(state)
-        if not math.isfinite(value):
-            raise InitializationError(
-                f"non-finite log density ({value}) at node {node.name!r} "
-                f"with initial state {state}"
-            )
-    runtimes = [_NodeRuntime(node) for node in model.nodes]
     monitor = model.spec.monitor
-    storage = {name: np.empty(int(n_iter)) for name in monitor}
-    pairs = list(zip(model.nodes, runtimes))
-    for it in range(burn_in + int(n_iter)):
-        adapting = it < burn_in
-        for node, rt in pairs:
-            _step_node(node, rt, state, rng, adapting)
-        if not adapting:
-            k = it - burn_in
-            for name in monitor:
-                storage[name][k] = model.value_of(state, name)
-    acceptance = {
-        node.name: (rt.accepted / rt.proposed if rt.proposed else 0.0)
-        for node, rt in pairs
+    if model.spec.variant == "A":
+        draws = {
+            node.name: rng.standard_gamma(node.shape, n_iter) / node.rate(state)
+            for node in model.nodes
+        }
+    else:
+        steps = [_step(node, rng, burn_in + n_iter) for node in model.nodes]
+        columns = [
+            (name, np.empty(n_iter))
+            for name in state
+            if name in monitor or name in ("r1", "r2", "rho")
+        ]
+        for _ in range(burn_in):
+            for step in steps:
+                step(state)
+        for k in range(n_iter):
+            for step in steps:
+                step(state)
+            for name, column in columns:
+                column[k] = state[name]
+        draws = dict(columns)
+    monitored = {
+        name: draws[name]
+        if name in draws
+        else np.full(n_iter, model.deterministics[name](draws), dtype=float)
+        for name in monitor
     }
     logger.info(
-        "chain finished: variant=%s n_iter=%d burn_in=%d acceptance=%s",
-        model.spec.variant,
-        n_iter,
-        burn_in,
-        {k: round(v, 3) for k, v in acceptance.items()},
+        "chain finished: variant=%s n_iter=%d burn_in=%d", model.spec.variant, n_iter, burn_in
     )
     return Chain(
-        monitored=storage, n_iter=int(n_iter), burn_in=burn_in, seed=seed, acceptance=acceptance
+        monitored=monitored,
+        n_iter=n_iter,
+        burn_in=burn_in,
+        seed=seed,
+        acceptance={node.name: 1.0 for node in model.nodes},
     )
 
 
@@ -784,10 +636,13 @@ def _align(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def chain_to_csv(chain: Chain, fileobj) -> None:
-    """Write draws as CSV: iteration column plus one column per variable."""
+    """Write draws as CSV: iteration column plus one column per variable.
+
+    Values are written as repr(float), the shortest string that reads back
+    to the same float.
+    """
     names = list(chain.monitored)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["iteration"] + names)
-    columns = [chain.monitored[name] for name in names]
-    for i in range(chain.n_iter):
-        writer.writerow([i + 1] + [repr(float(col[i])) for col in columns])
+    csv.writer(fileobj, lineterminator="\n").writerow(["iteration"] + names)
+    columns = [memoryview(np.ascontiguousarray(chain.monitored[name], dtype=float)) for name in names]
+    row = "%d" + ",%r" * len(columns) + "\n"
+    fileobj.writelines(row % values for values in zip(range(1, chain.n_iter + 1), *columns))

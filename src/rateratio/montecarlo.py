@@ -14,7 +14,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,6 +100,17 @@ def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
         writer.writerow([repr(float(left)), repr(float(right)), repr(float(dens))])
 
 
+class _ShardTally(NamedTuple):
+    n_nan: int
+    n_inf: int
+    n_finite: int
+    total: float
+    total_sq: float
+    n_over: int
+    hist: np.ndarray
+    fine: np.ndarray
+
+
 class _RatioAccumulator:
     """Merges per-shard tallies; merge order is fixed by shard index."""
 
@@ -115,15 +126,28 @@ class _RatioAccumulator:
         self.total = 0.0
         self.total_sq = 0.0
 
-    def add(self, values: np.ndarray, n_nan: int, n_inf: int) -> None:
-        self.n_nan += int(n_nan)
-        self.n_inf += int(n_inf)
-        self.n_finite += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
-        self.n_over += int(np.count_nonzero(values > self.cutoff))
-        self.hist += np.histogram(values, bins=self.bins, range=(0.0, self.cutoff))[0]
-        self.fine += np.histogram(values, bins=MODE_BINS, range=(0.0, self.cutoff))[0]
+    def tally(self, values: np.ndarray, n_nan: int, n_inf: int) -> _ShardTally:
+        """One shard's counts and sums; reads only settings, so worker threads may call it."""
+        return _ShardTally(
+            n_nan=int(n_nan),
+            n_inf=int(n_inf),
+            n_finite=values.size,
+            total=float(values.sum()),
+            total_sq=float(np.square(values).sum()),
+            n_over=int(np.count_nonzero(values > self.cutoff)),
+            hist=np.histogram(values, bins=self.bins, range=(0.0, self.cutoff))[0],
+            fine=np.histogram(values, bins=MODE_BINS, range=(0.0, self.cutoff))[0],
+        )
+
+    def add(self, tally: _ShardTally) -> None:
+        self.n_nan += tally.n_nan
+        self.n_inf += tally.n_inf
+        self.n_finite += tally.n_finite
+        self.total += tally.total
+        self.total_sq += tally.total_sq
+        self.n_over += tally.n_over
+        self.hist += tally.hist
+        self.fine += tally.fine
 
     def report(self, n: int, seed: int) -> RatioSampleReport:
         edges = np.linspace(0.0, self.cutoff, self.bins + 1)
@@ -181,7 +205,9 @@ def _run_ratio_simulation(
     sizes = _shard_sizes(int(n))
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def shard(args) -> tuple[np.ndarray, int, int]:
+    acc = _RatioAccumulator(int(bins), float(cutoff))
+
+    def shard(args) -> _ShardTally:
         stream, size = args
         rng = np.random.default_rng(stream)
         num, den = draw_pair(rng, size)
@@ -190,17 +216,17 @@ def _run_ratio_simulation(
         inf_mask = zero_den & (num != 0)
         finite = ~zero_den
         values = num[finite] / den[finite]
-        return values, int(nan_mask.sum()), int(inf_mask.sum())
+        # tally here, in the worker, so no shard's draws outlive it
+        return acc.tally(values, int(nan_mask.sum()), int(inf_mask.sum()))
 
-    acc = _RatioAccumulator(int(bins), float(cutoff))
     jobs = list(zip(streams, sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(shard, jobs))
+            tallies = list(pool.map(shard, jobs))
     else:
-        results = [shard(job) for job in jobs]
-    for values, n_nan, n_inf in results:  # fixed shard order keeps float sums identical
-        acc.add(values, n_nan, n_inf)
+        tallies = [shard(job) for job in jobs]
+    for tally in tallies:  # fixed shard order keeps float sums identical
+        acc.add(tally)
     return acc.report(int(n), seed)
 
 

@@ -350,6 +350,33 @@ class TestMcmcCommand:
         assert out1 == out2
 
 
+class TestUnseededRuns:
+    def test_replaying_reported_seed_reproduces_stdout(self, capsys, tmp_path):
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "variant": "B_EFF",
+                    "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+                    "priors": {"rho": "flat", "r2": "flat"},
+                    "efficiencies": [0.8, {"a": 6, "b": 4}],
+                }
+            )
+        )
+        runs = [
+            ["mc", "gamma-ratio", "--alpha1", "4", "--beta1", "3", "--alpha2", "7",
+             "--beta2", "6", "--n", "20000", "--format", "json"],
+            ["mcmc", "--spec", str(spec_path), "--n-iter", "500", "--format", "json"],
+        ]
+        for argv in runs:
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            seed = json.loads(out)["seed"]
+            assert isinstance(seed, int)
+            code, replay, _ = run_cli(capsys, argv + ["--seed", str(seed)])
+            assert code == 0 and replay == out
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
