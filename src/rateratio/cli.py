@@ -3,14 +3,18 @@
 Subcommands: predict, infer, ratio, combine, mc, mcmc.  Global flags on every
 subcommand: --seed, --format {json,csv,text}, --out.  Exit codes: 0 success,
 2 usage error (bad flags, precondition violations, malformed spec files),
-3 numeric/domain error raised during computation.
+3 numeric/domain error raised during computation.  A command that draws random
+numbers and was given no --seed draws one and writes it to stderr, so the run
+can be replayed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,9 +69,10 @@ class UsageError(Exception):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        # draw the seed once and use it everywhere, so the output can report it
+    if args.seed is None and args.handler in _RANDOM_COMMANDS:
+        # draw the seed once and use it everywhere, so the run can be replayed
         args.seed = np.random.SeedSequence().entropy
+        print(f"rateratio: seed = {args.seed}", file=sys.stderr)
     try:
         args.handler(args)
     except UsageError as exc:
@@ -79,6 +84,10 @@ def main(argv=None) -> int:
     return 0
 
 
+# Built once per process: parse_args never changes a parser, the append
+# options default to None, and every parse builds a fresh Namespace and fresh
+# lists, so one parser serves every main() call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -98,34 +107,34 @@ def _build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="forward predictive distributions of counts")
     psub = predict.add_subparsers(dest="mode", required=True)
     p_diff = psub.add_parser("diff", parents=[common], help="exact pmf of X1 - X2")
-    p_diff.add_argument("--l1", type=float, required=True, help="lambda1 (expected counts)")
-    p_diff.add_argument("--l2", type=float, required=True, help="lambda2 (expected counts)")
+    p_diff.add_argument("--l1", type=_finite_float, required=True, help="lambda1 (expected counts)")
+    p_diff.add_argument("--l2", type=_finite_float, required=True, help="lambda2 (expected counts)")
     p_diff.add_argument("--d-min", type=int, default=None)
     p_diff.add_argument("--d-max", type=int, default=None)
     p_diff.set_defaults(handler=_cmd_predict_diff)
     p_ratio = psub.add_parser("ratio", parents=[common], help="simulated X1/X2 with NaN/Inf accounting")
-    p_ratio.add_argument("--l1", type=float, required=True)
-    p_ratio.add_argument("--l2", type=float, required=True)
+    p_ratio.add_argument("--l1", type=_finite_float, required=True)
+    p_ratio.add_argument("--l2", type=_finite_float, required=True)
     p_ratio.add_argument("--n", type=int, default=1_000_000, help="number of draws")
-    p_ratio.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
+    p_ratio.add_argument("--cutoff", type=_finite_float, default=DEFAULT_CUTOFF)
     p_ratio.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p_ratio.add_argument("--workers", type=int, default=1)
     p_ratio.set_defaults(handler=_cmd_predict_ratio)
 
     infer = sub.add_parser("infer", parents=[common], help="rate posterior from one observation")
     infer.add_argument("--x", type=int, required=True, help="observed counts")
-    infer.add_argument("--T", type=float, required=True, help="observation time")
+    infer.add_argument("--T", type=_finite_float, required=True, help="observation time")
     _add_prior_options(infer)
     infer.set_defaults(handler=_cmd_infer)
 
     ratio = sub.add_parser("ratio", parents=[common], help="closed-form posterior of rho = r1/r2")
     ratio.add_argument("--model", choices=("A", "B"), default="A")
     ratio.add_argument("--x1", type=int, required=True)
-    ratio.add_argument("--T1", type=float, required=True)
+    ratio.add_argument("--T1", type=_finite_float, required=True)
     ratio.add_argument("--x2", type=int, required=True)
-    ratio.add_argument("--T2", type=float, required=True)
-    ratio.add_argument("--prior-alpha0", type=float, default=None, help="Gamma prior on r2 (model B)")
-    ratio.add_argument("--prior-beta0", type=float, default=None)
+    ratio.add_argument("--T2", type=_finite_float, required=True)
+    ratio.add_argument("--prior-alpha0", type=_finite_float, default=None, help="Gamma prior on r2 (model B)")
+    ratio.add_argument("--prior-beta0", type=_finite_float, default=None)
     ratio.add_argument("--compare", action="store_true", help="emit models A and B side by side")
     ratio.set_defaults(handler=_cmd_ratio)
 
@@ -150,33 +159,33 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="X1,T1,X2,T2",
         help="one instance; repeatable",
     )
-    c_ratio.add_argument("--prior-alpha0", type=float, default=None, help="Gamma prior on r2")
-    c_ratio.add_argument("--prior-beta0", type=float, default=None)
+    c_ratio.add_argument("--prior-alpha0", type=_finite_float, default=None, help="Gamma prior on r2")
+    c_ratio.add_argument("--prior-beta0", type=_finite_float, default=None)
     c_ratio.set_defaults(handler=_cmd_combine_ratio)
 
     mc = sub.add_parser("mc", help="Monte Carlo simulators")
     msub = mc.add_subparsers(dest="mode", required=True)
     m_gamma = msub.add_parser("gamma-ratio", parents=[common], help="ratio of two Gamma variates")
-    m_gamma.add_argument("--alpha1", type=float, required=True)
-    m_gamma.add_argument("--beta1", type=float, required=True)
-    m_gamma.add_argument("--alpha2", type=float, required=True)
-    m_gamma.add_argument("--beta2", type=float, required=True)
+    m_gamma.add_argument("--alpha1", type=_finite_float, required=True)
+    m_gamma.add_argument("--beta1", type=_finite_float, required=True)
+    m_gamma.add_argument("--alpha2", type=_finite_float, required=True)
+    m_gamma.add_argument("--beta2", type=_finite_float, required=True)
     m_gamma.add_argument("--n", type=int, default=1_000_000)
-    m_gamma.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
+    m_gamma.add_argument("--cutoff", type=_finite_float, default=DEFAULT_CUTOFF)
     m_gamma.add_argument("--bins", type=int, default=DEFAULT_BINS)
     m_gamma.add_argument("--workers", type=int, default=1)
     m_gamma.set_defaults(handler=_cmd_mc_gamma)
     m_unif = msub.add_parser("uniform-ratio", parents=[common], help="ratio of two uniform variates")
-    m_unif.add_argument("--rmax", type=float, default=1.0)
+    m_unif.add_argument("--rmax", type=_finite_float, default=1.0)
     m_unif.add_argument("--n", type=int, default=1_000_000)
-    m_unif.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
+    m_unif.add_argument("--cutoff", type=_finite_float, default=DEFAULT_CUTOFF)
     m_unif.add_argument("--bins", type=int, default=DEFAULT_BINS)
     m_unif.add_argument("--workers", type=int, default=1)
     m_unif.set_defaults(handler=_cmd_mc_uniform)
     m_wait = msub.add_parser(
         "waiting-times", parents=[common], help="arrival times of a Poisson process"
     )
-    m_wait.add_argument("--rate", type=float, required=True)
+    m_wait.add_argument("--rate", type=_finite_float, required=True)
     m_wait.add_argument("--k", type=int, required=True, help="number of arrivals per path")
     m_wait.add_argument("--paths", type=int, default=1)
     m_wait.set_defaults(handler=_cmd_mc_waiting)
@@ -190,11 +199,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: argparse names the flag in the error and exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_prior_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior-mean", type=float, default=None, help="prior mean (with --prior-sd)")
-    parser.add_argument("--prior-sd", type=float, default=None)
-    parser.add_argument("--prior-alpha", type=float, default=None, help="prior Gamma shape")
-    parser.add_argument("--prior-beta", type=float, default=None, help="prior Gamma rate")
+    parser.add_argument("--prior-mean", type=_finite_float, default=None, help="prior mean (with --prior-sd)")
+    parser.add_argument("--prior-sd", type=_finite_float, default=None)
+    parser.add_argument("--prior-alpha", type=_finite_float, default=None, help="prior Gamma shape")
+    parser.add_argument("--prior-beta", type=_finite_float, default=None, help="prior Gamma rate")
 
 
 def _prior_from_args(args) -> GammaParams:
@@ -443,9 +463,9 @@ def _parse_numbers(text: str, count: int, label: str) -> list[float]:
     if len(parts) != count:
         raise UsageError(f"{label}: expected {count} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{label}: could not parse numbers from {text!r}") from None
+        return [_finite_float(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{label}: {exc} in {text!r}") from None
 
 
 def _parse_observation(text: str, label: str) -> CountObservation:
@@ -619,6 +639,19 @@ def _spec_error(path: str, message: str) -> UsageError:
     return UsageError(f"spec {path}: {message}")
 
 
+def _is_number(raw) -> bool:
+    """A finite JSON number within the float range.
+
+    json.loads reads NaN, Infinity and ints of any size, and bool is an int in Python.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:
+        return False
+
+
 def _parse_prior(raw, path: str) -> GammaParams:
     if raw == "flat":
         return MCMC_FLAT_PRIOR
@@ -630,8 +663,8 @@ def _parse_prior(raw, path: str) -> GammaParams:
     for key in ("alpha", "beta"):
         if key not in raw:
             raise _spec_error(f"{path}.{key}", "missing")
-        if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
-            raise _spec_error(f"{path}.{key}", "must be a number")
+        if not _is_number(raw[key]):
+            raise _spec_error(f"{path}.{key}", "must be a finite number")
     if raw["alpha"] <= 0:
         raise _spec_error(f"{path}.alpha", "must be > 0")
     if raw["beta"] <= 0:
@@ -653,8 +686,8 @@ def _parse_efficiency(raw, path: str):
         for key in ("a", "b"):
             if key not in raw:
                 raise _spec_error(f"{path}.{key}", "missing")
-            if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
-                raise _spec_error(f"{path}.{key}", "must be a number")
+            if not _is_number(raw[key]):
+                raise _spec_error(f"{path}.{key}", "must be a finite number")
             if raw[key] <= 0:
                 raise _spec_error(f"{path}.{key}", "must be > 0")
         return (float(raw["a"]), float(raw["b"]))
@@ -690,8 +723,8 @@ def parse_model_spec(payload: dict) -> ModelSpec:
     for key in ("x1", "T1", "x2", "T2"):
         if key not in data:
             raise _spec_error(f"data.{key}", "missing")
-        if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-            raise _spec_error(f"data.{key}", "must be a number")
+        if not _is_number(data[key]):
+            raise _spec_error(f"data.{key}", "must be a finite number")
     for key in ("x1", "x2"):
         if data[key] < 0 or data[key] != int(data[key]):
             raise _spec_error(f"data.{key}", "must be a non-negative integer")
@@ -773,6 +806,11 @@ def _cmd_mcmc(args) -> None:
             chain_to_csv(chain, sys.stdout)
     else:
         sys.stdout.write(summary_text)
+
+
+_RANDOM_COMMANDS = frozenset(
+    {_cmd_predict_ratio, _cmd_mc_gamma, _cmd_mc_uniform, _cmd_mc_waiting, _cmd_mcmc}
+)
 
 
 if __name__ == "__main__":

@@ -119,7 +119,15 @@ class SummaryStats:
         return cls(mode=mode, mean=mean, variance=variance, sd=sd, undefined=undefined)
 
     def as_dict(self) -> dict:
-        """JSON-ready form: undefined entries are null plus a reason."""
+        """JSON-ready form: undefined entries are null plus a reason.
+
+        Raises ValueError for an entry past the float range (a Gamma variance
+        alpha/beta**2 with beta < 1e-154, say), which JSON cannot carry.
+        """
+        for name in ("mode", "mean", "variance", "sd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is outside the float range")
         return {
             "mode": self.mode,
             "mean": self.mean,
@@ -140,7 +148,7 @@ class DiscreteDist:
         if self.values.shape != self.probs.shape:
             raise ValueError("values and probs must have the same shape")
         # Tail truncation must leave < 1e-9 of mass outside the support.
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-9:  # "not <=" also rejects NaN
             raise ValueError("probabilities must sum to 1 within 1e-9")
 
     def prob(self, value: int) -> float:
@@ -211,15 +219,22 @@ def _log_ive(v: np.ndarray, z: float) -> np.ndarray:
 
     Uses `special.ive` where its value is comfortably inside the float
     range.  Where it is not, which needs a large order (or a product
-    lambda1*lambda2 below 1e-15), it switches to the Debye expansion
+    lambda1*lambda2 below 1e-15), or where ive returns NaN (z above 2^30,
+    about 1.07e9), it switches to the Debye expansion
     I_v(v t) ~ e^(v eta) / (sqrt(2 pi v) (1 + t^2)^(1/4)) * sum_k u_k(p) / v^k
     with p = 1/sqrt(1 + t^2).  There it agrees with 40-digit arithmetic to
     about 1e-12 in the log; v eta - z is rearranged so that no large terms
-    cancel.
+    cancel.  The expansion divides by the order, so order 0 takes the
+    large-argument series I_0(z) e^-z ~ (1 + 1/(8z) + 9/(128z^2)) / sqrt(2 pi z)
+    instead, which ive leaves only at such large z.
     """
     with np.errstate(divide="ignore"):
         out = np.asarray(np.log(special.ive(v, z)))
-        low = out < -600.0
+        low = ~(out >= -600.0)  # also takes NaN
+        large_z = low & (v == 0)
+        if np.any(large_z):
+            out[large_z] = -0.5 * np.log(2.0 * math.pi * z) + np.log1p((1.0 + 9.0 / (16.0 * z)) / (8.0 * z))
+        low &= v > 0
         if np.any(low):
             n = v[low].astype(float)
             root = np.hypot(n, z)
@@ -334,9 +349,8 @@ def gamma_summaries(p: GammaParams) -> SummaryStats:
     """Mean alpha/beta, sd sqrt(alpha)/beta, mode (alpha-1)/beta for alpha >= 1 else 0."""
     p.require_proper()
     mode = (p.alpha - 1.0) / p.beta if p.alpha >= 1.0 else 0.0
-    mean = p.alpha / p.beta
-    variance = p.alpha / p.beta**2
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance)
+    sd = math.sqrt(p.alpha) / p.beta  # beta**2 leaves the float range for beta < 1e-154 or > 1e154
+    return SummaryStats(mode=mode, mean=p.alpha / p.beta, variance=sd * sd, sd=sd)
 
 
 def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from rateratio import cli
 from rateratio.cli import main
 
 
@@ -312,6 +314,26 @@ class TestMcmcCommand:
         code, _, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path)])
         assert code == 2 and "priors.r2.alpha" in err
 
+    @pytest.mark.parametrize(
+        "section,key,value,path",
+        [("data", "T1", math.inf, "data.T1"), ("data", "x2", math.nan, "data.x2"),
+         ("data", "T2", 10**400, "data.T2"),
+         ("priors", "r2", {"alpha": math.nan, "beta": 1}, "priors.r2.alpha")],
+        ids=["inf", "nan", "int-past-float-range", "nan-prior"],
+    )
+    def test_non_finite_spec_numbers(self, capsys, tmp_path, section, key, value, path):
+        # json.loads reads NaN, Infinity and ints past the float range
+        spec = {
+            "variant": "B",
+            "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+            "priors": {"rho": "flat", "r2": "flat"},
+        }
+        spec[section][key] = value
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "100"])
+        assert code == 2 and path in err
+
     def test_efficiency_spec(self, capsys, tmp_path):
         spec = {
             "variant": "B_EFF",
@@ -375,6 +397,162 @@ class TestUnseededRuns:
             assert isinstance(seed, int)
             code, replay, _ = run_cli(capsys, argv + ["--seed", str(seed)])
             assert code == 0 and replay == out
+
+    def test_stderr_seed_replays_csv_and_chain_files(self, capsys, tmp_path):
+        # CSV output and the mcmc text summary carry no seed field; stderr does
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "variant": "B",
+                    "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+                    "priors": {"rho": "flat", "r2": "flat"},
+                }
+            )
+        )
+        prefix = tmp_path / "run"
+        chain_path = tmp_path / "run.chain.csv"
+        runs = [
+            (["mc", "gamma-ratio", "--alpha1", "4", "--beta1", "3", "--alpha2", "7",
+              "--beta2", "6", "--n", "20000", "--format", "csv"], None),
+            (["mcmc", "--spec", str(spec_path), "--n-iter", "500", "--format", "text",
+              "--out", str(prefix)], chain_path),
+        ]
+        for argv, written in runs:
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0
+            match = re.fullmatch(r"rateratio: seed = (\d+)\n", err)
+            assert match
+            first_file = written.read_bytes() if written else None
+            code, replay, replay_err = run_cli(capsys, argv + ["--seed", match[1]])
+            assert code == 0 and replay == out and replay_err == ""
+            if written:
+                assert written.read_bytes() == first_file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict", "diff", "--l1", "2", "--l2", "3"],
+         ["infer", "--x", "3", "--T", "3", "--format", "json"],
+         ["ratio", "--x1", "3", "--T1", "3", "--x2", "6", "--T2", "6", "--format", "csv"],
+         ["combine", "rate", "--obs", "3,3"],
+         ["combine", "ratio", "--instance", "3,3,6,6"]],
+    )
+    def test_deterministic_commands_write_no_seed(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_mixed_sequence_replays_identically(self, capsys):
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = ["ratio", "--x1", "3", "--T1", "3", "--x2", "6", "--T2", "6", "--compare",
+                 "--format", "json"]
+        calls = [
+            (first, 0),
+            (["infer", "--x", "3"], ("SystemExit", 2)),  # --T missing: argparse
+            (["combine", "--help"], ("SystemExit", 0)),
+            (["infer", "--x", "-1", "--T", "1"], 2),
+            (["ratio", "--model", "B", "--x1", "3", "--T1", "3", "--x2", "0", "--T2", "6"], 3),
+        ]
+        results = [outcome(argv) for argv, _ in calls]
+        assert [code for code, _, _ in results] == [code for _, code in calls]
+        assert outcome(first) == results[0]
+
+    def test_append_options_do_not_accumulate(self, capsys):
+        argv = ["combine", "rate", "--format", "json"]
+        code, _, _ = run_cli(capsys, argv + ["--obs", "3,3", "--obs", "6,6", "--obs", "1,2"])
+        assert code == 0
+        code, out, _ = run_cli(capsys, argv + ["--obs", "3,3", "--obs", "6,6"])
+        assert code == 0
+        assert json.loads(out)["observations"] == [{"x": 3, "T": 3.0}, {"x": 6, "T": 6.0}]
+
+
+NON_FINITE_FLAGS = [
+    ("predict diff --l1 inf --l2 1", "--l1"),
+    ("predict diff --l1 nan --l2 1", "--l1"),
+    ("predict ratio --l1 1 --l2 inf --n 100 --seed 1", "--l2"),
+    ("infer --x 1 --T inf", "--T"),
+    ("infer --x 1 --T 1 --prior-mean inf --prior-sd 1", "--prior-mean"),
+    ("ratio --x1 3 --T1 3 --x2 6 --T2 inf", "--T2"),
+    ("ratio --model B --x1 3 --T1 3 --x2 6 --T2 6 --prior-alpha0 nan --prior-beta0 1",
+     "--prior-alpha0"),
+    ("combine rate --obs 3,inf", "--obs[0]"),
+    ("combine rate --obs 1,1 --obs nan,1", "--obs[1]"),
+    ("combine ratio --instance 3,3,6,-inf", "--instance[0]"),
+    ("mc gamma-ratio --alpha1 inf --beta1 1 --alpha2 1 --beta2 1 --n 100 --seed 1", "--alpha1"),
+    ("mc uniform-ratio --rmax inf --n 100 --seed 1", "--rmax"),
+    ("mc uniform-ratio --cutoff inf --n 100 --seed 1", "--cutoff"),
+    ("mc waiting-times --rate inf --k 2 --seed 1", "--rate"),
+]
+
+EDGE_INPUTS = [line for line, _ in NON_FINITE_FLAGS] + [
+    "infer --x 0 --T 1e-300",
+    "infer --x 0 --T 1e-300 --format json",
+    "infer --x 0 --T 1e-300 --format csv",
+    "infer --x 0 --T 1e200 --format json",
+    "predict diff --l1 3e9 --l2 3e9 --d-min -3 --d-max 3 --format json",
+    "infer --x 0 --T 1 --prior-alpha 1e-300 --prior-beta 1 --format json",
+    "combine rate --obs 0,1 --prior-alpha 1e-300 --prior-beta 1 --format json",
+    "ratio --model B --x1 0 --T1 1 --x2 5 --T2 1 --prior-alpha0 1e-300 --prior-beta0 1 --format json",
+    "mc gamma-ratio --alpha1 1e-300 --beta1 1 --alpha2 1e-300 --beta2 1 --n 1000 --seed 1 "
+    "--format json",
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON carries {name}")
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse's usage error, never a traceback
+        return exc.code
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("line", EDGE_INPUTS)
+    def test_exit_code_and_strict_json(self, capsys, line):
+        code = _exit_code(line.split())
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3)
+        if code == 0 and "--format json" in line:
+            json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("line,flag", NON_FINITE_FLAGS)
+    def test_non_finite_flag_exits_2_naming_it(self, capsys, line, flag):
+        assert _exit_code(line.split()) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_tiny_rate_scale(self, capsys):
+        # beta**2 underflows to 0: once a ZeroDivisionError traceback
+        code, out, _ = run_cli(capsys, ["infer", "--x", "0", "--T", "1e-300"])
+        assert code == 0
+        assert "mean = 1e+300" in out and "sd = 1e+300" in out
+
+    def test_skellam_past_ive_range(self, capsys):
+        # ive is NaN at z = 2 sqrt(l1 l2) = 6e9: once a NaN pmf, mean and sd with exit 0
+        code, out, _ = run_cli(
+            capsys, ["predict", "diff", "--l1", "3e9", "--l2", "3e9", "--d-min", "-1",
+                     "--d-max", "1", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean"] == pytest.approx(0.0, abs=1e-6)
+        assert payload["sd"] == pytest.approx(math.sqrt(6e9), rel=1e-9)
+        # the normal density 1 / sqrt(2 pi 6e9) at the centre
+        assert payload["pmf"][1] == pytest.approx(1.0 / math.sqrt(2 * math.pi * 6e9), rel=1e-9)
 
 
 class TestEntryPoint:

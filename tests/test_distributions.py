@@ -8,6 +8,7 @@ from scipy import integrate, special, stats
 
 from rateratio.distributions import (
     DiscreteDist,
+    _log_ive,
     GammaParams,
     beta_prime_pdf,
     binomial_pmf,
@@ -177,11 +178,32 @@ class TestSkellam:
         with pytest.raises(ValueError):
             skellam_pmf(0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "v,z,ref",
+        # log(I_v(z)) - z from mpmath at 40 digits; special.ive is NaN at these z
+        [(0, 3e9, -11.829877595970266499), (1, 3e9, -11.829877596136933166),
+         (0, 2e10, -12.778437588448623817), (5, 2e10, -12.778437589073623817),
+         (1000, 2e10, -12.778462588448624442), (100000, 2e10, -13.028437588454352983)],
+    )
+    def test_log_ive_past_ive_range(self, v, z, ref):
+        assert _log_ive(np.array([v]), z)[0] == pytest.approx(ref, abs=1e-14)
+
+    def test_dist_large_equal_rates(self):
+        # z = 2 sqrt(l1 l2) = 6e9, where ive returns NaN for every order
+        dist = skellam_dist(3e9, 3e9)
+        assert abs(dist.probs.sum() - 1.0) <= 1e-9
+        assert dist.mean() == pytest.approx(0.0, abs=1e-6)
+        assert dist.sd() == pytest.approx(math.sqrt(6e9), rel=1e-9)
+
 
 class TestDiscreteDist:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             DiscreteDist(values=np.array([0, 1]), probs=np.array([0.5, 0.4]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DiscreteDist(values=np.array([0, 1]), probs=np.array([np.nan, 1.0]))
 
 
 class TestGammaPdf:
@@ -336,6 +358,13 @@ class TestGammaSummaries:
 
     def test_sub_one_shape_mode_zero(self):
         assert gamma_summaries(GammaParams(0.5, 1.0)).mode == 0.0
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-300), (4.0, 1e200)])
+    def test_beta_squared_outside_float_range(self, alpha, beta):
+        # beta**2 underflows to 0 (once a ZeroDivisionError) or overflows to inf (sd 0)
+        s = gamma_summaries(GammaParams(alpha, beta))
+        assert s.mean == pytest.approx(alpha / beta, rel=1e-15)
+        assert s.sd == pytest.approx(math.sqrt(alpha) / beta, rel=1e-15)
 
 
 class TestGammaSample:
