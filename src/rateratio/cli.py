@@ -38,7 +38,6 @@ from .inference import (
 )
 from .mcmc import (
     MCMC_FLAT_PRIOR,
-    InitializationError,
     ModelSpec,
     build_model,
     chain_to_csv,
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, InitializationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -245,7 +244,8 @@ def _write(args, content: str) -> None:
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # NaN and Infinity are not JSON: json.dumps raises ValueError (exit 3)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _summary_lines(s: SummaryStats) -> list[str]:
@@ -785,6 +785,11 @@ def _cmd_mcmc(args) -> None:
         raise UsageError(f"spec $: {exc}") from None
     chain = run_chain(model, args.n_iter, args.burn_in, args.seed)
     summary = summarize_chain(chain)
+    if not all(math.isfinite(v.batch_se) for v in summary.variables.values()):
+        print(
+            "rateratio: warning: fewer than 20 draws give no batch-means SE",
+            file=sys.stderr,
+        )
     summary_json = _json_dump(
         {**summary.as_dict(), "acceptance": {k: v for k, v in chain.acceptance.items()}}
     )

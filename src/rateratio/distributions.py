@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside each function that calls it, not here:
+# `mc`, `predict ratio` and `mcmc` never need SciPy, and importing it costs
+# about 0.3 s of every launch.  Once loaded, a local import is a dict lookup.
 
 
 __all__ = [
@@ -175,6 +178,8 @@ def poisson_pmf(x, lam: float):
         x: non-negative integer count, scalar or array.
         lam: positive Poisson parameter.
     """
+    from scipy import special
+
     _check_positive("lambda", lam)
     x_arr = np.asarray(x)
     if np.any(x_arr != np.floor(x_arr)) or np.any(x_arr < 0):
@@ -190,6 +195,8 @@ def poisson_cdf(x, lam: float):
     Evaluated through the regularized upper incomplete Gamma function,
     which equals that sum exactly.
     """
+    from scipy import special
+
     _check_positive("lambda", lam)
     x_arr = np.asarray(x)
     if np.any(x_arr != np.floor(x_arr)) or np.any(x_arr < 0):
@@ -214,38 +221,50 @@ _DEBYE_U = [
 ]
 
 
+def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """log(I_v(z) e^-z) where `special.ive` serves, and the mask where it does not.
+
+    ive serves where its value is comfortably inside the float range.  It
+    does not where that needs a large order (or a product lambda1*lambda2
+    below 1e-15), or where ive returns NaN (z above 2^30, about 1.07e9).
+    There, order 0 takes the large-argument series
+    I_0(z) e^-z ~ (1 + 1/(8z) + 9/(128z^2)) / sqrt(2 pi z), which ive leaves
+    only at such large z, and the orders v > 0 are returned in the mask for
+    the Debye expansion; see _log_ive.
+    """
+    from scipy import special
+
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(special.ive(v, z)))
+    low = ~(out >= -600.0)  # also takes NaN
+    large_z = low & (v == 0)
+    if np.any(large_z):
+        out[large_z] = -0.5 * np.log(2.0 * math.pi * z) + np.log1p((1.0 + 9.0 / (16.0 * z)) / (8.0 * z))
+    return out, low & (v > 0)
+
+
+def _debye_rest(n: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """log(sum_k u_k(p) / n^k) - log(2 pi eta) / 2 with p = n / eta: the Debye expansion less its exponent."""
+    p = n / eta
+    series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_DEBYE_U))
+    return np.log(series) - 0.5 * np.log(2.0 * math.pi * eta)
+
+
 def _log_ive(v: np.ndarray, z: float) -> np.ndarray:
     """log(I_v(z) e^-z) for integer orders v >= 0, finite where ive underflows.
 
-    Uses `special.ive` where its value is comfortably inside the float
-    range.  Where it is not, which needs a large order (or a product
-    lambda1*lambda2 below 1e-15), or where ive returns NaN (z above 2^30,
-    about 1.07e9), it switches to the Debye expansion
-    I_v(v t) ~ e^(v eta) / (sqrt(2 pi v) (1 + t^2)^(1/4)) * sum_k u_k(p) / v^k
-    with p = 1/sqrt(1 + t^2).  There it agrees with 40-digit arithmetic to
-    about 1e-12 in the log; v eta - z is rearranged so that no large terms
-    cancel.  The expansion divides by the order, so order 0 takes the
-    large-argument series I_0(z) e^-z ~ (1 + 1/(8z) + 9/(128z^2)) / sqrt(2 pi z)
-    instead, which ive leaves only at such large z.
+    Where `special.ive` does not serve (see _log_ive_direct), orders v > 0
+    take the Debye expansion
+    I_v(z) ~ e^(eta - v asinh(v/z)) / sqrt(2 pi eta) * sum_k u_k(p) / v^k
+    with eta = sqrt(v^2 + z^2) and p = v / eta.  It agrees with 40-digit
+    arithmetic to about 1e-12 in the log; eta - z is written
+    v^2 / (eta + z), so that no large terms cancel.
     """
-    with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(special.ive(v, z)))
-        low = ~(out >= -600.0)  # also takes NaN
-        large_z = low & (v == 0)
-        if np.any(large_z):
-            out[large_z] = -0.5 * np.log(2.0 * math.pi * z) + np.log1p((1.0 + 9.0 / (16.0 * z)) / (8.0 * z))
-        low &= v > 0
-        if np.any(low):
-            n = v[low].astype(float)
-            root = np.hypot(n, z)
-            p = n / root
-            series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_DEBYE_U))
-            out[low] = (
-                n * n / (root + z)
-                - n * np.arcsinh(n / z)
-                - 0.5 * np.log(2.0 * math.pi * root)
-                + np.log(series)
-            )
+    out, debye = _log_ive_direct(v, z)
+    if np.any(debye):
+        n = v[debye].astype(float)
+        eta = np.hypot(n, z)
+        out[debye] = n * n / (eta + z) - n * np.arcsinh(n / z) + _debye_rest(n, eta)
     return out
 
 
@@ -258,6 +277,10 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
     written 0.5*d*(log l1 - log l2), which keeps the (d, l1, l2) ->
     (-d, l2, l1) symmetry exact.
 
+    Where I_|d| takes the Debye expansion, those terms and its exponent are
+    each about lambda in size and would cancel; there the whole exponent is
+    evaluated in one cancellation-free form instead (_skellam_debye_exponent).
+
     Arguments:
         d: integer difference, scalar or array.
         lambda1, lambda2: positive Poisson parameters.
@@ -267,13 +290,38 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
     d_arr = np.asarray(d)
     if np.any(d_arr != np.floor(d_arr)):
         raise ValueError("d must be an integer")
-    logp = (
+    v = np.abs(d_arr)
+    z = 2.0 * math.sqrt(lambda1 * lambda2)
+    log_ive, debye = _log_ive_direct(v, z)
+    logp = np.asarray(
         -((math.sqrt(lambda1) - math.sqrt(lambda2)) ** 2)
         + 0.5 * d_arr * (math.log(lambda1) - math.log(lambda2))
-        + _log_ive(np.abs(d_arr), 2.0 * math.sqrt(lambda1 * lambda2))
+        + log_ive
     )
+    if np.any(debye):
+        n = v[debye].astype(float)
+        eta = np.hypot(n, z)
+        logp[debye] = _skellam_debye_exponent(d_arr[debye], n, eta, lambda1, lambda2) + _debye_rest(n, eta)
     out = np.exp(logp)
     return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out
+
+
+def _skellam_debye_exponent(d, v, eta, lambda1: float, lambda2: float):
+    """-(l1 + l2) + d/2 log(l1/l2) + eta - v asinh(v/z), for d != 0, without cancellation.
+
+    With S = l1 + l2, v = |d| and l_d = l1 for d > 0, l2 for d < 0, the sum
+    is exactly (eta - S) + v log(2 l_d / (v + eta)).  eta - S is evaluated
+    as (v - |l1 - l2|)(v + |l1 - l2|) / (eta + S), since
+    eta^2 - S^2 = v^2 - (l1 - l2)^2, and the log as log1p of
+    (2 l_d - v - eta) / (v + eta), whose numerator is
+    (l_d - l_other - v) - (eta - S).  Swapping (d, l1, l2) -> (-d, l2, l1)
+    leaves every operand unchanged, so the symmetry stays exact.
+    """
+    s = lambda1 + lambda2
+    gap = abs(lambda1 - lambda2)
+    eta_minus_s = (v - gap) * (v + gap) / (eta + s)
+    toward_d = np.where(d > 0, lambda1 - lambda2, lambda2 - lambda1)
+    return eta_minus_s + v * np.log1p((toward_d - v - eta_minus_s) / (v + eta))
 
 
 def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
@@ -296,6 +344,8 @@ def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
 
 def gamma_logpdf(x, p: GammaParams):
     """log f(x | alpha, beta) with f(x) = beta^alpha / Gamma(alpha) * x^(alpha-1) * exp(-beta x)."""
+    from scipy import special
+
     p.require_proper()
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
@@ -322,6 +372,8 @@ def gamma_pdf(x, p: GammaParams):
 
 def gamma_cdf(x, p: GammaParams):
     """P(X <= x) for X ~ Gamma(alpha, beta) via the regularized lower incomplete Gamma."""
+    from scipy import special
+
     p.require_proper()
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
@@ -339,6 +391,8 @@ def _check_levels(q) -> np.ndarray:
 
 def gamma_ppf(q, p: GammaParams):
     """Quantile of Gamma(alpha, beta) at probability q: gammaincinv(alpha, q) / beta."""
+    from scipy import special
+
     p.require_proper()
     q_arr = _check_levels(q)
     out = special.gammaincinv(p.alpha, q_arr) / p.beta
@@ -370,6 +424,8 @@ def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
 
 def binomial_pmf(x, n: int, prob: float):
     """P(X = x) for X ~ Binom(n, prob); 0 outside [0, n] rather than an error."""
+    from scipy import special
+
     if not (0.0 <= prob <= 1.0):
         raise ValueError(f"prob must be in [0, 1], got {prob}")
     if n < 0 or n != int(n):
@@ -392,6 +448,8 @@ def binomial_pmf(x, n: int, prob: float):
 
 def gamma_ratio_logpdf(rho, p1: GammaParams, p2: GammaParams):
     """log density of Z1/Z2 for independent Z1 ~ Gamma(p1), Z2 ~ Gamma(p2)."""
+    from scipy import special
+
     p1.require_proper()
     p2.require_proper()
     rho_arr = np.asarray(rho, dtype=float)
@@ -431,6 +489,8 @@ def gamma_ratio_cdf(rho, p1: GammaParams, p2: GammaParams):
     b1 Z1 / (b1 Z1 + b2 Z2) is Beta(a1, a2) distributed, and Z1/Z2 <= rho
     exactly when it is <= u.
     """
+    from scipy import special
+
     p1.require_proper()
     p2.require_proper()
     rho_arr = np.asarray(rho, dtype=float)
@@ -448,6 +508,8 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
     a subtraction, so quantiles of sharply peaked ratios (large counts on
     both sides) keep full precision.
     """
+    from scipy import special
+
     p1.require_proper()
     p2.require_proper()
     q_arr = _check_levels(q)

@@ -47,7 +47,6 @@ __all__ = [
     "Chain",
     "VariableSummary",
     "ChainSummary",
-    "InitializationError",
     "build_model",
     "run_chain",
     "summarize_chain",
@@ -70,14 +69,6 @@ _REQUIRED_PRIORS: dict[str, tuple[str, ...]] = {
     "B_EFF": ("rho", "r2"),
     "B_EFF_BKG": ("rho", "r2", "rb1", "rb2"),
 }
-
-
-class InitializationError(RuntimeError):
-    """The chain could not start from its initial state.
-
-    Exact conditional draws start from any state, so run_chain no longer
-    raises it; it stays for callers that catch it.
-    """
 
 
 @dataclass(frozen=True)
@@ -237,8 +228,9 @@ class ChainSummary:
     """Per-variable chain statistics.
 
     naive_se = sd/sqrt(n); batch_se is the batch-means standard error with
-    20 batches, an autocorrelation-aware estimate; quantiles use inclusive
-    linear interpolation on the sorted draws (numpy's default, R type 7).
+    20 batches, an autocorrelation-aware estimate, and NaN for fewer than
+    20 draws (null in as_dict); quantiles use inclusive linear interpolation
+    on the sorted draws (numpy's default, R type 7).
     """
 
     variables: Mapping[str, VariableSummary]
@@ -256,7 +248,7 @@ class ChainSummary:
                     "mean": v.mean,
                     "sd": v.sd,
                     "naive_se": v.naive_se,
-                    "batch_se": v.batch_se,
+                    "batch_se": v.batch_se if math.isfinite(v.batch_se) else None,
                     "quantiles": {f"{level:g}": q for level, q in v.quantiles.items()},
                 }
                 for name, v in self.variables.items()

@@ -371,6 +371,41 @@ class TestMcmcCommand:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("n_iter,short", [(10, True), (20, False)])
+    def test_short_chain_batch_se_is_null(self, capsys, tmp_path, n_iter, short):
+        # fewer than 20 draws have no batch-means SE: once "batch_se": NaN, not JSON
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "variant": "B",
+                    "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+                    "priors": {"rho": "flat", "r2": "flat"},
+                }
+            )
+        )
+        out_prefix = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys,
+            ["mcmc", "--spec", str(spec_path), "--n-iter", str(n_iter), "--seed", "1",
+             "--format", "json", "--out", str(out_prefix)],
+        )
+        assert code == 0
+        assert err.count("fewer than 20 draws give no batch-means SE") == int(short)
+        summary_json = (tmp_path / "run.summary.json").read_text()
+        assert out.endswith(summary_json)
+        payload = json.loads(summary_json, parse_constant=_reject_constant)
+        for variable in payload["variables"].values():
+            assert (variable["batch_se"] is None) == short
+            assert math.isfinite(variable["naive_se"])
+
+
+def test_json_output_refuses_non_finite_values():
+    # NaN and Infinity are not JSON; main() turns the ValueError into exit 3
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._json_dump({"x": value})
+
 
 class TestUnseededRuns:
     def test_replaying_reported_seed_reproduces_stdout(self, capsys, tmp_path):
@@ -553,6 +588,18 @@ class TestEdgeInputs:
         assert payload["sd"] == pytest.approx(math.sqrt(6e9), rel=1e-9)
         # the normal density 1 / sqrt(2 pi 6e9) at the centre
         assert payload["pmf"][1] == pytest.approx(1.0 / math.sqrt(2 * math.pi * 6e9), rel=1e-9)
+
+    @pytest.mark.parametrize("l1,l2", [("1e7", "4e6"), ("5e9", "2e9")])
+    def test_skellam_large_unequal_rates(self, capsys, l1, l2):
+        # once exit 3: "probabilities must sum to 1 within 1e-9"
+        code, out, _ = run_cli(
+            capsys, ["predict", "diff", "--l1", l1, "--l2", l2, "--d-min", "0", "--d-max", "0",
+                     "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean"] == pytest.approx(float(l1) - float(l2), rel=1e-9)
+        assert payload["sd"] == pytest.approx(math.sqrt(float(l1) + float(l2)), rel=1e-9)
 
 
 class TestEntryPoint:

@@ -195,6 +195,32 @@ class TestSkellam:
         assert dist.mean() == pytest.approx(0.0, abs=1e-6)
         assert dist.sd() == pytest.approx(math.sqrt(6e9), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "d,lambda1,lambda2,ref",
+        # log P(D = d) from mpmath at 40 digits, summing the Poisson products
+        # directly (mpmath's besseli does not converge at these orders)
+        [(6000000, 1e7, 4e6, -9.146222470799103802878),
+         (6012000, 1e7, 4e6, -14.28863352440197201863),
+         (5985000, 1e7, 4e6, -17.18293695711311997577),
+         (-200000, 1e6, 1.2e6, -8.220922436333370367342),
+         (-195000, 1e6, 1.2e6, -13.90302750666863593299),
+         (61000, 1e5, 4e4, -10.41295289361584201767),
+         (3000000000, 5e9, 2e9, -12.25352652619314430186),
+         (3000400000, 5e9, 2e9, -23.68201690432216492901)],
+    )
+    def test_pmf_large_unequal_rates(self, d, lambda1, lambda2, ref):
+        assert skellam_pmf(d, lambda1, lambda2) == pytest.approx(math.exp(ref), rel=1e-9)
+        assert skellam_pmf(-d, lambda2, lambda1) == skellam_pmf(d, lambda1, lambda2)
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(1e7, 4e6), (5e9, 2e9), (2e9, 5e9)])
+    def test_dist_large_unequal_rates(self, lambda1, lambda2):
+        # the Debye-branch terms are each about lambda in size: once they
+        # cancelled, and the mass missed 1 by 2.7e-9 and -4.2e-6
+        dist = skellam_dist(lambda1, lambda2)
+        assert abs(dist.probs.sum() - 1.0) <= 1e-12
+        assert dist.mean() == pytest.approx(lambda1 - lambda2, rel=1e-9)
+        assert dist.sd() == pytest.approx(math.sqrt(lambda1 + lambda2), rel=1e-9)
+
 
 class TestDiscreteDist:
     def test_rejects_unnormalized(self):

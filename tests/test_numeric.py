@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -85,3 +87,50 @@ def test_cli_import_skips_quadrature_and_root_finding():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_sampling_commands_skip_scipy_special(tmp_path):
+    # mc, predict ratio and mcmc need only NumPy; importing scipy.special
+    # would add about 0.3 s to each of their launches.  The closed-form
+    # commands load it on first use.
+    spec = tmp_path / "bkg.json"
+    spec.write_text(json.dumps({
+        "variant": "B_EFF_BKG",
+        "data": {"x1": 9, "T1": 3.0, "x2": 12, "T2": 6.0},
+        "priors": {"rho": "flat", "r2": "flat", "rb1": {"alpha": 2, "beta": 2},
+                   "rb2": {"alpha": 2, "beta": 2}},
+        "efficiencies": [0.9, {"a": 6, "b": 4}],
+        "background_efficiencies": [0.5, 0.5],
+    }))
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from rateratio import cli
+
+        steps = {"import rateratio.cli": "scipy.special" in sys.modules}
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(list(argv)) == 0, argv
+            name = " ".join(a for a in argv[:2] if not a.startswith("-"))
+            steps[name] = "scipy.special" in sys.modules
+            return out.getvalue()
+
+        run("mc", "gamma-ratio", "--alpha1", "3", "--beta1", "1", "--alpha2", "4",
+            "--beta2", "2", "--n", "1000", "--seed", "1")
+        run("mc", "uniform-ratio", "--n", "1000", "--seed", "1")
+        run("predict", "ratio", "--l1", "3", "--l2", "4", "--n", "1000", "--seed", "1")
+        run("mcmc", "--spec", sys.argv[1], "--n-iter", "200", "--seed", "1")
+        json.loads(run("infer", "--x", "3", "--T", "3", "--format", "json"))
+        print(json.dumps(steps))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(spec)], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == {
+        "import rateratio.cli": False,
+        "mc gamma-ratio": False,
+        "mc uniform-ratio": False,
+        "predict ratio": False,
+        "mcmc": False,
+        "infer": True,
+    }
