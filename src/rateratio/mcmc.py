@@ -31,8 +31,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -70,6 +72,59 @@ _REQUIRED_PRIORS: dict[str, tuple[str, ...]] = {
     "B_EFF_BKG": ("rho", "r2", "rb1", "rb2"),
 }
 
+_RATES = ("r1", "r2", "rho", "lambda1", "lambda2")
+# the variables that build_model gives each variant: what a spec may monitor
+_VARIABLES: dict[str, tuple[str, ...]] = {
+    "A": _RATES,
+    "B": _RATES,
+    "B_EFF": _RATES + ("n1", "n2", "eps1", "eps2"),
+    "B_EFF_BKG": _RATES
+    + ("rb1", "rb2", "s1", "s2", "nS1", "nS2", "nB1", "nB2", "epsS1", "epsS2", "epsB1", "epsB2"),
+}
+
+# "data" holds data1 and data2; ModelSpec takes the other keys of a JSON spec as they are
+_JSON_KEYS = {"variant", "data", "priors", "efficiencies", "background_efficiencies", "monitor"}
+
+
+def _number(raw, path: str) -> float:
+    """raw as a float, if it is a finite number: json.loads also reads NaN, Infinity and huge ints."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    raise ValueError(f"{path}: must be a finite number")
+
+
+def _numbers(raw, keys: tuple[str, ...], path: str, expected: str) -> list[float]:
+    """The values of a JSON object that holds exactly the given keys, each a finite number."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected {expected}")
+    extra = set(raw) - set(keys)
+    if extra:
+        raise ValueError(f"{path}: unknown keys {sorted(extra)}")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{path}.{key}: missing")
+    return [_number(raw[key], f"{path}.{key}") for key in keys]
+
+
+def _prior(raw, path: str) -> GammaParams:
+    """A proper Gamma prior, given as GammaParams, {"alpha": a, "beta": b} or "flat"."""
+    if raw == "flat":
+        return MCMC_FLAT_PRIOR
+    if isinstance(raw, dict):
+        values = _numbers(raw, ("alpha", "beta"), path, '{"alpha": ..., "beta": ...} or "flat"')
+        for key, value in zip(("alpha", "beta"), values):
+            if value <= 0:
+                raise ValueError(f'{path}.{key}: must be > 0 (use "flat" for a flat prior)')
+        raw = GammaParams(*values)
+    if not isinstance(raw, GammaParams):
+        raise ValueError(f'{path}: expected GammaParams, {{"alpha": ..., "beta": ...}} or "flat"')
+    if not raw.is_proper:
+        raise ValueError(
+            f"{path}: improper (beta == 0); samplers need a proper "
+            "prior — use MCMC_FLAT_PRIOR = Gamma(1, 1e-6) for a flat prior"
+        )
+    return raw
+
 
 @dataclass(frozen=True)
 class _Efficiency:
@@ -80,18 +135,23 @@ class _Efficiency:
     b: float | None = None
 
     @classmethod
-    def parse(cls, raw, label: str) -> "_Efficiency":
-        if isinstance(raw, (int, float)):
-            value = float(raw)
-            if not (0.0 < value <= 1.0):
-                raise ValueError(f"{label}: fixed efficiency must be in (0, 1], got {value}")
-            return cls(fixed=value)
+    def parse(cls, raw, path: str) -> "_Efficiency":
+        """A fixed value in (0, 1], or Beta parameters as an (a, b) pair or {"a": a, "b": b}."""
+        if isinstance(raw, dict):
+            raw = _numbers(raw, ("a", "b"), path, '{"a": ..., "b": ...}')
         if isinstance(raw, (tuple, list)) and len(raw) == 2:
-            a, b = float(raw[0]), float(raw[1])
+            a, b = (_number(value, f"{path}.{key}") for key, value in zip("ab", raw))
             if a <= 0 or b <= 0:
-                raise ValueError(f"{label}: Beta parameters must be > 0, got ({a}, {b})")
+                raise ValueError(f"{path}: Beta parameters must be > 0, got ({a}, {b})")
+            # past the float range a / (a + b) and NumPy's Beta draws both read 0
+            if not math.isfinite(a + b):
+                raise ValueError(f"{path}: Beta parameters sum past the float range, got ({a}, {b})")
             return cls(fixed=None, a=a, b=b)
-        raise ValueError(f"{label}: expected a number or (a, b) pair, got {raw!r}")
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raise ValueError(f"{path}: must be a number in (0, 1] or Beta parameters (a, b)")
+        if not 0.0 < _number(raw, path) <= 1.0:
+            raise ValueError(f"{path}: fixed efficiency must be in (0, 1], got {raw}")
+        return cls(fixed=float(raw))
 
     @property
     def is_stochastic(self) -> bool:
@@ -109,9 +169,12 @@ class ModelSpec:
 
     priors must contain every top node of the variant (r1, r2 for A;
     rho, r2 for the B family; plus rb1, rb2 for the background variant) as
-    proper Gamma distributions — use MCMC_FLAT_PRIOR for a flat prior.
-    efficiencies (signal) and background_efficiencies are each a pair whose
-    entries are a fixed value in (0, 1] or a (a, b) Beta parameter pair.
+    proper Gamma distributions: GammaParams, {"alpha": a, "beta": b}, or
+    "flat" for MCMC_FLAT_PRIOR.  efficiencies (signal) and
+    background_efficiencies are each a pair whose entries are a fixed value
+    in (0, 1] or Beta parameters, an (a, b) pair or {"a": a, "b": b}.
+    monitor names variables of the variant's model.  Every error is a
+    ValueError that starts with the path of the field at fault.
     """
 
     variant: Variant
@@ -121,41 +184,79 @@ class ModelSpec:
     efficiencies: tuple | None = None
     background_efficiencies: tuple | None = None
     monitor: tuple[str, ...] = ("r1", "r2", "rho")
+    # the parsed efficiency pairs; absent efficiencies are 1
+    _signal: tuple[_Efficiency, _Efficiency] = field(init=False, repr=False, compare=False)
+    _background: tuple[_Efficiency, _Efficiency] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.variant not in _REQUIRED_PRIORS:
+        if not isinstance(self.variant, str) or self.variant not in _REQUIRED_PRIORS:
             raise ValueError(
-                f"variant must be one of {sorted(_REQUIRED_PRIORS)}, got {self.variant!r}"
+                f"variant: must be one of {', '.join(_REQUIRED_PRIORS)}, got {self.variant!r}"
             )
+        if not isinstance(self.priors, Mapping):
+            raise ValueError("priors: expected an object mapping node names to priors")
         required = _REQUIRED_PRIORS[self.variant]
         missing = [name for name in required if name not in self.priors]
         if missing:
-            raise ValueError(f"missing priors for {missing}; required: {list(required)}")
+            raise ValueError(f"priors: missing priors for {missing}; required: {list(required)}")
         unknown = [name for name in self.priors if name not in required]
         if unknown:
-            raise ValueError(f"unknown prior names {unknown}; this variant uses {list(required)}")
-        for name, prior in self.priors.items():
-            if not isinstance(prior, GammaParams):
-                raise ValueError(f"prior {name!r} must be GammaParams")
-            if not prior.is_proper:
-                raise ValueError(
-                    f"prior {name!r} is improper (beta == 0); samplers need a proper "
-                    "prior — use MCMC_FLAT_PRIOR = Gamma(1, 1e-6) for a flat prior"
-                )
+            raise ValueError(
+                f"priors: unknown prior names {unknown}; this variant uses {list(required)}"
+            )
+        priors = {name: _prior(raw, f"priors.{name}") for name, raw in self.priors.items()}
+        object.__setattr__(self, "priors", priors)
         if self.variant in ("A", "B") and self.efficiencies is not None:
-            raise ValueError(f"variant {self.variant} takes no efficiencies")
+            raise ValueError(f"efficiencies: variant {self.variant} takes none")
         if self.variant == "B_EFF" and self.efficiencies is None:
-            raise ValueError("variant B_EFF requires efficiencies=(eps1, eps2)")
+            raise ValueError("efficiencies: variant B_EFF requires a pair (eps1, eps2)")
         if self.variant != "B_EFF_BKG" and self.background_efficiencies is not None:
-            raise ValueError("background_efficiencies apply to variant B_EFF_BKG only")
-        for field_name in ("efficiencies", "background_efficiencies"):
-            pair = getattr(self, field_name)
-            if pair is None:
-                continue
-            if len(pair) != 2:
-                raise ValueError(f"{field_name} must be a pair, got {pair!r}")
-            for i, raw in enumerate(pair):
-                _Efficiency.parse(raw, f"{field_name}[{i}]")
+            raise ValueError("background_efficiencies: apply to variant B_EFF_BKG only")
+        for name in ("efficiencies", "background_efficiencies"):
+            pair = (1.0, 1.0) if getattr(self, name) is None else getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name}: expected a pair, one per channel")
+            parsed = tuple(_Efficiency.parse(raw, f"{name}[{i}]") for i, raw in enumerate(pair))
+            object.__setattr__(self, "_signal" if name == "efficiencies" else "_background", parsed)
+        if not isinstance(self.monitor, (tuple, list)) or not self.monitor:
+            raise ValueError("monitor: expected a non-empty list of variable names")
+        for name in self.monitor:
+            if not isinstance(name, str) or name not in _VARIABLES[self.variant]:
+                raise ValueError(
+                    f"monitor: variant {self.variant} has no variable {name!r}; "
+                    f"it has {list(_VARIABLES[self.variant])}"
+                )
+        object.__setattr__(self, "monitor", tuple(self.monitor))
+
+    @classmethod
+    def from_json(cls, payload) -> "ModelSpec":
+        """The spec of a JSON document, as json.loads reads it.
+
+        Every error is a ValueError "spec <field path>: <reason>".
+        """
+        try:
+            if not isinstance(payload, dict):
+                raise ValueError("$: top level must be an object")
+            extra = set(payload) - _JSON_KEYS
+            if extra:
+                raise ValueError(f"$: unknown keys {sorted(extra)}")
+            keys = ("x1", "T1", "x2", "T2")
+            values = _numbers(payload.get("data"), keys, "data", "an object with x1, T1, x2, T2")
+            data = dict(zip(keys, values))
+            for key in ("x1", "x2"):
+                if data[key] < 0 or data[key] != int(data[key]):
+                    raise ValueError(f"data.{key}: must be a non-negative integer")
+            for key in ("T1", "T2"):
+                if data[key] <= 0:
+                    raise ValueError(f"data.{key}: must be > 0")
+            return cls(
+                variant=payload.get("variant"),
+                data1=CountObservation(int(data["x1"]), data["T1"]),
+                data2=CountObservation(int(data["x2"]), data["T2"]),
+                **{key: value for key, value in payload.items() if key not in ("variant", "data")},
+            )
+        except ValueError as exc:
+            raise ValueError(f"spec {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -193,11 +294,6 @@ class Model:
         self.nodes = tuple(nodes)
         self.deterministics = dict(deterministics)
         self._initial = dict(initial)
-        for name in spec.monitor:
-            if name not in self._initial and name not in self.deterministics:
-                raise ValueError(
-                    f"cannot monitor {name!r}: not a node or deterministic quantity"
-                )
 
     def init_state(self) -> dict:
         return dict(self._initial)
@@ -380,17 +476,16 @@ def build_model(spec: ModelSpec) -> Model:
         "lambda2": lambda s: s["r2"] * t2,
     }
     expected = {1: deterministics["lambda1"], 2: deterministics["lambda2"]}
+    # r2 and rho start near their posterior: the counts over efficiency-scaled times
+    eps1, eps2 = (eff.initial() for eff in spec._signal)
+    r2_start = (x2 / eps2 + 1.0) / t2
+    initial: dict[str, float] = {"r2": r2_start, "rho": ((x1 / eps1 + 1.0) / t1) / r2_start}
 
     if spec.variant == "B":
-        r2_init = (x2 + 1.0) / t2
-        initial = {"r2": r2_init, "rho": ((x1 + 1.0) / t1) / r2_init}
         return Model(spec, _ratio_nodes(priors, t1, t2, x1, x2), deterministics, initial)
 
     if spec.variant == "B_EFF":
-        effs = {
-            i: _Efficiency.parse(spec.efficiencies[i - 1], f"efficiencies[{i - 1}]")
-            for i in (1, 2)
-        }
+        effs = dict(enumerate(spec._signal, start=1))
         data = {1: x1, 2: x2}
         nodes = _ratio_nodes(priors, t1, t2, "n1", "n2")
         nodes += [
@@ -398,7 +493,7 @@ def build_model(spec: ModelSpec) -> Model:
             for i in (1, 2)
         ]
         # latent counts start near their posterior, x_i / eps_i, as r2 and rho do
-        initial: dict[str, float] = {f"n{i}": _latent_start(data[i], effs[i]) for i in (1, 2)}
+        initial.update({f"n{i}": _latent_start(data[i], effs[i]) for i in (1, 2)})
         for i in (1, 2):
             eff, label = effs[i], f"eps{i}"
             if eff.is_stochastic:
@@ -408,26 +503,12 @@ def build_model(spec: ModelSpec) -> Model:
                 initial[label] = eff.initial()
             else:
                 deterministics[label] = _eps_of(eff, label)
-        r2_init = (x2 / effs[2].initial() + 1.0) / t2
-        initial["r2"] = r2_init
-        initial["rho"] = ((x1 / effs[1].initial() + 1.0) / t1) / r2_init
         return Model(spec, nodes, deterministics, initial)
 
     # B_EFF_BKG
-    sig_eff_raw = spec.efficiencies if spec.efficiencies is not None else (1.0, 1.0)
-    bkg_eff_raw = (
-        spec.background_efficiencies if spec.background_efficiencies is not None else (1.0, 1.0)
-    )
-    eff_s = {
-        1: _Efficiency.parse(sig_eff_raw[0], "efficiencies[0]"),
-        2: _Efficiency.parse(sig_eff_raw[1], "efficiencies[1]"),
-    }
-    eff_b = {
-        1: _Efficiency.parse(bkg_eff_raw[0], "background_efficiencies[0]"),
-        2: _Efficiency.parse(bkg_eff_raw[1], "background_efficiencies[1]"),
-    }
+    eff_s = dict(enumerate(spec._signal, start=1))
+    eff_b = dict(enumerate(spec._background, start=1))
     nodes = _ratio_nodes(priors, t1, t2, "nS1", "nS2")
-    initial = {}
 
     for i, x, t in ((1, x1, t1), (2, x2, t2)):
         prior_b = priors[f"rb{i}"]
@@ -463,10 +544,6 @@ def build_model(spec: ModelSpec) -> Model:
                 initial[label] = eff.initial()
             else:
                 deterministics[label] = _eps_of(eff, label)
-
-    r2_init = (x2 / eff_s[2].initial() + 1.0) / t2
-    initial["r2"] = r2_init
-    initial["rho"] = ((x1 / eff_s[1].initial() + 1.0) / t1) / r2_init
     return Model(spec, nodes, deterministics, initial)
 
 

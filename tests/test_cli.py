@@ -243,6 +243,17 @@ class TestMcWaiting:
         times = [float(row.split(",")[2]) for row in lines[1:4]]
         assert times == sorted(times)
 
+    def test_one_path_has_no_sd(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["mc", "waiting-times", "--rate", "2", "--k", "3", "--seed", "4"]
+        )
+        assert code == 0
+        assert re.search(r"^first arrival: mean = [0-9.e+-]+, sd = undef\(one path\)$", out, re.M)
+        code, out, _ = run_cli(
+            capsys, ["mc", "waiting-times", "--rate", "2", "--k", "3", "--paths", "2", "--seed", "4"]
+        )
+        assert code == 0 and re.search(r"^first arrival: mean = \S+, sd = [0-9.e+-]+$", out, re.M)
+
 
 class TestDeterminism:
     def test_seeded_runs_identical(self, capsys):
@@ -313,6 +324,39 @@ class TestMcmcCommand:
         )
         code, _, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path)])
         assert code == 2 and "priors.r2.alpha" in err
+        # errors found past the JSON shape once all read "spec $:"
+        base = {
+            "variant": "B",
+            "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+            "priors": {"rho": "flat", "r2": "flat"},
+        }
+        for change, path in [
+            ({"variant": "A", "priors": {"r1": "flat", "r2": "flat"}, "efficiencies": [0.9, 0.9]},
+             "efficiencies"),
+            ({"variant": "B_EFF"}, "efficiencies"),
+            ({"priors": {"rho": "flat"}}, "priors"),
+            ({"priors": {"rho": "flat", "r2": "flat", "r1": "flat"}}, "priors"),
+            ({"monitor": ["rho", "nope"]}, "monitor"),
+        ]:
+            spec_path.write_text(json.dumps({**base, **change}))
+            code, out, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "10"])
+            assert code == 2 and out == "" and f"error: spec {path}: " in err, (change, err)
+
+    def test_beta_efficiency_sum_past_float_range(self, capsys, tmp_path):
+        # a + b = inf once crashed with a ZeroDivisionError in the chain's start
+        spec = {
+            "variant": "B_EFF",
+            "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+            "priors": {"rho": "flat", "r2": "flat"},
+            "efficiencies": [{"a": 1e308, "b": 1e308}, 0.5],
+        }
+        spec_path = tmp_path / "eff.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "10", "--seed", "1"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: spec efficiencies[0]: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "section,key,value,path",

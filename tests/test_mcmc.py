@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rateratio.inference import CountObservation
 from rateratio.ratio import model_b_summaries
 from rateratio.mcmc import (
     MCMC_FLAT_PRIOR,
+    _VARIABLES,
     Chain,
     ModelSpec,
     build_model,
@@ -68,6 +70,84 @@ class TestModelSpec:
             flat_spec("B_EFF", efficiencies=(0.0, 0.5))
         with pytest.raises(ValueError):
             flat_spec("B_EFF", efficiencies=(1.1, 0.5))
+
+    @pytest.mark.parametrize(
+        "eps,path",
+        [
+            (((math.nan, 1.0), 0.9), "efficiencies[0].a"),
+            (((math.inf, 1.0), 0.9), "efficiencies[0].a"),
+            (((2.0, math.nan), 0.9), "efficiencies[0].b"),
+            ((True, 0.9), "efficiencies[0]"),
+            ((0.9, math.nan), "efficiencies[1]"),
+        ],
+        ids=["nan-a", "inf-a", "nan-b", "bool", "nan-fixed"],
+    )
+    def test_non_numbers_rejected_naming_the_field(self, eps, path):
+        # once nan reached run_chain as "cannot convert float NaN to integer", and True read as 1.0
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: must be"):
+            flat_spec("B_EFF", efficiencies=eps)
+
+    def test_beta_sum_past_float_range_rejected(self):
+        # a / (a + b) would read 1e308 / inf = 0, and NumPy's Beta draws read 0.0
+        with pytest.raises(ValueError, match=r"^efficiencies\[0\]: Beta parameters sum"):
+            flat_spec("B_EFF", efficiencies=((1e308, 1e308), 0.5))
+        spec = flat_spec("B_EFF", efficiencies=((1e307, 1e307), 0.5))
+        assert build_model(spec).init_state()["eps1"] == 0.5
+
+    @pytest.mark.parametrize(
+        "kwargs,path",
+        [
+            ({"variant": "A", "efficiencies": (0.9, 0.9)}, "efficiencies"),
+            ({"variant": "B_EFF"}, "efficiencies"),
+            ({"variant": "B", "priors": {"rho": MCMC_FLAT_PRIOR}}, "priors"),
+            ({"variant": "B", "priors": {**FLAT, "r1": MCMC_FLAT_PRIOR}}, "priors"),
+            ({"variant": "B", "priors": {**FLAT, "rho": GammaParams(1.0, 0.0)}}, "priors.rho"),
+            ({"variant": "B", "monitor": ("rho", "eps1")}, "monitor"),
+            ({"variant": "B", "monitor": ()}, "monitor"),
+            ({"variant": "C"}, "variant"),
+        ],
+    )
+    def test_errors_start_with_the_field_path(self, kwargs, path):
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: "):
+            flat_spec(**kwargs)
+
+    def test_json_priors_and_efficiencies(self):
+        spec = flat_spec(
+            "B_EFF",
+            priors={"rho": "flat", "r2": {"alpha": 2, "beta": 3}},
+            efficiencies=({"a": 20, "b": 5}, 0.9),
+            monitor=["rho", "eps1"],
+        )
+        assert spec.priors == {"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.0, 3.0)}
+        assert spec.monitor == ("rho", "eps1")
+        assert build_model(spec).init_state()["eps1"] == 0.8
+
+    @pytest.mark.parametrize("variant", ["A", "B", "B_EFF", "B_EFF_BKG"])
+    def test_every_monitorable_name_is_a_model_variable(self, variant):
+        kwargs = {}
+        if variant == "B_EFF":
+            kwargs["efficiencies"] = ((20.0, 5.0), 0.9)
+        if variant == "B_EFF_BKG":
+            priors = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
+            kwargs.update(
+                priors=priors, efficiencies=((20.0, 5.0), 0.9), background_efficiencies=(0.8, (3.0, 1.0))
+            )
+        spec = flat_spec(variant, monitor=_VARIABLES[variant], **kwargs)
+        chain = run_chain(build_model(spec), 5, burn_in=2, seed=1)
+        assert list(chain.monitored) == list(_VARIABLES[variant])
+        assert all(np.isfinite(column).all() for column in chain.monitored.values())
+
+    def test_from_json_prefixes_the_path(self):
+        payload = {
+            "variant": "B",
+            "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 6.0},
+            "priors": {"rho": "flat", "r2": "flat"},
+        }
+        assert ModelSpec.from_json(payload) == flat_spec("B")
+        with pytest.raises(ValueError, match=r"^spec monitor: "):
+            ModelSpec.from_json({**payload, "monitor": ["rho", "zz"]})
+        with pytest.raises(ValueError, match=r"^spec data\.x1: must be a non-negative integer"):
+            ModelSpec.from_json({**payload, "data": {"x1": 2.5, "T1": 3.0, "x2": 6, "T2": 6.0}})
 
     def test_background_variant_priors(self):
         spec = ModelSpec(
