@@ -205,6 +205,8 @@ def poisson_cdf(x, lam: float):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
+SKELLAM_MAX_POINTS = 2**21  # the largest support skellam_dist tabulates: 16 MB per array
+
 # Debye polynomials u_k(p) of the uniform asymptotic expansion of I_v
 # (Abramowitz & Stegun 9.3.9, 9.3.10), as coefficients of p^0 .. p^12.
 _DEBYE_U = [
@@ -292,18 +294,43 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
         raise ValueError("d must be an integer")
     v = np.abs(d_arr)
     z = 2.0 * math.sqrt(lambda1 * lambda2)
-    log_ive, debye = _log_ive_direct(v, z)
+    log_ive, rest = _log_ive_direct(v, z)
     logp = np.asarray(
         -((math.sqrt(lambda1) - math.sqrt(lambda2)) ** 2)
         + 0.5 * d_arr * (math.log(lambda1) - math.log(lambda2))
         + log_ive
     )
+    # the Debye expansion is poor at small orders, where z^2 / 4 = lambda1 lambda2
+    # is tiny next to v + 1; there the power series of I_v converges at once
+    series = rest & (lambda1 * lambda2 <= 1e-3 * (v + 1.0))
+    if np.any(series):
+        logp[series] = _skellam_series(d_arr[series], lambda1, lambda2)
+    debye = rest & ~series
     if np.any(debye):
         n = v[debye].astype(float)
         eta = np.hypot(n, z)
         logp[debye] = _skellam_debye_exponent(d_arr[debye], n, eta, lambda1, lambda2) + _debye_rest(n, eta)
     out = np.exp(logp)
     return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out
+
+
+def _skellam_series(d, lambda1: float, lambda2: float):
+    """log P(D = d) from the power series of I_|d|, for d != 0 and lambda1 lambda2 <= (|d| + 1) / 1000.
+
+    With v = |d| and l_d = l1 for d > 0, l2 for d < 0, P(D = d) is
+    e^-(l1 + l2) l_d^v / v! * sum_k (l1 l2)^k v! / (k! (v + k)!).  Each term
+    is at most 1/1000 of the one before, so five terms leave an error below
+    1e-17.  Nothing cancels, and lambda1 lambda2 may underflow to 0.
+    """
+    from scipy import special
+
+    v = np.abs(d).astype(float)
+    term = total = np.ones_like(v)
+    for k in range(1, 5):
+        term = term * (lambda1 * lambda2) / (k * (v + k))
+        total = total + term
+    log_rate = np.log(np.where(d > 0, lambda1, lambda2))
+    return -(lambda1 + lambda2) + v * log_rate - special.gammaln(v + 1.0) + np.log(total)
 
 
 def _skellam_debye_exponent(d, v, eta, lambda1: float, lambda2: float):
@@ -330,12 +357,19 @@ def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
     The support covers mean +- (8 sd + 11) of D.  The 8 sd keep the
     truncated tail mass far below the DiscreteDist 1e-9 contract for large
     lambda; the fixed margin covers the Poisson tail, which is much heavier
-    than 8 sd suggests when lambda is small.
+    than 8 sd suggests when lambda is small.  A support of more than
+    SKELLAM_MAX_POINTS = 2^21 points (lambda1 + lambda2 above about 1.7e10)
+    is refused with a ValueError before anything is allocated.
     """
     _check_positive("lambda1", lambda1)
     _check_positive("lambda2", lambda2)
     center = lambda1 - lambda2
     half = 8.0 * math.sqrt(lambda1 + lambda2) + 11.0
+    if 2.0 * half + 1.0 > SKELLAM_MAX_POINTS:
+        raise ValueError(
+            f"the difference pmf needs about {2.0 * half + 1.0:.4g} support points, "
+            f"more than {SKELLAM_MAX_POINTS} (lambda1 + lambda2 must stay below about 1.7e10)"
+        )
     d_min = int(math.floor(center - half))
     d_max = int(math.ceil(center + half))
     values = np.arange(d_min, d_max + 1)
@@ -520,36 +554,36 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
     return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
 
 
-def _ratio_moments(
-    a1: float, b1: float, a2: float, b2: float
-) -> tuple[float, float | None, float | None]:
-    """(mode, mean or None, variance or None) of a Gamma ratio.
+def _ratio_summaries(
+    num: GammaParams, den: GammaParams, mean_reason: str, variance_reason: str
+) -> SummaryStats:
+    """Mode / mean / sd of the Gamma ratio num/den, each missing moment with its reason.
 
-    Mean requires a2 > 1, variance a2 > 2; mode uses the 0-at-the-boundary
-    convention when a1 < 1 (the density is unbounded at 0 there).
+    Mean requires den.alpha > 1, variance den.alpha > 2; mode uses the
+    0-at-the-boundary convention when num.alpha < 1 (the density is
+    unbounded at 0 there).
     """
-    scale = b2 / b1
+    a1, a2 = num.alpha, den.alpha
+    scale = den.beta / num.beta
     mode = scale * (a1 - 1.0) / (a2 + 1.0) if a1 >= 1.0 else 0.0
-    mean = scale * a1 / (a2 - 1.0) if a2 > 1.0 else None
-    variance = (
-        scale**2 * (a1 / (a2 - 1.0)) * ((a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0))
-        if a2 > 2.0
-        else None
-    )
-    return mode, mean, variance
+    mean = variance = None
+    undefined = {}
+    if a2 > 1.0:
+        mean = scale * a1 / (a2 - 1.0)
+    else:
+        undefined["mean"] = mean_reason
+    if a2 > 2.0:
+        variance = scale**2 * (a1 / (a2 - 1.0)) * ((a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0))
+    else:
+        undefined["variance"] = variance_reason
+    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
 
 
 def gamma_ratio_summaries(p1: GammaParams, p2: GammaParams) -> SummaryStats:
     """Mode / mean / sd of Z1/Z2; mean needs alpha2 > 1, variance alpha2 > 2."""
     p1.require_proper()
     p2.require_proper()
-    mode, mean, variance = _ratio_moments(p1.alpha, p1.beta, p2.alpha, p2.beta)
-    undefined = {}
-    if mean is None:
-        undefined["mean"] = "requires alpha2 > 1"
-    if variance is None:
-        undefined["variance"] = "requires alpha2 > 2"
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
+    return _ratio_summaries(p1, p2, "requires alpha2 > 1", "requires alpha2 > 2")
 
 
 def beta_prime_pdf(x, alpha: float, beta: float):

@@ -10,6 +10,7 @@ positive rate instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,13 +86,29 @@ def combine_observations(
 def elicit_gamma(mu0: float, sigma0: float) -> GammaParams:
     """Gamma parameters with mean mu0 and standard deviation sigma0.
 
-    alpha0 = mu0^2 / sigma0^2, beta0 = mu0 / sigma0^2.
+    alpha0 = mu0^2 / sigma0^2, beta0 = mu0 / sigma0^2.  Raises ValueError
+    when either leaves the range of normal floats (1e-308 to 1e308).
     """
     if not (mu0 > 0):
         raise ValueError(f"mu0 must be > 0, got {mu0}")
     if not (sigma0 > 0):
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-    return GammaParams(mu0**2 / sigma0**2, mu0 / sigma0**2)
+    try:
+        mu_sq, sigma_sq = mu0**2, sigma0**2
+    except OverflowError:  # a float ** raises past 1e308
+        mu_sq = sigma_sq = 0.0
+    if min(mu_sq, sigma_sq) >= sys.float_info.min:
+        alpha, beta = mu_sq / sigma_sq, mu0 / sigma_sq
+    else:  # a square left the normal floats, or lost precision as a subnormal
+        ratio = mu0 / sigma0
+        alpha, beta = ratio * ratio, ratio / sigma0
+    for name, value in (("alpha0", alpha), ("beta0", beta)):
+        if not (sys.float_info.min <= value < math.inf):
+            raise ValueError(
+                f"prior mean {mu0:g} and sd {sigma0:g} give {name} = {value:g}, "
+                "outside the range of normal floats"
+            )
+    return GammaParams(alpha, beta)
 
 
 def relative_belief_ratio(r: float, obs: CountObservation, r_ref: float) -> float:

@@ -218,6 +218,14 @@ class ModelSpec:
                 raise ValueError(f"{name}: expected a pair, one per channel")
             parsed = tuple(_Efficiency.parse(raw, f"{name}[{i}]") for i, raw in enumerate(pair))
             object.__setattr__(self, "_signal" if name == "efficiencies" else "_background", parsed)
+        eps1 = self._signal[0]
+        flat_rho = self.variant == "B_EFF" and priors["rho"] == MCMC_FLAT_PRIOR
+        # a flat rho prior integrates to a factor 1/eps1, so eps1 | x ~ Beta(a - 1, b)
+        if flat_rho and eps1.is_stochastic and eps1.a <= 1:
+            raise ValueError(
+                f"efficiencies[0]: Beta({eps1.a:g}, {eps1.b:g}) under a flat rho prior leaves the "
+                "posterior improper (eps1 | x ~ Beta(a - 1, b)); it needs a > 1"
+            )
         if not isinstance(self.monitor, (tuple, list)) or not self.monitor:
             raise ValueError("monitor: expected a non-empty list of variable names")
         for name in self.monitor:

@@ -11,10 +11,12 @@ shards — and merged reports are bit-reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -100,91 +102,16 @@ def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
         writer.writerow([repr(float(left)), repr(float(right)), repr(float(dens))])
 
 
-class _ShardTally(NamedTuple):
-    n_nan: int
-    n_inf: int
-    n_finite: int
-    total: float
-    total_sq: float
-    n_over: int
-    hist: np.ndarray
-    fine: np.ndarray
+def _usable_cpus() -> int:
+    """CPUs this process may run on; more threads buy no speed, and each holds a shard's arrays."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class _RatioAccumulator:
-    """Merges per-shard tallies; merge order is fixed by shard index."""
-
-    def __init__(self, bins: int, cutoff: float) -> None:
-        self.bins = bins
-        self.cutoff = cutoff
-        self.hist = np.zeros(bins, dtype=np.int64)
-        self.fine = np.zeros(MODE_BINS, dtype=np.int64)
-        self.n_nan = 0
-        self.n_inf = 0
-        self.n_over = 0
-        self.n_finite = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def tally(self, values: np.ndarray, n_nan: int, n_inf: int) -> _ShardTally:
-        """One shard's counts and sums; reads only settings, so worker threads may call it."""
-        return _ShardTally(
-            n_nan=int(n_nan),
-            n_inf=int(n_inf),
-            n_finite=values.size,
-            total=float(values.sum()),
-            total_sq=float(np.square(values).sum()),
-            n_over=int(np.count_nonzero(values > self.cutoff)),
-            hist=np.histogram(values, bins=self.bins, range=(0.0, self.cutoff))[0],
-            fine=np.histogram(values, bins=MODE_BINS, range=(0.0, self.cutoff))[0],
-        )
-
-    def add(self, tally: _ShardTally) -> None:
-        self.n_nan += tally.n_nan
-        self.n_inf += tally.n_inf
-        self.n_finite += tally.n_finite
-        self.total += tally.total
-        self.total_sq += tally.total_sq
-        self.n_over += tally.n_over
-        self.hist += tally.hist
-        self.fine += tally.fine
-
-    def report(self, n: int, seed: int) -> RatioSampleReport:
-        edges = np.linspace(0.0, self.cutoff, self.bins + 1)
-        width = self.cutoff / self.bins
-        density = self.hist / (n * width)
-        if self.n_finite > 1:
-            mean = self.total / self.n_finite
-            var = max(0.0, (self.total_sq - self.total**2 / self.n_finite) / (self.n_finite - 1))
-            sd = math.sqrt(var)
-        elif self.n_finite == 1:
-            mean, sd = self.total, 0.0
-        else:
-            mean, sd = None, None
-        if self.fine.sum() > 0:
-            idx = int(np.argmax(self.fine))
-            fine_width = self.cutoff / MODE_BINS
-            mode = (idx + 0.5) * fine_width
-        else:
-            mode = None
-        return RatioSampleReport(
-            bin_edges=edges,
-            counts=self.hist,
-            density=density,
-            mean=mean,
-            sd=sd,
-            mode_estimate=mode,
-            frac_nan=self.n_nan / n,
-            frac_inf=self.n_inf / n,
-            frac_overflow=self.n_over / n,
-            n=n,
-            seed=seed,
-        )
-
-
-def _shard_sizes(n: int) -> list[int]:
+def _shards(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
+    """(stream, size) of each shard: SHARD_SIZE draws, the rest in the last, one stream each."""
     full, rest = divmod(n, SHARD_SIZE)
-    return [SHARD_SIZE] * full + ([rest] if rest else [])
+    sizes = [SHARD_SIZE] * full + ([rest] if rest else [])
+    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
 
 def _run_ratio_simulation(
@@ -202,32 +129,54 @@ def _run_ratio_simulation(
         raise ValueError("bins must be >= 1")
     if not (cutoff > 0):
         raise ValueError("cutoff must be > 0")
-    sizes = _shard_sizes(int(n))
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    n, bins, cutoff = int(n), int(bins), float(cutoff)
 
-    acc = _RatioAccumulator(int(bins), float(cutoff))
-
-    def shard(args) -> _ShardTally:
-        stream, size = args
-        rng = np.random.default_rng(stream)
-        num, den = draw_pair(rng, size)
+    def shard(job) -> tuple:
+        stream, size = job
+        num, den = draw_pair(np.random.default_rng(stream), size)
         zero_den = den == 0
         nan_mask = zero_den & (num == 0)
         inf_mask = zero_den & (num != 0)
         finite = ~zero_den
         values = num[finite] / den[finite]
         # tally here, in the worker, so no shard's draws outlive it
-        return acc.tally(values, int(nan_mask.sum()), int(inf_mask.sum()))
+        total, total_sq = float(values.sum()), float(np.square(values).sum())
+        n_over = int(np.count_nonzero(values > cutoff))
+        hist, fine = (np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, MODE_BINS))
+        return int(nan_mask.sum()), int(inf_mask.sum()), total, total_sq, n_over, hist, fine
 
-    jobs = list(zip(streams, sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    jobs = _shards(n, seed)
+    threads = min(workers, len(jobs), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(shard, jobs))
     else:
         tallies = [shard(job) for job in jobs]
-    for tally in tallies:  # fixed shard order keeps float sums identical
-        acc.add(tally)
-    return acc.report(int(n), seed)
+    # fixed shard order keeps float sums identical: add one shard at a time,
+    # as np.sum (pairwise from 8 terms) and Python 3.12's sum() would not
+    n_nan, n_inf, total, total_sq, n_over, hist, fine = functools.reduce(
+        lambda acc, tally: tuple(a + b for a, b in zip(acc, tally)), tallies
+    )
+    n_finite = n - n_nan - n_inf
+    mean = total / n_finite if n_finite else None  # total itself for one finite draw
+    if n_finite > 1:
+        sd = math.sqrt(max(0.0, (total_sq - total**2 / n_finite) / (n_finite - 1)))
+    else:
+        sd = 0.0 if n_finite else None
+    mode = (int(np.argmax(fine)) + 0.5) * (cutoff / MODE_BINS) if fine.sum() > 0 else None
+    return RatioSampleReport(
+        bin_edges=np.linspace(0.0, cutoff, bins + 1),
+        counts=hist,
+        density=hist / (n * (cutoff / bins)),
+        mean=mean,
+        sd=sd,
+        mode_estimate=mode,
+        frac_nan=n_nan / n,
+        frac_inf=n_inf / n,
+        frac_overflow=n_over / n,
+        n=n,
+        seed=seed,
+    )
 
 
 def simulate_count_ratio(
@@ -308,10 +257,8 @@ def simulate_count_difference(
         raise ValueError("lambda1 and lambda2 must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    sizes = _shard_sizes(int(n))
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
     tallies: dict[int, int] = {}
-    for stream, size in zip(streams, sizes):
+    for stream, size in _shards(int(n), seed):
         rng = np.random.default_rng(stream)
         diff = rng.poisson(lambda1, size).astype(np.int64) - rng.poisson(lambda2, size)
         values, counts = np.unique(diff, return_counts=True)

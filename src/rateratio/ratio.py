@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import (
     GammaParams,
     SummaryStats,
-    _ratio_moments,
+    _ratio_summaries,
     gamma_ratio_cdf,
     gamma_ratio_logpdf,
     gamma_ratio_pdf,
@@ -63,13 +63,8 @@ def lambda_ratio_pdf(rho, x1: int, x2: int):
 def lambda_ratio_summaries(x1: int, x2: int) -> SummaryStats:
     """Mode x1/(x2+2); mean (x1+1)/x2 needs x2 > 0; sd needs x2 > 1."""
     _check_counts(x1, x2)
-    mode, mean, variance = _ratio_moments(x1 + 1.0, 1.0, x2 + 1.0, 1.0)
-    undefined = {}
-    if mean is None:
-        undefined["mean"] = "requires x2 > 0"
-    if variance is None:
-        undefined["variance"] = "requires x2 > 1"
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
+    num, den = GammaParams(x1 + 1.0, 1.0), GammaParams(x2 + 1.0, 1.0)
+    return _ratio_summaries(num, den, "requires x2 > 0", "requires x2 > 1")
 
 
 def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
@@ -83,13 +78,7 @@ def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
 
 def model_a_summaries(d1: CountObservation, d2: CountObservation) -> SummaryStats:
     """Mode (x1/T1)/((x2+2)/T2); mean needs x2 > 0; sd needs x2 > 1."""
-    mode, mean, variance = _ratio_moments(d1.x + 1.0, d1.T, d2.x + 1.0, d2.T)
-    undefined = {}
-    if mean is None:
-        undefined["mean"] = "requires x2 > 0"
-    if variance is None:
-        undefined["variance"] = "requires x2 > 1"
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
+    return _ratio_summaries(_model_a_num(d1), _model_a_den(d2), "requires x2 > 0", "requires x2 > 1")
 
 
 def model_b_pdf(
@@ -121,15 +110,10 @@ def model_b_summaries(
     for x2 > 1, sd for x2 > 2.  A proper Gamma(alpha0, beta0) prior shifts
     the conditions to alpha0 + x2 - 1 > 1 (mean) and > 2 (variance).
     """
-    num, den = _model_b_params(d1, d2, prior_r2)
-    mode, mean, variance = _ratio_moments(num.alpha, num.beta, den.alpha, den.beta)
-    flat = prior_r2.alpha == 1.0 and prior_r2.beta == 0.0
-    undefined = {}
-    if mean is None:
-        undefined["mean"] = "requires x2 > 1" if flat else "requires alpha0 + x2 - 1 > 1"
-    if variance is None:
-        undefined["variance"] = "requires x2 > 2" if flat else "requires alpha0 + x2 - 1 > 2"
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
+    shape = "x2" if prior_r2.alpha == 1.0 and prior_r2.beta == 0.0 else "alpha0 + x2 - 1"
+    return _ratio_summaries(
+        *_model_b_params(d1, d2, prior_r2), f"requires {shape} > 1", f"requires {shape} > 2"
+    )
 
 
 def model_b_rate_posteriors(

@@ -1,13 +1,19 @@
 import json
 import math
+import os
 import re
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rateratio
 from rateratio import cli
 from rateratio.cli import main
+
+SRC = Path(rateratio.__file__).resolve().parent.parent  # where the package under test lives
 
 
 def run_cli(capsys, argv):
@@ -300,6 +306,20 @@ class TestMcmcCommand:
         assert abs(rho["mean"] - 1.6) <= 4 * rho["batch_se"]
         assert "Quantiles for each variable" in summary_txt.read_text()
 
+    def test_improper_b_eff_posterior_exits_2(self, capsys, tmp_path):
+        # once exit 0 with a rho mean of 34.4, set by the 1e-6 rate of the flat prior
+        spec = {
+            "variant": "B_EFF",
+            "data": {"x1": 30, "T1": 3, "x2": 60, "T2": 6},
+            "priors": {"rho": "flat", "r2": "flat"},
+            "efficiencies": [{"a": 1, "b": 1}, 0.9],
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "2000"])
+        assert code == 2 and out == ""
+        assert "spec efficiencies[0]: Beta(1, 1)" in err
+
     def test_malformed_spec_no_partial_output(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"variant": "B", "data": {}, "priors": {}}))
@@ -585,7 +605,16 @@ EDGE_INPUTS = [line for line, _ in NON_FINITE_FLAGS] + [
     "ratio --model B --x1 0 --T1 1 --x2 5 --T2 1 --prior-alpha0 1e-300 --prior-beta0 1 --format json",
     "mc gamma-ratio --alpha1 1e-300 --beta1 1 --alpha2 1e-300 --beta2 1 --n 1000 --seed 1 "
     "--format json",
+    "predict diff --l1 1e300 --l2 1 --format json",
+    "predict diff --l1 1e-200 --l2 1 --format json",
 ]
+
+ELICITED_PAST_FLOAT_RANGE = [
+    "infer --x 5 --T 1 --prior-mean 1 --prior-sd 1e200",
+    "infer --x 5 --T 1 --prior-mean 1e200 --prior-sd 1",
+    "combine rate --obs 1,1 --prior-mean 2 --prior-sd 1e160",
+]
+EDGE_INPUTS += ELICITED_PAST_FLOAT_RANGE
 
 
 def _reject_constant(name):
@@ -644,6 +673,41 @@ class TestEdgeInputs:
         payload = json.loads(out)
         assert payload["mean"] == pytest.approx(float(l1) - float(l2), rel=1e-9)
         assert payload["sd"] == pytest.approx(math.sqrt(float(l1) + float(l2)), rel=1e-9)
+
+    @pytest.mark.parametrize("l1,l2", [("1e15", "1e15"), ("1e300", "1")])
+    def test_skellam_support_past_bound_exits_3(self, l1, l2):
+        # once killed for lack of memory (7.2e8 support points at 1e15) or a TypeError
+        # traceback (1e300); a child process whose address space is capped at 4 GB keeps an
+        # allocation of the whole support from reaching the machine
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rateratio", "predict", "diff", "--l1", l1, "--l2", l2],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "support points" in proc.stderr
+
+    def test_skellam_tiny_rate(self, capsys):
+        # once exit 3: the Debye expansion read P(-3) as 0.0613134, not e^-1/6 = 0.0613132
+        code, out, _ = run_cli(
+            capsys, ["predict", "diff", "--l1", "1e-200", "--l2", "1", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        below = [(d, p) for d, p in zip(payload["support"], payload["pmf"]) if d <= 0]
+        assert len(below) >= 15
+        for d, p in below:
+            assert p == pytest.approx(math.exp(-1.0) / math.factorial(-d), rel=1e-12)
+
+    @pytest.mark.parametrize("line", ELICITED_PAST_FLOAT_RANGE)
+    def test_elicited_prior_past_float_range_exits_3(self, capsys, line):
+        # mu0**2 / sigma0**2 once raised OverflowError: (34, 'Numerical result out of range')
+        assert _exit_code(line.split()) == 3
+        assert "outside the range of normal floats" in capsys.readouterr().err
 
 
 class TestEntryPoint:

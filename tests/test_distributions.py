@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from rateratio import distributions
 from rateratio.distributions import (
     DiscreteDist,
     _log_ive,
@@ -220,6 +221,27 @@ class TestSkellam:
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert dist.mean() == pytest.approx(lambda1 - lambda2, rel=1e-9)
         assert dist.sd() == pytest.approx(math.sqrt(lambda1 + lambda2), rel=1e-9)
+
+    def test_support_past_bound_refused(self, monkeypatch):
+        # 2 (8 sqrt(2000) + 11) + 1 = 738 points fit under a bound of 1000; 5000/5000 needs 1623
+        monkeypatch.setattr(distributions, "SKELLAM_MAX_POINTS", 1000, raising=False)
+        assert skellam_dist(1000.0, 1000.0).values.size == 739
+        with pytest.raises(ValueError, match="about 1623 support points, more than 1000"):
+            skellam_dist(5000.0, 5000.0)
+
+    @pytest.mark.parametrize(
+        "d,lambda1,lambda2,ref",
+        # P(D = d) from mpmath at 40 digits: the Debye expansion once served these small
+        # orders, and at 1e-200 / 1 its error broke the 1e-9 mass contract
+        [(-2, 1e-300, 1.0, 0.18393972058572116),
+         (-3, 1e-200, 1.0, 0.061313240195240387),
+         (-20, 1e-300, 1.0, 1.5121013503012102e-19),
+         (-5, 1e-320, 1e-5, 8.3332500004166687e-28),
+         (-4, 1e-100, 1e-60, 4.1666666666666662e-242)],
+    )
+    def test_pmf_small_argument_series(self, d, lambda1, lambda2, ref):
+        assert skellam_pmf(d, lambda1, lambda2) == pytest.approx(ref, rel=1e-12)
+        assert skellam_pmf(-d, lambda2, lambda1) == skellam_pmf(d, lambda1, lambda2)
 
 
 class TestDiscreteDist:

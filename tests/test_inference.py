@@ -127,6 +127,21 @@ class TestElicitGamma:
     def test_exponential(self):
         assert elicit_gamma(1.0, 1.0) == GammaParams(1.0, 1.0)
 
+    def test_past_float_range(self):
+        # a float ** past 1e308 once raised OverflowError
+        for mu0, sigma0 in ((1.0, 1e200), (1e200, 1.0), (2.0, 1e160), (1.0, 1e-200), (1e-160, 1.0)):
+            with pytest.raises(ValueError, match="outside the range of normal floats"):
+                elicit_gamma(mu0, sigma0)
+        # where both squares leave the float range but alpha0 and beta0 do not
+        got = elicit_gamma(1e200, 1e150)
+        assert got.alpha == pytest.approx(1e100, rel=1e-15)
+        assert got.beta == pytest.approx(1e-100, rel=1e-15)
+        for mu0, sigma0 in ((1e-200, 1e-200), (1e-160, 1e-160), (3e-155, 1e-155)):
+            # sigma0**2 once read 0 (ZeroDivisionError) or a subnormal (beta0 off by 1e-5)
+            got = elicit_gamma(mu0, sigma0)
+            assert got.alpha == pytest.approx((mu0 / sigma0) ** 2, rel=1e-15)
+            assert got.beta == pytest.approx(mu0 / sigma0 / sigma0, rel=1e-15)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             elicit_gamma(0.0, 1.0)

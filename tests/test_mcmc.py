@@ -87,6 +87,19 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=rf"^{re.escape(path)}: must be"):
             flat_spec("B_EFF", efficiencies=eps)
 
+    def test_b_eff_improper_under_flat_rho_rejected(self):
+        # a flat rho prior leaves eps1 | x ~ Beta(a - 1, b): once a chain ran, its answer set
+        # by the 1e-6 rate of MCMC_FLAT_PRIOR
+        for a in (1.0, 0.5):
+            with pytest.raises(ValueError, match=r"^efficiencies\[0\]: Beta.*improper"):
+                flat_spec("B_EFF", efficiencies=((a, 1.0), 0.9))
+        flat_spec("B_EFF", efficiencies=((1.5, 1.0), 0.9))
+        flat_spec("B_EFF", efficiencies=(0.9, (1.0, 1.0)))
+        flat_spec("B_EFF", priors={"rho": GammaParams(2.0, 1.0), "r2": MCMC_FLAT_PRIOR},
+                  efficiencies=((1.0, 1.0), 0.9))
+        background = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
+        flat_spec("B_EFF_BKG", priors=background, efficiencies=((1.0, 1.0), 0.9))
+
     def test_beta_sum_past_float_range_rejected(self):
         # a / (a + b) would read 1e308 / inf = 0, and NumPy's Beta draws read 0.0
         with pytest.raises(ValueError, match=r"^efficiencies\[0\]: Beta parameters sum"):

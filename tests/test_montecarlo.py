@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rateratio import montecarlo
 from rateratio.distributions import GammaParams, gamma_ratio_pdf, poisson_pmf, skellam_pmf
 from rateratio.montecarlo import (
     simulate_count_difference,
@@ -90,6 +91,32 @@ class TestCountRatio:
         b = simulate_count_ratio(2.0, 2.0, 2_500_000, seed=9, workers=4)
         assert np.array_equal(a.counts, b.counts)
         assert a.mean == b.mean and a.sd == b.sd
+
+
+class TestWorkerPool:
+    """The pool holds min(workers, shards, usable CPUs) threads; no test here starts more than 3."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 3))
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        return sizes
+
+    @pytest.mark.parametrize("workers,cpus,threads", [(64, 2, 2), (64, 8, 3), (2, 8, 2), (64, 1, None)])
+    def test_pool_size_is_capped(self, monkeypatch, pools, workers, cpus, threads):
+        # once max_workers = workers: --workers 64 held up to 64 shards' arrays at once
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus, raising=False)
+        p1, p2 = GammaParams(2.0, 1.0), GammaParams(3.0, 2.0)
+        report = simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=workers)  # three shards
+        assert pools == ([] if threads is None else [threads])
+        assert report.as_dict() == simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=1).as_dict()
 
 
 class TestCountDifference:
