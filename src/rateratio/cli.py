@@ -340,8 +340,8 @@ def _emit_report(args, report: RatioSampleReport, header: str) -> None:
         return [
             header,
             f"n = {report.n}, seed = {report.seed}",
-            f"mean = {_sig6(report.mean, 'no finite draws')}, "
-            f"sd = {_sig6(report.sd, 'no finite draws')}, "
+            f"mean = {_sig6(report.mean, report.undefined.get('mean', 'undefined'))}, "
+            f"sd = {_sig6(report.sd, report.undefined.get('sd', 'undefined'))}, "
             f"mode_estimate = {_sig6(report.mode_estimate, 'empty histogram')}",
             f"frac_nan = {report.frac_nan:.6g}, frac_inf = {report.frac_inf:.6g}, "
             f"frac_overflow = {report.frac_overflow:.6g}",
@@ -636,6 +636,9 @@ def _cmd_mcmc(args) -> None:
         raise UsageError(f"spec file is not valid JSON: {exc}") from None
     except ValueError as exc:  # the spec's field path and the reason
         raise UsageError(str(exc)) from None
+    warning = spec.warning()
+    if warning:
+        print(f"rateratio: warning: {warning}", file=sys.stderr)
     chain = run_chain(build_model(spec), args.n_iter, args.burn_in, args.seed)
     summary = summarize_chain(chain)
     if not all(math.isfinite(v.batch_se) for v in summary.variables.values()):

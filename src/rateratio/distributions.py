@@ -573,7 +573,11 @@ def _ratio_summaries(
     else:
         undefined["mean"] = mean_reason
     if a2 > 2.0:
-        variance = scale**2 * (a1 / (a2 - 1.0)) * ((a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0))
+        m1, m2 = a1 / (a2 - 1.0), (a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0)
+        try:
+            variance = scale**2 * m1 * m2
+        except OverflowError:  # a float ** raises past 1e308, where a float * reads inf
+            variance = scale * (scale * m1 * m2)
     else:
         undefined["variance"] = variance_reason
     return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)

@@ -218,10 +218,8 @@ class ModelSpec:
                 raise ValueError(f"{name}: expected a pair, one per channel")
             parsed = tuple(_Efficiency.parse(raw, f"{name}[{i}]") for i, raw in enumerate(pair))
             object.__setattr__(self, "_signal" if name == "efficiencies" else "_background", parsed)
-        eps1 = self._signal[0]
-        flat_rho = self.variant == "B_EFF" and priors["rho"] == MCMC_FLAT_PRIOR
-        # a flat rho prior integrates to a factor 1/eps1, so eps1 | x ~ Beta(a - 1, b)
-        if flat_rho and eps1.is_stochastic and eps1.a <= 1:
+        eps1 = self._flat_rho_eps1()
+        if eps1 is not None and eps1.a <= 1:
             raise ValueError(
                 f"efficiencies[0]: Beta({eps1.a:g}, {eps1.b:g}) under a flat rho prior leaves the "
                 "posterior improper (eps1 | x ~ Beta(a - 1, b)); it needs a > 1"
@@ -235,6 +233,27 @@ class ModelSpec:
                     f"it has {list(_VARIABLES[self.variant])}"
                 )
         object.__setattr__(self, "monitor", tuple(self.monitor))
+
+    def _flat_rho_eps1(self) -> _Efficiency | None:
+        """efficiencies[0] where it is a Beta(a, b) under a flat rho prior in B_EFF, else None.
+
+        The flat prior integrates to a factor 1/eps1, so eps1 | x ~ Beta(a - 1, b),
+        and rho's posterior k-th moment, through E[eps1^-k], is finite only for a > k + 1.
+        """
+        eps1 = self._signal[0]
+        flat_rho = self.variant == "B_EFF" and self.priors["rho"] == MCMC_FLAT_PRIOR
+        return eps1 if flat_rho and eps1.is_stochastic else None
+
+    def warning(self) -> str | None:
+        """Why rho's posterior has no finite mean or sd, though it is proper; None if it has both."""
+        eps1 = self._flat_rho_eps1()
+        if eps1 is None or eps1.a > 3:
+            return None
+        moment = "mean" if eps1.a <= 2 else "sd"
+        return (
+            f"efficiencies[0]: Beta({eps1.a:g}, {eps1.b:g}) under a flat rho prior "
+            f"gives rho an infinite posterior {moment}"
+        )
 
     @classmethod
     def from_json(cls, payload) -> "ModelSpec":

@@ -15,8 +15,8 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,8 +47,9 @@ class RatioSampleReport:
     density integrates (over the histogram bins) to the in-histogram mass;
     frac_nan + frac_inf + in-histogram mass + frac_overflow = 1.  mean/sd
     cover every finite draw, including those beyond the cutoff; they are
-    None when no draw was finite.  mode_estimate is the argmax bin center
-    of a 1000-bin histogram — an estimate only.
+    None when no draw was finite or when their sums leave the float range,
+    and `undefined` maps each None one to its reason.  mode_estimate is the
+    argmax bin center of a 1000-bin histogram — an estimate only.
     """
 
     bin_edges: np.ndarray
@@ -62,6 +63,7 @@ class RatioSampleReport:
     frac_overflow: float
     n: int
     seed: int
+    undefined: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         total = self.frac_nan + self.frac_inf + self.hist_mass + self.frac_overflow
@@ -114,6 +116,26 @@ def _shards(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
     return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
 
+def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
+    """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
+
+    Works in the two float64 draw buffers, which it overwrites, so that a shard
+    holds little more than those two arrays at its peak.
+    """
+    zero_den = den == 0
+    n_zero = int(np.count_nonzero(zero_den))
+    n_nan = int(np.count_nonzero(num[zero_den] == 0)) if n_zero else 0  # 0/0; the rest are k/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.divide(num, den, out=num)
+    if n_zero:
+        values = values[~zero_den]
+    total = float(values.sum())
+    total_sq = float(np.square(values, out=den[: values.size]).sum())
+    n_over = int(np.count_nonzero(values > cutoff))
+    hist, fine = (np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, MODE_BINS))
+    return n_nan, n_zero - n_nan, total, total_sq, n_over, hist, fine
+
+
 def _run_ratio_simulation(
     draw_pair: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
     n: int,
@@ -133,17 +155,8 @@ def _run_ratio_simulation(
 
     def shard(job) -> tuple:
         stream, size = job
-        num, den = draw_pair(np.random.default_rng(stream), size)
-        zero_den = den == 0
-        nan_mask = zero_den & (num == 0)
-        inf_mask = zero_den & (num != 0)
-        finite = ~zero_den
-        values = num[finite] / den[finite]
         # tally here, in the worker, so no shard's draws outlive it
-        total, total_sq = float(values.sum()), float(np.square(values).sum())
-        n_over = int(np.count_nonzero(values > cutoff))
-        hist, fine = (np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, MODE_BINS))
-        return int(nan_mask.sum()), int(inf_mask.sum()), total, total_sq, n_over, hist, fine
+        return _tally(*draw_pair(np.random.default_rng(stream), size), cutoff, bins)
 
     jobs = _shards(n, seed)
     threads = min(workers, len(jobs), _usable_cpus())
@@ -158,11 +171,17 @@ def _run_ratio_simulation(
         lambda acc, tally: tuple(a + b for a, b in zip(acc, tally)), tallies
     )
     n_finite = n - n_nan - n_inf
-    mean = total / n_finite if n_finite else None  # total itself for one finite draw
-    if n_finite > 1:
-        sd = math.sqrt(max(0.0, (total_sq - total**2 / n_finite) / (n_finite - 1)))
-    else:
-        sd = 0.0 if n_finite else None
+    mean = sd = None
+    if n_finite and math.isfinite(total):
+        mean = total / n_finite  # total itself for one finite draw
+    if n_finite == 1 and mean is not None:
+        sd = 0.0
+    elif n_finite > 1 and math.isfinite(total_sq):  # then total is finite too
+        try:
+            sd = math.sqrt(max(0.0, (total_sq - total**2 / n_finite) / (n_finite - 1)))
+        except OverflowError:  # total**2; total * total would move the last bit of some finite sd
+            pass
+    reason = "sums past the float range" if n_finite else "no finite draws"
     mode = (int(np.argmax(fine)) + 0.5) * (cutoff / MODE_BINS) if fine.sum() > 0 else None
     return RatioSampleReport(
         bin_edges=np.linspace(0.0, cutoff, bins + 1),
@@ -176,6 +195,7 @@ def _run_ratio_simulation(
         frac_overflow=n_over / n,
         n=n,
         seed=seed,
+        undefined={name: reason for name, value in (("mean", mean), ("sd", sd)) if value is None},
     )
 
 

@@ -320,6 +320,28 @@ class TestMcmcCommand:
         assert code == 2 and out == ""
         assert "spec efficiencies[0]: Beta(1, 1)" in err
 
+    @pytest.mark.parametrize(
+        "a,b,moment", [(1.5, 1, "mean"), (2.5, 1, "sd"), (6, 4, None)]
+    )
+    def test_b_eff_infinite_moment_warns(self, capsys, tmp_path, a, b, moment):
+        # eps1 | x ~ Beta(a - 1, b) gives rho a finite mean only for a > 2, a finite sd for a > 3
+        spec = {
+            "variant": "B_EFF",
+            "data": {"x1": 30, "T1": 3, "x2": 60, "T2": 6},
+            "priors": {"rho": "flat", "r2": "flat"},
+            "efficiencies": [{"a": a, "b": b}, 0.9],
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["mcmc", "--spec", str(spec_path), "--n-iter", "200", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and "warning" not in out
+        expected = (
+            f"rateratio: warning: efficiencies[0]: Beta({a:g}, {b:g}) under a flat rho prior "
+            f"gives rho an infinite posterior {moment}\n"
+        )
+        assert err == (expected if moment else "")
+
     def test_malformed_spec_no_partial_output(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"variant": "B", "data": {}, "priors": {}}))
@@ -616,6 +638,17 @@ ELICITED_PAST_FLOAT_RANGE = [
 ]
 EDGE_INPUTS += ELICITED_PAST_FLOAT_RANGE
 
+# Z2 ~ Gamma(0.01) puts ratios near 1e300: the sums of the finite ratios leave the float range
+MC_SUMS_PAST_FLOAT_RANGE = [
+    "mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 0.01 --beta2 1 --n 1000 --seed 1",
+    "mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 0.002 --beta2 1 --n 1000 --seed 3",
+]
+RATIO_PAST_FLOAT_RANGE = "ratio --x1 3 --T1 1e-100 --x2 5 --T2 1e100 --model A"
+EDGE_INPUTS += [
+    line + fmt for line in MC_SUMS_PAST_FLOAT_RANGE for fmt in ("", " --format json", " --format csv")
+]
+EDGE_INPUTS += [RATIO_PAST_FLOAT_RANGE + fmt for fmt in ("", " --format json", " --format csv")]
+
 
 def _reject_constant(name):
     raise ValueError(f"JSON carries {name}")
@@ -708,6 +741,27 @@ class TestEdgeInputs:
         # mu0**2 / sigma0**2 once raised OverflowError: (34, 'Numerical result out of range')
         assert _exit_code(line.split()) == 3
         assert "outside the range of normal floats" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("line,undefined", zip(MC_SUMS_PAST_FLOAT_RANGE, (["sd"], ["mean", "sd"])))
+    def test_monte_carlo_sums_past_float_range(self, capsys, line, undefined):
+        # total**2 once raised OverflowError (exit 1); a sum of inf once printed "sd = 0"
+        code, out, _ = run_cli(capsys, line.split() + ["--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        for name in ("mean", "sd"):
+            assert (payload[name] is None) == (name in undefined)
+        code, out, _ = run_cli(capsys, line.split())
+        assert code == 0
+        for name in ("mean", "sd"):
+            assert (f"{name} = undef(sums past the float range)" in out) == (name in undefined)
+
+    def test_ratio_variance_past_float_range(self, capsys):
+        # scale**2 once raised OverflowError (exit 1)
+        code, out, _ = run_cli(capsys, RATIO_PAST_FLOAT_RANGE.split())
+        assert code == 0 and "  mean = 8e+199" in out and "  sd = inf" in out
+        assert _exit_code(RATIO_PAST_FLOAT_RANGE.split() + ["--format", "json"]) == 3
+        assert "variance = inf is outside the float range" in capsys.readouterr().err
 
 
 class TestEntryPoint:

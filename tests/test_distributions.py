@@ -521,6 +521,23 @@ class TestGammaRatioSummaries:
         s = gamma_ratio_summaries(GammaParams(2.0, 1.0), GammaParams(3.0, 2.0))
         assert s.sd == pytest.approx(math.sqrt(s.variance), rel=1e-12)
 
+    def test_variance_past_float_range(self):
+        # scale**2 once raised OverflowError for a rate scale b2/b1 past ~1.3e154
+        s = gamma_ratio_summaries(GammaParams(3.0, 1e-200), GammaParams(5.0, 1.0))
+        assert s.mean == pytest.approx(7.5e199, rel=1e-12)
+        assert s.variance == math.inf and s.sd == math.inf
+        # (1e160)**2 leaves the float range, but the variance does not
+        s = gamma_ratio_summaries(GammaParams(1e-30, 1e-160), GammaParams(1e30, 1.0))
+        assert s.variance == pytest.approx(1e230, rel=1e-12)
+
+    def test_variance_keeps_its_bits(self):
+        rng = np.random.default_rng(8)
+        for a1, b1, a2, b2 in rng.uniform(0.1, 30.0, (200, 4)) + [0.0, 0.0, 2.0, 0.0]:
+            scale = b2 / b1
+            expected = scale**2 * (a1 / (a2 - 1.0)) * ((a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0))
+            s = gamma_ratio_summaries(GammaParams(a1, b1), GammaParams(a2, b2))
+            assert s.variance == expected
+
 
 class TestBetaPrime:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])

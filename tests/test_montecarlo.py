@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +119,68 @@ class TestWorkerPool:
         report = simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=workers)  # three shards
         assert pools == ([] if threads is None else [threads])
         assert report.as_dict() == simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=1).as_dict()
+
+
+def parent_tally(num, den, cutoff, bins):
+    """The mask-and-copy shard body that `montecarlo._tally` replaced: the byte reference."""
+    zero_den = den == 0
+    nan_mask = zero_den & (num == 0)
+    inf_mask = zero_den & (num != 0)
+    finite = ~zero_den
+    values = num[finite] / den[finite]
+    total, total_sq = float(values.sum()), float(np.square(values).sum())
+    n_over = int(np.count_nonzero(values > cutoff))
+    hist, fine = (
+        np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, montecarlo.MODE_BINS)
+    )
+    return int(nan_mask.sum()), int(inf_mask.sum()), total, total_sq, n_over, hist, fine
+
+
+# every ratio simulator; Poisson at low rates gives zero denominators (0/0 and k/0) in most shards
+RATIO_SIMULATORS = {
+    "poisson": lambda n, **kw: simulate_count_ratio(30.0, 30.0, n, **kw),
+    "poisson_low": lambda n, **kw: simulate_count_ratio(0.3, 0.5, n, cutoff=4.0, bins=40, **kw),
+    "gamma": lambda n, **kw: simulate_gamma_ratio(GammaParams(2.0, 1.0), GammaParams(3.0, 2.0), n, **kw),
+    "uniform": lambda n, **kw: simulate_uniform_ratio(1.0, n, cutoff=3.0, bins=60, **kw),
+}
+
+
+class TestTally:
+    @pytest.mark.parametrize("name", RATIO_SIMULATORS)
+    @pytest.mark.parametrize("n", [1, 7, 999_999, 1_000_000, 2_500_001])
+    def test_reports_match_parent_tally(self, monkeypatch, name, n):
+        simulate = RATIO_SIMULATORS[name]
+        reports = [json.dumps(simulate(n, seed=n, workers=w).as_dict()) for w in (1, 2)]
+        monkeypatch.setattr(montecarlo, "_tally", parent_tally)
+        assert reports == [json.dumps(simulate(n, seed=n, workers=w).as_dict()) for w in (1, 2)]
+
+    @pytest.mark.parametrize("name", RATIO_SIMULATORS)
+    def test_shard_footprint(self, name):
+        # the mask-and-copy body peaked at 4.5 draw arrays (3.3 at low Poisson rates)
+        n = montecarlo.SHARD_SIZE
+        RATIO_SIMULATORS[name](n, seed=1)  # the first run sets up what later runs reuse
+        tracemalloc.start()
+        try:
+            RATIO_SIMULATORS[name](n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + (1 << 20), peak / (8 * n)
+
+    @pytest.mark.parametrize("alpha2,seed,undefined", [(0.01, 1, ["sd"]), (0.002, 3, ["mean", "sd"])])
+    def test_sums_past_float_range(self, alpha2, seed, undefined):
+        # total**2 once raised OverflowError; a sum of inf once gave sd = max(0, inf - inf) = 0
+        with np.errstate(over="ignore"):
+            report = simulate_gamma_ratio(GammaParams(1.0, 1.0), GammaParams(alpha2, 1.0), 1000, seed=seed)
+        assert report.undefined == dict.fromkeys(undefined, "sums past the float range")
+        assert report.sd is None and (report.mean is None) == ("mean" in undefined)
+        assert report.mean is None or 1e280 < report.mean < math.inf
+        assert mass_identity(report) == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_finite_draws_reason(self):
+        report = simulate_count_ratio(1.0, 1e-300, 10, seed=1)
+        assert report.mean is None and report.sd is None
+        assert report.undefined == {"mean": "no finite draws", "sd": "no finite draws"}
 
 
 class TestCountDifference:
