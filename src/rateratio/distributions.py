@@ -232,7 +232,7 @@ def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
     There, order 0 takes the large-argument series
     I_0(z) e^-z ~ (1 + 1/(8z) + 9/(128z^2)) / sqrt(2 pi z), which ive leaves
     only at such large z, and the orders v > 0 are returned in the mask for
-    the Debye expansion; see _log_ive.
+    the Debye expansion (_debye_rest, _skellam_debye_exponent).
     """
     from scipy import special
 
@@ -246,28 +246,13 @@ def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _debye_rest(n: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """log(sum_k u_k(p) / n^k) - log(2 pi eta) / 2 with p = n / eta: the Debye expansion less its exponent."""
+    """log(sum_k u_k(p) / n^k) - log(2 pi eta) / 2 with p = n / eta: the Debye expansion less its exponent.
+
+    I_n(z) ~ e^(eta - n asinh(n/z)) / sqrt(2 pi eta) * sum_k u_k(p) / n^k, with eta = sqrt(n^2 + z^2).
+    """
     p = n / eta
     series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_DEBYE_U))
     return np.log(series) - 0.5 * np.log(2.0 * math.pi * eta)
-
-
-def _log_ive(v: np.ndarray, z: float) -> np.ndarray:
-    """log(I_v(z) e^-z) for integer orders v >= 0, finite where ive underflows.
-
-    Where `special.ive` does not serve (see _log_ive_direct), orders v > 0
-    take the Debye expansion
-    I_v(z) ~ e^(eta - v asinh(v/z)) / sqrt(2 pi eta) * sum_k u_k(p) / v^k
-    with eta = sqrt(v^2 + z^2) and p = v / eta.  It agrees with 40-digit
-    arithmetic to about 1e-12 in the log; eta - z is written
-    v^2 / (eta + z), so that no large terms cancel.
-    """
-    out, debye = _log_ive_direct(v, z)
-    if np.any(debye):
-        n = v[debye].astype(float)
-        eta = np.hypot(n, z)
-        out[debye] = n * n / (eta + z) - n * np.arcsinh(n / z) + _debye_rest(n, eta)
-    return out
 
 
 def skellam_pmf(d, lambda1: float, lambda2: float):

@@ -32,7 +32,7 @@ import csv
 import logging
 import math
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -302,28 +302,21 @@ class _Node:
     rate: Callable[[dict], float] | None = None
 
 
+@dataclass(frozen=True)
 class Model:
-    """A built model: nodes in sweep order, deterministic readouts, initial state.
+    """A built model: nodes in sweep order and the initial state.
 
-    The deterministic readouts read only the rates r1, r2 and rho (fixed
-    efficiencies are constants); run_chain applies them elementwise to the
-    recorded draws.
+    The state holds every variable of the model that a node draws, and every
+    efficiency: a fixed one is a constant that no node redraws.  The rates
+    that no node draws are read out of the recorded draws (_readout).
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        nodes: Sequence[_Node],
-        deterministics: Mapping[str, Callable[[dict], float]],
-        initial: Mapping[str, float],
-    ) -> None:
-        self.spec = spec
-        self.nodes = tuple(nodes)
-        self.deterministics = dict(deterministics)
-        self._initial = dict(initial)
+    spec: ModelSpec
+    nodes: tuple[_Node, ...]
+    initial: Mapping[str, float]
 
     def init_state(self) -> dict:
-        return dict(self._initial)
+        return dict(self.initial)
 
 
 @dataclass(frozen=True)
@@ -423,49 +416,43 @@ def _ratio_nodes(priors: Mapping[str, GammaParams], t1: float, t2: float, n1, n2
     ]
 
 
-def _eps_of(eff: _Efficiency, name: str) -> Callable[[dict], float]:
-    """An efficiency as a function of the state: its node's value, or the fixed number."""
-    if eff.is_stochastic:
-        return lambda s: s[name]
-    return lambda s: eff.fixed
-
-
-def _thinning_node(name: str, x: int, expected, eps) -> _Node:
-    """n | rest = x + Pois(lambda*(1 - eps)): the produced count behind x seen at eps.
+def _thinning_node(name: str, x: int, expected, eps: str) -> _Node:
+    """n | rest = x + Pois(lambda*(1 - eps)): the produced count behind x seen at state[eps].
 
     By Poisson thinning the produced counts that went unseen are independent
     of the x that were seen.
     """
 
     def update(state: dict, rng: np.random.Generator) -> None:
-        state[name] = x + rng.poisson(expected(state) * (1.0 - eps(state)))
+        state[name] = x + rng.poisson(expected(state) * (1.0 - state[eps]))
 
     return _Node(name, update)
 
 
-def _efficiency_node(name: str, eff: _Efficiency, observed, produced) -> _Node:
-    """eps | rest ~ Beta(a + k, b + n - k) when k of n produced counts were seen."""
+def _efficiency_node(name: str, eff: _Efficiency, observed, produced: str) -> _Node:
+    """eps | rest ~ Beta(a + k, b + n - k) when k of the n = state[produced] counts were seen."""
 
     def update(state: dict, rng: np.random.Generator) -> None:
         k = observed(state)
-        state[name] = rng.beta(eff.a + k, eff.b + produced(state) - k)
+        state[name] = rng.beta(eff.a + k, eff.b + state[produced] - k)
 
     return _Node(name, update)
 
 
-def _split_node(i: int, x: int, signal, background, eps_s, eps_b) -> _Node:
+def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _Node:
     """(s_i, nS_i, nB_i) | rest as one block, named after the split s_i.
 
     The seen signal and background counts are independent Poisson variates
-    with means lambda_S*epsS and lambda_B*epsB, so given their sum x the
-    split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)).
+    with means lambda_S*epsS and lambda_B*epsB = rb_i*T_i*epsB, so given their
+    sum x the split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)).
     The unseen parts of each leg are Poisson with means lambda*(1 - eps).
+    The efficiencies are read from the state under the keys eps_s and eps_b.
     """
-    s_key, ns_key, nb_key = f"s{i}", f"nS{i}", f"nB{i}"
+    s_key, ns_key, nb_key, rb_key = f"s{i}", f"nS{i}", f"nB{i}", f"rb{i}"
 
     def update(state: dict, rng: np.random.Generator) -> None:
-        lam_s, lam_b = signal(state), background(state)
-        es, eb = eps_s(state), eps_b(state)
+        lam_s, lam_b = signal(state), state[rb_key] * t
+        es, eb = state[eps_s], state[eps_b]
         seen_s, seen_b = lam_s * es, lam_b * eb
         # with x = 0 there is nothing to split, and both means may have underflowed to 0
         split = rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
@@ -477,7 +464,7 @@ def _split_node(i: int, x: int, signal, background, eps_s, eps_b) -> _Node:
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Assemble nodes, conditionals, deterministic readouts and initial state."""
+    """Assemble nodes, conditionals and initial state."""
     x1, t1 = spec.data1.x, spec.data1.T
     x2, t2 = spec.data2.x, spec.data2.T
     priors = spec.priors
@@ -489,48 +476,31 @@ def build_model(spec: ModelSpec) -> Model:
             _gamma_node("r1", pr1.alpha + x1, lambda s: pr1.beta + t1),
             _gamma_node("r2", pr2.alpha + x2, lambda s: pr2.beta + t2),
         ]
-        deterministics = {
-            "rho": lambda s: s["r1"] / s["r2"],
-            "lambda1": lambda s: s["r1"] * t1,
-            "lambda2": lambda s: s["r2"] * t2,
-        }
         initial = {"r1": (x1 + 1.0) / t1, "r2": (x2 + 1.0) / t2}
-        return Model(spec, nodes, deterministics, initial)
+        return Model(spec, tuple(nodes), initial)
 
-    deterministics = {
-        "r1": lambda s: s["rho"] * s["r2"],
-        "lambda1": lambda s: s["rho"] * s["r2"] * t1,
-        "lambda2": lambda s: s["r2"] * t2,
-    }
-    expected = {1: deterministics["lambda1"], 2: deterministics["lambda2"]}
+    expected = {1: lambda s: s["rho"] * s["r2"] * t1, 2: lambda s: s["r2"] * t2}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
     eps1, eps2 = (eff.initial() for eff in spec._signal)
     r2_start = (x2 / eps2 + 1.0) / t2
     initial: dict[str, float] = {"r2": r2_start, "rho": ((x1 / eps1 + 1.0) / t1) / r2_start}
 
     if spec.variant == "B":
-        return Model(spec, _ratio_nodes(priors, t1, t2, x1, x2), deterministics, initial)
+        return Model(spec, tuple(_ratio_nodes(priors, t1, t2, x1, x2)), initial)
 
     if spec.variant == "B_EFF":
         effs = dict(enumerate(spec._signal, start=1))
         data = {1: x1, 2: x2}
         nodes = _ratio_nodes(priors, t1, t2, "n1", "n2")
-        nodes += [
-            _thinning_node(f"n{i}", data[i], expected[i], _eps_of(effs[i], f"eps{i}"))
-            for i in (1, 2)
-        ]
+        nodes += [_thinning_node(f"n{i}", data[i], expected[i], f"eps{i}") for i in (1, 2)]
         # latent counts start near their posterior, x_i / eps_i, as r2 and rho do
         initial.update({f"n{i}": _latent_start(data[i], effs[i]) for i in (1, 2)})
         for i in (1, 2):
             eff, label = effs[i], f"eps{i}"
+            initial[label] = eff.initial()
             if eff.is_stochastic:
-                nodes.append(
-                    _efficiency_node(label, eff, lambda s, x=data[i]: x, lambda s, n=f"n{i}": s[n])
-                )
-                initial[label] = eff.initial()
-            else:
-                deterministics[label] = _eps_of(eff, label)
-        return Model(spec, nodes, deterministics, initial)
+                nodes.append(_efficiency_node(label, eff, lambda s, x=data[i]: x, f"n{i}"))
+        return Model(spec, tuple(nodes), initial)
 
     # B_EFF_BKG
     eff_s = dict(enumerate(spec._signal, start=1))
@@ -547,31 +517,20 @@ def build_model(spec: ModelSpec) -> Model:
                 lambda s, rate=prior_b.beta + t: rate,
             )
         )
-        nodes.append(
-            _split_node(
-                i,
-                x,
-                expected[i],
-                lambda s, rb=rb, t=t: s[rb] * t,
-                _eps_of(eff_s[i], f"epsS{i}"),
-                _eps_of(eff_b[i], f"epsB{i}"),
-            )
-        )
+        nodes.append(_split_node(i, x, t, expected[i], f"epsS{i}", f"epsB{i}"))
         initial[rb] = prior_b.alpha / prior_b.beta
         initial[s_key] = x
         initial[ns_key] = _latent_start(x, eff_s[i])
         initial[nb_key] = 0
 
         for label, eff, observed, produced in (
-            (f"epsS{i}", eff_s[i], lambda s, k=s_key: s[k], lambda s, n=ns_key: s[n]),
-            (f"epsB{i}", eff_b[i], lambda s, k=s_key, x=x: x - s[k], lambda s, n=nb_key: s[n]),
+            (f"epsS{i}", eff_s[i], lambda s, k=s_key: s[k], ns_key),
+            (f"epsB{i}", eff_b[i], lambda s, k=s_key, x=x: x - s[k], nb_key),
         ):
+            initial[label] = eff.initial()
             if eff.is_stochastic:
                 nodes.append(_efficiency_node(label, eff, observed, produced))
-                initial[label] = eff.initial()
-            else:
-                deterministics[label] = _eps_of(eff, label)
-    return Model(spec, nodes, deterministics, initial)
+    return Model(spec, tuple(nodes), initial)
 
 
 def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], None]:
@@ -626,12 +585,7 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
             for name, column in columns:
                 column[k] = state[name]
         draws = dict(columns)
-    monitored = {
-        name: draws[name]
-        if name in draws
-        else np.full(n_iter, model.deterministics[name](draws), dtype=float)
-        for name in monitor
-    }
+    monitored = {name: _readout(name, draws, model.spec) for name in monitor}
     logger.info(
         "chain finished: variant=%s n_iter=%d burn_in=%d", model.spec.variant, n_iter, burn_in
     )
@@ -642,6 +596,22 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         seed=seed,
         acceptance={node.name: 1.0 for node in model.nodes},
     )
+
+
+def _readout(name: str, draws: Mapping[str, np.ndarray], spec: ModelSpec) -> np.ndarray:
+    """The draws of a monitored variable, read out of the recorded rates where no node draws it.
+
+    r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i.
+    """
+    if name in draws:
+        return draws[name]
+    if name == "r1":
+        return draws["rho"] * draws["r2"]
+    if name == "rho":
+        return draws["r1"] / draws["r2"]
+    if name == "lambda1":
+        return _readout("r1", draws, spec) * spec.data1.T
+    return draws["r2"] * spec.data2.T
 
 
 def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:

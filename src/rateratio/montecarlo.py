@@ -125,12 +125,13 @@ def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
     zero_den = den == 0
     n_zero = int(np.count_nonzero(zero_den))
     n_nan = int(np.count_nonzero(num[zero_den] == 0)) if n_zero else 0  # 0/0; the rest are k/0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # ratios and squares past the float range are inf; the report says what that means
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = np.divide(num, den, out=num)
-    if n_zero:
-        values = values[~zero_den]
-    total = float(values.sum())
-    total_sq = float(np.square(values, out=den[: values.size]).sum())
+        if n_zero:
+            values = values[~zero_den]
+        total = float(values.sum())
+        total_sq = float(np.square(values, out=den[: values.size]).sum())
     n_over = int(np.count_nonzero(values > cutoff))
     hist, fine = (np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, MODE_BINS))
     return n_nan, n_zero - n_nan, total, total_sq, n_over, hist, fine

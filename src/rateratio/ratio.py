@@ -73,12 +73,13 @@ def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
     f(rho) = (x1+x2+1)!/(x1! x2!) * T1^(x1+1) T2^(x2+1)
              * rho^x1 * (T2 + T1 rho)^-(x1+x2+2)
     """
-    return gamma_ratio_pdf(rho, _model_a_num(d1), _model_a_den(d2))
+    return gamma_ratio_pdf(rho, _flat_rate_posterior(d1), _flat_rate_posterior(d2))
 
 
 def model_a_summaries(d1: CountObservation, d2: CountObservation) -> SummaryStats:
     """Mode (x1/T1)/((x2+2)/T2); mean needs x2 > 0; sd needs x2 > 1."""
-    return _ratio_summaries(_model_a_num(d1), _model_a_den(d2), "requires x2 > 0", "requires x2 > 1")
+    num, den = _flat_rate_posterior(d1), _flat_rate_posterior(d2)
+    return _ratio_summaries(num, den, "requires x2 > 0", "requires x2 > 1")
 
 
 def model_b_pdf(
@@ -127,7 +128,7 @@ def model_b_rate_posteriors(
     """
     if d2.x < 1:
         raise ValueError("r2 posterior is improper for x2 = 0 (requires x2 >= 1)")
-    return GammaParams(d1.x + 1.0, d1.T), GammaParams(float(d2.x), d2.T)
+    return _flat_rate_posterior(d1), GammaParams(float(d2.x), d2.T)
 
 
 def model_b_reweighted_pdf(
@@ -212,7 +213,7 @@ class RatioPosterior:
 
     def _params(self) -> tuple[GammaParams, GammaParams]:
         if self.spec.model == "A":
-            return _model_a_num(self.spec.data1), _model_a_den(self.spec.data2)
+            return _flat_rate_posterior(self.spec.data1), _flat_rate_posterior(self.spec.data2)
         return _model_b_params(self.spec.data1, self.spec.data2, self.spec.prior_r2)
 
 
@@ -256,12 +257,9 @@ def _check_counts(x1: int, x2: int) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {x}")
 
 
-def _model_a_num(d1: CountObservation) -> GammaParams:
-    return GammaParams(d1.x + 1.0, d1.T)
-
-
-def _model_a_den(d2: CountObservation) -> GammaParams:
-    return GammaParams(d2.x + 1.0, d2.T)
+def _flat_rate_posterior(d: CountObservation) -> GammaParams:
+    """Gamma(x + 1, T): the posterior of a rate under a flat prior."""
+    return GammaParams(d.x + 1.0, d.T)
 
 
 def _model_b_params(
@@ -272,4 +270,4 @@ def _model_b_params(
         raise ValueError(
             f"normalization undefined: alpha0 + x2 - 1 = {den_shape} must be > 0"
         )
-    return GammaParams(d1.x + 1.0, d1.T), GammaParams(den_shape, prior_r2.beta + d2.T)
+    return _flat_rate_posterior(d1), GammaParams(den_shape, prior_r2.beta + d2.T)

@@ -654,6 +654,13 @@ def _reject_constant(name):
     raise ValueError(f"JSON carries {name}")
 
 
+def _child_env() -> dict:
+    """The environment of a child `python -m rateratio` that imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -715,11 +722,9 @@ class TestEdgeInputs:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "rateratio", "predict", "diff", "--l1", l1, "--l2", l2],
-            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+            capture_output=True, text=True, env=_child_env(), preexec_fn=cap_memory, timeout=120,
         )
         assert proc.returncode == 3 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and "support points" in proc.stderr
@@ -755,6 +760,15 @@ class TestEdgeInputs:
         assert code == 0
         for name in ("mean", "sd"):
             assert (f"{name} = undef(sums past the float range)" in out) == (name in undefined)
+
+    @pytest.mark.parametrize("line", MC_SUMS_PAST_FLOAT_RANGE)
+    def test_monte_carlo_overflow_leaves_stderr_empty(self, line):
+        # NumPy's "overflow encountered in divide" / "in square" warnings once reached stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "rateratio", *line.split()],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_ratio_variance_past_float_range(self, capsys):
         # scale**2 once raised OverflowError (exit 1)

@@ -149,6 +149,10 @@ class TestModelSpec:
         chain = run_chain(build_model(spec), 5, burn_in=2, seed=1)
         assert list(chain.monitored) == list(_VARIABLES[variant])
         assert all(np.isfinite(column).all() for column in chain.monitored.values())
+        # a monitored fixed efficiency is a constant column of its value
+        fixed = {"B_EFF": {"eps2": 0.9}, "B_EFF_BKG": {"epsS2": 0.9, "epsB1": 0.8}}.get(variant, {})
+        for name, value in fixed.items():
+            assert (chain.monitored[name] == value).all(), name
 
     def test_from_json_prefixes_the_path(self):
         payload = {
@@ -180,14 +184,22 @@ class TestModelSpec:
 
 class TestBuildModel:
     def test_variant_a_nodes(self):
-        model = build_model(flat_spec("A"))
+        model = build_model(flat_spec("A", monitor=_VARIABLES["A"]))
         assert {n.name for n in model.nodes} == {"r1", "r2"}
-        assert "rho" in model.deterministics
+        # the readouts, bit for bit
+        m = run_chain(model, 500, seed=3).monitored
+        np.testing.assert_array_equal(m["rho"], m["r1"] / m["r2"])
+        np.testing.assert_array_equal(m["lambda1"], m["r1"] * D1.T)
+        np.testing.assert_array_equal(m["lambda2"], m["r2"] * D2.T)
 
     def test_variant_b_nodes(self):
-        model = build_model(flat_spec("B"))
+        model = build_model(flat_spec("B", monitor=_VARIABLES["B"]))
         assert {n.name for n in model.nodes} == {"rho", "r2"}
-        assert "r1" in model.deterministics
+        # the readouts, bit for bit
+        m = run_chain(model, 500, burn_in=10, seed=3).monitored
+        np.testing.assert_array_equal(m["r1"], m["rho"] * m["r2"])
+        np.testing.assert_array_equal(m["lambda1"], m["r1"] * D1.T)
+        np.testing.assert_array_equal(m["lambda2"], m["r2"] * D2.T)
         # exact conditional draws: every update is accepted
         assert run_chain(model, 10, burn_in=0, seed=0).acceptance == {"rho": 1.0, "r2": 1.0}
 
@@ -374,12 +386,14 @@ class TestConditionalUpdates:
         # r2 | n2 ~ Gamma(n2, T2); the two channels are independent.
         eps = (0.6, 0.3)
         rng = np.random.default_rng(32)
-        nodes = {n.name: n for n in build_model(flat_spec("B_EFF", efficiencies=eps)).nodes}
+        model = build_model(flat_spec("B_EFF", efficiencies=eps))
+        nodes = {n.name: n for n in model.nodes}
         n1 = D1.x + rng.negative_binomial(D1.x + 1, eps[0], K)
         n2 = D2.x + rng.negative_binomial(D2.x, eps[1], K)
         r1, r2 = rng.gamma(n1 + 1.0, 1 / D1.T), rng.gamma(n2, 1 / D2.T)
+        # the fixed efficiencies are state constants
         states = [
-            {"rho": a / b, "r2": b, "n1": int(m1), "n2": int(m2)}
+            {**model.init_state(), "rho": a / b, "r2": b, "n1": int(m1), "n2": int(m2)}
             for a, b, m1, m2 in zip(r1, r2, n1, n2)
         ]
         reference = {"n1": n1, "n2": n2}
