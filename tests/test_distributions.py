@@ -182,12 +182,18 @@ class TestSkellam:
     @pytest.mark.parametrize(
         "v,z,ref",
         # log(I_v(z)) - z from mpmath at 40 digits; special.ive is NaN at these z
-        [(0, 3e9, -11.829877595970266499), (0, 2e10, -12.778437588448623817)],
+        [(0, 3e9, -11.829877595970266499), (1, 3e9, -11.829877596136933166),
+         (0, 2e10, -12.778437588448623817), (5, 2e10, -12.778437589073623817),
+         (1000, 2e10, -12.778462588448624442), (100000, 2e10, -13.028437588454352983)],
     )
     def test_log_ive_past_ive_range(self, v, z, ref):
-        # order 0 takes the large-argument series; no order is left to the Debye expansion
+        # order 0 takes the large-argument series, orders v > 0 the Debye expansion
         out, debye = _log_ive_direct(np.array([v]), z)
-        assert out[0] == pytest.approx(ref, abs=1e-14) and not debye.any()
+        assert debye[0] == (v > 0)
+        if v == 0:
+            assert out[0] == pytest.approx(ref, abs=1e-14)
+        # at lambda1 = lambda2 = z / 2, log P(D = v) = log(I_v(z)) - z
+        assert math.log(skellam_pmf(v, z / 2, z / 2)) == pytest.approx(ref, abs=1e-14)
 
     def test_dist_large_equal_rates(self):
         # z = 2 sqrt(l1 l2) = 6e9, where ive returns NaN for every order
