@@ -2,12 +2,13 @@
 Sampling the models that have no closed form
 ============================================
 
-Detection efficiencies and backgrounds leave no closed-form posterior: the
-observed count is a binomial thinning of a latent Poisson count, possibly
-mixed with background events.  Each node still has an exact conditional
-law, so a small Gibbs sampler redraws them in turn.  We first check it
-against a closed-form case, then run the full model with uncertain
-efficiencies and backgrounds.
+Uncertain detection efficiencies and backgrounds leave no closed-form
+posterior: the observed count is a binomial thinning of a produced Poisson
+count, possibly mixed with background events.  A fixed efficiency only
+scales the exposure, but behind a Beta efficiency the produced count is
+latent.  Each node still has an exact conditional law, so a small Gibbs
+sampler redraws them in turn.  We first check it against a closed-form
+case, then run the full model with uncertain efficiencies and backgrounds.
 """
 
 from rateratio import (
@@ -39,6 +40,8 @@ print("      batch-means SE of the mean: %.4f" % rho.batch_se)
 # --- detection efficiencies -----------------------------------------------------
 # Each channel only records a fraction of its true counts.  A fixed value
 # (channel 1: 80%) and a Beta prior (channel 2: roughly 60% +- 15%) both work.
+# The fixed one scales channel 1's exposure to 0.8 * T1; the Beta one makes
+# channel 2's produced count a latent variable, which the sampler redraws.
 spec = ModelSpec(
     "B_EFF",
     d1,
@@ -53,8 +56,9 @@ print(format_chain_summary(summarize_chain(chain)))
 
 # --- efficiencies and backgrounds ------------------------------------------------
 # Observed counts are signal + background, each thinned by its own
-# efficiency; the split is latent and sampled.  Weakly informative Gamma
-# priors keep the background rates identified.
+# efficiency; the split is latent and sampled.  With every efficiency fixed,
+# the split is the only latent variable of each channel.  Weakly informative
+# Gamma priors keep the background rates identified.
 spec = ModelSpec(
     "B_EFF_BKG",
     CountObservation(9, 3.0),

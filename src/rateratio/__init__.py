@@ -6,141 +6,20 @@ counts, count differences and count ratios, and a small exact Gibbs sampler
 for the variants with detection efficiencies and backgrounds.
 """
 
-from .distributions import (
-    DiscreteDist,
-    GammaParams,
-    SummaryStats,
-    beta_prime_pdf,
-    binomial_pmf,
-    gamma_cdf,
-    gamma_logpdf,
-    gamma_pdf,
-    gamma_ppf,
-    gamma_ratio_cdf,
-    gamma_ratio_logpdf,
-    gamma_ratio_pdf,
-    gamma_ratio_ppf,
-    gamma_ratio_summaries,
-    gamma_sample,
-    gamma_summaries,
-    poisson_cdf,
-    poisson_pmf,
-    poisson_process_waiting_times,
-    skellam_dist,
-    skellam_pmf,
-    uniform_ratio_cdf,
-    uniform_ratio_pdf,
-)
-from .inference import (
-    FLAT_PRIOR,
-    CountObservation,
-    RateEstimate,
-    combine_observations,
-    elicit_gamma,
-    rate_posterior,
-    relative_belief_ratio,
-    update_lambda,
-    update_rate,
-)
-from .mcmc import (
-    MCMC_FLAT_PRIOR,
-    Chain,
-    ChainSummary,
-    Model,
-    ModelSpec,
-    build_model,
-    chain_to_csv,
-    format_chain_summary,
-    run_chain,
-    summarize_chain,
-)
-from .montecarlo import (
-    RatioSampleReport,
-    simulate_count_difference,
-    simulate_count_ratio,
-    simulate_gamma_ratio,
-    simulate_uniform_ratio,
-    write_histogram_csv,
-)
-from .ratio import (
-    RatioPosterior,
-    RatioPosteriorSpec,
-    combine_ratio_instances,
-    implied_r1_pdf,
-    lambda_ratio_pdf,
-    lambda_ratio_summaries,
-    model_a_pdf,
-    model_a_summaries,
-    model_b_pdf,
-    model_b_rate_posteriors,
-    model_b_reweighted_pdf,
-    model_b_summaries,
-    ratio_posterior,
-)
+from . import distributions, inference, mcmc, montecarlo, ratio
+from .distributions import *  # noqa: F403 -- each module's __all__ is its public list
+from .inference import *  # noqa: F403
+from .mcmc import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .ratio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteDist",
-    "GammaParams",
-    "SummaryStats",
-    "beta_prime_pdf",
-    "binomial_pmf",
-    "gamma_cdf",
-    "gamma_logpdf",
-    "gamma_pdf",
-    "gamma_ppf",
-    "gamma_ratio_cdf",
-    "gamma_ratio_logpdf",
-    "gamma_ratio_pdf",
-    "gamma_ratio_ppf",
-    "gamma_ratio_summaries",
-    "gamma_sample",
-    "gamma_summaries",
-    "poisson_cdf",
-    "poisson_pmf",
-    "poisson_process_waiting_times",
-    "skellam_dist",
-    "skellam_pmf",
-    "uniform_ratio_cdf",
-    "uniform_ratio_pdf",
-    "FLAT_PRIOR",
-    "CountObservation",
-    "RateEstimate",
-    "combine_observations",
-    "elicit_gamma",
-    "rate_posterior",
-    "relative_belief_ratio",
-    "update_lambda",
-    "update_rate",
-    "MCMC_FLAT_PRIOR",
-    "Chain",
-    "ChainSummary",
-    "Model",
-    "ModelSpec",
-    "build_model",
-    "chain_to_csv",
-    "format_chain_summary",
-    "run_chain",
-    "summarize_chain",
-    "RatioSampleReport",
-    "simulate_count_difference",
-    "simulate_count_ratio",
-    "simulate_gamma_ratio",
-    "simulate_uniform_ratio",
-    "write_histogram_csv",
-    "RatioPosterior",
-    "RatioPosteriorSpec",
-    "combine_ratio_instances",
-    "implied_r1_pdf",
-    "lambda_ratio_pdf",
-    "lambda_ratio_summaries",
-    "model_a_pdf",
-    "model_a_summaries",
-    "model_b_pdf",
-    "model_b_rate_posteriors",
-    "model_b_reweighted_pdf",
-    "model_b_summaries",
-    "ratio_posterior",
+    *distributions.__all__,
+    *inference.__all__,
+    *mcmc.__all__,
+    *montecarlo.__all__,
+    *ratio.__all__,
     "__version__",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "gamma_sample",
     "binomial_pmf",
     "gamma_ratio_pdf",
+    "gamma_ratio_logpdf",
     "gamma_ratio_cdf",
     "gamma_ratio_ppf",
     "gamma_ratio_summaries",
@@ -385,7 +386,8 @@ def gamma_logpdf(x, p: GammaParams):
 def gamma_pdf(x, p: GammaParams):
     """Gamma density; at x = 0 it is 0 for alpha > 1, beta for alpha = 1, +inf for alpha < 1."""
     logp = gamma_logpdf(x, p)
-    out = np.exp(logp)
+    with np.errstate(over="ignore"):  # past the float range the density reads inf
+        out = np.exp(logp)
     return float(out) if np.isscalar(x) else out
 
 
@@ -515,8 +517,11 @@ def gamma_ratio_cdf(rho, p1: GammaParams, p2: GammaParams):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise ValueError("rho must be >= 0")
-    scaled = p1.beta * rho_arr
-    out = special.betainc(p1.alpha, p2.alpha, scaled / (p2.beta + scaled))
+    # where b1 rho leaves the float range, u = 1, not inf / inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = p1.beta * rho_arr
+        u = np.where(np.isinf(scaled), 1.0, scaled / (p2.beta + scaled))
+    out = special.betainc(p1.alpha, p2.alpha, u)
     return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
 
 
@@ -534,7 +539,7 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
     q_arr = _check_levels(q)
     u = special.betaincinv(p1.alpha, p2.alpha, q_arr)
     one_minus_u = special.betaincinv(p2.alpha, p1.alpha, 1.0 - q_arr)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a quantile past the float range reads inf
         out = p2.beta * u / (p1.beta * one_minus_u)
     return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
 

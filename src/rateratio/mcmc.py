@@ -6,20 +6,24 @@ Four variants of one directed acyclic model are supported:
              rho = r1/r2 is deduced.
   B          rho and r2 carry the priors, r1 = rho * r2 is deterministic,
              so the ratio is inferred directly.
-  B_EFF      as B, but the Poisson variates n_i are latent and the observed
-             counts are binomially thinned: x_i ~ Binom(n_i, eps_i).
+  B_EFF      as B, but the produced Poisson counts n_i are binomially
+             thinned before they are seen: x_i ~ Binom(n_i, eps_i).
   B_EFF_BKG  as B_EFF with one background Poisson process per channel:
-             latent produced counts nS_i ~ Pois(r_i * T_i) and
+             produced counts nS_i ~ Pois(r_i * T_i) and
              nB_i ~ Pois(rb_i * T_i), latent observed-signal split s_i,
              observed x_i = s_i + (x_i - s_i) with
              s_i ~ Binom(nS_i, epsS_i) and x_i - s_i ~ Binom(nB_i, epsB_i).
 
-Every variant is conditionally conjugate, so each node is redrawn exactly
-from its full conditional (Gelfand & Smith 1990), as BUGS-family samplers
-do: rates by Gamma-Poisson conjugacy, latent produced counts by Poisson
-thinning, efficiencies by Beta-binomial conjugacy, and in B_EFF_BKG the
-split s_i together with nS_i and nB_i as one block.  Model A's rates are
-independent a posteriori and drawn iid.
+Each Poisson leg (the signal or the background of one channel) is seen at
+its efficiency.  A fixed efficiency eps thins Pois(r * T) to Pois(r * eps * T),
+so it only rescales the leg's exposure: Model B is B_EFF with both
+efficiencies fixed at 1.  Latent produced counts exist only behind Beta
+efficiencies (the collapsed Gibbs of Liu, Wong & Kong 1994).  Every variant
+is conditionally conjugate, so each node is redrawn exactly from its full
+conditional (Gelfand & Smith 1990), as BUGS-family samplers do: rates by
+Gamma-Poisson conjugacy, latent produced counts by Poisson thinning,
+efficiencies by Beta-binomial conjugacy, and in B_EFF_BKG the split s_i.
+Model A's rates are independent a posteriori and drawn iid.
 
 Flat priors are encoded as Gamma(1, 1e-6), the conventional proper stand-in
 used by BUGS-family samplers; closed-form modules keep the exact improper
@@ -218,12 +222,12 @@ class ModelSpec:
                 raise ValueError(f"{name}: expected a pair, one per channel")
             parsed = tuple(_Efficiency.parse(raw, f"{name}[{i}]") for i, raw in enumerate(pair))
             object.__setattr__(self, "_signal" if name == "efficiencies" else "_background", parsed)
-        eps1 = self._flat_rho_eps1()
-        if eps1 is not None and eps1.a <= 1:
-            raise ValueError(
-                f"efficiencies[0]: Beta({eps1.a:g}, {eps1.b:g}) under a flat rho prior leaves the "
-                "posterior improper (eps1 | x ~ Beta(a - 1, b)); it needs a > 1"
-            )
+        for path, bound, what, law, need in self._flat_rho_bounds():
+            if bound <= 1:
+                raise ValueError(
+                    f"{path}: {what} under a flat rho prior leaves the "
+                    f"posterior improper ({law}); it needs {need}"
+                )
         if not isinstance(self.monitor, (tuple, list)) or not self.monitor:
             raise ValueError("monitor: expected a non-empty list of variable names")
         for name in self.monitor:
@@ -234,26 +238,36 @@ class ModelSpec:
                 )
         object.__setattr__(self, "monitor", tuple(self.monitor))
 
-    def _flat_rho_eps1(self) -> _Efficiency | None:
-        """efficiencies[0] where it is a Beta(a, b) under a flat rho prior in B_EFF, else None.
+    def _flat_rho_bounds(self) -> list[tuple[str, float, str, str, str]]:
+        """(path, bound, what, law, need) for each bound that a flat rho prior in B and B_EFF sets.
 
-        The flat prior integrates to a factor 1/eps1, so eps1 | x ~ Beta(a - 1, b),
-        and rho's posterior k-th moment, through E[eps1^-k], is finite only for a > k + 1.
+        The flat prior integrates to a factor 1/(eps1 * r2).  So a Beta(a, b) eps1
+        gives eps1 | x ~ Beta(a - 1, b), and near 0 the marginal of r2 goes as
+        r2^(alpha2 + x2 - 2), alpha2 being the shape of r2's prior.  The
+        posterior is proper only for a bound > 1, and rho's k-th moment, through
+        E[eps1^-k] and E[r2^-k], is finite only for a bound > k + 1.
         """
-        eps1 = self._signal[0]
-        flat_rho = self.variant == "B_EFF" and self.priors["rho"] == MCMC_FLAT_PRIOR
-        return eps1 if flat_rho and eps1.is_stochastic else None
+        if self.variant not in ("B", "B_EFF") or self.priors["rho"] != MCMC_FLAT_PRIOR:
+            return []
+        pr2, x2, eps1 = self.priors["r2"], self.data2.x, self._signal[0]
+        bounds = []
+        if eps1.is_stochastic:
+            bounds.append(("efficiencies[0]", eps1.a, f"Beta({eps1.a:g}, {eps1.b:g})",
+                           "eps1 | x ~ Beta(a - 1, b)", "a > 1"))
+        r2 = f"Gamma({pr2.alpha:g}, {pr2.beta:g}) with x2 = {x2}"
+        bounds.append(("priors.r2", pr2.alpha + x2, r2,
+                       "r2 | x goes as r2^(alpha2 + x2 - 2) near 0", "alpha2 + x2 > 1"))
+        return bounds
 
     def warning(self) -> str | None:
         """Why rho's posterior has no finite mean or sd, though it is proper; None if it has both."""
-        eps1 = self._flat_rho_eps1()
-        if eps1 is None or eps1.a > 3:
-            return None
-        moment = "mean" if eps1.a <= 2 else "sd"
-        return (
-            f"efficiencies[0]: Beta({eps1.a:g}, {eps1.b:g}) under a flat rho prior "
-            f"gives rho an infinite posterior {moment}"
-        )
+        reasons = [
+            f"{path}: {what} under a flat rho prior gives rho an infinite posterior "
+            + ("mean" if bound <= 2 else "sd")
+            for path, bound, what, _, _ in self._flat_rho_bounds()
+            if bound <= 3
+        ]
+        return "; ".join(reasons) or None
 
     @classmethod
     def from_json(cls, payload) -> "ModelSpec":
@@ -308,7 +322,8 @@ class Model:
 
     The state holds every variable of the model that a node draws, and every
     efficiency: a fixed one is a constant that no node redraws.  The rates
-    that no node draws are read out of the recorded draws (_readout).
+    that no node draws, and the produced counts behind fixed efficiencies,
+    are read out of the recorded draws (_readout).
     """
 
     spec: ModelSpec
@@ -372,93 +387,70 @@ class ChainSummary:
         }
 
 
-def _latent_start(x: int, eff: _Efficiency) -> int:
-    """Initial produced count for x observed at efficiency eff: about x / eps, never below x."""
-    return max(x, round(x / eff.initial()))
+def _gamma_node(name: str, alpha: float, counts: tuple, rate: Callable[[dict], float]) -> _Node:
+    """name | rest ~ Gamma(alpha + sum(counts), rate(state)): a Poisson rate's conjugate update.
 
-
-def _gamma_node(name: str, shape, rate: Callable[[dict], float]) -> _Node:
-    """name | rest ~ Gamma(shape, rate(state)): the conjugate update of a Poisson rate.
-
-    shape is a number, or a function of the state when latent counts enter it.
+    Each count is a number, or a function of the state when latent counts
+    enter it.  Where every count is a number the shape is constant.
     """
-    shape_of = shape if callable(shape) else (lambda state: shape)
+    fixed = sum((count for count in counts if not callable(count)), alpha)
+    latent = [count for count in counts if callable(count)]
 
     def update(state: dict, rng: np.random.Generator) -> None:
-        state[name] = rng.standard_gamma(shape_of(state)) / rate(state)
+        shape = fixed + sum([count(state) for count in latent])
+        state[name] = rng.standard_gamma(shape) / rate(state)
 
-    return _Node(name, update, None if callable(shape) else float(shape), rate)
+    return _Node(name, update, None if latent else float(fixed), rate)
 
 
-def _ratio_nodes(priors: Mapping[str, GammaParams], t1: float, t2: float, n1, n2) -> list[_Node]:
-    """rho and r2 of the B family, given the signal counts produced in each channel.
+def _leg(produced: str, eps: str, eff: _Efficiency, seen, mean, t: float, initial: dict):
+    """One Poisson leg of exposure t seen at efficiency eff, as (count, exposure, nodes).
 
-    rho | r2 ~ Gamma(a_rho + n1, b_rho + r2*T1) and
-    r2 | rho ~ Gamma(a_2 + n1 + n2, b_2 + rho*T1 + T2).  n1 and n2 are the
-    observed counts in Model B, else the names of latent counts in the state.
+    Its rate's Gamma conditional adds the count to its shape and the exposure,
+    times the rate's factor, to its rate.  seen is the leg's seen count, a
+    number or a function of the state; mean(state) is rate * t.  At a fixed
+    eps the seen counts are Pois(rate * eps * t): the leg gives them over
+    eps * t and adds no node, and _readout draws the produced count if it is
+    monitored.  At a Beta eps the leg gives its latent produced count over t,
+    redrawn by a thinning node as seen + Pois(mean * (1 - eps)) (the unseen
+    counts are independent of the seen ones), and a Beta node redraws
+    eps ~ Beta(a + seen, b + produced - seen).  eps and the latent count
+    enter the initial state.
     """
-    prho, pr2 = priors["rho"], priors["r2"]
+    initial[eps] = eff.initial()
+    if not eff.is_stochastic:
+        return seen, eff.fixed * t, ()
+    seen_of = seen if callable(seen) else (lambda state: seen)
+    # the produced count starts near its posterior: about seen / eps, never below seen
+    k = seen_of(initial)
+    initial[produced] = max(k, round(k / eff.initial()))
 
-    def rho_rate(s: dict) -> float:
-        return prho.beta + s["r2"] * t1
+    def thin(state: dict, rng: np.random.Generator) -> None:
+        state[produced] = seen_of(state) + rng.poisson(mean(state) * (1.0 - state[eps]))
 
-    def r2_rate(s: dict) -> float:
-        return pr2.beta + s["rho"] * t1 + t2
+    def redraw_eps(state: dict, rng: np.random.Generator) -> None:
+        k = seen_of(state)
+        state[eps] = rng.beta(eff.a + k, eff.b + state[produced] - k)
 
-    if isinstance(n1, str):
-        return [
-            _gamma_node("rho", lambda s: prho.alpha + s[n1], rho_rate),
-            _gamma_node("r2", lambda s: pr2.alpha + s[n1] + s[n2], r2_rate),
-        ]
-    return [
-        _gamma_node("rho", prho.alpha + n1, rho_rate),
-        _gamma_node("r2", pr2.alpha + n1 + n2, r2_rate),
-    ]
-
-
-def _thinning_node(name: str, x: int, expected, eps: str) -> _Node:
-    """n | rest = x + Pois(lambda*(1 - eps)): the produced count behind x seen at state[eps].
-
-    By Poisson thinning the produced counts that went unseen are independent
-    of the x that were seen.
-    """
-
-    def update(state: dict, rng: np.random.Generator) -> None:
-        state[name] = x + rng.poisson(expected(state) * (1.0 - state[eps]))
-
-    return _Node(name, update)
-
-
-def _efficiency_node(name: str, eff: _Efficiency, observed, produced: str) -> _Node:
-    """eps | rest ~ Beta(a + k, b + n - k) when k of the n = state[produced] counts were seen."""
-
-    def update(state: dict, rng: np.random.Generator) -> None:
-        k = observed(state)
-        state[name] = rng.beta(eff.a + k, eff.b + state[produced] - k)
-
-    return _Node(name, update)
+    return (lambda state: state[produced]), t, (_Node(produced, thin), _Node(eps, redraw_eps))
 
 
 def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _Node:
-    """(s_i, nS_i, nB_i) | rest as one block, named after the split s_i.
+    """s_i | rest: how many of the x_i seen counts are signal.
 
     The seen signal and background counts are independent Poisson variates
     with means lambda_S*epsS and lambda_B*epsB = rb_i*T_i*epsB, so given their
-    sum x the split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)).
-    The unseen parts of each leg are Poisson with means lambda*(1 - eps).
-    The efficiencies are read from the state under the keys eps_s and eps_b.
+    sum x the split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)),
+    whatever was produced unseen.  The thinning nodes of the channel's Beta
+    legs follow it, and with it draw (s_i, nS_i, nB_i) as one block.  The
+    efficiencies are read from the state under the keys eps_s and eps_b.
     """
-    s_key, ns_key, nb_key, rb_key = f"s{i}", f"nS{i}", f"nB{i}", f"rb{i}"
+    s_key, rb_key = f"s{i}", f"rb{i}"
 
     def update(state: dict, rng: np.random.Generator) -> None:
-        lam_s, lam_b = signal(state), state[rb_key] * t
-        es, eb = state[eps_s], state[eps_b]
-        seen_s, seen_b = lam_s * es, lam_b * eb
+        seen_s, seen_b = signal(state) * state[eps_s], state[rb_key] * t * state[eps_b]
         # with x = 0 there is nothing to split, and both means may have underflowed to 0
-        split = rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
-        state[s_key] = split
-        state[ns_key] = split + rng.poisson(lam_s * (1.0 - es))
-        state[nb_key] = x - split + rng.poisson(lam_b * (1.0 - eb))
+        state[s_key] = rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
 
     return _Node(s_key, update)
 
@@ -473,8 +465,8 @@ def build_model(spec: ModelSpec) -> Model:
         pr1, pr2 = priors["r1"], priors["r2"]
         # the rates are independent a posteriori: neither conditional reads the state
         nodes = [
-            _gamma_node("r1", pr1.alpha + x1, lambda s: pr1.beta + t1),
-            _gamma_node("r2", pr2.alpha + x2, lambda s: pr2.beta + t2),
+            _gamma_node("r1", pr1.alpha, (x1,), lambda s: pr1.beta + t1),
+            _gamma_node("r2", pr2.alpha, (x2,), lambda s: pr2.beta + t2),
         ]
         initial = {"r1": (x1 + 1.0) / t1, "r2": (x2 + 1.0) / t2}
         return Model(spec, tuple(nodes), initial)
@@ -485,52 +477,37 @@ def build_model(spec: ModelSpec) -> Model:
     r2_start = (x2 / eps2 + 1.0) / t2
     initial: dict[str, float] = {"r2": r2_start, "rho": ((x1 / eps1 + 1.0) / t1) / r2_start}
 
-    if spec.variant == "B":
-        return Model(spec, tuple(_ratio_nodes(priors, t1, t2, x1, x2)), initial)
-
-    if spec.variant == "B_EFF":
-        effs = dict(enumerate(spec._signal, start=1))
-        data = {1: x1, 2: x2}
-        nodes = _ratio_nodes(priors, t1, t2, "n1", "n2")
-        nodes += [_thinning_node(f"n{i}", data[i], expected[i], f"eps{i}") for i in (1, 2)]
-        # latent counts start near their posterior, x_i / eps_i, as r2 and rho do
-        initial.update({f"n{i}": _latent_start(data[i], effs[i]) for i in (1, 2)})
-        for i in (1, 2):
-            eff, label = effs[i], f"eps{i}"
-            initial[label] = eff.initial()
-            if eff.is_stochastic:
-                nodes.append(_efficiency_node(label, eff, lambda s, x=data[i]: x, f"n{i}"))
-        return Model(spec, tuple(nodes), initial)
-
-    # B_EFF_BKG
-    eff_s = dict(enumerate(spec._signal, start=1))
-    eff_b = dict(enumerate(spec._background, start=1))
-    nodes = _ratio_nodes(priors, t1, t2, "nS1", "nS2")
-
+    # B and B_EFF see each channel's signal leg whole; B_EFF_BKG splits what it sees
+    signal, channel_nodes = {}, []
     for i, x, t in ((1, x1, t1), (2, x2, t2)):
-        prior_b = priors[f"rb{i}"]
-        rb, s_key, ns_key, nb_key = f"rb{i}", f"s{i}", f"nS{i}", f"nB{i}"
-        nodes.append(
-            _gamma_node(
-                rb,
-                lambda s, nb_key=nb_key, a=prior_b.alpha: a + s[nb_key],
-                lambda s, rate=prior_b.beta + t: rate,
-            )
-        )
-        nodes.append(_split_node(i, x, t, expected[i], f"epsS{i}", f"epsB{i}"))
+        eff_s = spec._signal[i - 1]
+        if spec.variant != "B_EFF_BKG":
+            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, x, expected[i], t, initial)
+            channel_nodes += signal[i][2]
+            continue
+        prior_b, rb, s_key = priors[f"rb{i}"], f"rb{i}", f"s{i}"
         initial[rb] = prior_b.alpha / prior_b.beta
         initial[s_key] = x
-        initial[ns_key] = _latent_start(x, eff_s[i])
-        initial[nb_key] = 0
-
-        for label, eff, observed, produced in (
-            (f"epsS{i}", eff_s[i], lambda s, k=s_key: s[k], ns_key),
-            (f"epsB{i}", eff_b[i], lambda s, k=s_key, x=x: x - s[k], nb_key),
-        ):
-            initial[label] = eff.initial()
-            if eff.is_stochastic:
-                nodes.append(_efficiency_node(label, eff, observed, produced))
-    return Model(spec, tuple(nodes), initial)
+        signal[i] = _leg(
+            f"nS{i}", f"epsS{i}", eff_s, lambda s, k=s_key: s[k], expected[i], t, initial
+        )
+        count_b, exposure_b, nodes_b = _leg(
+            f"nB{i}", f"epsB{i}", spec._background[i - 1],
+            lambda s, k=s_key, x=x: x - s[k], lambda s, rb=rb, t=t: s[rb] * t, t, initial,
+        )
+        rate_b = prior_b.beta + exposure_b
+        channel_nodes.append(_gamma_node(rb, prior_b.alpha, (count_b,), lambda s, r=rate_b: r))
+        channel_nodes.append(_split_node(i, x, t, expected[i], f"epsS{i}", f"epsB{i}"))
+        channel_nodes += signal[i][2] + nodes_b
+    # rho | r2 ~ Gamma(a_rho + n1, b_rho + r2*e1) and r2 | rho ~ Gamma(a_2 + n1 + n2,
+    # b_2 + rho*e1 + e2), with the count n_i and exposure e_i of each signal leg
+    (n1, e1, _), (n2, e2, _) = signal[1], signal[2]
+    prho, pr2 = priors["rho"], priors["r2"]
+    nodes = [
+        _gamma_node("rho", prho.alpha, (n1,), lambda s: prho.beta + s["r2"] * e1),
+        _gamma_node("r2", pr2.alpha, (n1, n2), lambda s: pr2.beta + s["rho"] * e1 + e2),
+    ]
+    return Model(spec, tuple(nodes + channel_nodes), initial)
 
 
 def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], None]:
@@ -571,11 +548,12 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         }
     else:
         steps = [_step(node, rng, burn_in + n_iter) for node in model.nodes]
-        columns = [
-            (name, np.empty(n_iter))
-            for name in state
-            if name in monitor or name in ("r1", "r2", "rho")
-        ]
+        # a produced count behind a fixed efficiency is read out of its channel's split and rates
+        needed = {"r1", "r2", "rho", *monitor}
+        needed.update(
+            f"{key}{name[-1]}" for name in monitor if name[:2] in ("nS", "nB") for key in ("s", "rb")
+        )
+        columns = [(name, np.empty(n_iter)) for name in state if name in needed]
         for _ in range(burn_in):
             for step in steps:
                 step(state)
@@ -585,7 +563,7 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
             for name, column in columns:
                 column[k] = state[name]
         draws = dict(columns)
-    monitored = {name: _readout(name, draws, model.spec) for name in monitor}
+    monitored = {name: _readout(name, draws, model.spec, rng) for name in monitor}
     logger.info(
         "chain finished: variant=%s n_iter=%d burn_in=%d", model.spec.variant, n_iter, burn_in
     )
@@ -598,10 +576,14 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
     )
 
 
-def _readout(name: str, draws: Mapping[str, np.ndarray], spec: ModelSpec) -> np.ndarray:
-    """The draws of a monitored variable, read out of the recorded rates where no node draws it.
+def _readout(
+    name: str, draws: Mapping[str, np.ndarray], spec: ModelSpec, rng: np.random.Generator
+) -> np.ndarray:
+    """The draws of a monitored variable, read out of the recorded draws where no node draws it.
 
     r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i.
+    A produced count behind a fixed efficiency eps is its leg's seen count plus
+    Pois(mean * (1 - eps)), one Poisson draw for each recorded draw (see _leg).
     """
     if name in draws:
         return draws[name]
@@ -610,8 +592,19 @@ def _readout(name: str, draws: Mapping[str, np.ndarray], spec: ModelSpec) -> np.
     if name == "rho":
         return draws["r1"] / draws["r2"]
     if name == "lambda1":
-        return _readout("r1", draws, spec) * spec.data1.T
-    return draws["r2"] * spec.data2.T
+        return _readout("r1", draws, spec, rng) * spec.data1.T
+    if name == "lambda2":
+        return draws["r2"] * spec.data2.T
+    # n_i, nS_i or nB_i
+    i = int(name[-1])
+    data = (spec.data1, spec.data2)[i - 1]
+    x, t = data.x, data.T
+    if name.startswith("nB"):
+        seen, mean, eps = x - draws[f"s{i}"], draws[f"rb{i}"] * t, spec._background[i - 1].fixed
+    else:
+        seen = draws[f"s{i}"] if name.startswith("nS") else x
+        mean, eps = _readout(f"lambda{i}", draws, spec, rng), spec._signal[i - 1].fixed
+    return seen + rng.poisson(mean * (1.0 - eps)).astype(float)
 
 
 def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:

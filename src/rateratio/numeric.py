@@ -41,4 +41,6 @@ def pdf_curve(law, n_points: int = 512, q_hi: float = 0.999) -> tuple[np.ndarray
         # density with a pole at 0: nudge the first grid point off the origin
         xs[0] = xs[1] / 2.0
         ys[0] = law.pdf(xs[0])
+    if not np.isfinite(ys).all():
+        raise ValueError("the density leaves the float range on the plot grid")
     return xs, ys

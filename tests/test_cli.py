@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,28 @@ class TestMcmcCommand:
         )
         assert err == (expected if moment else "")
 
+    @pytest.mark.parametrize("x2,moment", [(0, "improper"), (1, "mean"), (2, "sd"), (3, None)])
+    def test_b_flat_rho_bound_on_r2(self, capsys, tmp_path, x2, moment):
+        # r2 | x goes as r2^(alpha2 + x2 - 2) near 0 under a flat rho prior.  x2 = 0 once
+        # exited 0 with a rho mean of 8.66e4, set by the 1e-6 rate of the flat prior
+        spec = {
+            "variant": "B",
+            "data": {"x1": 10, "T1": 1, "x2": x2, "T2": 1},
+            "priors": {"rho": "flat", "r2": "flat"},
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["mcmc", "--spec", str(spec_path), "--n-iter", "200", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        field = f"priors.r2: Gamma(1, 1e-06) with x2 = {x2} under a flat rho prior"
+        if moment == "improper":
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: spec {field} leaves the posterior improper")
+            return
+        assert code == 0 and "warning" not in out
+        expected = f"rateratio: warning: {field} gives rho an infinite posterior {moment}\n"
+        assert err == (expected if moment else "")
+
     def test_malformed_spec_no_partial_output(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"variant": "B", "data": {}, "priors": {}}))
@@ -650,6 +673,19 @@ EDGE_INPUTS += [
 EDGE_INPUTS += [RATIO_PAST_FLOAT_RANGE + fmt for fmt in ("", " --format json", " --format csv")]
 
 
+# each once let a NumPy RuntimeWarning, with a module path and source line, reach stderr
+NUMPY_WARNING_INPUTS = [
+    "infer --x 1000000000000000000 --T 7.5e-51 --format json",
+    "infer --x 1000000000000000000 --T 3e+293 --prior-alpha 20000 --prior-beta 2e-159 --format json",
+    "ratio --model A --x1 1000000000000 --T1 7.5e-90 --x2 1000 --T2 3e+221 --format csv",
+    "ratio --model B --x1 1 --T1 9.99e-60 --x2 1 --T2 3e-15 --prior-alpha0 0.0075 "
+    "--prior-beta0 5e+237 --format json",
+    "combine ratio --instance 3,1e-226,1000,7.5e+188 "
+    "--instance 1000000000000,1e-168,9007199254740992,3e+70 --format csv",
+    "mc waiting-times --rate 3e-246 --k 1 --paths 3 --seed 1",
+]
+
+
 def _reject_constant(name):
     raise ValueError(f"JSON carries {name}")
 
@@ -677,6 +713,25 @@ class TestEdgeInputs:
         assert code in (0, 2, 3)
         if code == 0 and "--format json" in line:
             json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("line", NUMPY_WARNING_INPUTS)
+    def test_no_numpy_warning_reaches_stderr(self, capsys, line):
+        # a warning that is not an error prints to stderr: record them all as they would show
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _exit_code(line.split())
+        out, err = capsys.readouterr()
+        err += "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+        )
+        assert code in (0, 3)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+        if line.startswith("infer"):
+            # once the JSON encoder's text: "Out of range float values are not JSON compliant"
+            assert code == 3 and "JSON" not in err
+        if code == 0:
+            # mc waiting-times once printed sd = inf for three draws near 1e245
+            assert not re.search(r"\b(inf|nan)\b", out), out
 
     @pytest.mark.parametrize("line,flag", NON_FINITE_FLAGS)
     def test_non_finite_flag_exits_2_naming_it(self, capsys, line, flag):

@@ -367,6 +367,16 @@ class TestGammaRatioCdf:
         with pytest.raises(ValueError):
             gamma_ratio_cdf(-1.0, p1, p2)
 
+    def test_scaled_ratio_past_float_range(self):
+        # b1 * rho = inf once gave u = inf / inf = nan, with a RuntimeWarning
+        p1, p2 = GammaParams(2.0, 1e10), GammaParams(3.0, 2.0)
+        assert gamma_ratio_cdf(1e300, p1, p2) == 1.0
+        np.testing.assert_array_equal(gamma_ratio_cdf(np.array([0.0, 1e300]), p1, p2), [0.0, 1.0])
+
+    def test_quantile_past_float_range(self):
+        # b2 * u / (b1 * (1 - u)) overflows: inf, without a RuntimeWarning
+        assert gamma_ratio_ppf(0.999, GammaParams(1e12, 7.5e-90), GammaParams(1e3, 3e221)) == math.inf
+
 
 class TestGammaRatioPpf:
     @pytest.mark.parametrize("a1,b1,a2,b2", RATIO_PARAMS)

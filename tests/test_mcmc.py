@@ -13,6 +13,7 @@ from rateratio.ratio import model_b_summaries
 from rateratio.mcmc import (
     MCMC_FLAT_PRIOR,
     _VARIABLES,
+    _readout,
     Chain,
     ModelSpec,
     build_model,
@@ -99,6 +100,43 @@ class TestModelSpec:
                   efficiencies=((1.0, 1.0), 0.9))
         background = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
         flat_spec("B_EFF_BKG", priors=background, efficiencies=((1.0, 1.0), 0.9))
+
+    @pytest.mark.parametrize("variant", ["B", "B_EFF"])
+    def test_flat_rho_bound_on_r2(self, variant):
+        # a flat rho prior leaves r2 | x going as r2^(alpha2 + x2 - 2) near 0: proper only for
+        # alpha2 + x2 > 1, with a finite rho mean for > 2 and sd for > 3.  x2 = 0 under a flat r2
+        # once ran, its rho mean set by the 1e-6 rate of MCMC_FLAT_PRIOR
+        eps = {"efficiencies": (0.9, (2.0, 2.0))} if variant == "B_EFF" else {}
+
+        def spec(x2, r2=MCMC_FLAT_PRIOR, rho=MCMC_FLAT_PRIOR):
+            data2 = CountObservation(x2, 1.0)
+            return ModelSpec(variant, D1, data2, priors={"rho": rho, "r2": r2}, **eps)
+
+        for r2 in (MCMC_FLAT_PRIOR, GammaParams(0.5, 1.0), GammaParams(1.0, 5.0)):
+            with pytest.raises(ValueError, match=r"^priors\.r2: Gamma.*improper.*alpha2 \+ x2 > 1"):
+                spec(0, r2)
+        prefix = "priors.r2: Gamma(1, 1e-06) with x2 = {} under a flat rho prior gives rho "
+        assert spec(1).warning() == prefix.format(1) + "an infinite posterior mean"
+        assert spec(2).warning() == prefix.format(2) + "an infinite posterior sd"
+        assert spec(3).warning() is None
+        assert spec(0, GammaParams(2.5, 1.0)).warning().endswith("an infinite posterior sd")
+        # an informative rho prior bounds nothing
+        assert spec(0, rho=GammaParams(2.0, 1.0)).warning() is None
+
+    def test_flat_rho_bounds_share_one_warning(self):
+        data2 = CountObservation(1, 1.0)
+        spec = ModelSpec("B_EFF", D1, data2, priors=dict(FLAT), efficiencies=((2.5, 1.0), 0.9))
+        assert spec.warning() == (
+            "efficiencies[0]: Beta(2.5, 1) under a flat rho prior gives rho an infinite posterior "
+            "sd; priors.r2: Gamma(1, 1e-06) with x2 = 1 under a flat rho prior gives rho an "
+            "infinite posterior mean"
+        )
+
+    def test_background_variant_has_no_r2_bound(self):
+        # its background can absorb every count of channel 2; that bound is left to a later rule
+        priors = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
+        spec = ModelSpec("B_EFF_BKG", D1, CountObservation(0, 1.0), priors=priors)
+        assert spec.warning() is None
 
     def test_beta_sum_past_float_range_rejected(self):
         # a / (a + b) would read 1e308 / inf = 0, and NumPy's Beta draws read 0.0
@@ -319,6 +357,23 @@ class TestRunChain:
         assert ((0 <= s1) & (s1 <= D1.x)).all()
         assert (chain.monitored["nS1"] >= chain.monitored["s1"]).all()
 
+    def test_b_eff_fixed_efficiency_produced_counts(self):
+        # Flat priors, fixed efficiencies: the rates are Model B's with T_i -> eps_i*T_i,
+        # and the produced counts read out behind them follow n1 - x1 ~ NegBin(x1 + 1, eps1)
+        # and n2 - x2 ~ NegBin(x2, eps2).  Every 10th draw is kept, so that the kept
+        # draws are close to independent.
+        eps = (0.6, 0.3)
+        spec = flat_spec("B_EFF", efficiencies=eps, monitor=("n1", "n2"))
+        chain = run_chain(build_model(spec), 50_000, seed=35)
+        for name, x, shape, p in (("n1", D1.x, D1.x + 1, eps[0]), ("n2", D2.x, D2.x, eps[1])):
+            unseen = chain.monitored[name][::10] - x
+            law = stats.nbinom(shape, p)
+            # one bin per value up to where fewer than 20 draws are expected, then the tail
+            top = int(law.isf(20 / unseen.size))
+            observed = [np.sum(unseen == k) for k in range(top)] + [np.sum(unseen >= top)]
+            expected = unseen.size * np.append(law.pmf(np.arange(top)), law.sf(top - 1))
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, name
+
 
 K = 20_000  # replicas per invariance check
 
@@ -363,37 +418,46 @@ class TestConditionalUpdates:
     law afterwards is compared with the target.  Seeds are fixed.
     """
 
-    def test_model_b_rate_updates(self):
+    @pytest.mark.parametrize(
+        "variant,eps", [("B", (1.0, 1.0)), ("B_EFF", (0.6, 0.3))], ids=["B", "B_EFF-fixed"]
+    )
+    def test_model_b_rate_updates(self, variant, eps):
         # Flat priors: the Model B posterior is r1 = rho*r2 ~ Gamma(x1+1, T1)
-        # and r2 ~ Gamma(x2, T2), independent.
+        # and r2 ~ Gamma(x2, T2), independent.  Fixed efficiencies thin each
+        # seen count to Pois(r_i * eps_i * T_i): they only scale the exposures
+        # to eps_i*T_i, and B_EFF draws no latent count.
+        e1, e2 = eps[0] * D1.T, eps[1] * D2.T
         rng = np.random.default_rng(31)
-        nodes = {n.name: n for n in build_model(flat_spec("B")).nodes}
-        r1 = rng.gamma(D1.x + 1, 1 / D1.T, K)
-        r2 = rng.gamma(D2.x, 1 / D2.T, K)
-        states = [{"rho": a / b, "r2": b} for a, b in zip(r1, r2)]
+        model = build_model(flat_spec(variant, **({"efficiencies": eps} if variant != "B" else {})))
+        assert [n.name for n in model.nodes] == ["rho", "r2"]
+        nodes = {n.name: n for n in model.nodes}
+        r1 = rng.gamma(D1.x + 1, 1 / e1, K)
+        r2 = rng.gamma(D2.x, 1 / e2, K)
+        states = [{**model.init_state(), "rho": a / b, "r2": b} for a, b in zip(r1, r2)]
         for name in ("rho", "r2"):
             _update_all(nodes[name], states, rng)
             rho, r2 = _column(states, "rho"), _column(states, "r2")
-            u1 = stats.gamma.cdf(rho * r2, D1.x + 1, scale=1 / D1.T)
-            u2 = stats.gamma.cdf(r2, D2.x, scale=1 / D2.T)
+            u1 = stats.gamma.cdf(rho * r2, D1.x + 1, scale=1 / e1)
+            u2 = stats.gamma.cdf(r2, D2.x, scale=1 / e2)
             _uniform(u1)
             _uniform(u2)
             assert abs(np.corrcoef(u1, u2)[0, 1]) < 4 / math.sqrt(K), name
 
     def test_b_eff_thinning_and_rate_updates(self):
-        # Flat priors, fixed efficiencies: n1 - x1 ~ NegBin(x1 + 1, eps1) with
+        # Flat priors, efficiencies held at eps: n1 - x1 ~ NegBin(x1 + 1, eps1) with
         # r1 | n1 ~ Gamma(n1 + 1, T1), and n2 - x2 ~ NegBin(x2, eps2) with
-        # r2 | n2 ~ Gamma(n2, T2); the two channels are independent.
+        # r2 | n2 ~ Gamma(n2, T2); the two channels are independent.  Only Beta
+        # efficiencies give latent counts, so the model has them, and the states
+        # hold them at eps: no efficiency node runs.
         eps = (0.6, 0.3)
         rng = np.random.default_rng(32)
-        model = build_model(flat_spec("B_EFF", efficiencies=eps))
+        model = build_model(flat_spec("B_EFF", efficiencies=((6.0, 4.0), (3.0, 7.0))))
         nodes = {n.name: n for n in model.nodes}
         n1 = D1.x + rng.negative_binomial(D1.x + 1, eps[0], K)
         n2 = D2.x + rng.negative_binomial(D2.x, eps[1], K)
         r1, r2 = rng.gamma(n1 + 1.0, 1 / D1.T), rng.gamma(n2, 1 / D2.T)
-        # the fixed efficiencies are state constants
         states = [
-            {**model.init_state(), "rho": a / b, "r2": b, "n1": int(m1), "n2": int(m2)}
+            {"eps1": eps[0], "eps2": eps[1], "rho": a / b, "r2": b, "n1": int(m1), "n2": int(m2)}
             for a, b, m1, m2 in zip(r1, r2, n1, n2)
         ]
         reference = {"n1": n1, "n2": n2}
@@ -411,50 +475,79 @@ class TestConditionalUpdates:
 
     def test_b_eff_bkg_channel_updates(self):
         # Rates rho and r2 held fixed; the target is the joint law of
-        # (rb1, epsS1, epsB1, s1, nS1, nB1) given x1, drawn by rejection from
-        # the generative model.  One sweep over channel 1's nodes starts from
-        # one exact sample and is compared with a second one.
-        x, t = 4, 3.0
+        # (rb_i, epsS_i, epsB_i, s_i, nS_i, nB_i) given x_i, drawn by rejection
+        # from the generative model.  Channel 1 has Beta efficiencies.  Channel 2
+        # has fixed ones, which add no node: there rb2 | s2 ~ Gamma(a + x2 - s2,
+        # b + epsB2*T2), and _readout draws nS2 and nB2 by thinning.  One sweep over
+        # each channel's nodes starts from one exact sample and is compared with a
+        # second one.
         rho, r2 = 0.8, 1.5
-        prior_b, beta_s, beta_b = GammaParams(2.0, 2.0), (6.0, 3.0), (3.0, 3.0)
+        prior_b = GammaParams(2.0, 2.0)
+        data = {1: CountObservation(4, 3.0), 2: CountObservation(3, 2.0)}
+        eff_s, eff_b = {1: (6.0, 3.0), 2: 0.7}, {1: (3.0, 3.0), 2: 0.4}
         spec = ModelSpec(
             variant="B_EFF_BKG",
-            data1=CountObservation(x, t),
-            data2=D2,
+            data1=data[1],
+            data2=data[2],
             priors={"rho": MCMC_FLAT_PRIOR, "r2": MCMC_FLAT_PRIOR, "rb1": prior_b, "rb2": prior_b},
-            efficiencies=(beta_s, 0.9),
-            background_efficiencies=(beta_b, 0.5),
+            efficiencies=(eff_s[1], eff_s[2]),
+            background_efficiencies=(eff_b[1], eff_b[2]),
         )
-        nodes = {n.name: n for n in build_model(spec).nodes}
+        model = build_model(spec)
+        nodes = {n.name: n for n in model.nodes}
         rng = np.random.default_rng(33)
 
-        def exact(size):
-            m = 40 * size
+        def exact(i, size):
+            x, t, m = data[i].x, data[i].T, 40 * size
             rb = rng.gamma(prior_b.alpha, 1 / prior_b.beta, m)
-            eps_s, eps_b = rng.beta(*beta_s, m), rng.beta(*beta_b, m)
-            ns, nb = rng.poisson(rho * r2 * t, m), rng.poisson(rb * t, m)
+            eps_s, eps_b = (
+                rng.beta(*eff, m) if isinstance(eff, tuple) else np.full(m, eff)
+                for eff in (eff_s[i], eff_b[i])
+            )
+            ns, nb = rng.poisson((rho * r2 if i == 1 else r2) * t, m), rng.poisson(rb * t, m)
             s = rng.binomial(ns, eps_s)
             keep = np.flatnonzero(s + rng.binomial(nb, eps_b) == x)[:size]
             assert keep.size == size
-            return {"rb1": rb[keep], "epsS1": eps_s[keep], "epsB1": eps_b[keep],
-                    "s1": s[keep], "nS1": ns[keep], "nB1": nb[keep]}
+            draws = {"rb": rb, "epsS": eps_s, "epsB": eps_b, "s": s, "nS": ns, "nB": nb}
+            return {f"{key}{i}": value[keep] for key, value in draws.items()}
 
-        start, reference = exact(K), exact(K)
+        def check_legs(i, got, reference):
+            x = data[i].x
+            _same_counts(got[f"s{i}"], reference[f"s{i}"])
+            for key, seen in ((f"nS{i}", got[f"s{i}"]), (f"nB{i}", x - got[f"s{i}"])):
+                ref_seen = reference[f"s{i}"] if key[1] == "S" else x - reference[f"s{i}"]
+                _same_counts(got[key] - seen, reference[key] - ref_seen)
+            _same_mean(got[f"rb{i}"] * got[f"nB{i}"], reference[f"rb{i}"] * reference[f"nB{i}"])
+
+        # channel 1: every latent count and efficiency has a node
+        start, reference = exact(1, K), exact(1, K)
         states = [
             {"rho": rho, "r2": r2, **{key: value[i].item() for key, value in start.items()}}
             for i in range(K)
         ]
-        for name in ("rb1", "s1", "epsS1", "epsB1"):
+        for name in ("rb1", "s1", "nS1", "nB1", "epsS1", "epsB1"):
             _update_all(nodes[name], states, rng)
         got = {key: _column(states, key) for key in reference}
         for key in ("rb1", "epsS1", "epsB1"):
             _same_law(got[key], reference[key])
-        _same_counts(got["s1"], reference["s1"])
-        _same_counts(got["nS1"] - got["s1"], reference["nS1"] - reference["s1"])
-        _same_counts(got["nB1"] - (x - got["s1"]), reference["nB1"] - (x - reference["s1"]))
-        _same_mean(got["rb1"] * got["nB1"], reference["rb1"] * reference["nB1"])
+        check_legs(1, got, reference)
         _same_mean(got["epsS1"] * got["s1"], reference["epsS1"] * reference["s1"])
         _same_mean(got["epsB1"] * got["nB1"], reference["epsB1"] * reference["nB1"])
+
+        # channel 2: the fixed efficiencies are state constants, and only rb2 and s2 have nodes
+        assert not {"nS2", "nB2", "epsS2", "epsB2"} & set(nodes)
+        start, reference = exact(2, K), exact(2, K)
+        states = [
+            {**model.init_state(), "rho": rho, "r2": r2, "rb2": rb.item(), "s2": split.item()}
+            for rb, split in zip(start["rb2"], start["s2"])
+        ]
+        for name in ("rb2", "s2"):
+            _update_all(nodes[name], states, rng)
+        got = {key: _column(states, key) for key in ("rb2", "s2")}
+        columns = {**got, "rho": np.full(K, rho), "r2": np.full(K, r2)}
+        got.update({key: _readout(key, columns, spec, rng) for key in ("nS2", "nB2")})
+        _same_law(got["rb2"], reference["rb2"])
+        check_legs(2, got, reference)
 
 
 class TestSummaries:
