@@ -3,12 +3,16 @@ Sampling the models that have no closed form
 ============================================
 
 Uncertain detection efficiencies and backgrounds leave no closed-form
-posterior: the observed count is a binomial thinning of a produced Poisson
-count, possibly mixed with background events.  A fixed efficiency only
-scales the exposure, but behind a Beta efficiency the produced count is
-latent.  Each node still has an exact conditional law, so a small Gibbs
-sampler redraws them in turn.  We first check it against a closed-form
-case, then run the full model with uncertain efficiencies and backgrounds.
+posterior density for rho: the observed count is a binomial thinning of a
+produced Poisson count, possibly mixed with background events.  A fixed
+efficiency only scales the exposure, but behind a Beta efficiency the
+produced count is latent.  Under a flat rho prior, with every efficiency
+but eps1 fixed, integrating rho, the background rates and the latent counts
+out still leaves laws that can be drawn exactly, so `run_chain` draws these
+models iid; elsewhere each node has an exact conditional law, and a small
+Gibbs sampler redraws them in turn.  We first check the draws against a
+closed-form case, then run the full model with uncertain efficiencies and
+backgrounds.
 """
 
 from rateratio import (
@@ -34,14 +38,14 @@ spec = ModelSpec("B", d1, d2, priors=FLAT)
 chain = run_chain(build_model(spec), n_iter=50_000, seed=1)
 rho = summarize_chain(chain).variables["rho"]
 print("direct-ratio model, closed form: mean = %.3f, sd = %.3f" % (closed.mean, closed.sd))
-print("                     MCMC:       mean = %.3f, sd = %.3f" % (rho.mean, rho.sd))
+print("                     sampled:    mean = %.3f, sd = %.3f" % (rho.mean, rho.sd))
 print("      batch-means SE of the mean: %.4f" % rho.batch_se)
 
 # --- detection efficiencies -----------------------------------------------------
 # Each channel only records a fraction of its true counts.  A fixed value
 # (channel 1: 80%) and a Beta prior (channel 2: roughly 60% +- 15%) both work.
 # The fixed one scales channel 1's exposure to 0.8 * T1; the Beta one makes
-# channel 2's produced count a latent variable, which the sampler redraws.
+# channel 2's produced count a latent variable, which Gibbs sweeps redraw.
 spec = ModelSpec(
     "B_EFF",
     d1,
@@ -56,9 +60,10 @@ print(format_chain_summary(summarize_chain(chain)))
 
 # --- efficiencies and backgrounds ------------------------------------------------
 # Observed counts are signal + background, each thinned by its own
-# efficiency; the split is latent and sampled.  With every efficiency fixed,
-# the split is the only latent variable of each channel.  Weakly informative
-# Gamma priors keep the background rates identified.
+# efficiency; the split is latent.  With every efficiency fixed and the r2
+# prior's shape above 1, the splits have closed-form laws and the whole
+# posterior is drawn iid.  Weakly informative Gamma priors keep the
+# background rates identified.
 spec = ModelSpec(
     "B_EFF_BKG",
     CountObservation(9, 3.0),
@@ -76,11 +81,14 @@ spec = ModelSpec(
 chain = run_chain(build_model(spec), n_iter=50_000, seed=3)
 print("\nwith backgrounds (s1 = latent signal count in channel 1):")
 print(format_chain_summary(summarize_chain(chain)))
-# A flat prior on rho leaves a long right tail when the background can
-# absorb channel-2 counts: the median is the more robust location summary.
+# The background can absorb every channel-2 count: the split s2 = 0 has
+# posterior probability 0.019, and given it r2 ~ Gamma(1, ...) has a density
+# that does not vanish at 0, so under a flat prior rho = r1 / r2 has an
+# infinite posterior mean.  The sample mean above is no estimate of anything;
+# the median and the 95% interval are.
 rho = summarize_chain(chain).variables["rho"]
-print("rho: mean %.2f but median %.2f -- flat ratio priors have long tails"
-      % (rho.mean, rho.quantiles[50.0]))
+print("rho: median %.2f, 95%% interval %.2f - %.2f (its posterior mean is infinite)"
+      % (rho.quantiles[50.0], rho.quantiles[2.5], rho.quantiles[97.5]))
 
 # Chains export as plain CSV, one monitored variable per column.
 with open("/tmp/demo_chain.csv", "w") as f:

@@ -1,4 +1,4 @@
-"""Exact Gibbs sampling for a fixed family of counting models.
+"""Exact posterior sampling for a fixed family of counting models: iid draws or Gibbs sweeps.
 
 Four variants of one directed acyclic model are supported:
 
@@ -23,7 +23,17 @@ is conditionally conjugate, so each node is redrawn exactly from its full
 conditional (Gelfand & Smith 1990), as BUGS-family samplers do: rates by
 Gamma-Poisson conjugacy, latent produced counts by Poisson thinning,
 efficiencies by Beta-binomial conjugacy, and in B_EFF_BKG the split s_i.
-Model A's rates are independent a posteriori and drawn iid.
+
+Where the posterior has closed-form laws, run_chain draws it iid instead.
+Model A's rates are independent a posteriori.  In the B family, under an
+exponential rho prior Gamma(1, beta_rho) (which the flat stand-in is),
+integrating rho, the background rates and the latent counts out leaves
+Beta, Gamma and split-table laws times one factor <= 1, which a rejection
+step draws (_iid_drawer).  These laws need every efficiency fixed but the
+signal efficiency of channel 1, which may be Beta, and a proper r2 margin
+(alpha2 + x2 > 1; alpha2 > 1 in B_EFF_BKG).  The other specs, and a spec
+whose rejection step accepts fewer than half of its proposals, run Gibbs
+sweeps.
 
 Flat priors are encoded as Gamma(1, 1e-6), the conventional proper stand-in
 used by BUGS-family samplers; closed-form modules keep the exact improper
@@ -239,24 +249,29 @@ class ModelSpec:
         object.__setattr__(self, "monitor", tuple(self.monitor))
 
     def _flat_rho_bounds(self) -> list[tuple[str, float, str, str, str]]:
-        """(path, bound, what, law, need) for each bound that a flat rho prior in B and B_EFF sets.
+        """(path, bound, what, law, need) for each bound that a flat rho prior in the B family sets.
 
-        The flat prior integrates to a factor 1/(eps1 * r2).  So a Beta(a, b) eps1
-        gives eps1 | x ~ Beta(a - 1, b), and near 0 the marginal of r2 goes as
-        r2^(alpha2 + x2 - 2), alpha2 being the shape of r2's prior.  The
-        posterior is proper only for a bound > 1, and rho's k-th moment, through
-        E[eps1^-k] and E[r2^-k], is finite only for a bound > k + 1.
+        The flat prior integrates to a factor 1/(eps1 * r2), in B_EFF_BKG
+        1/(epsS1 * r2) whatever the split.  So a Beta(a, b) signal efficiency
+        in channel 1 gives eps1 | x ~ Beta(a - 1, b), and in B and B_EFF near 0
+        the marginal of r2 goes as r2^(alpha2 + x2 - 2), alpha2 being the shape
+        of r2's prior.  The posterior is proper only for a bound > 1, and rho's
+        k-th moment, through E[eps1^-k] and E[r2^-k], is finite only for a
+        bound > k + 1.  In B_EFF_BKG the background can absorb every count of
+        channel 2, so r2's bound there is alpha2 > 1; it is not enforced.
         """
-        if self.variant not in ("B", "B_EFF") or self.priors["rho"] != MCMC_FLAT_PRIOR:
+        if self.variant == "A" or self.priors["rho"] != MCMC_FLAT_PRIOR:
             return []
         pr2, x2, eps1 = self.priors["r2"], self.data2.x, self._signal[0]
         bounds = []
         if eps1.is_stochastic:
+            name = "epsS1" if self.variant == "B_EFF_BKG" else "eps1"
             bounds.append(("efficiencies[0]", eps1.a, f"Beta({eps1.a:g}, {eps1.b:g})",
-                           "eps1 | x ~ Beta(a - 1, b)", "a > 1"))
-        r2 = f"Gamma({pr2.alpha:g}, {pr2.beta:g}) with x2 = {x2}"
-        bounds.append(("priors.r2", pr2.alpha + x2, r2,
-                       "r2 | x goes as r2^(alpha2 + x2 - 2) near 0", "alpha2 + x2 > 1"))
+                           f"{name} | x ~ Beta(a - 1, b)", "a > 1"))
+        if self.variant != "B_EFF_BKG":
+            r2 = f"Gamma({pr2.alpha:g}, {pr2.beta:g}) with x2 = {x2}"
+            bounds.append(("priors.r2", pr2.alpha + x2, r2,
+                           "r2 | x goes as r2^(alpha2 + x2 - 2) near 0", "alpha2 + x2 > 1"))
         return bounds
 
     def warning(self) -> str | None:
@@ -318,17 +333,21 @@ class _Node:
 
 @dataclass(frozen=True)
 class Model:
-    """A built model: nodes in sweep order and the initial state.
+    """A built model: nodes in sweep order, the initial state and an iid drawer where one exists.
 
     The state holds every variable of the model that a node draws, and every
     efficiency: a fixed one is a constant that no node redraws.  The rates
     that no node draws, and the produced counts behind fixed efficiencies,
-    are read out of the recorded draws (_readout).
+    are read out of the recorded draws (_readout).  draw(rng, n), where it
+    is set, returns n iid posterior draws of the variables a node would
+    draw, and the acceptance rate of each node it measured; or None, and
+    run_chain then runs the Gibbs sweeps of the nodes.
     """
 
     spec: ModelSpec
     nodes: tuple[_Node, ...]
     initial: Mapping[str, float]
+    draw: Callable[[np.random.Generator, int], tuple[dict, dict] | None] | None = None
 
     def init_state(self) -> dict:
         return dict(self.initial)
@@ -455,8 +474,118 @@ def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _No
     return _Node(s_key, update)
 
 
+# the iid drawer gives way to Gibbs sweeps where fewer than this share of its proposals is accepted
+_MIN_ACCEPTANCE = 0.5
+# the most points in one batch of proposals, or in one split table (a larger one leaves Gibbs sweeps)
+_MAX_POINTS = 2**20
+
+
+def _log_predictive(alpha: float, beta: float, exposure: float, x: int) -> np.ndarray:
+    """log P(k), up to a constant, for k = 0..x: the count of a leg whose rate is Gamma(alpha, beta).
+
+    That is NB(k; alpha, p) ∝ Gamma(alpha + k) / k! * p^k with
+    p = exposure / (beta + exposure), summed from the ratio of consecutive
+    terms, (alpha + k) / (k + 1) * p.
+    """
+    k = np.arange(x)
+    return np.concatenate(([0.0], np.cumsum(np.log((alpha + k) / (k + 1.0)) - np.log1p(beta / exposure))))
+
+
+def _iid_drawer(spec: ModelSpec):
+    """Exact iid draws of a B-family posterior under an exponential rho prior, or None.
+
+    Integrating rho ~ Gamma(1, beta_rho) out leaves the factor
+    (1 + beta_rho / (eps1 r2 T1))^-(s1 + 1) <= 1 times laws with closed forms,
+    and s_i = x_i outside B_EFF_BKG:
+      1. in B_EFF_BKG, with the background rates integrated out too, the
+         splits are independent: s1 ∝ NB(x1 - s1; alpha_b1, q1) and
+         s2 ∝ NB(s2; alpha2 - 1, p2) * NB(x2 - s2; alpha_b2, q2), with
+         q_i = epsB_i T_i / (beta_b_i + epsB_i T_i) and p2 = eps2 T2 / (beta2 + eps2 T2);
+      2. a Beta(a, b) eps1 (epsS1) is Beta(a - 1, b);
+      3. r2 ~ Gamma(alpha2 - 1 + s2, beta2 + eps2 T2);
+      4. the tuple is accepted with probability equal to the factor, else
+         redrawn whole; then
+      5. rho ~ Gamma(1 + s1, beta_rho + eps1 r2 T1) and
+      6. rb_i ~ Gamma(alpha_b_i + x_i - s_i, beta_b_i + epsB_i T_i).
+    The laws exist where every other efficiency is fixed, a > 1 (the rule
+    that ModelSpec enforces under a flat rho prior) and
+    alpha2 - 1 + (x2 in B and B_EFF, 0 in B_EFF_BKG) > 0.  The proposals run
+    in batches, the first of max(n, 64) and the later ones sized by the
+    acceptance rate so far.  Where fewer than _MIN_ACCEPTANCE of the proposals so
+    far are accepted, draw returns None, so it never makes more than
+    2 * (n + _MAX_POINTS) proposals.
+    """
+    prho, pr2 = spec.priors["rho"], spec.priors["r2"]
+    (eff1, eff2), bkg = spec._signal, spec.variant == "B_EFF_BKG"
+    data = (spec.data1, spec.data2)
+    if (
+        prho.alpha != 1.0
+        or pr2.alpha - 1.0 + (0 if bkg else spec.data2.x) <= 0
+        or eff2.is_stochastic
+        or any(eff.is_stochastic for eff in spec._background)
+        or (eff1.is_stochastic and eff1.a <= 1.0)
+        or (bkg and max(d.x for d in data) >= _MAX_POINTS)
+    ):
+        return None
+    t1, exposure2, eps_key = spec.data1.T, eff2.fixed * spec.data2.T, "epsS1" if bkg else "eps1"
+    # (x_i, prior, exposure) of each background leg, and the cumulative weights of each split
+    backgrounds = [
+        (d.x, spec.priors[f"rb{i}"], eff.fixed * d.T) for i, d, eff in zip((1, 2), data, spec._background)
+    ] if bkg else []
+    cdfs = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, (x, prior_b, exposure_b) in enumerate(backgrounds, start=1):
+            log_w = _log_predictive(prior_b.alpha, prior_b.beta, exposure_b, x)[::-1]
+            if i == 2:
+                log_w += _log_predictive(pr2.alpha - 1.0, pr2.beta, exposure2, x)
+            cdfs.append(np.cumsum(np.exp(log_w - log_w.max())))
+    if not all(np.isfinite(cdf[-1]) for cdf in cdfs):  # every weight underflowed
+        return None
+
+    def propose(rng: np.random.Generator, m: int) -> dict:
+        """The accepted ones of m proposals (steps 1-4)."""
+        # s is the number of cumulative weights below the point, 0..x
+        proposal = {
+            f"s{i}": np.searchsorted(cdf[:-1], rng.random(m) * cdf[-1], side="right").astype(float)
+            for i, cdf in enumerate(cdfs, start=1)
+        }
+        if eff1.is_stochastic:
+            proposal[eps_key] = rng.beta(eff1.a - 1.0, eff1.b, m)
+        proposal["r2"] = rng.standard_gamma(pr2.alpha - 1.0 + proposal.get("s2", spec.data2.x), m) / (
+            pr2.beta + exposure2
+        )
+        # an exposure that underflowed to 0 is rejected, and one past the float range accepted
+        with np.errstate(divide="ignore", over="ignore"):
+            log_factor = -(proposal.get("s1", spec.data1.x) + 1.0) * np.log1p(
+                prho.beta / (proposal.get(eps_key, eff1.fixed) * proposal["r2"] * t1)
+            )
+        keep = rng.random(m) < np.exp(log_factor)
+        return {key: value[keep] for key, value in proposal.items()}
+
+    def draw(rng: np.random.Generator, n: int):
+        batches, proposed, accepted = [], 0, 0
+        while accepted < n:
+            m = max(n, 64) if not proposed else math.ceil(1.2 * (n - accepted) * proposed / accepted) + 16
+            m = min(m, _MAX_POINTS)
+            batches.append(propose(rng, m))
+            proposed, accepted = proposed + m, accepted + batches[-1]["r2"].size
+            if accepted < _MIN_ACCEPTANCE * proposed:
+                return None
+        draws = {key: np.concatenate([batch[key] for batch in batches])[:n] for key in batches[0]}
+        s1 = draws.get("s1", spec.data1.x)
+        with np.errstate(over="ignore"):  # past the float range the exposure reads inf, and rho 0
+            exposure1 = draws.get(eps_key, eff1.fixed) * draws["r2"] * t1
+        draws["rho"] = rng.standard_gamma(1.0 + s1, n) / (prho.beta + exposure1)
+        for i, (x, prior_b, exposure_b) in enumerate(backgrounds, start=1):
+            shape = prior_b.alpha + x - draws[f"s{i}"]
+            draws[f"rb{i}"] = rng.standard_gamma(shape) / (prior_b.beta + exposure_b)
+        return draws, {"rho": accepted / proposed}
+
+    return draw
+
+
 def build_model(spec: ModelSpec) -> Model:
-    """Assemble nodes, conditionals and initial state."""
+    """Assemble nodes, conditionals, initial state and, where one exists, the iid drawer."""
     x1, t1 = spec.data1.x, spec.data1.T
     x2, t2 = spec.data2.x, spec.data2.T
     priors = spec.priors
@@ -464,12 +593,16 @@ def build_model(spec: ModelSpec) -> Model:
     if spec.variant == "A":
         pr1, pr2 = priors["r1"], priors["r2"]
         # the rates are independent a posteriori: neither conditional reads the state
-        nodes = [
+        nodes = (
             _gamma_node("r1", pr1.alpha, (x1,), lambda s: pr1.beta + t1),
             _gamma_node("r2", pr2.alpha, (x2,), lambda s: pr2.beta + t2),
-        ]
+        )
         initial = {"r1": (x1 + 1.0) / t1, "r2": (x2 + 1.0) / t2}
-        return Model(spec, tuple(nodes), initial)
+
+        def draw(rng: np.random.Generator, n: int):
+            return {node.name: rng.standard_gamma(node.shape, n) / node.rate(initial) for node in nodes}, {}
+
+        return Model(spec, nodes, initial, draw)
 
     expected = {1: lambda s: s["rho"] * s["r2"] * t1, 2: lambda s: s["r2"] * t2}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
@@ -507,7 +640,7 @@ def build_model(spec: ModelSpec) -> Model:
         _gamma_node("rho", prho.alpha, (n1,), lambda s: prho.beta + s["r2"] * e1),
         _gamma_node("r2", pr2.alpha, (n1, n2), lambda s: pr2.beta + s["rho"] * e1 + e2),
     ]
-    return Model(spec, tuple(nodes + channel_nodes), initial)
+    return Model(spec, tuple(nodes + channel_nodes), initial, _iid_drawer(spec))
 
 
 def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], None]:
@@ -525,13 +658,16 @@ def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict]
 
 
 def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) -> Chain:
-    """Run one chain of exact Gibbs sweeps: burn_in discarded, then n_iter recorded.
+    """Run one chain: n_iter iid draws where the model has a drawer, else exact Gibbs sweeps.
 
-    A sweep redraws each node in turn from its full conditional, so every
-    update is accepted and nothing is tuned.  Model A's conditionals read
-    nothing from the state, so its n_iter draws are iid and drawn at once.
-    burn_in defaults to max(1000, n_iter // 100), far longer than the
-    reference scripts' 100 updates, so that latent counts forget their start.
+    Model A, and the B family under an exponential rho prior with closed-form
+    laws (see _iid_drawer), are drawn iid: burn_in is reported but nothing
+    is discarded, and acceptance["rho"] is the measured acceptance rate of
+    the rejection step.  Otherwise burn_in sweeps are discarded, then n_iter
+    recorded.  A sweep redraws each node in turn from its full conditional,
+    so every update is accepted and nothing is tuned.  burn_in defaults to
+    max(1000, n_iter // 100), far longer than the reference scripts' 100
+    updates, so that latent counts forget their start.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -539,14 +675,16 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         burn_in = max(1000, n_iter // 100)
     burn_in, n_iter = int(burn_in), int(n_iter)
     rng = np.random.default_rng(seed)
-    state = model.init_state()
     monitor = model.spec.monitor
-    if model.spec.variant == "A":
-        draws = {
-            node.name: rng.standard_gamma(node.shape, n_iter) / node.rate(state)
-            for node in model.nodes
-        }
+    acceptance = {node.name: 1.0 for node in model.nodes}
+    drawn = model.draw(rng, n_iter) if model.draw else None
+    if drawn is not None:
+        draws, measured = drawn
+        acceptance.update(measured)
     else:
+        if model.draw:
+            logger.info("iid proposals accepted too rarely: running Gibbs sweeps")
+        state = model.init_state()
         steps = [_step(node, rng, burn_in + n_iter) for node in model.nodes]
         # a produced count behind a fixed efficiency is read out of its channel's split and rates
         needed = {"r1", "r2", "rho", *monitor}
@@ -565,15 +703,10 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         draws = dict(columns)
     monitored = {name: _readout(name, draws, model.spec, rng) for name in monitor}
     logger.info(
-        "chain finished: variant=%s n_iter=%d burn_in=%d", model.spec.variant, n_iter, burn_in
+        "chain finished: variant=%s n_iter=%d burn_in=%d sampler=%s",
+        model.spec.variant, n_iter, burn_in, "gibbs" if drawn is None else "iid",
     )
-    return Chain(
-        monitored=monitored,
-        n_iter=n_iter,
-        burn_in=burn_in,
-        seed=seed,
-        acceptance={node.name: 1.0 for node in model.nodes},
-    )
+    return Chain(monitored=monitored, n_iter=n_iter, burn_in=burn_in, seed=seed, acceptance=acceptance)
 
 
 def _readout(
@@ -582,8 +715,10 @@ def _readout(
     """The draws of a monitored variable, read out of the recorded draws where no node draws it.
 
     r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i.
-    A produced count behind a fixed efficiency eps is its leg's seen count plus
-    Pois(mean * (1 - eps)), one Poisson draw for each recorded draw (see _leg).
+    A fixed efficiency is a constant column.  A produced count that no node
+    draws is its leg's seen count plus Pois(mean * (1 - eps)), one Poisson
+    draw for each recorded draw (see _leg), where eps is the efficiency's
+    recorded draws if it has them (a Beta eps1 drawn iid), else its value.
     """
     if name in draws:
         return draws[name]
@@ -595,15 +730,18 @@ def _readout(
         return _readout("r1", draws, spec, rng) * spec.data1.T
     if name == "lambda2":
         return draws["r2"] * spec.data2.T
-    # n_i, nS_i or nB_i
-    i = int(name[-1])
+    # eps_i, epsS_i or epsB_i; n_i, nS_i or nB_i
+    leg, i = name[:-1].removeprefix("eps").removeprefix("n"), int(name[-1])
+    fixed = (spec._background if leg == "B" else spec._signal)[i - 1].fixed
+    if name.startswith("eps"):
+        return np.full(draws["r2"].size, fixed)
     data = (spec.data1, spec.data2)[i - 1]
-    x, t = data.x, data.T
-    if name.startswith("nB"):
-        seen, mean, eps = x - draws[f"s{i}"], draws[f"rb{i}"] * t, spec._background[i - 1].fixed
+    x, t, eps = data.x, data.T, draws.get(f"eps{leg}{i}", fixed)
+    if leg == "B":
+        seen, mean = x - draws[f"s{i}"], draws[f"rb{i}"] * t
     else:
-        seen = draws[f"s{i}"] if name.startswith("nS") else x
-        mean, eps = _readout(f"lambda{i}", draws, spec, rng), spec._signal[i - 1].fixed
+        seen = draws[f"s{i}"] if leg == "S" else x
+        mean = _readout(f"lambda{i}", draws, spec, rng)
     return seen + rng.poisson(mean * (1.0 - eps)).astype(float)
 
 

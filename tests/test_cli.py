@@ -733,6 +733,13 @@ class TestEdgeInputs:
             # mc waiting-times once printed sd = inf for three draws near 1e245
             assert not re.search(r"\b(inf|nan)\b", out), out
 
+    @pytest.mark.parametrize("line", [NUMPY_WARNING_INPUTS[2], NUMPY_WARNING_INPUTS[4]])
+    def test_quantile_past_float_range_exits_3_naming_the_range(self, capsys, line):
+        # gamma_ratio_ppf reads inf for the curve's 0.999 quantile: once "quantile inversion
+        # did not reach tolerance 1e-06", which blamed the inversion
+        assert _exit_code(line.split()) == 3
+        assert capsys.readouterr().err == "error: the 0.999 quantile lies past the float range\n"
+
     @pytest.mark.parametrize("line,flag", NON_FINITE_FLAGS)
     def test_non_finite_flag_exits_2_naming_it(self, capsys, line, flag):
         assert _exit_code(line.split()) == 2

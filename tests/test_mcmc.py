@@ -1,17 +1,20 @@
 import csv
 import io
+import logging
 import math
 import re
+import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 
-from rateratio.distributions import GammaParams
+from rateratio.distributions import GammaParams, gamma_ratio_ppf
 from rateratio.inference import CountObservation
-from rateratio.ratio import model_b_summaries
+from rateratio.ratio import RatioPosteriorSpec, model_b_summaries, ratio_posterior
 from rateratio.mcmc import (
     MCMC_FLAT_PRIOR,
+    _MAX_POINTS,
     _VARIABLES,
     _readout,
     Chain,
@@ -89,17 +92,32 @@ class TestModelSpec:
             flat_spec("B_EFF", efficiencies=eps)
 
     def test_b_eff_improper_under_flat_rho_rejected(self):
-        # a flat rho prior leaves eps1 | x ~ Beta(a - 1, b): once a chain ran, its answer set
-        # by the 1e-6 rate of MCMC_FLAT_PRIOR
-        for a in (1.0, 0.5):
-            with pytest.raises(ValueError, match=r"^efficiencies\[0\]: Beta.*improper"):
-                flat_spec("B_EFF", efficiencies=((a, 1.0), 0.9))
-        flat_spec("B_EFF", efficiencies=((1.5, 1.0), 0.9))
-        flat_spec("B_EFF", efficiencies=(0.9, (1.0, 1.0)))
-        flat_spec("B_EFF", priors={"rho": GammaParams(2.0, 1.0), "r2": MCMC_FLAT_PRIOR},
-                  efficiencies=((1.0, 1.0), 0.9))
+        # a flat rho prior leaves eps1 | x ~ Beta(a - 1, b), and epsS1 | x in B_EFF_BKG whatever
+        # the split: once a chain ran, its answer set by the 1e-6 rate of MCMC_FLAT_PRIOR
         background = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
-        flat_spec("B_EFF_BKG", priors=background, efficiencies=((1.0, 1.0), 0.9))
+        for variant, priors, name in (("B_EFF", dict(FLAT), "eps1"), ("B_EFF_BKG", background, "epsS1")):
+            for a in (1.0, 0.5):
+                with pytest.raises(
+                    ValueError, match=rf"^efficiencies\[0\]: Beta.*improper \({name} \| x ~ Beta"
+                ):
+                    flat_spec(variant, priors=priors, efficiencies=((a, 1.0), 0.9))
+            flat_spec(variant, priors=priors, efficiencies=((1.5, 1.0), 0.9))
+            flat_spec(variant, priors=priors, efficiencies=(0.9, (1.0, 1.0)))
+            informative = {**priors, "rho": GammaParams(2.0, 1.0)}
+            flat_spec(variant, priors=informative, efficiencies=((1.0, 1.0), 0.9))
+        # the background efficiencies bound nothing
+        flat_spec("B_EFF_BKG", priors=background, background_efficiencies=((1.0, 1.0), (0.5, 1.0)))
+
+    @pytest.mark.parametrize("a,moment", [(1.5, "mean"), (2.0, "mean"), (2.5, "sd"), (3.0, "sd")])
+    def test_background_signal_efficiency_warns(self, a, moment):
+        priors = {**FLAT, "r2": GammaParams(5.0, 1.0), "rb1": GammaParams(2.0, 2.0),
+                  "rb2": GammaParams(2.0, 2.0)}
+        spec = flat_spec("B_EFF_BKG", priors=priors, efficiencies=((a, 2.0), 0.9))
+        assert spec.warning() == (
+            f"efficiencies[0]: Beta({a:g}, 2) under a flat rho prior gives rho an infinite "
+            f"posterior {moment}"
+        )
+        assert flat_spec("B_EFF_BKG", priors=priors, efficiencies=((3.5, 2.0), 0.9)).warning() is None
 
     @pytest.mark.parametrize("variant", ["B", "B_EFF"])
     def test_flat_rho_bound_on_r2(self, variant):
@@ -238,7 +256,7 @@ class TestBuildModel:
         np.testing.assert_array_equal(m["r1"], m["rho"] * m["r2"])
         np.testing.assert_array_equal(m["lambda1"], m["r1"] * D1.T)
         np.testing.assert_array_equal(m["lambda2"], m["r2"] * D2.T)
-        # exact conditional draws: every update is accepted
+        # drawn iid: the flat stand-in's rejection step turns down about 1e-6 * rho of the proposals
         assert run_chain(model, 10, burn_in=0, seed=0).acceptance == {"rho": 1.0, "r2": 1.0}
 
     def test_monitor_validation(self):
@@ -548,6 +566,263 @@ class TestConditionalUpdates:
         got.update({key: _readout(key, columns, spec, rng) for key in ("nS2", "nB2")})
         _same_law(got["rb2"], reference["rb2"])
         check_legs(2, got, reference)
+
+
+N_IID = 100_000  # iid draws per oracle check
+LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+
+
+def _quantiles_match(draws, ppf):
+    """At each level p, the share of draws at or below the exact p-quantile is p within 5 binomial SE."""
+    for p in LEVELS:
+        share = np.mean(draws <= ppf(p))
+        assert abs(share - p) <= 5 * math.sqrt(p * (1 - p) / draws.size), (p, share)
+
+
+def _tilted_rho_law(d1, d2, beta_rho, pr2):
+    """(ppf, mean) of rho in Model B under rho ~ Gamma(1, beta_rho) and r2 ~ pr2, by quadrature.
+
+    Integrating r2 out leaves f(rho) ∝ exp(-beta_rho rho) rho^x1 (beta2 + T2 + rho T1)^-(alpha2 + x1 + x2).
+    The density is summed by the trapezoid rule on a fine log-spaced grid.
+    """
+    rate = pr2.beta + d2.T
+    scale = (d1.x + 1) / (beta_rho + (pr2.alpha + d2.x) / rate * d1.T)
+    grid = scale * np.logspace(-6, 3, 200_001)
+    log_f = -beta_rho * grid + d1.x * np.log(grid) - (pr2.alpha + d1.x + d2.x) * np.log1p(grid * d1.T / rate)
+    f = np.exp(log_f - log_f.max())
+    cdf = integrate.cumulative_trapezoid(f, grid, initial=0.0)
+    mean = integrate.trapezoid(grid * f, grid) / cdf[-1]
+    return (lambda p: np.interp(p, cdf / cdf[-1], grid)), mean
+
+
+class TestIidDraws:
+    """The iid draws of the B family against exact laws that each test builds itself.
+
+    Under a flat rho prior, Model B's rho is a Gamma ratio, (beta2 + T2)/T1 times
+    BetaPrime(x1 + 1, alpha2 + x2 - 1): Model A's law with x2 -> x2 - 1, and a
+    fixed efficiency scales T_i to eps_i*T_i.  Seeds are fixed.
+    """
+
+    @pytest.mark.parametrize(
+        "variant,eps,pr2",
+        [("B", None, MCMC_FLAT_PRIOR), ("B", None, GammaParams(2.5, 0.5)),
+         ("B_EFF", (0.6, 0.3), GammaParams(2.5, 0.5))],
+        ids=["B-flat", "B-gamma-r2", "B_EFF-fixed"],
+    )
+    def test_rho_quantiles(self, variant, eps, pr2):
+        kwargs = {"efficiencies": eps} if eps else {}
+        spec = ModelSpec(variant, D1, D2, priors={"rho": MCMC_FLAT_PRIOR, "r2": pr2}, **kwargs)
+        model = build_model(spec)
+        assert model.draw is not None
+        rho = run_chain(model, N_IID, seed=40).monitored["rho"]
+        e1, e2 = eps or (1.0, 1.0)
+        if pr2 == MCMC_FLAT_PRIOR:
+            law = ratio_posterior(RatioPosteriorSpec(
+                "A", CountObservation(D1.x, e1 * D1.T), CountObservation(D2.x - 1, e2 * D2.T)))
+            _quantiles_match(rho, law.ppf)
+        else:
+            p1 = GammaParams(D1.x + 1.0, e1 * D1.T)
+            p2 = GammaParams(pr2.alpha + D2.x - 1.0, pr2.beta + e2 * D2.T)
+            _quantiles_match(rho, lambda p: gamma_ratio_ppf(p, p1, p2))
+
+    def test_beta_efficiency_laws(self):
+        # Flat rho prior, eps1 ~ Beta(a, b), eps2 fixed: eps1 | x ~ Beta(a - 1, b) and
+        # r2 | x ~ Gamma(alpha2 + x2 - 1, beta2 + eps2*T2), independent; rho | eps1, r2 ~
+        # Gamma(x1 + 1, eps1*r2*T1); and n1 - x1 | rest ~ Pois(rho*r2*T1*(1 - eps1)).
+        (a, b), eps2, pr2 = (6.0, 4.0), 0.5, GammaParams(2.0, 0.5)
+        spec = ModelSpec("B_EFF", D1, D2, priors={"rho": MCMC_FLAT_PRIOR, "r2": pr2},
+                         efficiencies=((a, b), eps2), monitor=("rho", "r2", "eps1", "n1"))
+        m = run_chain(build_model(spec), N_IID, seed=41).monitored
+        u_eps = stats.beta.cdf(m["eps1"], a - 1, b)
+        u_r2 = stats.gamma.cdf(m["r2"], pr2.alpha + D2.x - 1, scale=1 / (pr2.beta + eps2 * D2.T))
+        for u in (u_eps, u_r2, stats.gamma.cdf(m["rho"] * m["eps1"] * m["r2"] * D1.T, D1.x + 1)):
+            _uniform(u)
+        assert abs(np.corrcoef(u_eps, u_r2)[0, 1]) < 4 / math.sqrt(N_IID)
+        # the unseen count's mean given eps1, on either side of eps1's median
+        unseen = m["n1"] - D1.x - m["rho"] * m["r2"] * D1.T * (1 - m["eps1"])
+        low = m["eps1"] < np.median(m["eps1"])
+        for part in (unseen[low], unseen[~low]):
+            assert abs(part.mean()) <= 5 * part.std() / math.sqrt(part.size)
+
+    def test_exponential_rho_prior(self):
+        # rho ~ Gamma(1, 0.5) tilts the posterior by exp(-0.5 rho), and the rejection step turns
+        # down about 40% of the proposals.  Its acceptance rate is E[(1 + beta_rho/(r2*T1))^-(x1+1)]
+        # over the proposal r2 ~ Gamma(alpha2 + x2 - 1, beta2 + T2).
+        d1, d2, beta_rho, pr2 = CountObservation(30, 3.0), CountObservation(60, 6.0), 0.5, MCMC_FLAT_PRIOR
+        spec = ModelSpec("B", d1, d2, priors={"rho": GammaParams(1.0, beta_rho), "r2": pr2})
+        chain = run_chain(build_model(spec), N_IID, seed=42)
+        proposal = stats.gamma(pr2.alpha + d2.x - 1, scale=1 / (pr2.beta + d2.T))
+        exact = integrate.quad(
+            lambda r2: proposal.pdf(r2) * (1 + beta_rho / (r2 * d1.T)) ** -(d1.x + 1.0),
+            0, proposal.isf(1e-15), points=[proposal.mean()],
+        )[0]
+        assert 0.5 < exact < 0.7
+        rate = chain.acceptance["rho"]
+        assert abs(rate - exact) <= 5 * math.sqrt(exact * (1 - exact) * rate / N_IID)
+        assert chain.acceptance["r2"] == 1.0
+        ppf, mean = _tilted_rho_law(d1, d2, beta_rho, pr2)
+        rho = chain.monitored["rho"]
+        _quantiles_match(rho, ppf)
+        assert abs(rho.mean() - mean) <= 5 * rho.std() / math.sqrt(N_IID)
+
+    def test_background_splits_and_rates(self):
+        # Fixed efficiencies, alpha2 > 1, flat rho.  With rho and the background rates integrated
+        # out, the splits are independent: s1 ∝ NB(x1 - s1; alpha_b1, q1) and
+        # s2 ∝ NB(s2; alpha2 - 1, p2) * NB(x2 - s2; alpha_b2, q2), NB(k; alpha, p) ∝
+        # Gamma(alpha + k)/k! p^k with q_i = epsB_i*T_i/(beta_b_i + epsB_i*T_i) and
+        # p2 = epsS2*T2/(beta2 + epsS2*T2).  Given the splits rho is
+        # (beta2 + epsS2*T2)/(epsS1*T1) * BetaPrime(1 + s1, alpha2 - 1 + s2), and
+        # rb_i ~ Gamma(alpha_b_i + x_i - s_i, beta_b_i + epsB_i*T_i).
+        data = (CountObservation(40, 2.0), CountObservation(25, 4.0))
+        eps_s, eps_b = (0.8, 0.6), (0.5, 0.9)
+        pr2, prb = GammaParams(2.0, 0.5), (GammaParams(2.0, 1.5), GammaParams(2.0, 2.5))
+        spec = ModelSpec(
+            "B_EFF_BKG", *data,
+            priors={"rho": MCMC_FLAT_PRIOR, "r2": pr2, "rb1": prb[0], "rb2": prb[1]},
+            efficiencies=eps_s, background_efficiencies=eps_b,
+            monitor=("rho", "s1", "s2", "rb1", "rb2"),
+        )
+        m = run_chain(build_model(spec), N_IID, seed=43).monitored
+
+        def nb(k, prior, exposure):
+            # scipy's nbinom counts failures at success probability 1 - p
+            return stats.nbinom.pmf(k, prior.alpha, prior.beta / (prior.beta + exposure))
+
+        s1, s2 = np.arange(data[0].x + 1), np.arange(data[1].x + 1)
+        w1 = nb(data[0].x - s1, prb[0], eps_b[0] * data[0].T)
+        w2 = nb(s2, GammaParams(pr2.alpha - 1, pr2.beta), eps_s[1] * data[1].T)
+        w2 = w2 * nb(data[1].x - s2, prb[1], eps_b[1] * data[1].T)
+        w1, w2 = w1 / w1.sum(), w2 / w2.sum()
+        for key, s, w in (("s1", s1, w1), ("s2", s2, w2)):
+            mean = np.sum(s * w)
+            sd = math.sqrt(np.sum((s - mean) ** 2 * w))
+            assert abs(m[key].mean() - mean) <= 5 * sd / math.sqrt(N_IID), key
+        scale = (pr2.beta + eps_s[1] * data[1].T) / (eps_s[0] * data[0].T)
+        shapes = (1.0 + s1[:, None], pr2.alpha - 1.0 + s2[None, :])
+
+        def cdf(rho):
+            return np.sum(w1[:, None] * w2[None, :] * stats.betaprime.cdf(rho / scale, *shapes))
+
+        _quantiles_match(m["rho"], lambda p: optimize.brentq(lambda r: cdf(r) - p, 1e-9, 1e9))
+        for i, (d, prior, eps) in enumerate(zip(data, prb, eps_b), start=1):
+            _uniform(stats.gamma.cdf(m[f"rb{i}"] * (prior.beta + eps * d.T), prior.alpha + d.x - m[f"s{i}"]))
+
+    def test_poor_acceptance_falls_back_to_gibbs(self, caplog):
+        # rho ~ Gamma(1, 1e3) with x1 = 300: beta_rho*rho is near 300, and the rejection step
+        # would accept about (r2*T1/beta_rho)^301 of the proposals.  The chain runs Gibbs sweeps.
+        d1, beta_rho = CountObservation(300, 3.0), 1e3
+        spec = ModelSpec("B", d1, D2, priors={"rho": GammaParams(1.0, beta_rho), "r2": MCMC_FLAT_PRIOR})
+        model = build_model(spec)
+        assert model.draw is not None
+        start = time.perf_counter()
+        with caplog.at_level(logging.INFO, logger="rateratio.mcmc"):
+            chain = run_chain(model, 20_000, seed=44)
+        assert time.perf_counter() - start < 5.0
+        assert "running Gibbs sweeps" in caplog.text
+        assert chain.acceptance == {"rho": 1.0, "r2": 1.0}
+        rho = summarize_chain(chain).variables["rho"]
+        _, mean = _tilted_rho_law(d1, D2, beta_rho, MCMC_FLAT_PRIOR)
+        assert abs(rho.mean - mean) <= 5 * rho.batch_se
+
+    def test_split_table_size_is_capped(self):
+        # the split tables hold x_i + 1 points each: past _MAX_POINTS the chain runs Gibbs sweeps
+        priors = {**FLAT, "r2": GammaParams(2.0, 1.0), "rb1": GammaParams(2.0, 2.0),
+                  "rb2": GammaParams(2.0, 2.0)}
+        for x1, iid in ((_MAX_POINTS - 1, True), (_MAX_POINTS, False)):
+            spec = ModelSpec("B_EFF_BKG", CountObservation(x1, 1.0), D2, priors=priors)
+            assert (build_model(spec).draw is not None) == iid
+
+    @pytest.mark.parametrize(
+        "variant,priors,eps,eps_b,iid",
+        [
+            ("A", {"r1": MCMC_FLAT_PRIOR, "r2": MCMC_FLAT_PRIOR}, None, None, True),
+            ("B", FLAT, None, None, True),
+            ("B", {**FLAT, "rho": GammaParams(1.0, 0.5)}, None, None, True),
+            ("B", {**FLAT, "rho": GammaParams(2.0, 1.0)}, None, None, False),
+            ("B_EFF", FLAT, ((6.0, 4.0), 0.5), None, True),
+            ("B_EFF", FLAT, (0.6, (6.0, 4.0)), None, False),
+            ("B_EFF", {**FLAT, "rho": GammaParams(1.0, 0.5)}, ((0.5, 4.0), 0.5), None, False),
+            ("B_EFF_BKG", {"r2": GammaParams(2.0, 1.0)}, (0.8, 0.6), (0.5, 0.9), True),
+            ("B_EFF_BKG", {"r2": GammaParams(2.0, 1.0)}, ((3.0, 2.0), 0.6), (0.5, 0.9), True),
+            ("B_EFF_BKG", {}, (0.8, 0.6), (0.5, 0.9), False),
+            ("B_EFF_BKG", {"r2": GammaParams(2.0, 1.0)}, (0.8, (6.0, 4.0)), (0.5, 0.9), False),
+            ("B_EFF_BKG", {"r2": GammaParams(2.0, 1.0)}, (0.8, 0.6), ((3.0, 3.0), 0.9), False),
+        ],
+        ids=["A", "B-flat", "B-exponential", "B-gamma-rho", "B_EFF-beta-eps1", "B_EFF-beta-eps2",
+             "B_EFF-beta-eps1-a<1", "BKG-fixed", "BKG-beta-epsS1", "BKG-flat-r2", "BKG-beta-epsS2",
+             "BKG-beta-epsB1"],
+    )
+    def test_which_specs_are_drawn_iid(self, variant, priors, eps, eps_b, iid):
+        # closed-form laws need an exponential rho prior, every efficiency but eps1 fixed, a > 1
+        # for a Beta eps1, and alpha2 + x2 > 1 (alpha2 > 1 in B_EFF_BKG)
+        if variant == "B_EFF_BKG":
+            priors = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0), **priors}
+        spec = ModelSpec(variant, D1, D2, priors=priors, efficiencies=eps, background_efficiencies=eps_b)
+        assert (build_model(spec).draw is not None) == iid
+
+
+class _Chains:
+    """A Generator whose every draw has the shape (k,): k independent chains held in one state."""
+
+    def __init__(self, k: int, seed: int):
+        self.k, self.rng = k, np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+        return lambda *args: method(*np.broadcast_arrays(*args, np.empty(self.k))[:-1])
+
+
+def _gibbs_states(model, k, sweeps, seed):
+    """The state of k independent chains, each started at model.init_state(), after the sweeps."""
+    rng, state = _Chains(k, seed), model.init_state()
+    for _ in range(sweeps):
+        for node in model.nodes:
+            node.update(state, rng)
+    return state
+
+
+GIBBS_CASES = {
+    "B": (ModelSpec("B", CountObservation(30, 3.0), CountObservation(60, 6.0), priors=dict(FLAT)), 20_000, 50),
+    "B_EFF": (
+        ModelSpec("B_EFF", CountObservation(90, 3.0), CountObservation(120, 6.0),
+                  priors={"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.0, 0.5)},
+                  efficiencies=((6.0, 4.0), 0.5), monitor=("rho", "r2", "eps1", "n1")),
+        4_000, 800,
+    ),
+    "B_EFF_BKG": (
+        ModelSpec("B_EFF_BKG", CountObservation(40, 2.0), CountObservation(25, 4.0),
+                  priors={"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.0, 0.5),
+                          "rb1": GammaParams(2.0, 1.5), "rb2": GammaParams(2.0, 2.5)},
+                  efficiencies=(0.8, 0.6), background_efficiencies=(0.5, 0.9),
+                  monitor=("rho", "r2", "s1", "s2", "rb1", "rb2")),
+        4_000, 400,
+    ),
+}
+
+
+class TestGibbsAgainstIid:
+    """Gibbs sweeps, driven over model.nodes, reach the law of the iid draws.
+
+    k chains held as arrays in one state start at the model's initial state;
+    after the sweeps their states are k independent draws of the chain's law.
+    They are compared with run_chain's iid draws: the mean of every variable
+    that a node draws within 5 SE, and rho's law by a two-sample KS test.  The
+    sweep counts are several times the chains' autocorrelation times (B_EFF's
+    latent count and Beta efficiency mix slowest, at an ESS share near 1%).
+    """
+
+    @pytest.mark.parametrize("case", list(GIBBS_CASES))
+    def test_sweeps_reach_the_iid_law(self, case):
+        spec, k, sweeps = GIBBS_CASES[case]
+        model = build_model(spec)
+        assert model.draw is not None
+        gibbs = _gibbs_states(model, k, sweeps, seed=45)
+        iid = run_chain(model, N_IID, seed=46).monitored
+        names = [name for name in spec.monitor if name in gibbs]
+        assert "rho" in names and len(names) >= 2
+        for name in names:
+            _same_mean(np.asarray(gibbs[name], dtype=float), iid[name])
+        _same_law(gibbs["rho"], iid["rho"])
 
 
 class TestSummaries:

@@ -37,6 +37,15 @@ class TestPdfQuantile:
         with pytest.raises(ValueError, match="tolerance"):
             numeric.pdf_quantile(Broken(), 0.5)
 
+    def test_quantile_past_float_range(self):
+        # r1 / r2 with r1 ~ Gamma(1e12 + 1, 7.5e-90) and r2 ~ Gamma(1001, 3e221): the
+        # quantile is near 1e320 and reads inf; once blamed on the inversion's tolerance
+        law = ratio_posterior(RatioPosteriorSpec(
+            "A", CountObservation(10**12, 7.5e-90), CountObservation(1000, 3e221)))
+        assert law.ppf(0.999) == np.inf
+        with pytest.raises(ValueError, match=r"^the 0\.999 quantile lies past the float range$"):
+            numeric.pdf_quantile(law, 0.999)
+
 
 class TestPdfCdf:
     def test_matches_reference(self):
@@ -92,26 +101,41 @@ def test_cli_import_skips_quadrature_and_root_finding():
 def test_sampling_commands_skip_scipy_special(tmp_path):
     # mc, predict ratio and mcmc need only NumPy; importing scipy.special
     # would add about 0.3 s to each of their launches.  The closed-form
-    # commands load it on first use.
-    spec = tmp_path / "bkg.json"
-    spec.write_text(json.dumps({
-        "variant": "B_EFF_BKG",
-        "data": {"x1": 9, "T1": 3.0, "x2": 12, "T2": 6.0},
-        "priors": {"rho": "flat", "r2": "flat", "rb1": {"alpha": 2, "beta": 2},
-                   "rb2": {"alpha": 2, "beta": 2}},
-        "efficiencies": [0.9, {"a": 6, "b": 4}],
-        "background_efficiencies": [0.5, 0.5],
-    }))
+    # commands load it on first use.  The mcmc specs cover the Gibbs sweeps
+    # and the iid draws of B, of B_EFF with a Beta eps1, and of B_EFF_BKG
+    # with fixed efficiencies, whose split tables use no special functions.
+    data = {"x1": 9, "T1": 3.0, "x2": 12, "T2": 6.0}
+    background = {"rb1": {"alpha": 2, "beta": 2}, "rb2": {"alpha": 2, "beta": 2}}
+    specs = {
+        "gibbs": {
+            "variant": "B_EFF_BKG", "data": data,
+            "priors": {"rho": "flat", "r2": "flat", **background},
+            "efficiencies": [0.9, {"a": 6, "b": 4}], "background_efficiencies": [0.5, 0.5],
+        },
+        "iid B": {"variant": "B", "data": data, "priors": {"rho": "flat", "r2": "flat"}},
+        "iid B_EFF": {
+            "variant": "B_EFF", "data": data, "priors": {"rho": "flat", "r2": "flat"},
+            "efficiencies": [{"a": 6, "b": 4}, 0.8],
+        },
+        "iid B_EFF_BKG": {
+            "variant": "B_EFF_BKG", "data": data,
+            "priors": {"rho": "flat", "r2": {"alpha": 2, "beta": 1}, **background},
+            "efficiencies": [0.9, 0.8], "background_efficiencies": [0.5, 0.5],
+        },
+    }
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     code = textwrap.dedent("""
         import contextlib, io, json, sys
-        from rateratio import cli
+        from rateratio import build_model, cli
+        from rateratio.mcmc import ModelSpec
 
         steps = {"import rateratio.cli": "scipy.special" in sys.modules}
 
-        def run(*argv):
+        def run(*argv, name=None):
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert cli.main(list(argv)) == 0, argv
-            name = " ".join(a for a in argv[:2] if not a.startswith("-"))
+            name = name or " ".join(a for a in argv[:2] if not a.startswith("-"))
             steps[name] = "scipy.special" in sys.modules
             return out.getvalue()
 
@@ -119,18 +143,24 @@ def test_sampling_commands_skip_scipy_special(tmp_path):
             "--beta2", "2", "--n", "1000", "--seed", "1")
         run("mc", "uniform-ratio", "--n", "1000", "--seed", "1")
         run("predict", "ratio", "--l1", "3", "--l2", "4", "--n", "1000", "--seed", "1")
-        run("mcmc", "--spec", sys.argv[1], "--n-iter", "200", "--seed", "1")
+        for path in sys.argv[1:]:
+            name = "mcmc " + path.rsplit("/", 1)[-1].removesuffix(".json")
+            with open(path) as fh:
+                iid = build_model(ModelSpec.from_json(json.load(fh))).draw is not None
+            assert iid == name.startswith("mcmc iid"), name
+            run("mcmc", "--spec", path, "--n-iter", "200", "--seed", "1", name=name)
         json.loads(run("infer", "--x", "3", "--T", "3", "--format", "json"))
         print(json.dumps(steps))
     """)
+    paths = [str(tmp_path / f"{name}.json") for name in specs]
     out = subprocess.run(
-        [sys.executable, "-c", code, str(spec)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *paths], capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == {
         "import rateratio.cli": False,
         "mc gamma-ratio": False,
         "mc uniform-ratio": False,
         "predict ratio": False,
-        "mcmc": False,
+        **{f"mcmc {name}": False for name in specs},
         "infer": True,
     }
