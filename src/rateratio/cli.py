@@ -436,7 +436,9 @@ def _cmd_ratio(args) -> None:
         # both densities on one grid, wide enough for the wider of the two
         hi = max(numeric.pdf_quantile(p, 0.999) for p in posts.values())
         xs = np.linspace(0.0, hi, 512)
-        densities = {f"density_{m.lower()}": posts[m].pdf(xs).tolist() for m in models}
+        densities = {
+            f"density_{m.lower()}": numeric.finite_density(posts[m].pdf(xs)).tolist() for m in models
+        }
         _write_csv(fh, {"rho": xs.tolist(), **densities})
 
     def lines() -> list[str]:

@@ -416,7 +416,8 @@ def gamma_ppf(q, p: GammaParams):
 
     p.require_proper()
     q_arr = _check_levels(q)
-    out = special.gammaincinv(p.alpha, q_arr) / p.beta
+    with np.errstate(over="ignore"):  # a quantile past the float range reads inf
+        out = special.gammaincinv(p.alpha, q_arr) / p.beta
     return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
 
 
@@ -500,7 +501,8 @@ def gamma_ratio_pdf(rho, p1: GammaParams, p2: GammaParams):
     f(rho) = b1^a1 b2^a2 / B(a1, a2) * rho^(a1-1) * (b2 + rho*b1)^-(a1+a2),
     evaluated through the log-Beta function.
     """
-    out = np.exp(gamma_ratio_logpdf(rho, p1, p2))
+    with np.errstate(over="ignore"):  # past the float range the density reads inf
+        out = np.exp(gamma_ratio_logpdf(rho, p1, p2))
     return float(out) if np.isscalar(rho) else out
 
 

@@ -18,7 +18,8 @@ Each Poisson leg (the signal or the background of one channel) is seen at
 its efficiency.  A fixed efficiency eps thins Pois(r * T) to Pois(r * eps * T),
 so it only rescales the leg's exposure: Model B is B_EFF with both
 efficiencies fixed at 1.  Latent produced counts exist only behind Beta
-efficiencies (the collapsed Gibbs of Liu, Wong & Kong 1994).  Every variant
+efficiencies (the collapsed Gibbs of Liu, Wong & Kong 1994); each leg reads
+its produced count, and a fixed efficiency, out of the draws.  Every variant
 is conditionally conjugate, so each node is redrawn exactly from its full
 conditional (Gelfand & Smith 1990), as BUGS-family samplers do: rates by
 Gamma-Poisson conjugacy, latent produced counts by Poisson thinning,
@@ -319,14 +320,14 @@ class ModelSpec:
 class _Node:
     """One block of the state and the exact draw from its full conditional.
 
-    update(state, rng) redraws the block in place.  A rate whose Gamma
-    conditional has a constant shape also carries that shape and its rate as
-    a function of the state: run_chain then draws the standard-Gamma variates
-    of every sweep in one call, and a sweep only divides.
+    update(state, rng) returns a draw of the block given the rest of the state.
+    A rate whose Gamma conditional has a constant shape also carries that
+    shape and its rate as a function of the state: run_chain then draws the
+    standard-Gamma variates of every sweep in one call, and a sweep only divides.
     """
 
     name: str
-    update: Callable[[dict, np.random.Generator], None]
+    update: Callable[[dict, np.random.Generator], float]
     shape: float | None = None
     rate: Callable[[dict], float] | None = None
 
@@ -336,10 +337,10 @@ class Model:
     """A built model: nodes in sweep order, the initial state and an iid drawer where one exists.
 
     The state holds every variable of the model that a node draws, and every
-    efficiency: a fixed one is a constant that no node redraws.  The rates
-    that no node draws, and the produced counts behind fixed efficiencies,
-    are read out of the recorded draws (_readout).  draw(rng, n), where it
-    is set, returns n iid posterior draws of the variables a node would
+    efficiency: a fixed one is a constant that no node redraws.  What no node
+    draws is read out of the recorded draws (_readout), by a rate rule or by
+    readouts[name](draws, rng), which a leg registered.  draw(rng, n), where
+    it is set, returns n iid posterior draws of the variables a node would
     draw, and the acceptance rate of each node it measured; or None, and
     run_chain then runs the Gibbs sweeps of the nodes.
     """
@@ -348,6 +349,7 @@ class Model:
     nodes: tuple[_Node, ...]
     initial: Mapping[str, float]
     draw: Callable[[np.random.Generator, int], tuple[dict, dict] | None] | None = None
+    readouts: Mapping[str, Callable[[Mapping, np.random.Generator], np.ndarray]] = field(default_factory=dict)
 
     def init_state(self) -> dict:
         return dict(self.initial)
@@ -415,43 +417,57 @@ def _gamma_node(name: str, alpha: float, counts: tuple, rate: Callable[[dict], f
     fixed = sum((count for count in counts if not callable(count)), alpha)
     latent = [count for count in counts if callable(count)]
 
-    def update(state: dict, rng: np.random.Generator) -> None:
+    def update(state: dict, rng: np.random.Generator) -> float:
         shape = fixed + sum([count(state) for count in latent])
-        state[name] = rng.standard_gamma(shape) / rate(state)
+        return rng.standard_gamma(shape) / rate(state)
 
     return _Node(name, update, None if latent else float(fixed), rate)
 
 
-def _leg(produced: str, eps: str, eff: _Efficiency, seen, mean, t: float, initial: dict):
+def _thin(produced: str, seen, mean, eps, rng: np.random.Generator):
+    """seen + Pois(mean * (1 - eps)), as a float: a produced count given its seen part.
+
+    The unseen counts are independent of the seen ones.  The arguments are
+    numbers in a Gibbs sweep, and arrays of recorded draws in a readout.
+    """
+    unseen = mean * (1.0 - eps)
+    # NumPy draws Poisson variates below a mean of about 9.22e18; below 9.2e18 a count fits in int64
+    peak = np.max(seen + unseen) if isinstance(unseen, np.ndarray) else seen + unseen
+    if not peak < 9.2e18:
+        raise ValueError(f"{produced}: the produced count's mean reads {peak:.3g}, past the int64 range")
+    return seen + rng.poisson(unseen) * 1.0
+
+
+def _leg(produced: str, eps: str, eff: _Efficiency, seen, mean, t: float, initial: dict, readouts: dict):
     """One Poisson leg of exposure t seen at efficiency eff, as (count, exposure, nodes).
 
     Its rate's Gamma conditional adds the count to its shape and the exposure,
     times the rate's factor, to its rate.  seen is the leg's seen count, a
-    number or a function of the state; mean(state) is rate * t.  At a fixed
-    eps the seen counts are Pois(rate * eps * t): the leg gives them over
-    eps * t and adds no node, and _readout draws the produced count if it is
-    monitored.  At a Beta eps the leg gives its latent produced count over t,
-    redrawn by a thinning node as seen + Pois(mean * (1 - eps)) (the unseen
-    counts are independent of the seen ones), and a Beta node redraws
-    eps ~ Beta(a + seen, b + produced - seen).  eps and the latent count
-    enter the initial state.
+    number or a function of a dict; mean(dict) is rate * t.  Both read the
+    state and the recorded draws alike.  At a fixed eps the seen counts are
+    Pois(rate * eps * t): the leg gives them over eps * t and adds no node.  At
+    a Beta eps the leg gives its latent produced count over t, redrawn by a
+    thinning node (_thin), and a Beta node redraws eps ~ Beta(a + seen,
+    b + produced - seen); eps and the latent count enter the initial state.
+    The leg registers readouts of its produced count, thinned from the
+    recorded draws, and of a fixed eps, a constant column.
     """
     initial[eps] = eff.initial()
-    if not eff.is_stochastic:
-        return seen, eff.fixed * t, ()
     seen_of = seen if callable(seen) else (lambda state: seen)
+    # the produced count's readout is also its thinning node at a Beta eps
+    readouts[produced] = lambda s, rng: _thin(produced, seen_of(s), mean(s), s.get(eps, eff.fixed), rng)
+    if not eff.is_stochastic:
+        readouts[eps] = lambda s, rng: np.full(s["r2"].size, eff.fixed)
+        return seen, eff.fixed * t, ()
     # the produced count starts near its posterior: about seen / eps, never below seen
     k = seen_of(initial)
     initial[produced] = max(k, round(k / eff.initial()))
 
-    def thin(state: dict, rng: np.random.Generator) -> None:
-        state[produced] = seen_of(state) + rng.poisson(mean(state) * (1.0 - state[eps]))
-
-    def redraw_eps(state: dict, rng: np.random.Generator) -> None:
+    def redraw_eps(state: dict, rng: np.random.Generator) -> float:
         k = seen_of(state)
-        state[eps] = rng.beta(eff.a + k, eff.b + state[produced] - k)
+        return rng.beta(eff.a + k, eff.b + state[produced] - k)
 
-    return (lambda state: state[produced]), t, (_Node(produced, thin), _Node(eps, redraw_eps))
+    return (lambda state: state[produced]), t, (_Node(produced, readouts[produced]), _Node(eps, redraw_eps))
 
 
 def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _Node:
@@ -466,10 +482,14 @@ def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _No
     """
     s_key, rb_key = f"s{i}", f"rb{i}"
 
-    def update(state: dict, rng: np.random.Generator) -> None:
+    def update(state: dict, rng: np.random.Generator) -> int:
         seen_s, seen_b = signal(state) * state[eps_s], state[rb_key] * t * state[eps_b]
-        # with x = 0 there is nothing to split, and both means may have underflowed to 0
-        state[s_key] = rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
+        try:
+            # with x = 0 there is nothing to split, and both means may have underflowed to 0
+            return rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
+        except ZeroDivisionError:
+            message = f"{s_key}: both seen means of channel {i} underflow to 0, so its split is undefined"
+            raise ValueError(message) from None
 
     return _Node(s_key, update)
 
@@ -611,22 +631,22 @@ def build_model(spec: ModelSpec) -> Model:
     initial: dict[str, float] = {"r2": r2_start, "rho": ((x1 / eps1 + 1.0) / t1) / r2_start}
 
     # B and B_EFF see each channel's signal leg whole; B_EFF_BKG splits what it sees
-    signal, channel_nodes = {}, []
+    signal, channel_nodes, readouts = {}, [], {}
     for i, x, t in ((1, x1, t1), (2, x2, t2)):
         eff_s = spec._signal[i - 1]
         if spec.variant != "B_EFF_BKG":
-            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, x, expected[i], t, initial)
+            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, x, expected[i], t, initial, readouts)
             channel_nodes += signal[i][2]
             continue
         prior_b, rb, s_key = priors[f"rb{i}"], f"rb{i}", f"s{i}"
         initial[rb] = prior_b.alpha / prior_b.beta
         initial[s_key] = x
         signal[i] = _leg(
-            f"nS{i}", f"epsS{i}", eff_s, lambda s, k=s_key: s[k], expected[i], t, initial
+            f"nS{i}", f"epsS{i}", eff_s, lambda s, k=s_key: s[k], expected[i], t, initial, readouts
         )
         count_b, exposure_b, nodes_b = _leg(
             f"nB{i}", f"epsB{i}", spec._background[i - 1],
-            lambda s, k=s_key, x=x: x - s[k], lambda s, rb=rb, t=t: s[rb] * t, t, initial,
+            lambda s, k=s_key, x=x: x - s[k], lambda s, rb=rb, t=t: s[rb] * t, t, initial, readouts,
         )
         rate_b = prior_b.beta + exposure_b
         channel_nodes.append(_gamma_node(rb, prior_b.alpha, (count_b,), lambda s, r=rate_b: r))
@@ -640,21 +660,17 @@ def build_model(spec: ModelSpec) -> Model:
         _gamma_node("rho", prho.alpha, (n1,), lambda s: prho.beta + s["r2"] * e1),
         _gamma_node("r2", pr2.alpha, (n1, n2), lambda s: pr2.beta + s["rho"] * e1 + e2),
     ]
-    return Model(spec, tuple(nodes + channel_nodes), initial, _iid_drawer(spec))
+    return Model(spec, tuple(nodes + channel_nodes), initial, _iid_drawer(spec), readouts)
 
 
-def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], None]:
-    """The update of one node, bound to rng, for a chain of the given number of sweeps."""
+def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], float]:
+    """step(state), one node's new value, with rng bound, for a chain of the given number of sweeps."""
     if node.shape is None:
         return lambda state: node.update(state, rng)
     # a memoryview yields Python floats without a list of them all in memory
     gammas = iter(memoryview(rng.standard_gamma(node.shape, sweeps)))
-    name, rate = node.name, node.rate
-
-    def step(state: dict) -> None:
-        state[name] = next(gammas) / rate(state)
-
-    return step
+    rate = node.rate
+    return lambda state: next(gammas) / rate(state)
 
 
 def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) -> Chain:
@@ -675,7 +691,6 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         burn_in = max(1000, n_iter // 100)
     burn_in, n_iter = int(burn_in), int(n_iter)
     rng = np.random.default_rng(seed)
-    monitor = model.spec.monitor
     acceptance = {node.name: 1.0 for node in model.nodes}
     drawn = model.draw(rng, n_iter) if model.draw else None
     if drawn is not None:
@@ -685,23 +700,22 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         if model.draw:
             logger.info("iid proposals accepted too rarely: running Gibbs sweeps")
         state = model.init_state()
-        steps = [_step(node, rng, burn_in + n_iter) for node in model.nodes]
-        # a produced count behind a fixed efficiency is read out of its channel's split and rates
-        needed = {"r1", "r2", "rho", *monitor}
-        needed.update(
-            f"{key}{name[-1]}" for name in monitor if name[:2] in ("nS", "nB") for key in ("s", "rb")
-        )
-        columns = [(name, np.empty(n_iter)) for name in state if name in needed]
+        steps = [(node.name, _step(node, rng, burn_in + n_iter)) for node in model.nodes]
+        # the rate rules read r1, r2 and rho; a leg's readout may read any variable a node draws
+        names = [name for name, _ in steps]
+        if not any(name in model.readouts and name not in names for name in model.spec.monitor):
+            names = [name for name in names if name in ("r1", "r2", "rho", *model.spec.monitor)]
+        columns = [(name, np.empty(n_iter)) for name in names]
         for _ in range(burn_in):
-            for step in steps:
-                step(state)
+            for name, step in steps:
+                state[name] = step(state)
         for k in range(n_iter):
-            for step in steps:
-                step(state)
+            for name, step in steps:
+                state[name] = step(state)
             for name, column in columns:
                 column[k] = state[name]
         draws = dict(columns)
-    monitored = {name: _readout(name, draws, model.spec, rng) for name in monitor}
+    monitored = {name: _readout(name, draws, model, rng) for name in model.spec.monitor}
     logger.info(
         "chain finished: variant=%s n_iter=%d burn_in=%d sampler=%s",
         model.spec.variant, n_iter, burn_in, "gibbs" if drawn is None else "iid",
@@ -710,15 +724,12 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
 
 
 def _readout(
-    name: str, draws: Mapping[str, np.ndarray], spec: ModelSpec, rng: np.random.Generator
+    name: str, draws: Mapping[str, np.ndarray], model: Model, rng: np.random.Generator
 ) -> np.ndarray:
     """The draws of a monitored variable, read out of the recorded draws where no node draws it.
 
-    r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i.
-    A fixed efficiency is a constant column.  A produced count that no node
-    draws is its leg's seen count plus Pois(mean * (1 - eps)), one Poisson
-    draw for each recorded draw (see _leg), where eps is the efficiency's
-    recorded draws if it has them (a Beta eps1 drawn iid), else its value.
+    r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i;
+    every other variable by the readout that its leg registered (see _leg).
     """
     if name in draws:
         return draws[name]
@@ -726,23 +737,10 @@ def _readout(
         return draws["rho"] * draws["r2"]
     if name == "rho":
         return draws["r1"] / draws["r2"]
-    if name == "lambda1":
-        return _readout("r1", draws, spec, rng) * spec.data1.T
-    if name == "lambda2":
-        return draws["r2"] * spec.data2.T
-    # eps_i, epsS_i or epsB_i; n_i, nS_i or nB_i
-    leg, i = name[:-1].removeprefix("eps").removeprefix("n"), int(name[-1])
-    fixed = (spec._background if leg == "B" else spec._signal)[i - 1].fixed
-    if name.startswith("eps"):
-        return np.full(draws["r2"].size, fixed)
-    data = (spec.data1, spec.data2)[i - 1]
-    x, t, eps = data.x, data.T, draws.get(f"eps{leg}{i}", fixed)
-    if leg == "B":
-        seen, mean = x - draws[f"s{i}"], draws[f"rb{i}"] * t
-    else:
-        seen = draws[f"s{i}"] if leg == "S" else x
-        mean = _readout(f"lambda{i}", draws, spec, rng)
-    return seen + rng.poisson(mean * (1.0 - eps)).astype(float)
+    if name in ("lambda1", "lambda2"):
+        data = model.spec.data1 if name == "lambda1" else model.spec.data2
+        return _readout(f"r{name[-1]}", draws, model, rng) * data.T
+    return model.readouts[name](draws, rng)
 
 
 def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-__all__ = ["pdf_cdf", "pdf_quantile", "pdf_curve"]
+__all__ = ["pdf_cdf", "pdf_quantile", "pdf_curve", "finite_density"]
 
 
 def pdf_cdf(law, x):
@@ -46,6 +46,11 @@ def pdf_curve(law, n_points: int = 512, q_hi: float = 0.999) -> tuple[np.ndarray
         # density with a pole at 0: nudge the first grid point off the origin
         xs[0] = xs[1] / 2.0
         ys[0] = law.pdf(xs[0])
+    return xs, finite_density(ys)
+
+
+def finite_density(ys: np.ndarray) -> np.ndarray:
+    """The density values ys of a plot grid, refused where one leaves the float range."""
     if not np.isfinite(ys).all():
         raise ValueError("the density leaves the float range on the plot grid")
-    return xs, ys
+    return ys

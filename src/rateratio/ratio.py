@@ -30,7 +30,7 @@ from .distributions import (
     gamma_ratio_pdf,
     gamma_ratio_ppf,
 )
-from .inference import FLAT_PRIOR, CountObservation
+from .inference import FLAT_PRIOR, CountObservation, update_rate
 
 
 __all__ = [
@@ -54,17 +54,14 @@ def lambda_ratio_pdf(rho, x1: int, x2: int):
     """Posterior density of lambda1/lambda2 under flat priors.
 
     f(rho) = (x1+x2+1)! / (x1! x2!) * rho^x1 * (1+rho)^-(x1+x2+2),
-    i.e. the Gamma ratio with parameters (x1+1, 1) and (x2+1, 1).
+    i.e. Model A at T1 = T2 = 1: the Gamma ratio with parameters (x1+1, 1) and (x2+1, 1).
     """
-    _check_counts(x1, x2)
-    return gamma_ratio_pdf(rho, GammaParams(x1 + 1.0, 1.0), GammaParams(x2 + 1.0, 1.0))
+    return model_a_pdf(rho, CountObservation(x1, 1.0), CountObservation(x2, 1.0))
 
 
 def lambda_ratio_summaries(x1: int, x2: int) -> SummaryStats:
     """Mode x1/(x2+2); mean (x1+1)/x2 needs x2 > 0; sd needs x2 > 1."""
-    _check_counts(x1, x2)
-    num, den = GammaParams(x1 + 1.0, 1.0), GammaParams(x2 + 1.0, 1.0)
-    return _ratio_summaries(num, den, "requires x2 > 0", "requires x2 > 1")
+    return model_a_summaries(CountObservation(x1, 1.0), CountObservation(x2, 1.0))
 
 
 def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
@@ -73,13 +70,13 @@ def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
     f(rho) = (x1+x2+1)!/(x1! x2!) * T1^(x1+1) T2^(x2+1)
              * rho^x1 * (T2 + T1 rho)^-(x1+x2+2)
     """
-    return gamma_ratio_pdf(rho, _flat_rate_posterior(d1), _flat_rate_posterior(d2))
+    return gamma_ratio_pdf(rho, *_gamma_pair(RatioPosteriorSpec("A", d1, d2)))
 
 
 def model_a_summaries(d1: CountObservation, d2: CountObservation) -> SummaryStats:
     """Mode (x1/T1)/((x2+2)/T2); mean needs x2 > 0; sd needs x2 > 1."""
-    num, den = _flat_rate_posterior(d1), _flat_rate_posterior(d2)
-    return _ratio_summaries(num, den, "requires x2 > 0", "requires x2 > 1")
+    pair = _gamma_pair(RatioPosteriorSpec("A", d1, d2))
+    return _ratio_summaries(*pair, "requires x2 > 0", "requires x2 > 1")
 
 
 def model_b_pdf(
@@ -96,8 +93,7 @@ def model_b_pdf(
     With a flat prior on r2 this equals the Model A density with x2
     replaced by x2 - 1, which is why it needs alpha0 + x2 > 1.
     """
-    num, den = _model_b_params(d1, d2, prior_r2)
-    return gamma_ratio_pdf(rho, num, den)
+    return gamma_ratio_pdf(rho, *_gamma_pair(RatioPosteriorSpec("B", d1, d2, prior_r2)))
 
 
 def model_b_summaries(
@@ -111,10 +107,9 @@ def model_b_summaries(
     for x2 > 1, sd for x2 > 2.  A proper Gamma(alpha0, beta0) prior shifts
     the conditions to alpha0 + x2 - 1 > 1 (mean) and > 2 (variance).
     """
-    shape = "x2" if prior_r2.alpha == 1.0 and prior_r2.beta == 0.0 else "alpha0 + x2 - 1"
-    return _ratio_summaries(
-        *_model_b_params(d1, d2, prior_r2), f"requires {shape} > 1", f"requires {shape} > 2"
-    )
+    shape = "x2" if prior_r2 == FLAT_PRIOR else "alpha0 + x2 - 1"
+    pair = _gamma_pair(RatioPosteriorSpec("B", d1, d2, prior_r2))
+    return _ratio_summaries(*pair, f"requires {shape} > 1", f"requires {shape} > 2")
 
 
 def model_b_rate_posteriors(
@@ -124,11 +119,11 @@ def model_b_rate_posteriors(
 
     r1 ~ Gamma(x1+1, T1) exactly as in Model A; r2 ~ Gamma(x2, T2) — one
     power of x2 is spent on the ratio, so x2 >= 1 is required for a proper
-    posterior.
+    posterior.  These are the two Gamma laws of rho's Model B posterior.
     """
     if d2.x < 1:
         raise ValueError("r2 posterior is improper for x2 = 0 (requires x2 >= 1)")
-    return _flat_rate_posterior(d1), GammaParams(float(d2.x), d2.T)
+    return _gamma_pair(RatioPosteriorSpec("B", d1, d2))
 
 
 def model_b_reweighted_pdf(
@@ -198,23 +193,18 @@ class RatioPosterior:
     summaries: SummaryStats
 
     def pdf(self, rho):
-        return gamma_ratio_pdf(rho, *self._params())
+        return gamma_ratio_pdf(rho, *_gamma_pair(self.spec))
 
     def logpdf(self, rho):
-        return gamma_ratio_logpdf(rho, *self._params())
+        return gamma_ratio_logpdf(rho, *_gamma_pair(self.spec))
 
     def cdf(self, rho):
         """P(rho' <= rho) under this posterior."""
-        return gamma_ratio_cdf(rho, *self._params())
+        return gamma_ratio_cdf(rho, *_gamma_pair(self.spec))
 
     def ppf(self, q):
         """Posterior quantile of rho at probability q."""
-        return gamma_ratio_ppf(q, *self._params())
-
-    def _params(self) -> tuple[GammaParams, GammaParams]:
-        if self.spec.model == "A":
-            return _flat_rate_posterior(self.spec.data1), _flat_rate_posterior(self.spec.data2)
-        return _model_b_params(self.spec.data1, self.spec.data2, self.spec.prior_r2)
+        return gamma_ratio_ppf(q, *_gamma_pair(self.spec))
 
 
 def ratio_posterior(spec: RatioPosteriorSpec) -> RatioPosterior:
@@ -251,23 +241,16 @@ def combine_ratio_instances(
     return ratio_posterior(spec)
 
 
-def _check_counts(x1: int, x2: int) -> None:
-    for name, x in (("x1", x1), ("x2", x2)):
-        if x < 0 or x != int(x):
-            raise ValueError(f"{name} must be a non-negative integer, got {x}")
+def _gamma_pair(spec: RatioPosteriorSpec) -> tuple[GammaParams, GammaParams]:
+    """The Gamma laws (numerator, denominator) whose ratio rho's posterior is.
 
-
-def _flat_rate_posterior(d: CountObservation) -> GammaParams:
-    """Gamma(x + 1, T): the posterior of a rate under a flat prior."""
-    return GammaParams(d.x + 1.0, d.T)
-
-
-def _model_b_params(
-    d1: CountObservation, d2: CountObservation, prior_r2: GammaParams
-) -> tuple[GammaParams, GammaParams]:
-    den_shape = prior_r2.alpha + d2.x - 1.0
-    if den_shape <= 0:
-        raise ValueError(
-            f"normalization undefined: alpha0 + x2 - 1 = {den_shape} must be > 0"
-        )
-    return _flat_rate_posterior(d1), GammaParams(den_shape, prior_r2.beta + d2.T)
+    Model A: each rate's update of the flat prior, (x_i + 1, T_i).  Model B:
+    the same for r1, and r2's update of its prior with x2 -> x2 - 1,
+    (alpha0 + x2 - 1, beta0 + T2), which must have a positive shape.
+    """
+    num, den = update_rate(FLAT_PRIOR, spec.data1), update_rate(spec.prior_r2, spec.data2)
+    if spec.model == "A":
+        return num, den
+    if den.alpha - 1.0 <= 0:
+        raise ValueError(f"normalization undefined: alpha0 + x2 - 1 = {den.alpha - 1.0} must be > 0")
+    return num, GammaParams(den.alpha - 1.0, den.beta)

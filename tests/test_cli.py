@@ -281,6 +281,35 @@ class TestDeterminism:
         assert payload["summaries"]["mean"] == 4 / 3
 
 
+# both seen means of channel 1 underflow to 0 in the Gibbs split of its 5000 counts
+SPLIT_UNDERFLOW_SPEC = {
+    "variant": "B_EFF_BKG",
+    "data": {"x1": 5000, "T1": 8.7e-298, "x2": 0, "T2": 5.7e-107},
+    "priors": {"rho": {"alpha": 1, "beta": 5.8e114}, "r2": {"alpha": 86.5, "beta": 8.6e148},
+               "rb1": {"alpha": 0.24, "beta": 5.5e262}, "rb2": "flat"},
+    "efficiencies": [{"a": 3.38, "b": 31.1}, 0.174],
+    "background_efficiencies": [0.587, 0.958],
+}
+# a produced count whose Poisson mean passes the int64 range, behind a Beta epsS1 / eps1
+PRODUCED_PAST_INT64_SPECS = {
+    "nS1": {
+        "variant": "B_EFF_BKG",
+        "data": {"x1": 1, "T1": 2.2e118, "x2": 1000, "T2": 5.4e-299},
+        "priors": {"rho": "flat", "r2": {"alpha": 15.6, "beta": 1.85}, "rb1": "flat", "rb2": "flat"},
+        "efficiencies": [{"a": 1.034, "b": 7.09}, 0.595],
+        "background_efficiencies": [0.106, 0.593],
+        "monitor": ["nS1"],
+    },
+    "n1": {
+        "variant": "B_EFF",
+        "data": {"x1": 1, "T1": 1.3e188, "x2": 1000, "T2": 2.3e-7},
+        "priors": {"rho": "flat", "r2": "flat"},
+        "efficiencies": [{"a": 1.1, "b": 4.5}, 0.41],
+        "monitor": ["rho", "n1"],
+    },
+}
+
+
 class TestMcmcCommand:
     def test_run_and_outputs(self, capsys, tmp_path):
         spec = {
@@ -422,6 +451,31 @@ class TestMcmcCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: spec efficiencies[0]: ") and "Traceback" not in err
+
+    def test_split_of_underflowed_means(self, tmp_path):
+        # the split once divided 0 by 0: a ZeroDivisionError traceback, exit 1
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(SPLIT_UNDERFLOW_SPEC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rateratio", "mcmc", "--spec", str(spec_path), "--n-iter", "200",
+             "--seed", "1"],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.count("error:") <= 1, proc.stderr
+        if proc.returncode == 3:
+            assert "error: s1: both seen means of channel 1 underflow to 0" in proc.stderr
+
+    @pytest.mark.parametrize("name", PRODUCED_PAST_INT64_SPECS)
+    def test_produced_count_past_int64_exits_3(self, capsys, tmp_path, name):
+        # NumPy once refused the thinning draw in its own words: "lam value too large"
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(PRODUCED_PAST_INT64_SPECS[name]))
+        code, out, err = run_cli(capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "200", "--seed", "1"])
+        assert code == 3 and out == ""
+        reason = err.splitlines()[-1]
+        assert reason.startswith(f"error: {name}: the produced count's mean reads "), err
+        assert reason.endswith(", past the int64 range"), err
 
     @pytest.mark.parametrize(
         "section,key,value,path",
@@ -683,6 +737,8 @@ NUMPY_WARNING_INPUTS = [
     "combine ratio --instance 3,1e-226,1000,7.5e+188 "
     "--instance 1000000000000,1e-168,9007199254740992,3e+70 --format csv",
     "mc waiting-times --rate 3e-246 --k 1 --paths 3 --seed 1",
+    "ratio --model A --x1 0 --T1 8.71e+240 --x2 10 --T2 2.15e-77 --format csv",
+    "infer --x 0 --T 5.09e-159 --prior-alpha 2.72e+255 --prior-beta 2.8e-297 --format csv",
 ]
 
 
@@ -691,9 +747,13 @@ def _reject_constant(name):
 
 
 def _child_env() -> dict:
-    """The environment of a child `python -m rateratio` that imports the package under test."""
+    """The environment of a child `python -m rateratio` that imports the package under test.
+
+    A RuntimeWarning is an error there, as it is in the tests' own process.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 
@@ -831,6 +891,12 @@ class TestEdgeInputs:
             capture_output=True, text=True, env=_child_env(), timeout=120,
         )
         assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_compare_table_density_past_float_range_exits_3(self, capsys):
+        # the shared grid once skipped pdf_curve's check: 511 rows of inf, exit 0
+        line = "ratio --x1 3 --T1 1e160 --x2 3 --T2 1e-160 --compare --format csv"
+        assert _exit_code(line.split()) == 3
+        assert capsys.readouterr().err == "error: the density leaves the float range on the plot grid\n"
 
     def test_ratio_variance_past_float_range(self, capsys):
         # scale**2 once raised OverflowError (exit 1)

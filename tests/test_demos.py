@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # a warning is a fault, as in the tests' own process
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,

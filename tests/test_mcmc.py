@@ -17,6 +17,7 @@ from rateratio.mcmc import (
     _MAX_POINTS,
     _VARIABLES,
     _readout,
+    _thin,
     Chain,
     ModelSpec,
     build_model,
@@ -398,7 +399,7 @@ K = 20_000  # replicas per invariance check
 
 def _update_all(node, states, rng):
     for state in states:
-        node.update(state, rng)
+        state[node.name] = node.update(state, rng)
 
 
 def _column(states, name):
@@ -491,6 +492,15 @@ class TestConditionalUpdates:
             for key in ("n1", "n2"):
                 _same_counts(_column(states, key), reference[key])
 
+    @pytest.mark.parametrize("mean", [2e19, math.nan, np.array([1.0, 2e19]), np.array([math.nan])],
+                             ids=["gibbs", "gibbs-nan", "readout", "readout-nan"])
+    def test_thin_refuses_counts_past_int64(self, mean):
+        # past a mean of about 9.22e18 NumPy's Poisson draw raises "lam value too large"
+        refusal = r"^nB2: the produced count's mean reads .*, past the int64 range$"
+        with pytest.raises(ValueError, match=refusal):
+            _thin("nB2", 4, mean, 0.5, np.random.default_rng(0))
+        assert _thin("nB2", 4, 2 * 9.1e18, 0.5, np.random.default_rng(0)) >= 9.0e18
+
     def test_b_eff_bkg_channel_updates(self):
         # Rates rho and r2 held fixed; the target is the joint law of
         # (rb_i, epsS_i, epsB_i, s_i, nS_i, nB_i) given x_i, drawn by rejection
@@ -563,7 +573,7 @@ class TestConditionalUpdates:
             _update_all(nodes[name], states, rng)
         got = {key: _column(states, key) for key in ("rb2", "s2")}
         columns = {**got, "rho": np.full(K, rho), "r2": np.full(K, r2)}
-        got.update({key: _readout(key, columns, spec, rng) for key in ("nS2", "nB2")})
+        got.update({key: _readout(key, columns, model, rng) for key in ("nS2", "nB2")})
         _same_law(got["rb2"], reference["rb2"])
         check_legs(2, got, reference)
 
@@ -777,7 +787,7 @@ def _gibbs_states(model, k, sweeps, seed):
     rng, state = _Chains(k, seed), model.init_state()
     for _ in range(sweeps):
         for node in model.nodes:
-            node.update(state, rng)
+            state[node.name] = node.update(state, rng)
     return state
 
 
