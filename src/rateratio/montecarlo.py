@@ -120,7 +120,10 @@ def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
     Works in the two float64 draw buffers, which it overwrites, so that a shard
-    holds little more than those two arrays at its peak.
+    holds little more than those two arrays at its peak.  The sums come first,
+    in draw order, because their last bits depend on that order; then one
+    in-place sort lets every count be read as a difference of positions.  The
+    edges are those np.histogram builds, and its last bin is closed.
     """
     zero_den = den == 0
     n_zero = int(np.count_nonzero(zero_den))
@@ -132,9 +135,18 @@ def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
             values = values[~zero_den]
         total = float(values.sum())
         total_sq = float(np.square(values, out=den[: values.size]).sum())
-    n_over = int(np.count_nonzero(values > cutoff))
-    hist, fine = (np.histogram(values, bins=b, range=(0.0, cutoff))[0] for b in (bins, MODE_BINS))
-    return n_nan, n_zero - n_nan, total, total_sq, n_over, hist, fine
+    values.sort()
+    # a NaN ratio (inf/inf) sorts last, and no count takes it, as np.histogram counts none
+    top, end = np.searchsorted(values, (cutoff, np.inf), side="right")
+    hist, fine = (_bin_counts(values, cutoff, b, top) for b in (bins, MODE_BINS))
+    return n_nan, n_zero - n_nan, total, total_sq, int(end - top), hist, fine
+
+
+def _bin_counts(values: np.ndarray, cutoff: float, bins: int, top: int) -> np.ndarray:
+    """np.histogram(values, bins, range=(0, cutoff))[0] of sorted values; top counts those <= cutoff."""
+    positions = np.searchsorted(values, np.linspace(0.0, cutoff, bins + 1), side="left")
+    positions[-1] = top
+    return np.diff(positions)
 
 
 def _run_ratio_simulation(
@@ -153,6 +165,10 @@ def _run_ratio_simulation(
     if not (cutoff > 0):
         raise ValueError("cutoff must be > 0")
     n, bins, cutoff = int(n), int(bins), float(cutoff)
+    grids = ((bins, f"{bins} bins"), (MODE_BINS, f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})"))
+    for k, grid in grids:
+        if not np.all(np.diff(np.linspace(0.0, cutoff, k + 1)) > 0):  # the edges the tally searches
+            raise ValueError(f"cutoff {cutoff!r} is too small for {grid}: their edges must increase")
 
     def shard(job) -> tuple:
         stream, size = job
@@ -217,8 +233,14 @@ def simulate_count_ratio(
     if not (lambda1 > 0) or not (lambda2 > 0):
         raise ValueError("lambda1 and lambda2 must be > 0")
 
+    def draw(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
+        counts = rng.poisson(lam, size)
+        floats = counts.view(np.float64)
+        np.copyto(floats, counts, casting="unsafe")  # in place: no int64 array beside its float copy
+        return floats
+
     def draw_pair(rng: np.random.Generator, size: int):
-        return rng.poisson(lambda1, size).astype(float), rng.poisson(lambda2, size).astype(float)
+        return draw(rng, lambda1, size), draw(rng, lambda2, size)
 
     return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
 

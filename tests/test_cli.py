@@ -793,6 +793,13 @@ class TestEdgeInputs:
             # mc waiting-times once printed sd = inf for three draws near 1e245
             assert not re.search(r"\b(inf|nan)\b", out), out
 
+    def test_bin_grid_too_fine_for_cutoff_exits_3_naming_both(self, capsys):
+        # once NumPy's "Cannot create 1000 finite-sized bins", which named neither flag
+        line = "mc uniform-ratio --n 10 --cutoff 2.5e-321 --bins 150 --seed 1"
+        code, out, err = run_cli(capsys, line.split())
+        assert code == 3 and out == ""
+        assert err.startswith("error: cutoff 2.5e-321 is too small") and "(bins = 150)" in err
+
     @pytest.mark.parametrize("line", [NUMPY_WARNING_INPUTS[2], NUMPY_WARNING_INPUTS[4]])
     def test_quantile_past_float_range_exits_3_naming_the_range(self, capsys, line):
         # gamma_ratio_ppf reads inf for the curve's 0.999 quantile: once "quantile inversion

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rateratio import montecarlo
@@ -27,8 +30,8 @@ def count_ratio_masses(lambda1, lambda2, cutoff, bins):
     """Exact (nan, inf, per-bin, overflow) masses of X1/X2 for Poisson counts.
 
     Enumerates every pair (k1, k2) up to lambda + 12 sd + 30, where the
-    truncated tail is below 1e-15, and bins the ratios with the same
-    np.histogram call the simulator uses.
+    truncated tail is below 1e-15, and bins the ratios with np.histogram,
+    whose bins the simulator's tally reproduces.
     """
     ks = [np.arange(int(lam + 12 * math.sqrt(lam) + 30)) for lam in (lambda1, lambda2)]
     p1, p2 = poisson_pmf(ks[0], lambda1), poisson_pmf(ks[1], lambda2)
@@ -156,8 +159,11 @@ class TestTally:
 
     @pytest.mark.parametrize("name", RATIO_SIMULATORS)
     def test_shard_footprint(self, name):
-        # the mask-and-copy body peaked at 4.5 draw arrays (3.3 at low Poisson rates)
+        # the mask-and-copy body peaked at 4.5 draw arrays (3.3 at low Poisson rates);
+        # Poisson counts cast through .astype(float) held 3.0, and with no zero denominator
+        # to compact, a Poisson shard now holds its two draw arrays and the mask
         n = montecarlo.SHARD_SIZE
+        arrays = 2 if name == "poisson" else 3
         RATIO_SIMULATORS[name](n, seed=1)  # the first run sets up what later runs reuse
         tracemalloc.start()
         try:
@@ -165,7 +171,44 @@ class TestTally:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * n + (1 << 20), peak / (8 * n)
+        assert peak <= arrays * 8 * n + (1 << 20), peak / (8 * n)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_parent_tally(self, data):
+        # ratios on every bin edge and one ulp to either side, exact count ratios
+        # (0/0, k/0, 1/2, 3/4), infinities and draws past the cutoff
+        cutoff = data.draw(st.one_of(st.sampled_from([1.0, 3.0, 8.0]), st.floats(1e-300, 1e300)))
+        bins = data.draw(st.integers(1, 4000))
+        edges = np.concatenate([np.linspace(0.0, cutoff, k + 1) for k in (bins, montecarlo.MODE_BINS)])
+        near_edge = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        pair = st.one_of(
+            st.tuples(st.sampled_from(near_edge.tolist()), st.just(1.0)),
+            st.tuples(st.integers(0, 8).map(float), st.integers(0, 8).map(float)),
+            st.tuples(st.floats(0.0, 2 * cutoff), st.sampled_from([1.0, 0.5, 3.0])),
+            st.sampled_from([(math.inf, 1.0), (math.inf, 0.0), (1.0, math.inf), (math.inf, math.inf)]),
+        )
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=60))
+        num, den = (np.array(side, dtype=float) for side in zip(*pairs))
+        with np.errstate(all="ignore"):
+            expected = parent_tally(num.copy(), den.copy(), cutoff, bins)
+            got = montecarlo._tally(num, den, cutoff, bins)
+        for field_got, field_expected in zip(got, expected, strict=True):
+            assert type(field_got) is type(field_expected)
+            assert np.array_equal(field_got, field_expected, equal_nan=True)
+            assert np.asarray(field_got).dtype == np.asarray(field_expected).dtype
+
+    @pytest.mark.parametrize(
+        "cutoff,grid", [(1e-322, "150 bins"), (2.5e-321, "mode estimate's 1000 fine bins (bins = 150)")]
+    )
+    def test_refuses_bin_grid_before_any_draw(self, cutoff, grid):
+        # once NumPy's "Cannot create 1000 finite-sized bins", after a whole shard was drawn
+        def draw_pair(rng, size):
+            raise AssertionError("drew before checking the bin grid")
+
+        reason = re.escape(f"cutoff {cutoff!r} is too small for ") + ".*" + re.escape(grid)
+        with pytest.raises(ValueError, match=reason):
+            montecarlo._run_ratio_simulation(draw_pair, 10, cutoff, 150, seed=1, workers=1)
 
     @pytest.mark.parametrize("alpha2,seed,undefined", [(0.01, 1, ["sd"]), (0.002, 3, ["mean", "sd"])])
     def test_sums_past_float_range(self, alpha2, seed, undefined):
