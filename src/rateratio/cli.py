@@ -260,8 +260,9 @@ def _emit(args, payload, table, lines) -> None:
 
 
 def _json_dump(payload) -> str:
-    # NaN and Infinity are not JSON: json.dumps raises ValueError (exit 3)
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # one line with sorted keys: without indent, json.dumps runs CPython's C
+    # encoder.  NaN and Infinity are not JSON: it raises ValueError (exit 3)
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_csv(fh, columns: dict) -> None:
@@ -328,7 +329,7 @@ def _cmd_predict_diff(args) -> None:
             f"difference of counts: lambda1 = {args.l1:g}, lambda2 = {args.l2:g}",
             "",
             f"{'d':>6}  {'f(d)':>12}",
-            *(f"{d:>6}  {p:>12.6g}" for d, p in zip(values, probs)),
+            *map("%6d  %12.6g".__mod__, zip(values, probs)),
             "",
             f"mean = {dist.mean():.6g}, sd = {dist.sd():.6g}",
         ],

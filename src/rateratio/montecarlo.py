@@ -90,9 +90,9 @@ class RatioSampleReport:
             "frac_nan": self.frac_nan,
             "frac_inf": self.frac_inf,
             "frac_overflow": self.frac_overflow,
-            "bin_edges": [float(e) for e in self.bin_edges],
-            "counts": [int(c) for c in self.counts],
-            "density": [float(d) for d in self.density],
+            "bin_edges": self.bin_edges.tolist(),
+            "counts": self.counts.tolist(),
+            "density": self.density.tolist(),
         }
 
 
@@ -169,6 +169,11 @@ def _run_ratio_simulation(
     for k, grid in grids:
         if not np.all(np.diff(np.linspace(0.0, cutoff, k + 1)) > 0):  # the edges the tally searches
             raise ValueError(f"cutoff {cutoff!r} is too small for {grid}: their edges must increase")
+    if not math.isfinite(1.0 / (cutoff / bins)):  # the density of a bin that holds every draw
+        raise ValueError(
+            f"cutoff {cutoff!r} over bins = {bins} gives a bin width of {cutoff / bins!r}, "
+            "too narrow for the density to stay in the float range"
+        )
 
     def shard(job) -> tuple:
         stream, size = job
@@ -187,6 +192,13 @@ def _run_ratio_simulation(
     n_nan, n_inf, total, total_sq, n_over, hist, fine = functools.reduce(
         lambda acc, tally: tuple(a + b for a, b in zip(acc, tally)), tallies
     )
+    # inf/inf is NaN: the one ratio that neither a count nor the histogram takes
+    n_undefined = n - n_nan - n_inf - int(hist.sum()) - n_over
+    if n_undefined:
+        raise ValueError(
+            f"{n_undefined} of the {n} draws overflowed the float range in both numerator "
+            "and denominator (inf/inf), so their ratio is undefined"
+        )
     n_finite = n - n_nan - n_inf
     mean = sd = None
     if n_finite and math.isfinite(total):

@@ -52,6 +52,25 @@ class TestPredict:
         assert payload["mean"] == pytest.approx(float(l1) - float(l2), abs=1e-6)
         assert sum(payload["pmf"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "l1,l2,window",
+        [("3", "0.2", []), ("5000", "4000", []), ("1e4", "1e4", []),
+         ("5000", "4000", ["--d-min", "950", "--d-max", "1050"])],
+    )
+    def test_diff_table_rows_match_the_format_spec(self, capsys, l1, l2, window):
+        # the rows go through one "%6d  %12.6g"; they are the bytes of the f-string they replaced
+        argv = ["predict", "diff", "--l1", l1, "--l2", l2, *window]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        expected = [f"{d:>6}  {p:>12.6g}" for d, p in zip(doc["support"], doc["pmf"])]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2] == f"{'d':>6}  {'f(d)':>12}"
+        assert lines[3:-2] == expected
+        assert lines[-2:] == ["", f"mean = {doc['mean']:.6g}, sd = {doc['sd']:.6g}"]
+
     def test_diff_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["predict", "diff", "--l1", "0", "--l2", "1"])
         assert code == 2
@@ -741,6 +760,11 @@ NUMPY_WARNING_INPUTS = [
     "infer --x 0 --T 5.09e-159 --prior-alpha 2.72e+255 --prior-beta 2.8e-297 --format csv",
 ]
 
+BIN_WIDTH_PAST_FLOAT_RANGE = (
+    "mc gamma-ratio --alpha1 0.002 --beta1 1 --alpha2 1 --beta2 1 --cutoff 1e-320 --bins 1000 "
+    "--n 100000 --seed 1"
+)
+
 
 def _reject_constant(name):
     raise ValueError(f"JSON carries {name}")
@@ -799,6 +823,30 @@ class TestEdgeInputs:
         code, out, err = run_cli(capsys, line.split())
         assert code == 3 and out == ""
         assert err.startswith("error: cutoff 2.5e-321 is too small") and "(bins = 150)" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bin_width_past_float_range_exits_3_naming_both(self, capsys, fmt):
+        # hist / (n * 1e-323) once overflowed: NumPy's "overflow encountered in divide" on
+        # stderr, then inf densities in csv (exit 0) or the JSON encoder's text (exit 3)
+        line = BIN_WIDTH_PAST_FLOAT_RANGE + " --format " + fmt
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _exit_code(line.split())
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and caught == []
+        assert err.count("\n") == 1 and err.startswith("error: cutoff 1e-320 over bins = 1000 ")
+        assert "float range" in err
+
+    def test_inf_over_inf_draws_exit_3_with_their_count(self, capsys):
+        # both Gamma draws overflow at scale 1e308, and inf/inf is NaN: once
+        # "mass accounting violated: total 0.974"
+        line = "mc gamma-ratio --alpha1 1 --beta1 1e-308 --alpha2 1 --beta2 1e-308 --n 1000 --seed 1"
+        code, out, err = run_cli(capsys, line.split())
+        assert code == 3 and out == ""
+        assert err == (
+            "error: 26 of the 1000 draws overflowed the float range in both numerator and "
+            "denominator (inf/inf), so their ratio is undefined\n"
+        )
 
     @pytest.mark.parametrize("line", [NUMPY_WARNING_INPUTS[2], NUMPY_WARNING_INPUTS[4]])
     def test_quantile_past_float_range_exits_3_naming_the_range(self, capsys, line):

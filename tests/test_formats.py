@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import platform
 import re
 
 import pytest
@@ -43,6 +44,10 @@ def g(value):
     return f"{value:.6g}"
 
 
+def _reject_constant(name):
+    raise ValueError(f"JSON carries {name}")
+
+
 @pytest.fixture
 def outputs(request, capsys, tmp_path):
     """stdout in each format, after checking that --out writes the same bytes."""
@@ -64,7 +69,15 @@ def outputs(request, capsys, tmp_path):
             assert written == ""
             assert target.read_text() == out
         result[fmt] = out
-    return json.loads(result["json"]), list(csv.DictReader(io.StringIO(result["csv"]))), result["text"]
+    # one strict line with sorted keys, and so are --out and mcmc's .summary.json
+    doc = json.loads(result["json"], parse_constant=_reject_constant)
+    assert result["json"] == json.dumps(doc, sort_keys=True) + "\n"
+    return doc, list(csv.DictReader(io.StringIO(result["csv"]))), result["text"]
+
+
+def test_json_runs_the_c_encoder():
+    # json.dumps without indent runs CPython's C encoder: the JSON renderer's speed rests on it
+    assert platform.python_implementation() != "CPython" or json.encoder.c_make_encoder is not None
 
 
 def column(rows, name):

@@ -210,6 +210,22 @@ class TestTally:
         with pytest.raises(ValueError, match=reason):
             montecarlo._run_ratio_simulation(draw_pair, 10, cutoff, 150, seed=1, workers=1)
 
+    def test_refuses_bin_width_past_float_range_before_any_draw(self):
+        # a bin of width 1e-323 that held every draw would have a density of 1e323
+        def draw_pair(rng, size):
+            raise AssertionError("drew before checking the bin width")
+
+        with pytest.raises(ValueError, match=r"cutoff 1e-320 over bins = 1000 gives a bin width of 1e-323"):
+            montecarlo._run_ratio_simulation(draw_pair, 10, 1e-320, 1000, seed=1, workers=1)
+
+    def test_refuses_inf_over_inf(self):
+        # 0/0 is counted as NaN and inf/2 lies past the cutoff; inf/inf is undefined
+        def draw_pair(rng, size):
+            return np.array([np.inf, np.inf, 1.0, 0.0]), np.array([np.inf, 2.0, 4.0, 0.0])
+
+        with pytest.raises(ValueError, match=re.escape("1 of the 4 draws overflowed the float range")):
+            montecarlo._run_ratio_simulation(draw_pair, 4, 8.0, 10, seed=1, workers=1)
+
     @pytest.mark.parametrize("alpha2,seed,undefined", [(0.01, 1, ["sd"]), (0.002, 3, ["mean", "sd"])])
     def test_sums_past_float_range(self, alpha2, seed, undefined):
         # total**2 once raised OverflowError; a sum of inf once gave sd = max(0, inf - inf) = 0
