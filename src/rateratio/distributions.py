@@ -116,11 +116,21 @@ class SummaryStats:
         variance: float | None,
         undefined: Mapping[str, str] | None = None,
     ) -> "SummaryStats":
+        """The summaries with sd = sqrt(variance); refuses a defined entry that is not finite."""
         undefined = dict(undefined or {})
         sd = math.sqrt(variance) if variance is not None else None
         if variance is None and "variance" in undefined:
             undefined.setdefault("sd", undefined["variance"])
-        return cls(mode=mode, mean=mean, variance=variance, sd=sd, undefined=undefined)
+        stats = cls(mode=mode, mean=mean, variance=variance, sd=sd, undefined=undefined)
+        stats._require_finite()
+        return stats
+
+    def _require_finite(self) -> None:
+        """Raise ValueError naming the first defined entry past the float range (or NaN)."""
+        for name in ("mode", "mean", "variance", "sd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is outside the float range")
 
     def as_dict(self) -> dict:
         """JSON-ready form: undefined entries are null plus a reason.
@@ -128,10 +138,7 @@ class SummaryStats:
         Raises ValueError for an entry past the float range (a Gamma variance
         alpha/beta**2 with beta < 1e-154, say), which JSON cannot carry.
         """
-        for name in ("mode", "mean", "variance", "sd"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} = {value} is outside the float range")
+        self._require_finite()
         return {
             "mode": self.mode,
             "mean": self.mean,
@@ -553,11 +560,11 @@ def _ratio_summaries(
 
     Mean requires den.alpha > 1, variance den.alpha > 2; mode uses the
     0-at-the-boundary convention when num.alpha < 1 (the density is
-    unbounded at 0 there).
+    unbounded at 0 there), and is 0 at num.alpha = 1 whatever the scale.
     """
     a1, a2 = num.alpha, den.alpha
     scale = den.beta / num.beta
-    mode = scale * (a1 - 1.0) / (a2 + 1.0) if a1 >= 1.0 else 0.0
+    mode = scale * (a1 - 1.0) / (a2 + 1.0) if a1 > 1.0 else 0.0
     mean = variance = None
     undefined = {}
     if a2 > 1.0:
@@ -565,7 +572,8 @@ def _ratio_summaries(
     else:
         undefined["mean"] = mean_reason
     if a2 > 2.0:
-        m1, m2 = a1 / (a2 - 1.0), (a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0)
+        # m2 = (a1 + 1)/(a2 - 2) - a1/(a2 - 1), without the difference that cancels at large shapes
+        m1, m2 = a1 / (a2 - 1.0), (a1 + a2 - 1.0) / (a2 - 1.0) / (a2 - 2.0)
         try:
             variance = scale**2 * m1 * m2
         except OverflowError:  # a float ** raises past 1e308, where a float * reads inf

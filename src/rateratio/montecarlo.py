@@ -39,6 +39,10 @@ MODE_BINS = 1000  # fine histogram used only for the mode estimate
 DEFAULT_CUTOFF = 8.0
 DEFAULT_BINS = 150
 
+POISSON_TABLE_CAP = 1 << 14  # alias-table entries; past them a rate is drawn by rng.poisson
+_POISSON_TAIL = 43.0  # each tail outside the table holds < e^-43, so both together < 2^-60
+_ALIAS_CHUNK = 1 << 14  # draws transformed per pass; its temporaries take ~0.27 MiB
+
 
 @dataclass(frozen=True)
 class RatioSampleReport:
@@ -228,6 +232,91 @@ def _run_ratio_simulation(
     )
 
 
+def _poisson_window(lam: float) -> tuple[int, int] | None:
+    """[lo, hi] outside which Pois(lam) puts less than 2^-60, or None past POISSON_TABLE_CAP.
+
+    Bennett's inequality bounds the upper tail, P(X >= lam + t) <=
+    exp(-t^2 / (2 (lam + t/3))), and Chernoff's the lower, P(X <= lam - t) <=
+    exp(-t^2 / (2 lam)); each t sets its bound to e^-_POISSON_TAIL.  The
+    window holds at most down + up + 1 entries, so the cap is checked before
+    any rounding, and lam = inf gets None.
+    """
+    down = math.sqrt(2.0 * _POISSON_TAIL * lam)
+    up = _POISSON_TAIL / 3.0 + math.sqrt(_POISSON_TAIL**2 / 9.0 + 2.0 * _POISSON_TAIL * lam)
+    if not down + up < POISSON_TABLE_CAP:
+        return None
+    return max(0, math.ceil(lam - down)), math.floor(lam + up)
+
+
+def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walker's alias table (q, here, there) of Pois(lam) on lo..hi, built by Vose's O(m) method.
+
+    Column j yields here[j] = lo + j with probability q[j], else its alias
+    there[j].  The pmf is a product of ratios from the mode outward, each
+    term a few ulp from the true one, then normalized: no lgamma, whose
+    absolute error near lgamma(1e5) alone moves the pmf by 1e-10.
+    """
+    here = np.arange(lo, hi + 1, dtype=np.float64)
+    m, mode = here.size, math.floor(lam) - lo
+    pmf = np.empty(m)
+    pmf[mode] = 1.0
+    pmf[mode + 1 :] = np.cumprod(lam / here[mode + 1 :])  # p(k) = p(k - 1) lam / k
+    pmf[:mode] = np.cumprod(here[mode:0:-1] / lam)[::-1]  # p(k - 1) = p(k) k / lam
+    scaled = (pmf * (m / pmf.sum())).tolist()
+    q, alias = [1.0] * m, list(range(m))  # a full column is its own alias
+    small = [j for j, s in enumerate(scaled) if s < 1.0]
+    large = [j for j, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        j, k = small.pop(), large.pop()
+        q[j], alias[j] = scaled[j], k
+        scaled[k] = (scaled[k] + scaled[j]) - 1.0  # keeps more bits than scaled[k] - (1 - scaled[j])
+        (small if scaled[k] < 1.0 else large).append(k)
+    return np.array(q), here, here[alias]
+
+
+def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """draw(rng, size): float64 Pois(lam) counts, through an alias table built here, once.
+
+    A draw takes one uniform u: column = floor(u m), fraction = u m - column,
+    and the count is here[column] if fraction < q[column], else there[column],
+    all written in place in the buffer of uniforms.  A rate whose table would
+    pass POISSON_TABLE_CAP entries (lam above ~7.8e5) is drawn by
+    rng.poisson instead, and its counts are cast to float64 in place.  Counts
+    below 2^53 are exact in float64.
+    """
+    window = _poisson_window(lam)
+    if window is None:
+
+        def draw_poisson(rng: np.random.Generator, size: int) -> np.ndarray:
+            counts = rng.poisson(lam, size)
+            floats = counts.view(np.float64)
+            np.copyto(floats, counts, casting="unsafe")  # in place: no int64 array beside its float copy
+            return floats
+
+        return draw_poisson
+    q, here, there = _alias_table(lam, *window)
+    m, outcomes = q.size, np.column_stack((here, there)).ravel()  # here[j] at 2j, there[j] at 2j + 1
+
+    def draw_alias(rng: np.random.Generator, size: int) -> np.ndarray:
+        values = rng.random(size)
+        chunk = min(size, _ALIAS_CHUNK)
+        column, share, aliased = np.empty(chunk, np.intp), np.empty(chunk), np.empty(chunk, bool)
+        for start in range(0, size, chunk):
+            u = values[start : start + chunk]
+            j, s, a = column[: u.size], share[: u.size], aliased[: u.size]
+            np.multiply(u, m, out=u)
+            np.copyto(j, u, casting="unsafe")  # truncation: floor of u m >= 0
+            np.minimum(j, m - 1, out=j)  # u m < m under round-to-nearest; rounded up, it is m
+            fraction = np.subtract(u, j, out=u)
+            np.greater_equal(fraction, np.take(q, j, out=s), out=a)
+            np.add(j, j, out=j)
+            np.add(j, a, out=j)  # 2 column + aliased: one gather in place of a masked pick
+            np.take(outcomes, j, out=u)
+        return values
+
+    return draw_alias
+
+
 def simulate_count_ratio(
     lambda1: float,
     lambda2: float,
@@ -244,15 +333,10 @@ def simulate_count_ratio(
     """
     if not (lambda1 > 0) or not (lambda2 > 0):
         raise ValueError("lambda1 and lambda2 must be > 0")
-
-    def draw(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-        counts = rng.poisson(lam, size)
-        floats = counts.view(np.float64)
-        np.copyto(floats, counts, casting="unsafe")  # in place: no int64 array beside its float copy
-        return floats
+    draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
 
     def draw_pair(rng: np.random.Generator, size: int):
-        return draw(rng, lambda1, size), draw(rng, lambda2, size)
+        return draw1(rng, size), draw2(rng, size)
 
     return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
 
@@ -312,10 +396,12 @@ def simulate_count_difference(
         raise ValueError("lambda1 and lambda2 must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
     tallies: dict[int, int] = {}
     for stream, size in _shards(int(n), seed):
         rng = np.random.default_rng(stream)
-        diff = rng.poisson(lambda1, size).astype(np.int64) - rng.poisson(lambda2, size)
+        num = draw1(rng, size)
+        diff = np.subtract(num, draw2(rng, size), out=num).astype(np.int64)
         values, counts = np.unique(diff, return_counts=True)
         for value, count in zip(values, counts):
             tallies[int(value)] = tallies.get(int(value), 0) + int(count)

@@ -15,6 +15,7 @@ on rho and r2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -184,13 +185,22 @@ class RatioPosteriorSpec:
 
 @dataclass(frozen=True)
 class RatioPosterior:
-    """A closed-form rho posterior bundled with its summaries.
+    """A closed-form rho posterior and its summaries.
 
     Both models give a Gamma-ratio law, so pdf, cdf and ppf are all exact.
     """
 
     spec: RatioPosteriorSpec
-    summaries: SummaryStats
+
+    def __post_init__(self) -> None:
+        _gamma_pair(self.spec)  # refuses a Model B posterior that does not normalize
+
+    @functools.cached_property
+    def summaries(self) -> SummaryStats:
+        """Mode / mean / sd, made on first use: a density needs none of them, and they may refuse."""
+        if self.spec.model == "A":
+            return model_a_summaries(self.spec.data1, self.spec.data2)
+        return model_b_summaries(self.spec.data1, self.spec.data2, self.spec.prior_r2)
 
     def pdf(self, rho):
         return gamma_ratio_pdf(rho, *_gamma_pair(self.spec))
@@ -208,12 +218,8 @@ class RatioPosterior:
 
 
 def ratio_posterior(spec: RatioPosteriorSpec) -> RatioPosterior:
-    """Bundle the closed-form posterior and its summaries for one spec."""
-    if spec.model == "A":
-        summaries = model_a_summaries(spec.data1, spec.data2)
-    else:
-        summaries = model_b_summaries(spec.data1, spec.data2, spec.prior_r2)
-    return RatioPosterior(spec=spec, summaries=summaries)
+    """The closed-form posterior of one spec."""
+    return RatioPosterior(spec=spec)
 
 
 def combine_ratio_instances(

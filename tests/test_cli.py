@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,14 @@ class TestRatio:
         )
         assert code == 0
         assert "mean = 1.6" in out and "sd = 1.2" in out
+
+    def test_sd_at_huge_counts(self, capsys):
+        # the cancelling second moment printed sd = 1.49012e-08
+        x = 10**16
+        code, out, _ = run_cli(capsys, ["ratio", "--x1", str(x), "--T1", "1", "--x2", str(x), "--T2", "1"])
+        a = Fraction(1.0 + x)  # both shapes, x + 1 in floating point
+        variance = a * (2 * a - 1) / ((a - 1) ** 2 * (a - 2))
+        assert code == 0 and f"  sd = {math.sqrt(variance):.6g}\n" in out and "  sd = 1.41421e-08\n" in out
 
     def test_undefined_moments_rendered(self, capsys):
         code, out, _ = run_cli(
@@ -953,12 +962,25 @@ class TestEdgeInputs:
         assert _exit_code(line.split()) == 3
         assert capsys.readouterr().err == "error: the density leaves the float range on the plot grid\n"
 
-    def test_ratio_variance_past_float_range(self, capsys):
-        # scale**2 once raised OverflowError (exit 1)
-        code, out, _ = run_cli(capsys, RATIO_PAST_FLOAT_RANGE.split())
-        assert code == 0 and "  mean = 8e+199" in out and "  sd = inf" in out
-        assert _exit_code(RATIO_PAST_FLOAT_RANGE.split() + ["--format", "json"]) == 3
-        assert "variance = inf is outside the float range" in capsys.readouterr().err
+    def test_refuses_ratio_variance_past_float_range(self, capsys):
+        # scale**2 once raised OverflowError (exit 1); then text printed sd = inf, for an sd
+        # of 6e199 whose square alone leaves the float range; csv prints the density alone
+        for fmt, code in (("text", 3), ("json", 3), ("csv", 0)):
+            assert _exit_code(RATIO_PAST_FLOAT_RANGE.split() + ["--format", fmt]) == code
+            err = capsys.readouterr().err
+            assert err == ("error: variance = inf is outside the float range\n" if code else "")
+
+    @pytest.mark.parametrize(
+        "fmt,reason",
+        [("text", "mean = inf is outside the float range"), ("json", "mean = inf is outside the float range"),
+         ("csv", "the 0.999 quantile lies past the float range")],
+    )
+    def test_summaries_past_float_range_exit_3_in_every_format(self, capsys, fmt, reason):
+        # b2/b1 overflows: text printed mode = nan (0 * inf) and mean = inf with exit 0, and
+        # json refused the mode; the mode at x1 = 0 is 0, and the mean lies past the float range
+        line = "combine ratio --instance 0,1.2417665396827911e-223,3,7.768788282146709e+285"
+        assert _exit_code(line.split() + ["--format", fmt]) == 3
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -537,22 +539,42 @@ class TestGammaRatioSummaries:
         s = gamma_ratio_summaries(GammaParams(2.0, 1.0), GammaParams(3.0, 2.0))
         assert s.sd == pytest.approx(math.sqrt(s.variance), rel=1e-12)
 
-    def test_variance_past_float_range(self):
-        # scale**2 once raised OverflowError for a rate scale b2/b1 past ~1.3e154
-        s = gamma_ratio_summaries(GammaParams(3.0, 1e-200), GammaParams(5.0, 1.0))
-        assert s.mean == pytest.approx(7.5e199, rel=1e-12)
-        assert s.variance == math.inf and s.sd == math.inf
+    def test_refuses_variance_past_float_range(self):
+        # scale**2 once raised OverflowError for a rate scale b2/b1 past ~1.3e154; then the
+        # variance read inf, and text printed sd = inf for an sd of 6.6e199
+        with pytest.raises(ValueError, match=re.escape("variance = inf is outside the float range")):
+            gamma_ratio_summaries(GammaParams(3.0, 1e-200), GammaParams(5.0, 1.0))
         # (1e160)**2 leaves the float range, but the variance does not
         s = gamma_ratio_summaries(GammaParams(1e-30, 1e-160), GammaParams(1e30, 1.0))
         assert s.variance == pytest.approx(1e230, rel=1e-12)
 
-    def test_variance_keeps_its_bits(self):
+    def test_variance_matches_exact_rational(self):
         rng = np.random.default_rng(8)
         for a1, b1, a2, b2 in rng.uniform(0.1, 30.0, (200, 4)) + [0.0, 0.0, 2.0, 0.0]:
-            scale = b2 / b1
-            expected = scale**2 * (a1 / (a2 - 1.0)) * ((a1 + 1.0) / (a2 - 2.0) - a1 / (a2 - 1.0))
             s = gamma_ratio_summaries(GammaParams(a1, b1), GammaParams(a2, b2))
-            assert s.variance == expected
+            a1, b1, a2, b2 = map(Fraction, (a1, b1, a2, b2))
+            exact = (b2 / b1) ** 2 * a1 * (a1 + a2 - 1) / ((a2 - 1) ** 2 * (a2 - 2))
+            assert s.variance == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x", [10**6, 10**10, 10**16])
+    def test_variance_at_large_shapes(self, x):
+        # (a1 + 1)/(a2 - 2) - a1/(a2 - 1) cancelled: at x = 1e16 the sd read 1.49012e-08, not 1.41421e-08
+        a = 1.0 + x  # Model A's shapes for x1 = x2 = x counts in unit time
+        s = gamma_ratio_summaries(GammaParams(a, 1.0), GammaParams(a, 1.0))
+        exact = Fraction(a) * (2 * Fraction(a) - 1) / ((Fraction(a) - 1) ** 2 * (Fraction(a) - 2))
+        assert s.variance == pytest.approx(float(exact), rel=1e-13, abs=0)
+
+    def test_mode_at_unit_shape_is_zero_at_any_scale(self):
+        # at a scale b2/b1 past the float range the mode once read 0 * inf = nan
+        s = gamma_ratio_summaries(GammaParams(1.0, 1e-10), GammaParams(1.0, 1e300))
+        assert s.mode == 0.0 and s.mean is None and s.variance is None
+
+    @pytest.mark.parametrize("field", ["mode", "mean", "variance"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_from_parts_refuses_non_finite(self, field, value):
+        parts = dict.fromkeys(("mode", "mean", "variance"), 1.0) | {field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} = {value} is outside the float range")):
+            distributions.SummaryStats.from_parts(**parts)
 
 
 class TestBetaPrime:
