@@ -431,16 +431,10 @@ def _cmd_ratio(args) -> None:
         }
 
     def table(fh) -> None:
-        if not args.compare:
-            _write_csv(fh, _curve(posts[args.model], "rho"))
-            return
-        # both densities on one grid, wide enough for the wider of the two
-        hi = max(numeric.pdf_quantile(p, 0.999) for p in posts.values())
-        xs = np.linspace(0.0, hi, 512)
-        densities = {
-            f"density_{m.lower()}": numeric.finite_density(posts[m].pdf(xs)).tolist() for m in models
-        }
-        _write_csv(fh, {"rho": xs.tolist(), **densities})
+        # with --compare, both densities share one grid, wide enough for the wider of the two
+        xs, *densities = numeric.pdf_curve(*posts.values())
+        names = [f"density_{m.lower()}" for m in models] if args.compare else ["density"]
+        _write_csv(fh, {"rho": xs.tolist(), **{n: y.tolist() for n, y in zip(names, densities)}})
 
     def lines() -> list[str]:
         out = [f"data: x1 = {args.x1}, T1 = {args.T1:g}, x2 = {args.x2}, T2 = {args.T2:g}"]
@@ -467,8 +461,7 @@ def _parse_numbers(text: str, count: int, label: str) -> list[float]:
         raise UsageError(f"{label}: {exc} in {text!r}") from None
 
 
-def _parse_observation(text: str, label: str) -> CountObservation:
-    x, t = _parse_numbers(text, 2, label)
+def _observation(x: float, t: float, label: str) -> CountObservation:
     if x < 0 or x != int(x):
         raise UsageError(f"{label}: counts must be a non-negative integer, got {x}")
     if t <= 0:
@@ -478,9 +471,10 @@ def _parse_observation(text: str, label: str) -> CountObservation:
 
 def _cmd_combine_rate(args) -> None:
     prior = _prior_from_args(args)
-    observations = [
-        _parse_observation(text, f"--obs[{i}]") for i, text in enumerate(args.obs)
-    ]
+    observations = []
+    for i, text in enumerate(args.obs):
+        label = f"--obs[{i}]"
+        observations.append(_observation(*_parse_numbers(text, 2, label), label))
     pooled = combine_observations(prior, observations)
     per_obs = [update_rate(prior, o) for o in observations] if args.per_observation else []
 
@@ -505,8 +499,7 @@ def _cmd_combine_rate(args) -> None:
         rows = []
         for label, params in [("pooled", pooled)] + [(f"obs{i + 1}", p) for i, p in enumerate(per_obs)]:
             s = gamma_summaries(params)
-            cells = ["" if v is None else v for v in (s.mode, s.mean, s.sd)]
-            rows.append((label, params.alpha, params.beta, *cells))
+            rows.append((label, params.alpha, params.beta, s.mode, s.mean, s.sd))
         _write_csv(fh, dict(zip(("label", "alpha", "beta", "mode", "mean", "sd"), zip(*rows))))
 
     def lines() -> list[str]:
@@ -530,13 +523,9 @@ def _cmd_combine_ratio(args) -> None:
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
     instances = []
     for i, text in enumerate(args.instance):
-        x1, t1, x2, t2 = _parse_numbers(text, 4, f"--instance[{i}]")
         label = f"--instance[{i}]"
-        if x1 < 0 or x1 != int(x1) or x2 < 0 or x2 != int(x2):
-            raise UsageError(f"{label}: counts must be non-negative integers")
-        if t1 <= 0 or t2 <= 0:
-            raise UsageError(f"{label}: times must be > 0")
-        instances.append((CountObservation(int(x1), t1), CountObservation(int(x2), t2)))
+        x1, t1, x2, t2 = _parse_numbers(text, 4, label)
+        instances.append((_observation(x1, t1, label), _observation(x2, t2, label)))
     post = combine_ratio_instances(instances, prior_r2)
     pooled1, pooled2 = post.spec.data1, post.spec.data2
     _emit(

@@ -43,7 +43,6 @@ limit instead.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import sys
@@ -837,7 +836,7 @@ def chain_to_csv(chain: Chain, fileobj) -> None:
     to the same float.
     """
     names = list(chain.monitored)
-    csv.writer(fileobj, lineterminator="\n").writerow(["iteration"] + names)
+    fileobj.write(",".join(["iteration"] + names) + "\n")
     columns = [memoryview(np.ascontiguousarray(chain.monitored[name], dtype=float)) for name in names]
     row = "%d" + ",%r" * len(columns) + "\n"
     fileobj.writelines(row % values for values in zip(range(1, chain.n_iter + 1), *columns))

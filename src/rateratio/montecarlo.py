@@ -10,7 +10,6 @@ shards — and merged reports are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -102,10 +101,9 @@ class RatioSampleReport:
 
 def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
     """Histogram rows as (bin_left, bin_right, density)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "density"])
-    for left, right, dens in zip(report.bin_edges[:-1], report.bin_edges[1:], report.density):
-        writer.writerow([repr(float(left)), repr(float(right)), repr(float(dens))])
+    edges = report.bin_edges.tolist()
+    fileobj.write(",".join(["bin_left", "bin_right", "density"]) + "\n")
+    fileobj.writelines("%r,%r,%r\n" % row for row in zip(edges[:-1], edges[1:], report.density.tolist()))
 
 
 def _usable_cpus() -> int:

@@ -10,7 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
-__all__ = ["pdf_cdf", "pdf_quantile", "pdf_curve", "finite_density"]
+__all__ = ["pdf_cdf", "pdf_quantile", "pdf_curve"]
+
+N_POINTS = 512  # points on every plot grid
+Q_HI = 0.999  # a plot grid ends at the largest of its laws' Q_HI quantiles
+TOL = 1e-6  # how far, in probability, a quantile's CDF may miss its level
 
 
 def pdf_cdf(law, x):
@@ -18,8 +22,8 @@ def pdf_cdf(law, x):
     return law.cdf(x)
 
 
-def pdf_quantile(law, q: float, tol: float = 1e-6) -> float:
-    """Quantile of the law at probability q, checked to `tol` in probability.
+def pdf_quantile(law, q: float) -> float:
+    """Quantile of the law at probability q, checked to TOL in probability.
 
     A quantile past the float range (ppf reads inf) is refused with its own reason.
     """
@@ -28,29 +32,23 @@ def pdf_quantile(law, q: float, tol: float = 1e-6) -> float:
     root = float(law.ppf(q))
     if np.isinf(root):
         raise ValueError(f"the {q:g} quantile lies past the float range")
-    if not abs(pdf_cdf(law, root) - q) <= tol:  # "not <=" also rejects a NaN root
-        raise ValueError(f"quantile inversion did not reach tolerance {tol}")
+    if not abs(pdf_cdf(law, root) - q) <= TOL:  # "not <=" also rejects a NaN root
+        raise ValueError(f"quantile inversion did not reach tolerance {TOL}")
     return root
 
 
-def pdf_curve(law, n_points: int = 512, q_hi: float = 0.999) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the law's density on an even grid over [0, quantile(q_hi)].
+def pdf_curve(*laws) -> tuple[np.ndarray, ...]:
+    """Sample the laws' densities on one even grid over [0, the largest Q_HI quantile].
 
-    Returns (x, f(x)) arrays of length n_points, plot-ready.
+    Returns (x, f_1(x), ..., f_k(x)), arrays of length N_POINTS, plot-ready.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    xs = np.linspace(0.0, pdf_quantile(law, q_hi), int(n_points))
-    ys = law.pdf(xs)
-    if not np.isfinite(ys[0]):
-        # density with a pole at 0: nudge the first grid point off the origin
+    xs = np.linspace(0.0, max(pdf_quantile(law, Q_HI) for law in laws), N_POINTS)
+    ys = [law.pdf(xs) for law in laws]
+    if not all(np.isfinite(y[0]) for y in ys):
+        # a density with a pole at 0: nudge the first grid point off the origin
         xs[0] = xs[1] / 2.0
-        ys[0] = law.pdf(xs[0])
-    return xs, finite_density(ys)
-
-
-def finite_density(ys: np.ndarray) -> np.ndarray:
-    """The density values ys of a plot grid, refused where one leaves the float range."""
-    if not np.isfinite(ys).all():
+        for law, y in zip(laws, ys):
+            y[0] = law.pdf(xs[0])
+    if not all(np.isfinite(y).all() for y in ys):
         raise ValueError("the density leaves the float range on the plot grid")
-    return ys
+    return (xs, *ys)

@@ -236,6 +236,15 @@ class TestCombine:
         code, _, err = run_cli(capsys, ["combine", "rate", "--obs", "3"])
         assert code == 2 and "--obs[0]" in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        ("combine ratio --instance 3,3,2.5,6", "--instance[0]: counts must be a non-negative integer, got 2.5"),
+        ("combine ratio --instance 3,3,6,6 --instance 1,0,2,2", "--instance[1]: time must be > 0, got 0.0"),
+        ("combine rate --obs 2.5,6", "--obs[0]: counts must be a non-negative integer, got 2.5"),
+    ])
+    def test_instance_and_obs_share_one_count_time_rule(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
     def test_ratio_combination_pools_totals(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -70,8 +70,8 @@ class TestPdfCurve:
         post = ratio_posterior(
             RatioPosteriorSpec("B", CountObservation(3, 3.0), CountObservation(6, 6.0))
         )
-        xs, ys = numeric.pdf_curve(post, n_points=64)
-        assert xs.shape == (64,) and ys.shape == (64,)
+        xs, ys = numeric.pdf_curve(post)
+        assert xs.shape == (512,) and ys.shape == (512,)
         assert xs[-1] == post.ppf(0.999)
         np.testing.assert_array_equal(ys, post.pdf(xs))
 
@@ -83,6 +83,48 @@ class TestPdfCurve:
         assert np.all(np.isfinite(ys))
         assert xs[0] == xs[1] / 2.0
         assert ys[0] == p.pdf(xs[0])
+
+    def test_laws_share_one_grid(self):
+        # the grid ends at the larger of the two 0.999 quantiles, whichever law comes first
+        narrow, wide = GammaParams(4.0, 3.0), GammaParams(2.0, 0.5)
+        for laws in ((narrow, wide), (wide, narrow)):
+            xs, *ys = numeric.pdf_curve(*laws)
+            assert len(ys) == 2
+            np.testing.assert_array_equal(xs, numeric.pdf_curve(wide)[0])
+            for law, y in zip(laws, ys):
+                np.testing.assert_array_equal(y, law.pdf(xs))
+
+    def test_pole_in_one_law_moves_every_first_point(self):
+        smooth, pole = GammaParams(4.0, 3.0), GammaParams(0.5, 1.0)
+        xs, ys_smooth, ys_pole = numeric.pdf_curve(smooth, pole)
+        assert xs[0] == xs[1] / 2.0
+        assert ys_smooth[0] == smooth.pdf(xs[0]) and ys_pole[0] == pole.pdf(xs[0])
+        assert np.all(np.isfinite(ys_smooth)) and np.all(np.isfinite(ys_pole))
+
+    def test_refuses_density_past_float_range_in_any_law(self):
+        class Overflowing:
+            """Gamma(4, 3)'s quantiles, with a density that reads inf past 1."""
+
+            def cdf(self, x):
+                return GammaParams(4.0, 3.0).cdf(x)
+
+            def ppf(self, q):
+                return GammaParams(4.0, 3.0).ppf(q)
+
+            def pdf(self, x):
+                return np.where(x > 1.0, np.inf, 1.0)
+
+        # rho's scale T2 / T1 is 1e-320: the density's peak lies past the float range
+        data = (CountObservation(3, 1e160), CountObservation(3, 1e-160))
+        both = [ratio_posterior(RatioPosteriorSpec(m, *data)) for m in ("A", "B")]
+        fine = GammaParams(4.0, 3.0)
+        for args in (both[:1], both, [fine, Overflowing()], [Overflowing(), fine]):
+            with pytest.raises(ValueError, match=r"^the density leaves the float range on the plot grid$"):
+                numeric.pdf_curve(*args)
+
+    def test_exports_no_second_density_check(self):
+        # every plotted density goes through pdf_curve's one finiteness check
+        assert numeric.__all__ == ["pdf_cdf", "pdf_quantile", "pdf_curve"]
 
 
 def test_cli_import_skips_quadrature_and_root_finding():

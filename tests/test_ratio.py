@@ -219,3 +219,54 @@ class TestRatioPosterior:
     def test_combine_requires_instances(self):
         with pytest.raises(ValueError):
             combine_ratio_instances([], FLAT_PRIOR)
+
+
+def paper_logpdf(rho, model, x1, t1, x2, t2, alpha0=1.0, beta0=0.0):
+    """log f(rho) as the paper writes it; alpha0 = 1, beta0 = 0 is the flat prior on r2.
+
+    Model A: (x1+x2+1)!/(x1! x2!) T1^(x1+1) T2^(x2+1) rho^x1 (T2 + T1 rho)^-(x1+x2+2).
+    Model B: T1^(x1+1) (beta0+T2)^(alpha0+x2-1) / B(x1+1, alpha0+x2-1)
+             * rho^x1 (beta0 + T2 + T1 rho)^-(alpha0+x1+x2).
+    """
+    rho_term = x1 * math.log(rho) if x1 else 0.0  # rho^0 = 1, also at rho = 0
+    if model == "A":
+        return (
+            math.lgamma(x1 + x2 + 2) - math.lgamma(x1 + 1) - math.lgamma(x2 + 1)
+            + (x1 + 1) * math.log(t1) + (x2 + 1) * math.log(t2)
+            + rho_term - (x1 + x2 + 2) * math.log(t2 + t1 * rho)
+        )
+    a2 = alpha0 + x2 - 1
+    return (
+        math.lgamma(x1 + 1 + a2) - math.lgamma(x1 + 1) - math.lgamma(a2)
+        + (x1 + 1) * math.log(t1) + a2 * math.log(beta0 + t2)
+        + rho_term - (alpha0 + x1 + x2) * math.log(beta0 + t2 + t1 * rho)
+    )
+
+
+class TestRatioPosteriorLogpdf:
+    CASES = [
+        ("A", (3, 3.0, 6, 6.0), FLAT_PRIOR),
+        ("A", (0, 2.5, 4, 1.5), FLAT_PRIOR),
+        ("B", (3, 3.0, 6, 6.0), FLAT_PRIOR),
+        ("B", (0, 2.5, 4, 1.5), FLAT_PRIOR),
+        ("B", (7, 0.5, 2, 4.0), GammaParams(2.5, 1.5)),
+        ("B", (0, 1.0, 1, 2.0), GammaParams(3.0, 0.25)),
+    ]
+    RHOS = [0.0, 1e-3, 0.4, 1.0, 2.5, 30.0]
+
+    @pytest.mark.parametrize("model,data,prior", CASES)
+    def test_matches_paper_density(self, model, data, prior):
+        x1, t1, x2, t2 = data
+        post = ratio_posterior(RatioPosteriorSpec(
+            model, CountObservation(x1, t1), CountObservation(x2, t2), prior))
+        # at rho = 0 only x1 = 0 has a finite log density: a1 = 1 takes its own branch
+        rhos = self.RHOS if x1 == 0 else self.RHOS[1:]
+        for rho in rhos:
+            want = paper_logpdf(rho, model, x1, t1, x2, t2, prior.alpha, prior.beta)
+            assert math.isclose(post.logpdf(rho), want, rel_tol=1e-12, abs_tol=1e-12), rho
+        got = post.logpdf(np.array(rhos))
+        assert np.allclose(np.exp(got), post.pdf(np.array(rhos)), rtol=1e-12, atol=0.0)
+
+    def test_origin_with_counts_is_minus_infinity(self):
+        post = ratio_posterior(RatioPosteriorSpec("A", CountObservation(3, 3.0), CountObservation(6, 6.0)))
+        assert post.logpdf(0.0) == -math.inf and post.pdf(0.0) == 0.0
