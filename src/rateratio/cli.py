@@ -3,7 +3,8 @@
 Subcommands: predict, infer, ratio, combine, mc, mcmc.  Global flags on every
 subcommand: --seed, --format {json,csv,text}, --out.  Exit codes: 0 success,
 2 usage error (bad flags, precondition violations, malformed spec files),
-3 numeric/domain error raised during computation.  A command that draws random
+3 numeric/domain error raised during computation; a stdout pipe closed by
+its reader ends the command quietly with 0.  A command that draws random
 numbers and was given no --seed draws one and writes it to stderr, so the run
 can be replayed.
 """
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -73,6 +75,10 @@ def main(argv=None) -> int:
         print(f"rateratio: seed = {args.seed}", file=sys.stderr)
     try:
         args.handler(args)
+        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
+    except BrokenPipeError:  # the reader has what it wanted; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,7 +99,8 @@ class SummaryStats:
 
     A None entry is a legitimate regime, not an error; `undefined` maps the
     field name to the violated condition (e.g. "requires x2 > 1").
-    sd is defined iff variance is defined, and equals sqrt(variance).
+    sd equals sqrt(variance) where both are defined; sd is defined iff variance
+    is, except that a variance past the float range beside a finite sd is None.
     """
 
     mode: float | None
@@ -135,8 +136,8 @@ class SummaryStats:
     def as_dict(self) -> dict:
         """JSON-ready form: undefined entries are null plus a reason.
 
-        Raises ValueError for an entry past the float range (a Gamma variance
-        alpha/beta**2 with beta < 1e-154, say), which JSON cannot carry.
+        Raises ValueError for an entry past the float range, which JSON
+        cannot carry.
         """
         self._require_finite()
         return {
@@ -432,8 +433,10 @@ def gamma_summaries(p: GammaParams) -> SummaryStats:
     """Mean alpha/beta, sd sqrt(alpha)/beta, mode (alpha-1)/beta for alpha >= 1 else 0."""
     p.require_proper()
     mode = (p.alpha - 1.0) / p.beta if p.alpha >= 1.0 else 0.0
-    sd = math.sqrt(p.alpha) / p.beta  # beta**2 leaves the float range for beta < 1e-154 or > 1e154
-    return SummaryStats(mode=mode, mean=p.alpha / p.beta, variance=sd * sd, sd=sd)
+    sd = math.sqrt(p.alpha) / p.beta
+    variance = sd * sd  # past the float range for sd > ~1.3e154, where sd itself is still an answer
+    undefined = {"variance": "past the float range"} if math.isinf(variance) else {}
+    return SummaryStats(mode, p.alpha / p.beta, None if undefined else variance, sd, undefined)
 
 
 def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:

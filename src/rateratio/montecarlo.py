@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -107,7 +108,7 @@ def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; more threads buy no speed, and each holds a shard's arrays."""
+    """CPUs this process may run on; more threads buy no speed, and each holds a pair of shard buffers."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -129,14 +130,16 @@ def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
     """
     zero_den = den == 0
     n_zero = int(np.count_nonzero(zero_den))
-    n_nan = int(np.count_nonzero(num[zero_den] == 0)) if n_zero else 0  # 0/0; the rest are k/0
+    n_nan = int(np.count_nonzero((num == 0) & zero_den)) if n_zero else 0  # 0/0; the rest are k/0
     # ratios and squares past the float range are inf; the report says what that means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = np.divide(num, den, out=num)
-        if n_zero:
-            values = values[~zero_den]
+        values, spare = np.divide(num, den, out=num), den
+        if n_zero:  # the finite ratios, compacted into den; num takes their squares
+            # take, not compress: compress (mode "raise") buffers its out in a second copy
+            kept = np.flatnonzero(den)
+            values, spare = np.take(values, kept, out=den[: kept.size], mode="clip"), num
         total = float(values.sum())
-        total_sq = float(np.square(values, out=den[: values.size]).sum())
+        total_sq = float(np.square(values, out=spare[: values.size]).sum())
     values.sort()
     # a NaN ratio (inf/inf) sorts last, and no count takes it, as np.histogram counts none
     top, end = np.searchsorted(values, (cutoff, np.inf), side="right")
@@ -152,20 +155,25 @@ def _bin_counts(values: np.ndarray, cutoff: float, bins: int, top: int) -> np.nd
 
 
 def _run_ratio_simulation(
-    draw_pair: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
+    draw_pair: Callable[[np.random.Generator, np.ndarray, np.ndarray], None],
     n: int,
     cutoff: float,
     bins: int,
     seed: int,
     workers: int,
 ) -> RatioSampleReport:
-    """Draw (numerator, denominator) pairs shard by shard and tally the ratio."""
+    """Tally num/den shard by shard; draw_pair(rng, num, den) fills the two float64 arrays in place.
+
+    Each thread owns one pair of buffers, sized to the largest shard; a shard takes a free pair.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not (cutoff > 0):
         raise ValueError("cutoff must be > 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n, bins, cutoff = int(n), int(bins), float(cutoff)
     grids = ((bins, f"{bins} bins"), (MODE_BINS, f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})"))
     for k, grid in grids:
@@ -177,13 +185,22 @@ def _run_ratio_simulation(
             "too narrow for the density to stay in the float range"
         )
 
-    def shard(job) -> tuple:
-        stream, size = job
-        # tally here, in the worker, so no shard's draws outlive it
-        return _tally(*draw_pair(np.random.default_rng(stream), size), cutoff, bins)
-
     jobs = _shards(n, seed)
     threads = min(workers, len(jobs), _usable_cpus())
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put((np.empty(min(n, SHARD_SIZE)), np.empty(min(n, SHARD_SIZE))))
+
+    def shard(job) -> tuple:
+        stream, size = job
+        num, den = buffers.get()
+        try:
+            # tally here, in the worker, before the pair serves the next shard
+            draw_pair(np.random.default_rng(stream), num[:size], den[:size])
+            return _tally(num[:size], den[:size], cutoff, bins)
+        finally:
+            buffers.put((num, den))
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(shard, jobs))
@@ -272,35 +289,32 @@ def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, 
     return np.array(q), here, here[alias]
 
 
-def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """draw(rng, size): float64 Pois(lam) counts, through an alias table built here, once.
+def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, np.ndarray], None]:
+    """draw(rng, out): fill float64 out with Pois(lam) counts, through an alias table built here, once.
 
     A draw takes one uniform u: column = floor(u m), fraction = u m - column,
     and the count is here[column] if fraction < q[column], else there[column],
-    all written in place in the buffer of uniforms.  A rate whose table would
-    pass POISSON_TABLE_CAP entries (lam above ~7.8e5) is drawn by
-    rng.poisson instead, and its counts are cast to float64 in place.  Counts
-    below 2^53 are exact in float64.
+    all written in place in out, which first holds the uniforms.  A rate whose
+    table would pass POISSON_TABLE_CAP entries (lam above ~7.8e5) is drawn by
+    rng.poisson instead, and its counts are cast into out.  Counts below 2^53
+    are exact in float64.
     """
     window = _poisson_window(lam)
     if window is None:
 
-        def draw_poisson(rng: np.random.Generator, size: int) -> np.ndarray:
-            counts = rng.poisson(lam, size)
-            floats = counts.view(np.float64)
-            np.copyto(floats, counts, casting="unsafe")  # in place: no int64 array beside its float copy
-            return floats
+        def draw_poisson(rng: np.random.Generator, out: np.ndarray) -> None:
+            np.copyto(out, rng.poisson(lam, out.size), casting="unsafe")
 
         return draw_poisson
     q, here, there = _alias_table(lam, *window)
     m, outcomes = q.size, np.column_stack((here, there)).ravel()  # here[j] at 2j, there[j] at 2j + 1
 
-    def draw_alias(rng: np.random.Generator, size: int) -> np.ndarray:
-        values = rng.random(size)
-        chunk = min(size, _ALIAS_CHUNK)
+    def draw_alias(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out)
+        chunk = min(out.size, _ALIAS_CHUNK)
         column, share, aliased = np.empty(chunk, np.intp), np.empty(chunk), np.empty(chunk, bool)
-        for start in range(0, size, chunk):
-            u = values[start : start + chunk]
+        for start in range(0, out.size, chunk):
+            u = out[start : start + chunk]
             j, s, a = column[: u.size], share[: u.size], aliased[: u.size]
             np.multiply(u, m, out=u)
             np.copyto(j, u, casting="unsafe")  # truncation: floor of u m >= 0
@@ -310,7 +324,6 @@ def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, int], np.ndarr
             np.add(j, j, out=j)
             np.add(j, a, out=j)  # 2 column + aliased: one gather in place of a masked pick
             np.take(outcomes, j, out=u)
-        return values
 
     return draw_alias
 
@@ -333,8 +346,9 @@ def simulate_count_ratio(
         raise ValueError("lambda1 and lambda2 must be > 0")
     draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
 
-    def draw_pair(rng: np.random.Generator, size: int):
-        return draw1(rng, size), draw2(rng, size)
+    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
+        draw1(rng, num)
+        draw2(rng, den)
 
     return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
 
@@ -352,11 +366,12 @@ def simulate_gamma_ratio(
     p1.require_proper()
     p2.require_proper()
 
-    def draw_pair(rng: np.random.Generator, size: int):
-        return (
-            rng.gamma(p1.alpha, 1.0 / p1.beta, size),
-            rng.gamma(p2.alpha, 1.0 / p2.beta, size),
-        )
+    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
+        # rng.gamma(alpha, 1 / beta, size)'s draws: it scales standard_gamma's, and overflows quietly
+        for p, out in ((p1, num), (p2, den)):
+            rng.standard_gamma(p.alpha, out=out)
+            with np.errstate(over="ignore"):
+                out *= 1.0 / p.beta
 
     return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
 
@@ -377,8 +392,11 @@ def simulate_uniform_ratio(
     if not (r_max > 0):
         raise ValueError("r_max must be > 0")
 
-    def draw_pair(rng: np.random.Generator, size: int):
-        return rng.uniform(0.0, r_max, size), rng.uniform(0.0, r_max, size)
+    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
+        # the draws of rng.uniform(0, r_max, size), which is 0 + r_max * random()
+        for out in (num, den):
+            rng.random(out=out)
+            out *= r_max
 
     return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
 
@@ -395,11 +413,15 @@ def simulate_count_difference(
     if n < 1:
         raise ValueError("n must be >= 1")
     draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
+    num_buffer, den_buffer = np.empty(min(n, SHARD_SIZE)), np.empty(min(n, SHARD_SIZE))
     tallies: dict[int, int] = {}
     for stream, size in _shards(int(n), seed):
         rng = np.random.default_rng(stream)
-        num = draw1(rng, size)
-        diff = np.subtract(num, draw2(rng, size), out=num).astype(np.int64)
+        num, den = num_buffer[:size], den_buffer[:size]
+        draw1(rng, num)
+        draw2(rng, den)
+        diff = np.subtract(num, den, out=num).view(np.int64)
+        np.copyto(diff, num, casting="unsafe")  # in place: the differences are whole floats
         values, counts = np.unique(diff, return_counts=True)
         for value, count in zip(values, counts):
             tallies[int(value)] = tallies.get(int(value), 0) + int(count)

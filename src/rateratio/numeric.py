@@ -25,13 +25,15 @@ def pdf_cdf(law, x):
 def pdf_quantile(law, q: float) -> float:
     """Quantile of the law at probability q, checked to TOL in probability.
 
-    A quantile past the float range (ppf reads inf) is refused with its own reason.
+    A quantile past the float range (ppf: inf) or below it (ppf: 0) is refused with its own reason.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1), got {q}")
     root = float(law.ppf(q))
     if np.isinf(root):
         raise ValueError(f"the {q:g} quantile lies past the float range")
+    if root == 0.0:
+        raise ValueError(f"the {q:g} quantile lies below the smallest positive float")
     if not abs(pdf_cdf(law, root) - q) <= TOL:  # "not <=" also rejects a NaN root
         raise ValueError(f"quantile inversion did not reach tolerance {TOL}")
     return root

@@ -965,6 +965,29 @@ class TestEdgeInputs:
         )
         assert proc.returncode == 0 and proc.stderr == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_quantile_below_smallest_float_exits_3_naming_it(self, capsys, fmt):
+        # Gamma(1e-300, 2)'s 0.999 quantile reads 0.0: once "quantile inversion did not
+        # reach tolerance 1e-06", which blamed the inversion
+        line = "infer --x 0 --T 1 --prior-alpha 1e-300 --prior-beta 1 --format " + fmt
+        assert _exit_code(line.split()) == 3
+        assert capsys.readouterr().err == "error: the 0.999 quantile lies below the smallest positive float\n"
+
+    @pytest.mark.parametrize("line", ["infer --x 0 --T 1e-300", "combine rate --obs 0,1e-300"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_variance_past_float_range_beside_finite_sd(self, capsys, line, fmt):
+        # sd = 1e300 is finite, its square is not: once exit 0 in text and csv, 3 in json
+        code, out, err = run_cli(capsys, line.split() + ["--format", fmt])
+        assert code == 0 and err == ""
+        if fmt == "text":
+            assert "sd = 1e+300" in out.splitlines()
+        elif fmt == "csv" and line.startswith("combine"):
+            assert out.splitlines()[1].endswith(",9.999999999999999e+299")  # the pooled row's sd
+        elif fmt == "json":
+            summaries = json.loads(out)["summaries"]
+            assert summaries["variance"] is None and summaries["sd"] == pytest.approx(1e300, rel=1e-15)
+            assert summaries["undefined"] == {"variance": "past the float range"}
+
     def test_compare_table_density_past_float_range_exits_3(self, capsys):
         # the shared grid once skipped pdf_curve's check: 511 rows of inf, exit 0
         line = "ratio --x1 3 --T1 1e160 --x2 3 --T2 1e-160 --compare --format csv"
@@ -993,6 +1016,23 @@ class TestEdgeInputs:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("line", [
+        "infer --x 0 --T 1 --prior-alpha 0.05 --prior-beta 1 --format csv",
+        # ~250 kB of csv, more than a pipe holds: a write meets the closed pipe
+        "mc gamma-ratio --alpha1 4 --beta1 3 --alpha2 7 --beta2 6 --n 2000000 --bins 5000 --seed 1 --format csv",
+    ])
+    def test_closed_stdout_pipe_ends_quietly(self, line):
+        # once exit 1 and a BrokenPipeError traceback, as under `| head -1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rateratio", *line.split()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        assert proc.stdout.readline().endswith(b",density\n")  # the header
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rateratio", "--help"],

@@ -432,6 +432,13 @@ class TestGammaSummaries:
         assert s.mean == pytest.approx(alpha / beta, rel=1e-15)
         assert s.sd == pytest.approx(math.sqrt(alpha) / beta, rel=1e-15)
 
+    def test_variance_past_float_range_beside_finite_sd(self):
+        # sd * sd once read inf, which JSON refused (exit 3) where text printed the sd
+        s = gamma_summaries(GammaParams(1.0, 1e-300))
+        assert s.sd == pytest.approx(1e300, rel=1e-15) and s.variance is None
+        assert s.undefined == {"variance": "past the float range"}
+        assert s.as_dict()["variance"] is None
+
 
 class TestGammaSample:
     def test_moments(self):

@@ -124,6 +124,31 @@ class TestWorkerPool:
         assert report.as_dict() == simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=1).as_dict()
 
 
+class TestShardBuffers:
+    """Each thread owns one pair of float64 buffers, sized to the largest shard and reused."""
+
+    @pytest.mark.parametrize("workers,pairs", [(1, {1}), (2, {1, 2})])
+    def test_shards_reuse_one_pair_per_thread(self, monkeypatch, workers, pairs):
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
+        seen = []
+
+        def draw_pair(rng, num, den):
+            assert num.dtype == den.dtype == np.float64 and num.size == den.size
+            seen.append((num, den))  # kept alive, so a fresh array could not reuse a freed address
+            num[:], den[:] = rng.random(num.size), 1.0
+
+        montecarlo._run_ratio_simulation(draw_pair, 4500, 1.0, 10, seed=1, workers=workers)  # five shards
+        assert sorted(num.size for num, _ in seen) == [500, 1000, 1000, 1000, 1000]
+        buffers = {(num.ctypes.data, den.ctypes.data) for num, den in seen}
+        assert len(buffers) in pairs and len({a for pair in buffers for a in pair}) == 2 * len(buffers)
+
+    def test_refuses_no_workers(self):
+        # with no thread there would be no buffer for a shard to take
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_uniform_ratio(1.0, 10, workers=0)
+
+
 def parent_tally(num, den, cutoff, bins):
     """The mask-and-copy shard body that `montecarlo._tally` replaced: the byte reference."""
     zero_den = den == 0
@@ -203,7 +228,7 @@ class TestTally:
     )
     def test_refuses_bin_grid_before_any_draw(self, cutoff, grid):
         # once NumPy's "Cannot create 1000 finite-sized bins", after a whole shard was drawn
-        def draw_pair(rng, size):
+        def draw_pair(rng, num, den):
             raise AssertionError("drew before checking the bin grid")
 
         reason = re.escape(f"cutoff {cutoff!r} is too small for ") + ".*" + re.escape(grid)
@@ -212,7 +237,7 @@ class TestTally:
 
     def test_refuses_bin_width_past_float_range_before_any_draw(self):
         # a bin of width 1e-323 that held every draw would have a density of 1e323
-        def draw_pair(rng, size):
+        def draw_pair(rng, num, den):
             raise AssertionError("drew before checking the bin width")
 
         with pytest.raises(ValueError, match=r"cutoff 1e-320 over bins = 1000 gives a bin width of 1e-323"):
@@ -220,8 +245,8 @@ class TestTally:
 
     def test_refuses_inf_over_inf(self):
         # 0/0 is counted as NaN and inf/2 lies past the cutoff; inf/inf is undefined
-        def draw_pair(rng, size):
-            return np.array([np.inf, np.inf, 1.0, 0.0]), np.array([np.inf, 2.0, 4.0, 0.0])
+        def draw_pair(rng, num, den):
+            num[:], den[:] = [np.inf, np.inf, 1.0, 0.0], [np.inf, 2.0, 4.0, 0.0]
 
         with pytest.raises(ValueError, match=re.escape("1 of the 4 draws overflowed the float range")):
             montecarlo._run_ratio_simulation(draw_pair, 4, 8.0, 10, seed=1, workers=1)
@@ -269,6 +294,13 @@ def table_cap_rates():
 TABLE_RATES = [1e-300, 0.05, 3.0, 9.99, 10.0, 30.0, 1e3, 1e5, "cap"]
 
 
+def draw_poisson(lam, rng, n):
+    """n counts from `montecarlo._poisson_drawer(lam)`, drawn into a fresh float64 array."""
+    out = np.full(n, np.nan)
+    montecarlo._poisson_drawer(lam)(rng, out)
+    return out
+
+
 def rate(lam):
     """lam itself, or for "cap" and "past cap" the largest tabled rate and the next float up."""
     return table_cap_rates()[lam == "past cap"] if isinstance(lam, str) else lam
@@ -304,7 +336,7 @@ class TestPoissonDrawer:
     @pytest.mark.parametrize("lam", [0.05, 10.0, 1e3, "past cap"])
     def test_chi_square(self, lam):
         lam, n = rate(lam), 1_000_000
-        draws = montecarlo._poisson_drawer(lam)(np.random.default_rng(17), n)
+        draws = draw_poisson(lam, np.random.default_rng(17), n)
         assert draws.dtype == np.float64 and np.array_equal(draws, np.floor(draws))
         # bins of about 1 % each between the 1e-4 quantiles; bin i holds edges[i - 1] < k <= edges[i]
         levels = np.concatenate([[1e-4], np.linspace(0.01, 0.99, 99), [1 - 1e-4]])
@@ -318,16 +350,96 @@ class TestPoissonDrawer:
         # random() returns at most 1 - 2^-53, and u m then rounds below m; u = 1 stands for
         # a product rounded up to m, which would index one past the table
         class TopOfRange:  # no poisson method: below the cap nothing may call it
-            def random(self, size):
-                return np.full(size, u)
+            def random(self, out):
+                out[:] = u
 
         q, here, there = montecarlo._alias_table(10.0, *montecarlo._poisson_window(10.0))
-        assert set(montecarlo._poisson_drawer(10.0)(TopOfRange(), 3)) <= {here[-1], there[-1]}
+        assert set(draw_poisson(10.0, TopOfRange(), 3)) <= {here[-1], there[-1]}
 
     def test_chunks_do_not_change_draws(self, monkeypatch):
-        draws = montecarlo._poisson_drawer(10.0)(np.random.default_rng(3), 100_003)
+        draws = draw_poisson(10.0, np.random.default_rng(3), 100_003)
         monkeypatch.setattr(montecarlo, "_ALIAS_CHUNK", 7)
-        assert np.array_equal(montecarlo._poisson_drawer(10.0)(np.random.default_rng(3), 100_003), draws)
+        assert np.array_equal(draw_poisson(10.0, np.random.default_rng(3), 100_003), draws)
+
+
+def alias_reference(lam, rng, n):
+    """The allocating Poisson drawer: n uniforms from rng.random(n), mapped through the alias table at once."""
+    window = montecarlo._poisson_window(lam)
+    if window is None:
+        return rng.poisson(lam, n).astype(np.float64)
+    q, here, there = montecarlo._alias_table(lam, *window)
+    u = rng.random(n) * q.size
+    column = np.minimum(u.astype(np.intp), q.size - 1)
+    return np.where(u - column >= q[column], there[column], here[column])
+
+
+class TestInPlaceDraws:
+    """Draws into the shard buffers equal NumPy's allocating calls bit for bit."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        # three shards, the last short, each recorded as the tally receives it
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        pairs, tally = [], montecarlo._tally
+
+        def recording(num, den, cutoff, bins):
+            pairs.append((num.copy(), den.copy()))
+            return tally(num, den, cutoff, bins)
+
+        monkeypatch.setattr(montecarlo, "_tally", recording)
+        return pairs
+
+    @staticmethod
+    def expected(seed, draw_pair):
+        return [draw_pair(np.random.default_rng(stream), size) for stream, size in montecarlo._shards(2500, seed)]
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert len(got) == len(expected)
+        for pair, pair_expected in zip(got, expected):
+            for array, reference in zip(pair, pair_expected):
+                assert array.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 37.5, 1e12])
+    @pytest.mark.parametrize("beta", [3.0, 1e-308])  # at 1e-308 some draws overflow to inf
+    def test_gamma(self, drawn, alpha, beta):
+        p1, p2 = GammaParams(alpha, beta), GammaParams(2.0, 0.5)
+        with np.errstate(over="ignore"):
+            try:
+                simulate_gamma_ratio(p1, p2, 2500, seed=5)
+            except ValueError:  # inf/inf draws are refused after the tally
+                pass
+            expected = self.expected(
+                5, lambda rng, n: (rng.gamma(alpha, 1.0 / beta, n), rng.gamma(2.0, 1.0 / 0.5, n))
+            )
+        self.assert_same(drawn, expected)
+
+    def test_uniform(self, drawn):
+        simulate_uniform_ratio(3.7, 2500, seed=6)
+        self.assert_same(drawn, self.expected(6, lambda rng, n: (rng.uniform(0.0, 3.7, n), rng.uniform(0.0, 3.7, n))))
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 10.0), (1e5, "past cap")])
+    def test_poisson(self, drawn, lambda1, lambda2):
+        lambda1, lambda2 = rate(lambda1), rate(lambda2)
+        simulate_count_ratio(lambda1, lambda2, 2500, seed=7)
+        expected = self.expected(
+            7, lambda rng, n: (alias_reference(lambda1, rng, n), alias_reference(lambda2, rng, n))
+        )
+        self.assert_same(drawn, expected)
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 10.0), (1e5, "past cap")])
+    def test_count_difference(self, monkeypatch, lambda1, lambda2):
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        lambda1, lambda2 = rate(lambda1), rate(lambda2)
+        # one buffer pair serves every shard, and the differences are cast to int64 in place
+        diffs = np.concatenate([
+            np.subtract(*pair) for pair in self.expected(
+                8, lambda rng, n: (alias_reference(lambda1, rng, n), alias_reference(lambda2, rng, n))
+            )
+        ]).astype(np.int64)
+        dist = simulate_count_difference(lambda1, lambda2, 2500, seed=8)
+        assert np.array_equal(dist.values, np.arange(diffs.min(), diffs.max() + 1))
+        assert np.array_equal(dist.probs, np.bincount(diffs - diffs.min()) / 2500)
 
 
 class TestCountDifference:

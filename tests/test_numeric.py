@@ -47,6 +47,13 @@ class TestPdfQuantile:
             numeric.pdf_quantile(law, 0.999)
 
 
+    def test_quantile_below_smallest_positive_float(self):
+        # ppf reads 0.0 and the cdf there reads 1.0000000000000238: once blamed on the
+        # inversion's tolerance
+        with pytest.raises(ValueError, match=r"^the 0\.999 quantile lies below the smallest positive float$"):
+            numeric.pdf_quantile(GammaParams(1e-300, 2.0), 0.999)
+
+
 class TestPdfCdf:
     def test_matches_reference(self):
         p = GammaParams(6.25, 1.25)
