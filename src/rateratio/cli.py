@@ -26,6 +26,7 @@ from . import numeric
 from .distributions import (
     GammaParams,
     SummaryStats,
+    _sample_sd,
     gamma_summaries,
     poisson_process_waiting_times,
     skellam_dist,
@@ -598,9 +599,7 @@ def _cmd_mc_waiting(args) -> None:
 
     def lines() -> list[str]:
         first, last = times[:, 0], times[:, -1]
-        # the squares in std leave the float range past about 1e154; a power of two scales exactly
-        e = np.frexp(first.max())[1]
-        sd = np.ldexp(np.ldexp(first, -e).std(ddof=1), e) if first.size > 1 else None
+        sd = _sample_sd(first) if first.size > 1 else None
         return [
             f"Poisson process arrivals: rate = {args.rate:g}, k = {args.k}, paths = {args.paths}",
             f"first arrival: mean = {first.mean():.6g}, sd = {_sig6(sd, 'one path')}",

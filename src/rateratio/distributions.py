@@ -12,6 +12,7 @@ ratio, each with its inverse.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -101,6 +102,7 @@ class SummaryStats:
     field name to the violated condition (e.g. "requires x2 > 1").
     sd equals sqrt(variance) where both are defined; sd is defined iff variance
     is, except that a variance past the float range beside a finite sd is None.
+    A defined entry that is not finite is refused when the stats are made.
     """
 
     mode: float | None
@@ -109,37 +111,14 @@ class SummaryStats:
     sd: float | None
     undefined: Mapping[str, str] = field(default_factory=dict)
 
-    @classmethod
-    def from_parts(
-        cls,
-        mode: float | None,
-        mean: float | None,
-        variance: float | None,
-        undefined: Mapping[str, str] | None = None,
-    ) -> "SummaryStats":
-        """The summaries with sd = sqrt(variance); refuses a defined entry that is not finite."""
-        undefined = dict(undefined or {})
-        sd = math.sqrt(variance) if variance is not None else None
-        if variance is None and "variance" in undefined:
-            undefined.setdefault("sd", undefined["variance"])
-        stats = cls(mode=mode, mean=mean, variance=variance, sd=sd, undefined=undefined)
-        stats._require_finite()
-        return stats
-
-    def _require_finite(self) -> None:
-        """Raise ValueError naming the first defined entry past the float range (or NaN)."""
+    def __post_init__(self) -> None:
         for name in ("mode", "mean", "variance", "sd"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is outside the float range")
 
     def as_dict(self) -> dict:
-        """JSON-ready form: undefined entries are null plus a reason.
-
-        Raises ValueError for an entry past the float range, which JSON
-        cannot carry.
-        """
-        self._require_finite()
+        """JSON-ready form: undefined entries are null plus a reason."""
         return {
             "mode": self.mode,
             "mean": self.mean,
@@ -180,6 +159,46 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
+def _elementwise(refuse=None, reason: str = ""):
+    """Decorator for a law whose first argument is a scalar or an array.
+
+    The law receives that argument as a float64 array, refused with
+    ValueError(reason) where `refuse` holds for any element, and returns a
+    Python float for a scalar or 0-d argument, an array otherwise.
+    """
+
+    def wrap(law):
+        @functools.wraps(law)
+        def checked(x, *args, **kwargs):
+            x = np.asarray(x, dtype=float)
+            if refuse is not None and np.any(refuse(x)):
+                raise ValueError(reason)
+            out = law(x, *args, **kwargs)
+            return float(out) if x.ndim == 0 else out
+
+        return checked
+
+    return wrap
+
+
+_on_rates = _elementwise(lambda x: x < 0, "x must be >= 0")
+_on_ratios = _elementwise(lambda rho: rho < 0, "rho must be >= 0")
+_on_levels = _elementwise(lambda q: ~((q >= 0.0) & (q <= 1.0)), "q must be in [0, 1]")  # also refuses NaN
+_on_counts = _elementwise(lambda x: (x != np.floor(x)) | (x < 0), "x must be a non-negative integer")
+
+
+def _sample_sd(values: np.ndarray) -> float:
+    """Sample sd (ddof 1) of at least two values, also where their squares leave the float range.
+
+    The values are scaled by a power of two to magnitudes below 1 and the sd
+    scaled back; both scalings are exact, so values of ordinary size get
+    np.std's result to the bit.
+    """
+    e = np.frexp(np.abs(values).max())[1]
+    return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e))
+
+
+@_on_counts
 def poisson_pmf(x, lam: float):
     """P(X = x) for X ~ Poisson(lam), computed in log domain.
 
@@ -190,14 +209,10 @@ def poisson_pmf(x, lam: float):
     from scipy import special
 
     _check_positive("lambda", lam)
-    x_arr = np.asarray(x)
-    if np.any(x_arr != np.floor(x_arr)) or np.any(x_arr < 0):
-        raise ValueError("x must be a non-negative integer")
-    logp = special.xlogy(x_arr, lam) - lam - special.gammaln(x_arr + 1.0)
-    out = np.exp(logp)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return np.exp(special.xlogy(x, lam) - lam - special.gammaln(x + 1.0))
 
 
+@_on_counts
 def poisson_cdf(x, lam: float):
     """P(X <= x) for X ~ Poisson(lam): the sum of the pmf from 0 to x.
 
@@ -207,11 +222,7 @@ def poisson_cdf(x, lam: float):
     from scipy import special
 
     _check_positive("lambda", lam)
-    x_arr = np.asarray(x)
-    if np.any(x_arr != np.floor(x_arr)) or np.any(x_arr < 0):
-        raise ValueError("x must be a non-negative integer")
-    out = special.gammaincc(x_arr + 1.0, lam)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return special.gammaincc(x + 1.0, lam)
 
 
 SKELLAM_MAX_POINTS = 2**21  # the largest support skellam_dist tabulates: 16 MB per array
@@ -264,6 +275,7 @@ def _debye_rest(n: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.log(series) - 0.5 * np.log(2.0 * math.pi * eta)
 
 
+@_elementwise(lambda d: d != np.floor(d), "d must be an integer")
 def skellam_pmf(d, lambda1: float, lambda2: float):
     """P(X1 - X2 = d) for independent X1 ~ Pois(lambda1), X2 ~ Pois(lambda2).
 
@@ -283,29 +295,25 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
     """
     _check_positive("lambda1", lambda1)
     _check_positive("lambda2", lambda2)
-    d_arr = np.asarray(d)
-    if np.any(d_arr != np.floor(d_arr)):
-        raise ValueError("d must be an integer")
-    v = np.abs(d_arr)
+    v = np.abs(d)
     z = 2.0 * math.sqrt(lambda1 * lambda2)
     log_ive, rest = _log_ive_direct(v, z)
     logp = np.asarray(
         -((math.sqrt(lambda1) - math.sqrt(lambda2)) ** 2)
-        + 0.5 * d_arr * (math.log(lambda1) - math.log(lambda2))
+        + 0.5 * d * (math.log(lambda1) - math.log(lambda2))
         + log_ive
     )
     # the Debye expansion is poor at small orders, where z^2 / 4 = lambda1 lambda2
     # is tiny next to v + 1; there the power series of I_v converges at once
     series = rest & (lambda1 * lambda2 <= 1e-3 * (v + 1.0))
     if np.any(series):
-        logp[series] = _skellam_series(d_arr[series], lambda1, lambda2)
+        logp[series] = _skellam_series(d[series], lambda1, lambda2)
     debye = rest & ~series
     if np.any(debye):
-        n = v[debye].astype(float)
+        n = v[debye]
         eta = np.hypot(n, z)
-        logp[debye] = _skellam_debye_exponent(d_arr[debye], n, eta, lambda1, lambda2) + _debye_rest(n, eta)
-    out = np.exp(logp)
-    return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out
+        logp[debye] = _skellam_debye_exponent(d[debye], n, eta, lambda1, lambda2) + _debye_rest(n, eta)
+    return np.exp(logp)
 
 
 def _skellam_series(d, lambda1: float, lambda2: float):
@@ -318,7 +326,7 @@ def _skellam_series(d, lambda1: float, lambda2: float):
     """
     from scipy import special
 
-    v = np.abs(d).astype(float)
+    v = np.abs(d)
     term = total = np.ones_like(v)
     for k in range(1, 5):
         term = term * (lambda1 * lambda2) / (k * (v + k))
@@ -370,63 +378,49 @@ def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
     return DiscreteDist(values=values, probs=skellam_pmf(values, lambda1, lambda2))
 
 
+@_on_rates
 def gamma_logpdf(x, p: GammaParams):
     """log f(x | alpha, beta) with f(x) = beta^alpha / Gamma(alpha) * x^(alpha-1) * exp(-beta x)."""
     from scipy import special
 
     p.require_proper()
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = (
             p.alpha * math.log(p.beta)
             - special.gammaln(p.alpha)
-            + (p.alpha - 1.0) * np.log(x_arr)
-            - p.beta * x_arr
+            + (p.alpha - 1.0) * np.log(x)
+            - p.beta * x
         )
     if p.alpha == 1.0:
         # 0 * log(0) above is nan; the exponential density is beta at x = 0
-        logp = np.where(x_arr == 0.0, math.log(p.beta), logp)
-    return float(logp) if np.isscalar(x) or x_arr.ndim == 0 else logp
+        logp = np.where(x == 0.0, math.log(p.beta), logp)
+    return logp
 
 
+@_on_rates
 def gamma_pdf(x, p: GammaParams):
     """Gamma density; at x = 0 it is 0 for alpha > 1, beta for alpha = 1, +inf for alpha < 1."""
-    logp = gamma_logpdf(x, p)
     with np.errstate(over="ignore"):  # past the float range the density reads inf
-        out = np.exp(logp)
-    return float(out) if np.isscalar(x) else out
+        return np.exp(gamma_logpdf(x, p))
 
 
+@_on_rates
 def gamma_cdf(x, p: GammaParams):
     """P(X <= x) for X ~ Gamma(alpha, beta) via the regularized lower incomplete Gamma."""
     from scipy import special
 
     p.require_proper()
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be >= 0")
-    out = special.gammainc(p.alpha, p.beta * x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return special.gammainc(p.alpha, p.beta * x)
 
 
-def _check_levels(q) -> np.ndarray:
-    q_arr = np.asarray(q, dtype=float)
-    if np.any(~((q_arr >= 0.0) & (q_arr <= 1.0))):
-        raise ValueError("q must be in [0, 1]")
-    return q_arr
-
-
+@_on_levels
 def gamma_ppf(q, p: GammaParams):
     """Quantile of Gamma(alpha, beta) at probability q: gammaincinv(alpha, q) / beta."""
     from scipy import special
 
     p.require_proper()
-    q_arr = _check_levels(q)
     with np.errstate(over="ignore"):  # a quantile past the float range reads inf
-        out = special.gammaincinv(p.alpha, q_arr) / p.beta
-    return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
+        return special.gammaincinv(p.alpha, q) / p.beta
 
 
 def gamma_summaries(p: GammaParams) -> SummaryStats:
@@ -454,6 +448,7 @@ def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=int(n))
 
 
+@_elementwise(lambda x: x != np.floor(x), "x must be an integer")
 def binomial_pmf(x, n: int, prob: float):
     """P(X = x) for X ~ Binom(n, prob); 0 outside [0, n] rather than an error."""
     from scipy import special
@@ -462,11 +457,8 @@ def binomial_pmf(x, n: int, prob: float):
         raise ValueError(f"prob must be in [0, 1], got {prob}")
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a non-negative integer, got {n}")
-    x_arr = np.asarray(x)
-    if np.any(x_arr != np.floor(x_arr)):
-        raise ValueError("x must be an integer")
-    inside = (x_arr >= 0) & (x_arr <= n)
-    xs = np.where(inside, x_arr, 0)
+    inside = (x >= 0) & (x <= n)
+    xs = np.where(inside, x, 0)
     logp = (
         special.gammaln(n + 1.0)
         - special.gammaln(xs + 1.0)
@@ -474,37 +466,35 @@ def binomial_pmf(x, n: int, prob: float):
         + special.xlogy(xs, prob)
         + special.xlog1py(n - xs, -prob)
     )
-    out = np.where(inside, np.exp(logp), 0.0)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return np.where(inside, np.exp(logp), 0.0)
 
 
+@_on_ratios
 def gamma_ratio_logpdf(rho, p1: GammaParams, p2: GammaParams):
     """log density of Z1/Z2 for independent Z1 ~ Gamma(p1), Z2 ~ Gamma(p2)."""
     from scipy import special
 
     p1.require_proper()
     p2.require_proper()
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be >= 0")
     a1, b1, a2, b2 = p1.alpha, p1.beta, p2.alpha, p2.beta
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = (
             a1 * math.log(b1)
             + a2 * math.log(b2)
             - special.betaln(a1, a2)
-            + (a1 - 1.0) * np.log(rho_arr)
-            - (a1 + a2) * np.log(b2 + rho_arr * b1)
+            + (a1 - 1.0) * np.log(rho)
+            - (a1 + a2) * np.log(b2 + rho * b1)
         )
     if a1 == 1.0:
         logp = np.where(
-            rho_arr == 0.0,
+            rho == 0.0,
             math.log(b1) + a2 * math.log(b2) - special.betaln(1.0, a2) - (1.0 + a2) * math.log(b2),
             logp,
         )
-    return float(logp) if np.isscalar(rho) or rho_arr.ndim == 0 else logp
+    return logp
 
 
+@_on_ratios
 def gamma_ratio_pdf(rho, p1: GammaParams, p2: GammaParams):
     """Density of the ratio of two independent Gamma variables.
 
@@ -512,10 +502,10 @@ def gamma_ratio_pdf(rho, p1: GammaParams, p2: GammaParams):
     evaluated through the log-Beta function.
     """
     with np.errstate(over="ignore"):  # past the float range the density reads inf
-        out = np.exp(gamma_ratio_logpdf(rho, p1, p2))
-    return float(out) if np.isscalar(rho) else out
+        return np.exp(gamma_ratio_logpdf(rho, p1, p2))
 
 
+@_on_ratios
 def gamma_ratio_cdf(rho, p1: GammaParams, p2: GammaParams):
     """P(Z1/Z2 <= rho) = I_u(a1, a2) with u = b1 rho / (b2 + b1 rho).
 
@@ -526,17 +516,14 @@ def gamma_ratio_cdf(rho, p1: GammaParams, p2: GammaParams):
 
     p1.require_proper()
     p2.require_proper()
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be >= 0")
     # where b1 rho leaves the float range, u = 1, not inf / inf
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = p1.beta * rho_arr
+        scaled = p1.beta * rho
         u = np.where(np.isinf(scaled), 1.0, scaled / (p2.beta + scaled))
-    out = special.betainc(p1.alpha, p2.alpha, u)
-    return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+    return special.betainc(p1.alpha, p2.alpha, u)
 
 
+@_on_levels
 def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
     """Quantile of Z1/Z2 at probability q: b2 u / (b1 (1 - u)) with u = I^-1_q(a1, a2).
 
@@ -548,12 +535,10 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
 
     p1.require_proper()
     p2.require_proper()
-    q_arr = _check_levels(q)
-    u = special.betaincinv(p1.alpha, p2.alpha, q_arr)
-    one_minus_u = special.betaincinv(p2.alpha, p1.alpha, 1.0 - q_arr)
+    u = special.betaincinv(p1.alpha, p2.alpha, q)
+    one_minus_u = special.betaincinv(p2.alpha, p1.alpha, 1.0 - q)
     with np.errstate(divide="ignore", over="ignore"):  # a quantile past the float range reads inf
-        out = p2.beta * u / (p1.beta * one_minus_u)
-    return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
+        return p2.beta * u / (p1.beta * one_minus_u)
 
 
 def _ratio_summaries(
@@ -568,7 +553,7 @@ def _ratio_summaries(
     a1, a2 = num.alpha, den.alpha
     scale = den.beta / num.beta
     mode = scale * (a1 - 1.0) / (a2 + 1.0) if a1 > 1.0 else 0.0
-    mean = variance = None
+    mean = variance = sd = None
     undefined = {}
     if a2 > 1.0:
         mean = scale * a1 / (a2 - 1.0)
@@ -581,9 +566,10 @@ def _ratio_summaries(
             variance = scale**2 * m1 * m2
         except OverflowError:  # a float ** raises past 1e308, where a float * reads inf
             variance = scale * (scale * m1 * m2)
+        sd = math.sqrt(variance)
     else:
-        undefined["variance"] = variance_reason
-    return SummaryStats.from_parts(mode=mode, mean=mean, variance=variance, undefined=undefined)
+        undefined["variance"] = undefined["sd"] = variance_reason
+    return SummaryStats(mode, mean, variance, sd, undefined)
 
 
 def gamma_ratio_summaries(p1: GammaParams, p2: GammaParams) -> SummaryStats:
@@ -603,25 +589,19 @@ def beta_prime_pdf(x, alpha: float, beta: float):
     return gamma_ratio_pdf(x, GammaParams(alpha, 1.0), GammaParams(beta, 1.0))
 
 
+@_on_ratios
 def uniform_ratio_pdf(rho):
     """Density of U1/U2 with both uniform on (0, r_max); independent of r_max.
 
     1/2 on 0 <= rho <= 1 and 1/(2 rho^2) beyond.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be >= 0")
-    out = np.where(rho_arr <= 1.0, 0.5, 0.5 / np.maximum(rho_arr, 1.0) ** 2)
-    return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+    return np.where(rho <= 1.0, 0.5, 0.5 / np.maximum(rho, 1.0) ** 2)
 
 
+@_on_ratios
 def uniform_ratio_cdf(rho):
     """P(U1/U2 <= rho): rho/2 up to 1, then 1 - 1/(2 rho)."""
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be >= 0")
-    out = np.where(rho_arr <= 1.0, rho_arr / 2.0, 1.0 - 0.5 / np.maximum(rho_arr, 1.0))
-    return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+    return np.where(rho <= 1.0, rho / 2.0, 1.0 - 0.5 / np.maximum(rho, 1.0))
 
 
 def poisson_process_waiting_times(rate: float, k: int, seed, n_paths: int | None = None):

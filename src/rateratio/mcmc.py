@@ -52,7 +52,7 @@ from typing import Literal
 
 import numpy as np
 
-from .distributions import GammaParams
+from .distributions import GammaParams, _sample_sd
 from .inference import CountObservation
 
 
@@ -749,7 +749,7 @@ def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:
     batch_len = n // n_batches
     trimmed = draws[: batch_len * n_batches]
     means = trimmed.reshape(n_batches, batch_len).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
+    return _sample_sd(means) / math.sqrt(n_batches)
 
 
 def summarize_chain(chain: Chain) -> ChainSummary:
@@ -759,7 +759,7 @@ def summarize_chain(chain: Chain) -> ChainSummary:
     variables = {}
     for name, draws in chain.monitored.items():
         n = draws.size
-        sd = float(np.std(draws, ddof=1)) if n > 1 else 0.0
+        sd = _sample_sd(draws) if n > 1 else 0.0
         qs = np.quantile(draws, [level / 100.0 for level in QUANTILE_LEVELS])
         variables[name] = VariableSummary(
             mean=float(draws.mean()),

@@ -25,6 +25,8 @@ import numpy as np
 from .distributions import (
     GammaParams,
     SummaryStats,
+    _elementwise,
+    _on_ratios,
     _ratio_summaries,
     gamma_ratio_cdf,
     gamma_ratio_logpdf,
@@ -127,6 +129,7 @@ def model_b_rate_posteriors(
     return _gamma_pair(RatioPosteriorSpec("B", d1, d2))
 
 
+@_on_ratios
 def model_b_reweighted_pdf(
     rho,
     d1: CountObservation,
@@ -140,12 +143,11 @@ def model_b_reweighted_pdf(
     of rho, so reweighting it by f0 gives the shape of the general
     posterior; normalize numerically if needed.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    prior = np.vectorize(rho_prior_pdf, otypes=[float])(rho_arr)
-    out = model_b_pdf(rho_arr, d1, d2, prior_r2) * prior
-    return float(out) if np.isscalar(rho) else out
+    prior = np.vectorize(rho_prior_pdf, otypes=[float])(rho)
+    return model_b_pdf(rho, d1, d2, prior_r2) * prior
 
 
+@_elementwise()
 def implied_r1_pdf(r1, rho_max: float, r2_max: float):
     """Density of r1 = rho * r2 under independent uniform priors.
 
@@ -156,11 +158,9 @@ def implied_r1_pdf(r1, rho_max: float, r2_max: float):
     if not (rho_max > 0) or not (r2_max > 0):
         raise ValueError("rho_max and r2_max must be > 0")
     top = rho_max * r2_max
-    r1_arr = np.asarray(r1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (r1_arr > 0) & (r1_arr <= top)
-        out = np.where(inside, np.log(top / np.where(inside, r1_arr, 1.0)) / top, 0.0)
-    return float(out) if np.isscalar(r1) or r1_arr.ndim == 0 else out
+        inside = (r1 > 0) & (r1 <= top)
+        return np.where(inside, np.log(top / np.where(inside, r1, 1.0)) / top, 0.0)
 
 
 @dataclass(frozen=True)

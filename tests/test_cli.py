@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rateratio
@@ -599,6 +600,34 @@ class TestMcmcCommand:
             assert (variable["batch_se"] is None) == short
             assert math.isfinite(variable["naive_se"])
 
+    def test_summaries_of_draws_past_1e154_stay_finite(self, tmp_path):
+        # np.std once squared draws of ~1e300: NumPy's overflow warning on stderr, sd = inf in text,
+        # a false "fewer than 20 draws" warning, and json refused with exit 3
+        spec = {
+            "variant": "A",
+            "data": {"x1": 3, "T1": 1e-300, "x2": 5, "T2": 1e-300},
+            "priors": {"r1": {"alpha": 1, "beta": 1e-300}, "r2": {"alpha": 1, "beta": 1e-300}},
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        outs = {}
+        for fmt in ("text", "json", "csv"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rateratio", "mcmc", "--spec", str(spec_path),
+                 "--n-iter", "50", "--seed", "1", "--format", fmt],
+                capture_output=True, text=True, env=_child_env(), timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outs[fmt] = proc.stdout
+        assert "inf" not in outs["text"]
+        rows = [line.split(",") for line in outs["csv"].splitlines()]
+        draws = {name: np.array([float(row[j]) for row in rows[1:]]) for j, name in enumerate(rows[0])}
+        variables = json.loads(outs["json"], parse_constant=_reject_constant)["variables"]
+        for name, scale in (("r1", 2.0**1000), ("r2", 2.0**1000), ("rho", 1.0)):
+            v = variables[name]
+            assert v["sd"] == float(np.std(draws[name] / scale, ddof=1)) * scale
+            assert v["naive_se"] == v["sd"] / math.sqrt(50) and v["batch_se"] > 0
+
 
 def test_json_output_refuses_non_finite_values():
     # NaN and Infinity are not JSON; main() turns the ValueError into exit 3
@@ -756,6 +785,12 @@ EDGE_INPUTS += ELICITED_PAST_FLOAT_RANGE
 MC_SUMS_PAST_FLOAT_RANGE = [
     "mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 0.01 --beta2 1 --n 1000 --seed 1",
     "mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 0.002 --beta2 1 --n 1000 --seed 3",
+]
+# Gamma posteriors whose mode and mean lie past the float range
+RATE_MODE_PAST_FLOAT_RANGE = [
+    "infer --x 0 --T 1e-300 --prior-alpha 1e10 --prior-beta 0",
+    "combine rate --obs 1,6.740896376457668e-153 --per-observation "
+    "--prior-alpha 1.061769709864417e+290 --prior-beta 5.512445642512144e-32",
 ]
 RATIO_PAST_FLOAT_RANGE = "ratio --x1 3 --T1 1e-100 --x2 5 --T2 1e100 --model A"
 EDGE_INPUTS += [
@@ -1013,6 +1048,14 @@ class TestEdgeInputs:
         line = "combine ratio --instance 0,1.2417665396827911e-223,3,7.768788282146709e+285"
         assert _exit_code(line.split() + ["--format", fmt]) == 3
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("line", RATE_MODE_PAST_FLOAT_RANGE)
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_rate_summaries_past_float_range_exit_3_in_every_format(self, capsys, line, fmt):
+        # text printed mode = inf and mean = inf with exit 0, and so did csv for combine rate;
+        # json refused, and csv refused infer's curve for another reason
+        code, out, err = run_cli(capsys, line.split() + ["--format", fmt])
+        assert (code, out, err) == (3, "", "error: mode = inf is outside the float range\n")
 
 
 class TestEntryPoint:

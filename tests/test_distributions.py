@@ -12,6 +12,7 @@ from rateratio import distributions
 from rateratio.distributions import (
     DiscreteDist,
     _log_ive_direct,
+    _sample_sd,
     GammaParams,
     beta_prime_pdf,
     binomial_pmf,
@@ -20,6 +21,7 @@ from rateratio.distributions import (
     gamma_pdf,
     gamma_ppf,
     gamma_ratio_cdf,
+    gamma_ratio_logpdf,
     gamma_ratio_pdf,
     gamma_ratio_ppf,
     gamma_ratio_summaries,
@@ -33,7 +35,53 @@ from rateratio.distributions import (
     uniform_ratio_cdf,
     uniform_ratio_pdf,
 )
+from rateratio.inference import FLAT_PRIOR, CountObservation
+from rateratio.ratio import implied_r1_pdf, model_b_reweighted_pdf
 from helpers import assert_all_bins_within, bin_probabilities
+
+P1, P2 = GammaParams(2.0, 3.0), GammaParams(4.0, 1.5)
+D1, D2 = CountObservation(3, 2.0), CountObservation(5, 1.0)
+
+# (law, its arguments after the first, a valid first argument, a refused one and the reason)
+LAWS = [
+    (poisson_pmf, (2.0,), 3, 1.5, "x must be a non-negative integer"),
+    (poisson_cdf, (2.0,), 3, -1, "x must be a non-negative integer"),
+    (skellam_pmf, (2.0, 3.0), -2, 0.5, "d must be an integer"),
+    (binomial_pmf, (5, 0.3), 2, 0.5, "x must be an integer"),
+    (gamma_logpdf, (P1,), 0.7, -1.0, "x must be >= 0"),
+    (gamma_pdf, (P1,), 0.7, -1.0, "x must be >= 0"),
+    (gamma_cdf, (P1,), 0.7, -1.0, "x must be >= 0"),
+    (gamma_ppf, (P1,), 0.3, 1.5, "q must be in [0, 1]"),
+    (gamma_ratio_logpdf, (P1, P2), 0.7, -1.0, "rho must be >= 0"),
+    (gamma_ratio_pdf, (P1, P2), 0.7, -1.0, "rho must be >= 0"),
+    (gamma_ratio_cdf, (P1, P2), 0.7, -1.0, "rho must be >= 0"),
+    (gamma_ratio_ppf, (P1, P2), 0.3, math.nan, "q must be in [0, 1]"),
+    (uniform_ratio_pdf, (), 2.0, -1.0, "rho must be >= 0"),
+    (uniform_ratio_cdf, (), 2.0, -1.0, "rho must be >= 0"),
+    (model_b_reweighted_pdf, (D1, D2, FLAT_PRIOR, lambda rho: 1.0 / (1.0 + rho)), 0.7, -1.0, "rho must be >= 0"),
+    (implied_r1_pdf, (2.0, 3.0), 0.7, None, None),  # last: 0 outside its support, no refusal
+]
+LAW_IDS = [law[0].__name__ for law in LAWS]
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("law,args,good", [law[:3] for law in LAWS], ids=LAW_IDS)
+    def test_scalar_and_0d_give_a_python_float(self, law, args, good):
+        # gamma_pdf, gamma_ratio_pdf and model_b_reweighted_pdf once gave np.float64 for a 0-d array
+        values = [law(x, *args) for x in (good, np.array(good), np.float64(good))]
+        assert all(type(v) is float for v in values) and values[0] == values[1] == values[2]
+
+    @pytest.mark.parametrize("law,args,good", [law[:3] for law in LAWS], ids=LAW_IDS)
+    def test_array_gives_an_array_of_its_values(self, law, args, good):
+        out = law(np.full((2, 3), good), *args)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        assert np.all(out == law(good, *args))
+
+    @pytest.mark.parametrize("law,args,good,bad,reason", LAWS[:-1], ids=LAW_IDS[:-1])
+    def test_refusal_names_the_argument(self, law, args, good, bad, reason):
+        for x in (bad, np.array(bad), [good, bad]):
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                law(x, *args)
 
 
 class TestGammaParams:
@@ -439,6 +487,11 @@ class TestGammaSummaries:
         assert s.undefined == {"variance": "past the float range"}
         assert s.as_dict()["variance"] is None
 
+    def test_refuses_mode_past_float_range(self):
+        # once mode = mean = inf, which text and csv printed with exit 0
+        with pytest.raises(ValueError, match=re.escape("mode = inf is outside the float range")):
+            gamma_summaries(GammaParams(1e10, 1e-300))
+
 
 class TestGammaSample:
     def test_moments(self):
@@ -579,9 +632,10 @@ class TestGammaRatioSummaries:
     @pytest.mark.parametrize("field", ["mode", "mean", "variance"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_from_parts_refuses_non_finite(self, field, value):
-        parts = dict.fromkeys(("mode", "mean", "variance"), 1.0) | {field: value}
+        # the check once lived in a SummaryStats.from_parts constructor; now every SummaryStats makes it
+        parts = dict.fromkeys(("mode", "mean", "variance", "sd"), 1.0) | {field: value}
         with pytest.raises(ValueError, match=re.escape(f"{field} = {value} is outside the float range")):
-            distributions.SummaryStats.from_parts(**parts)
+            distributions.SummaryStats(**parts)
 
 
 class TestBetaPrime:
@@ -632,6 +686,22 @@ class TestUniformRatio:
     def test_cdf_limits(self):
         assert uniform_ratio_cdf(0.0) == 0.0
         assert uniform_ratio_cdf(1e9) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSampleSd:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_numpy_std_to_the_bit(self, seed):
+        values = np.random.default_rng(seed).gamma(3.0, 2.0, size=1000)
+        assert _sample_sd(values) == float(np.std(values, ddof=1))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_past_the_float_range_of_the_squares(self, scale):
+        # np.std squares the deviations: inf (with an overflow warning) past ~1e154, 0 below ~1e-162
+        values = np.array([1.0, 2.0, 4.0, -3.0])
+        assert _sample_sd(values * scale) == pytest.approx(_sample_sd(values) * scale, rel=1e-15)
+
+    def test_constant_values(self):
+        assert _sample_sd(np.zeros(3)) == 0.0 and _sample_sd(np.full(4, 7.5)) == 0.0
 
 
 class TestWaitingTimes:
