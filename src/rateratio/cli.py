@@ -86,6 +86,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an allocation NumPy refuses at once, with its size in the text
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

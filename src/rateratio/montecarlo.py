@@ -41,7 +41,9 @@ DEFAULT_BINS = 150
 
 POISSON_TABLE_CAP = 1 << 14  # alias-table entries; past them a rate is drawn by rng.poisson
 _POISSON_TAIL = 43.0  # each tail outside the table holds < e^-43, so both together < 2^-60
-_ALIAS_CHUNK = 1 << 14  # draws transformed per pass; its temporaries take ~0.27 MiB
+_CHUNK = 1 << 14  # draws per pass of the alias drawer and of a shard's denominator
+# draw(rng, out) fills float64 out in place; quoted, the Generator leaves numpy.random unimported
+_Draw = Callable[["np.random.Generator", np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; more threads buy no speed, and each holds a pair of shard buffers."""
+    """CPUs this process may run on; more threads buy no speed, and each holds a shard buffer."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -119,32 +121,51 @@ def _shards(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
     return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
 
-def _tally(num: np.ndarray, den: np.ndarray, cutoff: float, bins: int) -> tuple:
+def _tally(
+    rng: np.random.Generator, draw_num: _Draw, draw_den: _Draw, values: np.ndarray, spare: np.ndarray,
+    cutoff: float, bins: int,
+) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
-    Works in the two float64 draw buffers, which it overwrites, so that a shard
-    holds little more than those two arrays at its peak.  The sums come first,
-    in draw order, because their last bits depend on that order; then one
-    in-place sort lets every count be read as a difference of positions.  The
-    edges are those np.histogram builds, and its last bin is closed.
+    num is drawn whole into values, den chunk by chunk into spare, and each
+    chunk is counted, divided into its slice of values and compacted forward
+    there at once, so a shard holds one draw array at its peak.  The sums come
+    first, in draw order, because their last bits depend on that order; then
+    one in-place sort lets every count be read as a difference of positions.
+    The edges are those np.histogram builds, and its last bin is closed.
     """
-    zero_den = den == 0
-    n_zero = int(np.count_nonzero(zero_den))
-    n_nan = int(np.count_nonzero((num == 0) & zero_den)) if n_zero else 0  # 0/0; the rest are k/0
+    draw_num(rng, values)
+    n_nan = kept = 0
     # ratios and squares past the float range are inf; the report says what that means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values, spare = np.divide(num, den, out=num), den
-        if n_zero:  # the finite ratios, compacted into den; num takes their squares
-            # take, not compress: compress (mode "raise") buffers its out in a second copy
-            kept = np.flatnonzero(den)
-            values, spare = np.take(values, kept, out=den[: kept.size], mode="clip"), num
+        for start in range(0, values.size, spare.size):
+            num, den = values[start : start + spare.size], spare[: min(values.size - start, spare.size)]
+            draw_den(rng, den)
+            zero_den = den == 0
+            zeros = int(np.count_nonzero(zero_den))
+            n_nan += int(np.count_nonzero(num[zero_den] == 0)) if zeros else 0  # 0/0; the rest are k/0
+            np.divide(num, den, out=num)
+            if zeros or kept < start:  # the finite ratios move forward, past the draws left out
+                values[kept : kept + num.size - zeros] = num[~zero_den] if zeros else num
+            kept += num.size - zeros
+        n_zero, values = values.size - kept, values[:kept]
         total = float(values.sum())
-        total_sq = float(np.square(values, out=spare[: values.size]).sum())
+        total_sq = _square_sum(values, spare)
     values.sort()
     # a NaN ratio (inf/inf) sorts last, and no count takes it, as np.histogram counts none
     top, end = np.searchsorted(values, (cutoff, np.inf), side="right")
     hist, fine = (_bin_counts(values, cutoff, b, top) for b in (bins, MODE_BINS))
     return n_nan, n_zero - n_nan, total, total_sq, int(end - top), hist, fine
+
+
+def _square_sum(values: np.ndarray, spare: np.ndarray) -> float:
+    """float(np.square(values).sum()) bit for bit: NumPy sums pairwise, splitting a block of n > 128
+    at n // 2 rounded down to a multiple of 8, and this splits alike down to blocks that fit spare."""
+    n = values.size
+    if n <= spare.size or n <= 128:
+        return float(np.square(values, out=spare[:n] if n <= spare.size else None).sum())
+    half = n // 2 - n // 2 % 8
+    return _square_sum(values[:half], spare) + _square_sum(values[half:], spare)
 
 
 def _bin_counts(values: np.ndarray, cutoff: float, bins: int, top: int) -> np.ndarray:
@@ -155,16 +176,17 @@ def _bin_counts(values: np.ndarray, cutoff: float, bins: int, top: int) -> np.nd
 
 
 def _run_ratio_simulation(
-    draw_pair: Callable[[np.random.Generator, np.ndarray, np.ndarray], None],
+    draw_num: _Draw,
+    draw_den: _Draw,
     n: int,
     cutoff: float,
     bins: int,
     seed: int,
     workers: int,
 ) -> RatioSampleReport:
-    """Tally num/den shard by shard; draw_pair(rng, num, den) fills the two float64 arrays in place.
+    """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call.
 
-    Each thread owns one pair of buffers, sized to the largest shard; a shard takes a free pair.
+    Each thread owns one buffer sized to the largest shard and one of _CHUNK draws; a shard takes a free pair.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -189,17 +211,16 @@ def _run_ratio_simulation(
     threads = min(workers, len(jobs), _usable_cpus())
     buffers = queue.SimpleQueue()
     for _ in range(threads):
-        buffers.put((np.empty(min(n, SHARD_SIZE)), np.empty(min(n, SHARD_SIZE))))
+        buffers.put((np.empty(min(n, SHARD_SIZE)), np.empty(min(n, _CHUNK))))
 
     def shard(job) -> tuple:
         stream, size = job
-        num, den = buffers.get()
+        values, spare = buffers.get()
         try:
             # tally here, in the worker, before the pair serves the next shard
-            draw_pair(np.random.default_rng(stream), num[:size], den[:size])
-            return _tally(num[:size], den[:size], cutoff, bins)
+            return _tally(np.random.default_rng(stream), draw_num, draw_den, values[:size], spare, cutoff, bins)
         finally:
-            buffers.put((num, den))
+            buffers.put((values, spare))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -289,7 +310,7 @@ def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, 
     return np.array(q), here, here[alias]
 
 
-def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, np.ndarray], None]:
+def _poisson_drawer(lam: float) -> _Draw:
     """draw(rng, out): fill float64 out with Pois(lam) counts, through an alias table built here, once.
 
     A draw takes one uniform u: column = floor(u m), fraction = u m - column,
@@ -311,7 +332,7 @@ def _poisson_drawer(lam: float) -> Callable[[np.random.Generator, np.ndarray], N
 
     def draw_alias(rng: np.random.Generator, out: np.ndarray) -> None:
         rng.random(out=out)
-        chunk = min(out.size, _ALIAS_CHUNK)
+        chunk = min(out.size, _CHUNK)
         column, share, aliased = np.empty(chunk, np.intp), np.empty(chunk), np.empty(chunk, bool)
         for start in range(0, out.size, chunk):
             u = out[start : start + chunk]
@@ -345,12 +366,7 @@ def simulate_count_ratio(
     if not (lambda1 > 0) or not (lambda2 > 0):
         raise ValueError("lambda1 and lambda2 must be > 0")
     draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
-
-    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
-        draw1(rng, num)
-        draw2(rng, den)
-
-    return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
+    return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
 
 
 def simulate_gamma_ratio(
@@ -366,14 +382,14 @@ def simulate_gamma_ratio(
     p1.require_proper()
     p2.require_proper()
 
-    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
+    def draw(p: GammaParams, rng: np.random.Generator, out: np.ndarray) -> None:
         # rng.gamma(alpha, 1 / beta, size)'s draws: it scales standard_gamma's, and overflows quietly
-        for p, out in ((p1, num), (p2, den)):
-            rng.standard_gamma(p.alpha, out=out)
-            with np.errstate(over="ignore"):
-                out *= 1.0 / p.beta
+        rng.standard_gamma(p.alpha, out=out)
+        with np.errstate(over="ignore"):
+            out *= 1.0 / p.beta
 
-    return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
+    draw1, draw2 = functools.partial(draw, p1), functools.partial(draw, p2)
+    return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
 
 
 def simulate_uniform_ratio(
@@ -392,13 +408,12 @@ def simulate_uniform_ratio(
     if not (r_max > 0):
         raise ValueError("r_max must be > 0")
 
-    def draw_pair(rng: np.random.Generator, num: np.ndarray, den: np.ndarray) -> None:
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
         # the draws of rng.uniform(0, r_max, size), which is 0 + r_max * random()
-        for out in (num, den):
-            rng.random(out=out)
-            out *= r_max
+        rng.random(out=out)
+        out *= r_max
 
-    return _run_ratio_simulation(draw_pair, n, cutoff, bins, seed, workers)
+    return _run_ratio_simulation(draw, draw, n, cutoff, bins, seed, workers)
 
 
 def simulate_count_difference(
@@ -407,24 +422,29 @@ def simulate_count_difference(
     n: int,
     seed: int = 0,
 ) -> DiscreteDist:
-    """Empirical pmf of D = X1 - X2 over the contiguous range of observed values."""
+    """Empirical pmf of D = X1 - X2 over the contiguous range of observed values.
+
+    X2 comes a chunk at a time, as in the ratio tally; the differences are cast to int64 in place.
+    """
     if not (lambda1 > 0) or not (lambda2 > 0):
         raise ValueError("lambda1 and lambda2 must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
-    num_buffer, den_buffer = np.empty(min(n, SHARD_SIZE)), np.empty(min(n, SHARD_SIZE))
+    buffer, spare = np.empty(min(n, SHARD_SIZE)), np.empty(min(n, _CHUNK))
     tallies: dict[int, int] = {}
     for stream, size in _shards(int(n), seed):
-        rng = np.random.default_rng(stream)
-        num, den = num_buffer[:size], den_buffer[:size]
-        draw1(rng, num)
-        draw2(rng, den)
-        diff = np.subtract(num, den, out=num).view(np.int64)
-        np.copyto(diff, num, casting="unsafe")  # in place: the differences are whole floats
-        values, counts = np.unique(diff, return_counts=True)
-        for value, count in zip(values, counts):
-            tallies[int(value)] = tallies.get(int(value), 0) + int(count)
+        rng, values = np.random.default_rng(stream), buffer[:size]
+        draw1(rng, values)
+        for start in range(0, size, spare.size):
+            num, den = values[start : start + spare.size], spare[: min(size - start, spare.size)]
+            draw2(rng, den)
+            np.copyto(num.view(np.int64), np.subtract(num, den, out=num), casting="unsafe")  # whole floats
+        diff = values.view(np.int64)
+        lo = int(diff.min())
+        counts = np.bincount(np.subtract(diff, lo, out=diff))  # shifted in place, so nothing copies diff
+        for value in np.flatnonzero(counts).tolist():
+            tallies[lo + value] = tallies.get(lo + value, 0) + int(counts[value])
     lo, hi = min(tallies), max(tallies)
     support = np.arange(lo, hi + 1)
     probs = np.array([tallies.get(int(d), 0) / n for d in support])

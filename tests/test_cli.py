@@ -299,6 +299,14 @@ class TestMcWaiting:
         )
         assert code == 0 and re.search(r"^first arrival: mean = \S+, sd = [0-9.e+-]+$", out, re.M)
 
+    def test_allocation_numpy_refuses_exits_3(self, capsys):
+        # 1e18 float64 times take 6.94 EiB, past the address space of any 64-bit machine
+        # (2^57 bytes at most), so NumPy refuses them at once; its traceback once exited 1
+        argv = "mc waiting-times --rate 1 --k 1000000000 --paths 1000000000 --seed 1".split()
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error: not enough memory: Unable to allocate 6\.94 EiB .*float64\n", err), err
+
 
 class TestDeterminism:
     def test_seeded_runs_identical(self, capsys):

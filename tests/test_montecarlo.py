@@ -2,6 +2,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -124,24 +126,43 @@ class TestWorkerPool:
         assert report.as_dict() == simulate_gamma_ratio(p1, p2, 2501, seed=4, workers=1).as_dict()
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # where NumPy loads numpy.random lazily, a module-level np.random in montecarlo
+    # would load it with the package: about 20 ms more on every command's start-up
+    code = (
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; "
+        "import rateratio.cli; print(eager or 'numpy.random' not in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "True"
+
+
 class TestShardBuffers:
-    """Each thread owns one pair of float64 buffers, sized to the largest shard and reused."""
+    """Each thread owns one float64 buffer sized to the largest shard and one of _CHUNK draws, both reused."""
 
     @pytest.mark.parametrize("workers,pairs", [(1, {1}), (2, {1, 2})])
     def test_shards_reuse_one_pair_per_thread(self, monkeypatch, workers, pairs):
         monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
-        seen = []
+        nums, dens = [], []  # kept alive, so a fresh array could not reuse a freed address
 
-        def draw_pair(rng, num, den):
-            assert num.dtype == den.dtype == np.float64 and num.size == den.size
-            seen.append((num, den))  # kept alive, so a fresh array could not reuse a freed address
-            num[:], den[:] = rng.random(num.size), 1.0
+        def draw_num(rng, out):
+            assert out.dtype == np.float64
+            nums.append(out)
+            out[:] = rng.random(out.size)
 
-        montecarlo._run_ratio_simulation(draw_pair, 4500, 1.0, 10, seed=1, workers=workers)  # five shards
-        assert sorted(num.size for num, _ in seen) == [500, 1000, 1000, 1000, 1000]
-        buffers = {(num.ctypes.data, den.ctypes.data) for num, den in seen}
-        assert len(buffers) in pairs and len({a for pair in buffers for a in pair}) == 2 * len(buffers)
+        def draw_den(rng, out):
+            assert out.dtype == np.float64
+            dens.append(out)
+            out[:] = 1.0
+
+        montecarlo._run_ratio_simulation(draw_num, draw_den, 4500, 1.0, 10, seed=1, workers=workers)  # five shards
+        assert sorted(num.size for num in nums) == [500, 1000, 1000, 1000, 1000]
+        # each shard's denominator comes in chunks of 300, the last one short
+        assert sorted(den.size for den in dens) == sorted([300] * 13 + [100] * 4 + [200])
+        full, chunk = {num.ctypes.data for num in nums}, {den.ctypes.data for den in dens}
+        assert len(full) in pairs and len(chunk) == len(full) and not full & chunk
 
     def test_refuses_no_workers(self):
         # with no thread there would be no buffer for a shard to take
@@ -150,7 +171,7 @@ class TestShardBuffers:
 
 
 def parent_tally(num, den, cutoff, bins):
-    """The mask-and-copy shard body that `montecarlo._tally` replaced: the byte reference."""
+    """The mask-and-copy tally of a whole drawn pair that `montecarlo._tally` replaced: the byte reference."""
     zero_den = den == 0
     nan_mask = zero_den & (num == 0)
     inf_mask = zero_den & (num != 0)
@@ -173,22 +194,41 @@ RATIO_SIMULATORS = {
 }
 
 
+def whole_pair_tally(rng, draw_num, draw_den, values, spare, cutoff, bins):
+    """`montecarlo._tally`'s signature over the parent's path: both sides drawn whole, then parent_tally."""
+    den = np.empty(values.size)
+    draw_num(rng, values)
+    draw_den(rng, den)
+    return parent_tally(values, den, cutoff, bins)
+
+
+def copying(array):
+    """draw(rng, out) that copies array's next out.size values into out, as a drawer would draw them."""
+    taken = 0
+
+    def draw(rng, out):
+        nonlocal taken
+        out[:] = array[taken : taken + out.size]
+        taken += out.size
+
+    return draw
+
+
 class TestTally:
     @pytest.mark.parametrize("name", RATIO_SIMULATORS)
     @pytest.mark.parametrize("n", [1, 7, 999_999, 1_000_000, 2_500_001])
     def test_reports_match_parent_tally(self, monkeypatch, name, n):
         simulate = RATIO_SIMULATORS[name]
         reports = [json.dumps(simulate(n, seed=n, workers=w).as_dict()) for w in (1, 2)]
-        monkeypatch.setattr(montecarlo, "_tally", parent_tally)
+        monkeypatch.setattr(montecarlo, "_tally", whole_pair_tally)
         assert reports == [json.dumps(simulate(n, seed=n, workers=w).as_dict()) for w in (1, 2)]
 
     @pytest.mark.parametrize("name", RATIO_SIMULATORS)
     def test_shard_footprint(self, name):
-        # the mask-and-copy body peaked at 4.5 draw arrays (3.3 at low Poisson rates);
-        # Poisson counts cast through .astype(float) held 3.0, and with no zero denominator
-        # to compact, a Poisson shard now holds its two draw arrays and the mask
+        # the mask-and-copy body peaked at 4.5 draw arrays (3.3 at low Poisson rates); a
+        # whole drawn pair held 2 to 3; with the denominator drawn a chunk at a time, a shard
+        # holds its one draw array and the chunk temporaries of the draws and the tally
         n = montecarlo.SHARD_SIZE
-        arrays = 2 if name == "poisson" else 3
         RATIO_SIMULATORS[name](n, seed=1)  # the first run sets up what later runs reuse
         tracemalloc.start()
         try:
@@ -196,7 +236,7 @@ class TestTally:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= arrays * 8 * n + (1 << 20), peak / (8 * n)
+        assert peak <= 8 * n + (1 << 20), peak / (8 * n)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -215,9 +255,11 @@ class TestTally:
         )
         pairs = data.draw(st.lists(pair, min_size=1, max_size=60))
         num, den = (np.array(side, dtype=float) for side in zip(*pairs))
+        # a 7-draw chunk buffer, so 0/0, k/0 and the compaction cross chunk borders
+        buffers = np.empty(num.size), np.empty(min(num.size, 7))
         with np.errstate(all="ignore"):
             expected = parent_tally(num.copy(), den.copy(), cutoff, bins)
-            got = montecarlo._tally(num, den, cutoff, bins)
+            got = montecarlo._tally(None, copying(num), copying(den), *buffers, cutoff, bins)
         for field_got, field_expected in zip(got, expected, strict=True):
             assert type(field_got) is type(field_expected)
             assert np.array_equal(field_got, field_expected, equal_nan=True)
@@ -228,28 +270,26 @@ class TestTally:
     )
     def test_refuses_bin_grid_before_any_draw(self, cutoff, grid):
         # once NumPy's "Cannot create 1000 finite-sized bins", after a whole shard was drawn
-        def draw_pair(rng, num, den):
+        def draw(rng, out):
             raise AssertionError("drew before checking the bin grid")
 
         reason = re.escape(f"cutoff {cutoff!r} is too small for ") + ".*" + re.escape(grid)
         with pytest.raises(ValueError, match=reason):
-            montecarlo._run_ratio_simulation(draw_pair, 10, cutoff, 150, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(draw, draw, 10, cutoff, 150, seed=1, workers=1)
 
     def test_refuses_bin_width_past_float_range_before_any_draw(self):
         # a bin of width 1e-323 that held every draw would have a density of 1e323
-        def draw_pair(rng, num, den):
+        def draw(rng, out):
             raise AssertionError("drew before checking the bin width")
 
         with pytest.raises(ValueError, match=r"cutoff 1e-320 over bins = 1000 gives a bin width of 1e-323"):
-            montecarlo._run_ratio_simulation(draw_pair, 10, 1e-320, 1000, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(draw, draw, 10, 1e-320, 1000, seed=1, workers=1)
 
     def test_refuses_inf_over_inf(self):
         # 0/0 is counted as NaN and inf/2 lies past the cutoff; inf/inf is undefined
-        def draw_pair(rng, num, den):
-            num[:], den[:] = [np.inf, np.inf, 1.0, 0.0], [np.inf, 2.0, 4.0, 0.0]
-
+        num, den = copying(np.array([np.inf, np.inf, 1.0, 0.0])), copying(np.array([np.inf, 2.0, 4.0, 0.0]))
         with pytest.raises(ValueError, match=re.escape("1 of the 4 draws overflowed the float range")):
-            montecarlo._run_ratio_simulation(draw_pair, 4, 8.0, 10, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(num, den, 4, 8.0, 10, seed=1, workers=1)
 
     @pytest.mark.parametrize("alpha2,seed,undefined", [(0.01, 1, ["sd"]), (0.002, 3, ["mean", "sd"])])
     def test_sums_past_float_range(self, alpha2, seed, undefined):
@@ -265,6 +305,33 @@ class TestTally:
         report = simulate_count_ratio(1.0, 1e-300, 10, seed=1)
         assert report.mean is None and report.sd is None
         assert report.undefined == {"mean": "no finite draws", "sd": "no finite draws"}
+
+
+CHUNK = montecarlo._CHUNK
+
+
+class TestSquareSum:
+    """`_square_sum` splits as np.add.reduce's pairwise sum does, so it keeps every bit of np.square(v).sum()."""
+
+    @pytest.mark.parametrize(
+        "size", [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 999_999, 1_000_000]
+    )
+    def test_matches_numpy_bit_for_bit(self, size):
+        # Cauchy draws: squares from ~0 to ~1e20, so every order of additions leaves other last bits
+        values = np.random.default_rng(size).standard_cauchy(size)
+        overflowing = values.copy()
+        overflowing[size // 2] = 1e200  # its square is inf
+        spare = np.empty(CHUNK)
+        with np.errstate(over="ignore"):
+            for v in (values, overflowing):
+                got = montecarlo._square_sum(v, spare)
+                assert type(got) is float
+                assert got.hex() == float(np.square(v).sum()).hex()
+
+    def test_spare_shorter_than_a_numpy_block(self):
+        # NumPy splits no block of 128 or fewer values, so neither may a 7-draw spare
+        values = np.random.default_rng(1).standard_cauchy(300)
+        assert montecarlo._square_sum(values, np.empty(7)) == float(np.square(values).sum())
 
 
 def poisson_pmf_saddle(k, lam):
@@ -358,7 +425,7 @@ class TestPoissonDrawer:
 
     def test_chunks_do_not_change_draws(self, monkeypatch):
         draws = draw_poisson(10.0, np.random.default_rng(3), 100_003)
-        monkeypatch.setattr(montecarlo, "_ALIAS_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         assert np.array_equal(draw_poisson(10.0, np.random.default_rng(3), 100_003), draws)
 
 
@@ -378,13 +445,26 @@ class TestInPlaceDraws:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        # three shards, the last short, each recorded as the tally receives it
+        # three shards, the last short, each side recorded as the tally draws it: the
+        # numerator whole, the denominator in chunks of 300 that it joins up here
         monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)
         pairs, tally = [], montecarlo._tally
 
-        def recording(num, den, cutoff, bins):
-            pairs.append((num.copy(), den.copy()))
-            return tally(num, den, cutoff, bins)
+        def recording(rng, draw_num, draw_den, values, spare, cutoff, bins):
+            sides = [], []
+
+            def record(side, draw):
+                def draw_recorded(rng, out):
+                    draw(rng, out)
+                    side.append(out.copy())
+
+                return draw_recorded
+
+            try:
+                return tally(rng, record(sides[0], draw_num), record(sides[1], draw_den), values, spare, cutoff, bins)
+            finally:
+                pairs.append(tuple(np.concatenate(side) for side in sides))
 
         monkeypatch.setattr(montecarlo, "_tally", recording)
         return pairs
@@ -430,8 +510,10 @@ class TestInPlaceDraws:
     @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 10.0), (1e5, "past cap")])
     def test_count_difference(self, monkeypatch, lambda1, lambda2):
         monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)
         lambda1, lambda2 = rate(lambda1), rate(lambda2)
-        # one buffer pair serves every shard, and the differences are cast to int64 in place
+        # one shard buffer and one chunk buffer serve every shard; X2 comes in chunks, and
+        # each chunk's differences are cast to int64 in place
         diffs = np.concatenate([
             np.subtract(*pair) for pair in self.expected(
                 8, lambda rng, n: (alias_reference(lambda1, rng, n), alias_reference(lambda2, rng, n))
@@ -456,6 +538,19 @@ class TestCountDifference:
         sd = math.sqrt(7.0)
         assert dist.mean() == pytest.approx(3.0, abs=3 * sd / math.sqrt(n))
         assert dist.sd() == pytest.approx(sd, rel=5e-3)
+
+    def test_footprint(self):
+        # two whole draw arrays and np.unique's sorted copy once peaked at 3.25 arrays;
+        # X2 now comes a chunk at a time, and the differences are shifted and counted in place
+        n = 1_000_000
+        simulate_count_difference(30.0, 20.0, n, seed=1)  # the first run sets up what later runs reuse
+        tracemalloc.start()
+        try:
+            simulate_count_difference(30.0, 20.0, n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (1 << 20), peak / (8 * n)
 
     def test_positive_skew(self):
         dist = simulate_count_difference(5.0, 1.0, 400_000, seed=15)
