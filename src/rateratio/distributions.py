@@ -423,14 +423,22 @@ def gamma_ppf(q, p: GammaParams):
         return special.gammaincinv(p.alpha, q) / p.beta
 
 
+def _finite_variance(variance: float, undefined: dict) -> float | None:
+    """variance, or None where it reads inf, with that reason put in undefined; an sd past ~1.3e154 still stands."""
+    if math.isinf(variance):
+        undefined["variance"] = "past the float range"
+        return None
+    return variance
+
+
 def gamma_summaries(p: GammaParams) -> SummaryStats:
     """Mean alpha/beta, sd sqrt(alpha)/beta, mode (alpha-1)/beta for alpha >= 1 else 0."""
     p.require_proper()
     mode = (p.alpha - 1.0) / p.beta if p.alpha >= 1.0 else 0.0
     sd = math.sqrt(p.alpha) / p.beta
-    variance = sd * sd  # past the float range for sd > ~1.3e154, where sd itself is still an answer
-    undefined = {"variance": "past the float range"} if math.isinf(variance) else {}
-    return SummaryStats(mode, p.alpha / p.beta, None if undefined else variance, sd, undefined)
+    undefined = {}
+    variance = _finite_variance(sd * sd, undefined)
+    return SummaryStats(mode, p.alpha / p.beta, variance, sd, undefined)
 
 
 def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
@@ -566,7 +574,8 @@ def _ratio_summaries(
             variance = scale**2 * m1 * m2
         except OverflowError:  # a float ** raises past 1e308, where a float * reads inf
             variance = scale * (scale * m1 * m2)
-        sd = math.sqrt(variance)
+        sd = math.sqrt(variance) if math.isfinite(variance) else scale * math.sqrt(m1) * math.sqrt(m2)
+        variance = _finite_variance(variance, undefined)
     else:
         undefined["variance"] = undefined["sd"] = variance_reason
     return SummaryStats(mode, mean, variance, sd, undefined)

@@ -2,10 +2,13 @@
 
 Simulators draw count ratios X1/X2 (with explicit NaN = 0/0 and
 Inf = k/0 bookkeeping), count differences, Gamma-variate ratios and
-uniform-variate ratios.  Work is split into fixed-size shards, each with an
-RNG stream spawned deterministically from the master seed, so results depend
-only on (seed, n, parameters) — never on how many workers processed the
-shards — and merged reports are bit-reproducible.
+uniform-variate ratios.  Work is split into fixed-size shards, each with two
+RNG streams, one per side, spawned deterministically from the master seed.
+A shard is drawn, divided, counted and binned _CHUNK draws at a time in two
+chunk buffers of its own.  The draws and every count depend only on (seed,
+n, parameters): never on the chunk size, nor on how many workers processed
+the shards.  The last bits of the mean and sd follow the chunk size, and
+merged reports are bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -41,7 +43,7 @@ DEFAULT_BINS = 150
 
 POISSON_TABLE_CAP = 1 << 14  # alias-table entries; past them a rate is drawn by rng.poisson
 _POISSON_TAIL = 43.0  # each tail outside the table holds < e^-43, so both together < 2^-60
-_CHUNK = 1 << 14  # draws per pass of the alias drawer and of a shard's denominator
+_CHUNK = 1 << 15  # draws per pass of a shard's tally, on each side
 # draw(rng, out) fills float64 out in place; quoted, the Generator leaves numpy.random unimported
 _Draw = Callable[["np.random.Generator", np.ndarray], None]
 
@@ -110,69 +112,65 @@ def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; more threads buy no speed, and each holds a shard buffer."""
+    """CPUs this process may run on; more threads buy no speed, as each tallies one shard at a time."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _shards(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
-    """(stream, size) of each shard: SHARD_SIZE draws, the rest in the last, one stream each."""
+def _shards(n: int, seed: int) -> list[tuple[tuple[np.random.Generator, np.random.Generator], int]]:
+    """(streams, size) of each shard: SHARD_SIZE draws, the rest in the last; one spawned stream per side."""
     full, rest = divmod(n, SHARD_SIZE)
     sizes = [SHARD_SIZE] * full + ([rest] if rest else [])
-    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
+    shards = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(tuple(map(np.random.default_rng, shard.spawn(2))), size) for shard, size in zip(shards, sizes)]
 
 
-def _tally(
-    rng: np.random.Generator, draw_num: _Draw, draw_den: _Draw, values: np.ndarray, spare: np.ndarray,
-    cutoff: float, bins: int,
-) -> tuple:
+def _chunk_pairs(streams, draw_num: _Draw, draw_den: _Draw, size: int):
+    """Yield one shard's (num, den) _CHUNK draws at a time, each side from its own stream.
+
+    Both come in the shard's two chunk buffers, which the next chunk overwrites.
+    """
+    num_buffer, den_buffer = np.empty(min(size, _CHUNK)), np.empty(min(size, _CHUNK))
+    for start in range(0, size, _CHUNK):
+        num, den = num_buffer[: size - start], den_buffer[: size - start]  # a slice stops at the buffer's end
+        draw_num(streams[0], num)
+        draw_den(streams[1], den)
+        yield num, den
+
+
+def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, bins: int) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
-    num is drawn whole into values, den chunk by chunk into spare, and each
-    chunk is counted, divided into its slice of values and compacted forward
-    there at once, so a shard holds one draw array at its peak.  The sums come
-    first, in draw order, because their last bits depend on that order; then
-    one in-place sort lets every count be read as a difference of positions.
-    The edges are those np.histogram builds, and its last bin is closed.
+    Each chunk's 0/0 and k/0 are counted, its ratios divided in place and,
+    past any zero denominator, kept in one masked copy.  Both sums are added
+    in draw order, the squares made in the free denominator buffer; then one
+    in-place sort lets every count be read as a difference of positions on
+    the edges np.histogram builds, whose last bin is closed.
     """
-    draw_num(rng, values)
-    n_nan = kept = 0
+    grids = [np.linspace(0.0, cutoff, k + 1) for k in (bins, MODE_BINS)]
+    hists = [np.zeros(k, np.intp) for k in (bins, MODE_BINS)]
+    n_nan = n_zero = n_over = 0
+    total = total_sq = 0.0
     # ratios and squares past the float range are inf; the report says what that means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, values.size, spare.size):
-            num, den = values[start : start + spare.size], spare[: min(values.size - start, spare.size)]
-            draw_den(rng, den)
+        for num, den in _chunk_pairs(streams, draw_num, draw_den, size):
             zero_den = den == 0
             zeros = int(np.count_nonzero(zero_den))
+            n_zero += zeros
             n_nan += int(np.count_nonzero(num[zero_den] == 0)) if zeros else 0  # 0/0; the rest are k/0
-            np.divide(num, den, out=num)
-            if zeros or kept < start:  # the finite ratios move forward, past the draws left out
-                values[kept : kept + num.size - zeros] = num[~zero_den] if zeros else num
-            kept += num.size - zeros
-        n_zero, values = values.size - kept, values[:kept]
-        total = float(values.sum())
-        total_sq = _square_sum(values, spare)
-    values.sort()
-    # a NaN ratio (inf/inf) sorts last, and no count takes it, as np.histogram counts none
-    top, end = np.searchsorted(values, (cutoff, np.inf), side="right")
-    hist, fine = (_bin_counts(values, cutoff, b, top) for b in (bins, MODE_BINS))
-    return n_nan, n_zero - n_nan, total, total_sq, int(end - top), hist, fine
-
-
-def _square_sum(values: np.ndarray, spare: np.ndarray) -> float:
-    """float(np.square(values).sum()) bit for bit: NumPy sums pairwise, splitting a block of n > 128
-    at n // 2 rounded down to a multiple of 8, and this splits alike down to blocks that fit spare."""
-    n = values.size
-    if n <= spare.size or n <= 128:
-        return float(np.square(values, out=spare[:n] if n <= spare.size else None).sum())
-    half = n // 2 - n // 2 % 8
-    return _square_sum(values[:half], spare) + _square_sum(values[half:], spare)
-
-
-def _bin_counts(values: np.ndarray, cutoff: float, bins: int, top: int) -> np.ndarray:
-    """np.histogram(values, bins, range=(0, cutoff))[0] of sorted values; top counts those <= cutoff."""
-    positions = np.searchsorted(values, np.linspace(0.0, cutoff, bins + 1), side="left")
-    positions[-1] = top
-    return np.diff(positions)
+            ratios = np.divide(num, den, out=num)
+            if zeros:
+                ratios = ratios[~zero_den]
+            total += float(ratios.sum())
+            total_sq += float(np.square(ratios, out=den[: ratios.size]).sum())
+            ratios.sort()
+            # a NaN ratio (inf/inf) sorts last, and no count takes it, as np.histogram counts none
+            top, end = np.searchsorted(ratios, (cutoff, np.inf), side="right")
+            n_over += int(end - top)
+            for edges, hist in zip(grids, hists):
+                positions = np.searchsorted(ratios, edges)
+                positions[-1] = top
+                hist += np.diff(positions)
+    return n_nan, n_zero - n_nan, total, total_sq, n_over, *hists
 
 
 def _run_ratio_simulation(
@@ -184,10 +182,7 @@ def _run_ratio_simulation(
     seed: int,
     workers: int,
 ) -> RatioSampleReport:
-    """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call.
-
-    Each thread owns one buffer sized to the largest shard and one of _CHUNK draws; a shard takes a free pair.
-    """
+    """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if bins < 1:
@@ -209,18 +204,9 @@ def _run_ratio_simulation(
 
     jobs = _shards(n, seed)
     threads = min(workers, len(jobs), _usable_cpus())
-    buffers = queue.SimpleQueue()
-    for _ in range(threads):
-        buffers.put((np.empty(min(n, SHARD_SIZE)), np.empty(min(n, _CHUNK))))
 
     def shard(job) -> tuple:
-        stream, size = job
-        values, spare = buffers.get()
-        try:
-            # tally here, in the worker, before the pair serves the next shard
-            return _tally(np.random.default_rng(stream), draw_num, draw_den, values[:size], spare, cutoff, bins)
-        finally:
-            buffers.put((values, spare))
+        return _tally(*job, draw_num, draw_den, cutoff, bins)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -332,19 +318,14 @@ def _poisson_drawer(lam: float) -> _Draw:
 
     def draw_alias(rng: np.random.Generator, out: np.ndarray) -> None:
         rng.random(out=out)
-        chunk = min(out.size, _CHUNK)
-        column, share, aliased = np.empty(chunk, np.intp), np.empty(chunk), np.empty(chunk, bool)
-        for start in range(0, out.size, chunk):
-            u = out[start : start + chunk]
-            j, s, a = column[: u.size], share[: u.size], aliased[: u.size]
-            np.multiply(u, m, out=u)
-            np.copyto(j, u, casting="unsafe")  # truncation: floor of u m >= 0
-            np.minimum(j, m - 1, out=j)  # u m < m under round-to-nearest; rounded up, it is m
-            fraction = np.subtract(u, j, out=u)
-            np.greater_equal(fraction, np.take(q, j, out=s), out=a)
-            np.add(j, j, out=j)
-            np.add(j, a, out=j)  # 2 column + aliased: one gather in place of a masked pick
-            np.take(outcomes, j, out=u)
+        out *= m
+        column = out.astype(np.intp)  # truncation: floor of u m >= 0
+        np.minimum(column, m - 1, out=column)  # u m < m under round-to-nearest; rounded up, it is m
+        out -= column  # the fraction
+        aliased = out >= q[column]
+        column += column
+        column += aliased  # 2 column + aliased: one gather in place of a masked pick
+        np.take(outcomes, column, out=out)
 
     return draw_alias
 
@@ -424,27 +405,21 @@ def simulate_count_difference(
 ) -> DiscreteDist:
     """Empirical pmf of D = X1 - X2 over the contiguous range of observed values.
 
-    X2 comes a chunk at a time, as in the ratio tally; the differences are cast to int64 in place.
+    Both counts come a chunk at a time, as in the ratio tally, and each chunk's differences are counted.
     """
     if not (lambda1 > 0) or not (lambda2 > 0):
         raise ValueError("lambda1 and lambda2 must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
-    buffer, spare = np.empty(min(n, SHARD_SIZE)), np.empty(min(n, _CHUNK))
     tallies: dict[int, int] = {}
-    for stream, size in _shards(int(n), seed):
-        rng, values = np.random.default_rng(stream), buffer[:size]
-        draw1(rng, values)
-        for start in range(0, size, spare.size):
-            num, den = values[start : start + spare.size], spare[: min(size - start, spare.size)]
-            draw2(rng, den)
-            np.copyto(num.view(np.int64), np.subtract(num, den, out=num), casting="unsafe")  # whole floats
-        diff = values.view(np.int64)
-        lo = int(diff.min())
-        counts = np.bincount(np.subtract(diff, lo, out=diff))  # shifted in place, so nothing copies diff
-        for value in np.flatnonzero(counts).tolist():
-            tallies[lo + value] = tallies.get(lo + value, 0) + int(counts[value])
+    for streams, size in _shards(int(n), seed):
+        for x1, x2 in _chunk_pairs(streams, draw1, draw2, size):
+            diff = np.subtract(x1, x2, out=x1).astype(np.intp)  # whole floats, so the cast is exact
+            lo = int(diff.min())
+            counts = np.bincount(np.subtract(diff, lo, out=diff))
+            for value in np.flatnonzero(counts).tolist():
+                tallies[lo + value] = tallies.get(lo + value, 0) + int(counts[value])
     lo, hi = min(tallies), max(tallies)
     support = np.arange(lo, hi + 1)
     probs = np.array([tallies.get(int(d), 0) / n for d in support])

@@ -801,6 +801,10 @@ RATE_MODE_PAST_FLOAT_RANGE = [
     "--prior-alpha 1.061769709864417e+290 --prior-beta 5.512445642512144e-32",
 ]
 RATIO_PAST_FLOAT_RANGE = "ratio --x1 3 --T1 1e-100 --x2 5 --T2 1e100 --model A"
+RATIO_B_PAST_FLOAT_RANGE = (
+    "ratio --x1 5 --T1 5.452100082004223e-74 --x2 1 --T2 1.230264521442318e+192 --model B "
+    "--prior-alpha0 9.112694986043251e+47 --prior-beta0 1.3938324452696672e-173"
+)
 EDGE_INPUTS += [
     line + fmt for line in MC_SUMS_PAST_FLOAT_RANGE for fmt in ("", " --format json", " --format csv")
 ]
@@ -900,12 +904,12 @@ class TestEdgeInputs:
 
     def test_inf_over_inf_draws_exit_3_with_their_count(self, capsys):
         # both Gamma draws overflow at scale 1e308, and inf/inf is NaN: once
-        # "mass accounting violated: total 0.974"
+        # "mass accounting violated: total 0.974"; about 27.5 of 1000 draws do
         line = "mc gamma-ratio --alpha1 1 --beta1 1e-308 --alpha2 1 --beta2 1e-308 --n 1000 --seed 1"
         code, out, err = run_cli(capsys, line.split())
         assert code == 3 and out == ""
         assert err == (
-            "error: 26 of the 1000 draws overflowed the float range in both numerator and "
+            "error: 25 of the 1000 draws overflowed the float range in both numerator and "
             "denominator (inf/inf), so their ratio is undefined\n"
         )
 
@@ -1038,12 +1042,24 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == "error: the density leaves the float range on the plot grid\n"
 
     def test_refuses_ratio_variance_past_float_range(self, capsys):
-        # scale**2 once raised OverflowError (exit 1); then text printed sd = inf, for an sd
-        # of 6e199 whose square alone leaves the float range; csv prints the density alone
-        for fmt, code in (("text", 3), ("json", 3), ("csv", 0)):
-            assert _exit_code(RATIO_PAST_FLOAT_RANGE.split() + ["--format", fmt]) == code
-            err = capsys.readouterr().err
-            assert err == ("error: variance = inf is outside the float range\n" if code else "")
+        # scale**2 once raised OverflowError (exit 1), then text printed sd = inf; then text and
+        # json refused the variance (exit 3) where csv, which prints the density alone, exited 0.
+        # A variance past the float range beside a finite sd is now null with its reason, as
+        # gamma_summaries reports it, so every format exits 0
+        cases = ((RATIO_PAST_FLOAT_RANGE, 6e199), (RATIO_B_PAST_FLOAT_RANGE, 6.065456209480839e217))
+        for line, sd in cases:
+            for fmt in ("text", "json", "csv"):
+                code, out, err = run_cli(capsys, line.split() + ["--format", fmt])
+                assert code == 0 and err == ""
+                if fmt == "json":
+                    (summaries,) = (model["summaries"] for model in json.loads(out)["models"].values())
+                    assert summaries["variance"] is None and summaries["sd"] == pytest.approx(sd, rel=1e-14)
+                    assert summaries["undefined"] == {"variance": "past the float range"}
+        # an sd past the float range is still refused; csv prints the density alone
+        line = "ratio --x1 1 --T1 1 --x2 1 --T2 1e306 --model B --prior-alpha0 2.0000001 --prior-beta0 1"
+        for fmt in ("text", "json"):
+            assert _exit_code(line.split() + ["--format", fmt]) == 3
+            assert capsys.readouterr().err == "error: sd = inf is outside the float range\n"
 
     @pytest.mark.parametrize(
         "fmt,reason",

@@ -600,10 +600,15 @@ class TestGammaRatioSummaries:
         assert s.sd == pytest.approx(math.sqrt(s.variance), rel=1e-12)
 
     def test_refuses_variance_past_float_range(self):
-        # scale**2 once raised OverflowError for a rate scale b2/b1 past ~1.3e154; then the
-        # variance read inf, and text printed sd = inf for an sd of 6.6e199
-        with pytest.raises(ValueError, match=re.escape("variance = inf is outside the float range")):
-            gamma_ratio_summaries(GammaParams(3.0, 1e-200), GammaParams(5.0, 1.0))
+        # scale**2 once raised OverflowError for a rate scale b2/b1 past ~1.3e154; then text
+        # printed sd = inf for an sd of 6.6e199; then the variance was refused. Beside a finite
+        # sd it is now None with its reason, as in gamma_summaries
+        s = gamma_ratio_summaries(GammaParams(3.0, 1e-200), GammaParams(5.0, 1.0))
+        assert s.sd == pytest.approx(1e200 * math.sqrt(3 / 4 * 7 / 12), rel=1e-14) and s.variance is None
+        assert s.undefined == {"variance": "past the float range"}
+        # an sd past the float range is still refused
+        with pytest.raises(ValueError, match=re.escape("sd = inf is outside the float range")):
+            gamma_ratio_summaries(GammaParams(1.0, 1e-306), GammaParams(2.0000001, 1.0))
         # (1e160)**2 leaves the float range, but the variance does not
         s = gamma_ratio_summaries(GammaParams(1e-30, 1e-160), GammaParams(1e30, 1.0))
         assert s.variance == pytest.approx(1e230, rel=1e-12)
