@@ -560,11 +560,16 @@ def _ratio_summaries(
     """
     a1, a2 = num.alpha, den.alpha
     scale = den.beta / num.beta
-    mode = scale * (a1 - 1.0) / (a2 + 1.0) if a1 > 1.0 else 0.0
+
+    def scaled(top: float, bottom: float) -> float:
+        """scale * top / bottom, regrouped as scale * (top / bottom) only where scale * top reads inf."""
+        return scale * top / bottom if scale * top < math.inf else scale * (top / bottom)
+
+    mode = scaled(a1 - 1.0, a2 + 1.0) if a1 > 1.0 else 0.0
     mean = variance = sd = None
     undefined = {}
     if a2 > 1.0:
-        mean = scale * a1 / (a2 - 1.0)
+        mean = scaled(a1, a2 - 1.0)
     else:
         undefined["mean"] = mean_reason
     if a2 > 2.0:

@@ -55,16 +55,14 @@ class RateEstimate:
     summaries: SummaryStats
 
 
-def update_lambda(prior: GammaParams, x: int) -> GammaParams:
-    """Posterior of the expected count lambda after observing x counts."""
-    if x < 0 or x != int(x):
-        raise ValueError(f"x must be a non-negative integer, got {x}")
-    return GammaParams(prior.alpha + x, prior.beta + 1.0)
-
-
 def update_rate(prior: GammaParams, obs: CountObservation) -> GammaParams:
-    """Posterior of the rate r after observing x counts in time T."""
+    """Posterior of the rate r after observing x counts in time T: Gamma(alpha0 + x, beta0 + T)."""
     return GammaParams(prior.alpha + obs.x, prior.beta + obs.T)
+
+
+def update_lambda(prior: GammaParams, x: int) -> GammaParams:
+    """Posterior of the expected count lambda after observing x counts: the rate update at T = 1."""
+    return update_rate(prior, CountObservation(x, 1.0))
 
 
 def combine_observations(
@@ -72,15 +70,14 @@ def combine_observations(
 ) -> GammaParams:
     """Pool independent count observations of one rate into a single posterior.
 
-    Equivalent to folding update_rate over the list in any order:
-    (alpha0 + sum of x, beta0 + sum of T).
+    One update by the totals, (alpha0 + sum of x, beta0 + sum of T): folding
+    update_rate over the list in any order gives it, up to the rounding of the sums.
     """
     observations = list(observations)
     if not observations:
         raise ValueError("observations must be non-empty")
-    total_x = sum(o.x for o in observations)
-    total_t = sum(o.T for o in observations)
-    return GammaParams(prior.alpha + total_x, prior.beta + total_t)
+    totals = CountObservation(sum(o.x for o in observations), sum(o.T for o in observations))
+    return update_rate(prior, totals)
 
 
 def elicit_gamma(mu0: float, sigma0: float) -> GammaParams:

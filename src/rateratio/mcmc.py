@@ -53,7 +53,7 @@ from typing import Literal
 import numpy as np
 
 from .distributions import GammaParams, _sample_sd
-from .inference import CountObservation
+from .inference import CountObservation, update_rate
 
 
 __all__ = [
@@ -341,7 +341,8 @@ class Model:
     readouts[name](draws, rng), which a leg registered.  draw(rng, n), where
     it is set, returns n iid posterior draws of the variables a node would
     draw, and the acceptance rate of each node it measured; or None, and
-    run_chain then runs the Gibbs sweeps of the nodes.
+    run_chain then runs the Gibbs sweeps of the nodes.  Model A has no nodes and
+    no initial state: its drawer draws each rate from its prior's conjugate update.
     """
 
     spec: ModelSpec
@@ -605,24 +606,19 @@ def _iid_drawer(spec: ModelSpec):
 
 def build_model(spec: ModelSpec) -> Model:
     """Assemble nodes, conditionals, initial state and, where one exists, the iid drawer."""
-    x1, t1 = spec.data1.x, spec.data1.T
-    x2, t2 = spec.data2.x, spec.data2.T
     priors = spec.priors
-
     if spec.variant == "A":
-        pr1, pr2 = priors["r1"], priors["r2"]
-        # the rates are independent a posteriori: neither conditional reads the state
-        nodes = (
-            _gamma_node("r1", pr1.alpha, (x1,), lambda s: pr1.beta + t1),
-            _gamma_node("r2", pr2.alpha, (x2,), lambda s: pr2.beta + t2),
-        )
-        initial = {"r1": (x1 + 1.0) / t1, "r2": (x2 + 1.0) / t2}
+        # the rates are independent a posteriori, each its prior's conjugate update: every draw is kept
+        posteriors = {"r1": update_rate(priors["r1"], spec.data1), "r2": update_rate(priors["r2"], spec.data2)}
 
         def draw(rng: np.random.Generator, n: int):
-            return {node.name: rng.standard_gamma(node.shape, n) / node.rate(initial) for node in nodes}, {}
+            draws = {name: rng.standard_gamma(p.alpha, n) / p.beta for name, p in posteriors.items()}
+            return draws, {"r1": 1.0, "r2": 1.0}
 
-        return Model(spec, nodes, initial, draw)
+        return Model(spec, (), {}, draw)
 
+    x1, t1 = spec.data1.x, spec.data1.T
+    x2, t2 = spec.data2.x, spec.data2.T
     expected = {1: lambda s: s["rho"] * s["r2"] * t1, 2: lambda s: s["r2"] * t2}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
     eps1, eps2 = (eff.initial() for eff in spec._signal)

@@ -73,13 +73,12 @@ def model_a_pdf(rho, d1: CountObservation, d2: CountObservation):
     f(rho) = (x1+x2+1)!/(x1! x2!) * T1^(x1+1) T2^(x2+1)
              * rho^x1 * (T2 + T1 rho)^-(x1+x2+2)
     """
-    return gamma_ratio_pdf(rho, *_gamma_pair(RatioPosteriorSpec("A", d1, d2)))
+    return RatioPosterior(RatioPosteriorSpec("A", d1, d2)).pdf(rho)
 
 
 def model_a_summaries(d1: CountObservation, d2: CountObservation) -> SummaryStats:
     """Mode (x1/T1)/((x2+2)/T2); mean needs x2 > 0; sd needs x2 > 1."""
-    pair = _gamma_pair(RatioPosteriorSpec("A", d1, d2))
-    return _ratio_summaries(*pair, "requires x2 > 0", "requires x2 > 1")
+    return RatioPosterior(RatioPosteriorSpec("A", d1, d2)).summaries
 
 
 def model_b_pdf(
@@ -96,7 +95,7 @@ def model_b_pdf(
     With a flat prior on r2 this equals the Model A density with x2
     replaced by x2 - 1, which is why it needs alpha0 + x2 > 1.
     """
-    return gamma_ratio_pdf(rho, *_gamma_pair(RatioPosteriorSpec("B", d1, d2, prior_r2)))
+    return RatioPosterior(RatioPosteriorSpec("B", d1, d2, prior_r2)).pdf(rho)
 
 
 def model_b_summaries(
@@ -110,9 +109,7 @@ def model_b_summaries(
     for x2 > 1, sd for x2 > 2.  A proper Gamma(alpha0, beta0) prior shifts
     the conditions to alpha0 + x2 - 1 > 1 (mean) and > 2 (variance).
     """
-    shape = "x2" if prior_r2 == FLAT_PRIOR else "alpha0 + x2 - 1"
-    pair = _gamma_pair(RatioPosteriorSpec("B", d1, d2, prior_r2))
-    return _ratio_summaries(*pair, f"requires {shape} > 1", f"requires {shape} > 2")
+    return RatioPosterior(RatioPosteriorSpec("B", d1, d2, prior_r2)).summaries
 
 
 def model_b_rate_posteriors(
@@ -126,7 +123,7 @@ def model_b_rate_posteriors(
     """
     if d2.x < 1:
         raise ValueError("r2 posterior is improper for x2 = 0 (requires x2 >= 1)")
-    return _gamma_pair(RatioPosteriorSpec("B", d1, d2))
+    return RatioPosterior(RatioPosteriorSpec("B", d1, d2))._pair
 
 
 @_on_ratios
@@ -188,33 +185,45 @@ class RatioPosterior:
     """A closed-form rho posterior and its summaries.
 
     Both models give a Gamma-ratio law, so pdf, cdf and ppf are all exact.
+    Its Gamma laws (numerator, denominator) are made once, on construction,
+    by one inference.update_rate call each: Model A's are each rate's update
+    of the flat prior, (x_i + 1, T_i); Model B's the same with x2 -> x2 - 1 in
+    r2's update, (alpha0 + x2 - 1, beta0 + T2), which needs a positive shape.
     """
 
     spec: RatioPosteriorSpec
+    _pair: tuple[GammaParams, GammaParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _gamma_pair(self.spec)  # refuses a Model B posterior that does not normalize
+        spec = self.spec
+        num, den = update_rate(FLAT_PRIOR, spec.data1), update_rate(spec.prior_r2, spec.data2)
+        if spec.model == "B":
+            if den.alpha - 1.0 <= 0:
+                raise ValueError(f"normalization undefined: alpha0 + x2 - 1 = {den.alpha - 1.0} must be > 0")
+            den = GammaParams(den.alpha - 1.0, den.beta)
+        object.__setattr__(self, "_pair", (num, den))
 
     @functools.cached_property
     def summaries(self) -> SummaryStats:
         """Mode / mean / sd, made on first use: a density needs none of them, and they may refuse."""
-        if self.spec.model == "A":
-            return model_a_summaries(self.spec.data1, self.spec.data2)
-        return model_b_summaries(self.spec.data1, self.spec.data2, self.spec.prior_r2)
+        # the mean needs the denominator's shape > 1, the variance > 2: x2 + 1 in A, alpha0 + x2 - 1 in B
+        shape = "x2" if self.spec.prior_r2 == FLAT_PRIOR else "alpha0 + x2 - 1"
+        low = 0 if self.spec.model == "A" else 1
+        return _ratio_summaries(*self._pair, f"requires {shape} > {low}", f"requires {shape} > {low + 1}")
 
     def pdf(self, rho):
-        return gamma_ratio_pdf(rho, *_gamma_pair(self.spec))
+        return gamma_ratio_pdf(rho, *self._pair)
 
     def logpdf(self, rho):
-        return gamma_ratio_logpdf(rho, *_gamma_pair(self.spec))
+        return gamma_ratio_logpdf(rho, *self._pair)
 
     def cdf(self, rho):
         """P(rho' <= rho) under this posterior."""
-        return gamma_ratio_cdf(rho, *_gamma_pair(self.spec))
+        return gamma_ratio_cdf(rho, *self._pair)
 
     def ppf(self, q):
         """Posterior quantile of rho at probability q."""
-        return gamma_ratio_ppf(q, *_gamma_pair(self.spec))
+        return gamma_ratio_ppf(q, *self._pair)
 
 
 def ratio_posterior(spec: RatioPosteriorSpec) -> RatioPosterior:
@@ -246,17 +255,3 @@ def combine_ratio_instances(
     )
     return ratio_posterior(spec)
 
-
-def _gamma_pair(spec: RatioPosteriorSpec) -> tuple[GammaParams, GammaParams]:
-    """The Gamma laws (numerator, denominator) whose ratio rho's posterior is.
-
-    Model A: each rate's update of the flat prior, (x_i + 1, T_i).  Model B:
-    the same for r1, and r2's update of its prior with x2 -> x2 - 1,
-    (alpha0 + x2 - 1, beta0 + T2), which must have a positive shape.
-    """
-    num, den = update_rate(FLAT_PRIOR, spec.data1), update_rate(spec.prior_r2, spec.data2)
-    if spec.model == "A":
-        return num, den
-    if den.alpha - 1.0 <= 0:
-        raise ValueError(f"normalization undefined: alpha0 + x2 - 1 = {den.alpha - 1.0} must be > 0")
-    return num, GammaParams(den.alpha - 1.0, den.beta)

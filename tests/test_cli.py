@@ -808,7 +808,13 @@ RATIO_B_PAST_FLOAT_RANGE = (
 EDGE_INPUTS += [
     line + fmt for line in MC_SUMS_PAST_FLOAT_RANGE for fmt in ("", " --format json", " --format csv")
 ]
-EDGE_INPUTS += [RATIO_PAST_FLOAT_RANGE + fmt for fmt in ("", " --format json", " --format csv")]
+# the mode and mean lie near 1e306, but the scale times either shape alone passes the float range
+RATIO_PRODUCT_PAST_FLOAT_RANGE = "ratio --x1 1000 --T1 1e-300 --x2 1000 --T2 1e6 --model A"
+EDGE_INPUTS += [
+    line + fmt
+    for line in (RATIO_PAST_FLOAT_RANGE, RATIO_PRODUCT_PAST_FLOAT_RANGE)
+    for fmt in ("", " --format json", " --format csv")
+]
 
 
 # each once let a NumPy RuntimeWarning, with a module path and source line, reach stderr
@@ -1057,6 +1063,27 @@ class TestEdgeInputs:
                     assert summaries["undefined"] == {"variance": "past the float range"}
         # an sd past the float range is still refused; csv prints the density alone
         line = "ratio --x1 1 --T1 1 --x2 1 --T2 1e306 --model B --prior-alpha0 2.0000001 --prior-beta0 1"
+        for fmt in ("text", "json"):
+            assert _exit_code(line.split() + ["--format", fmt]) == 3
+            assert capsys.readouterr().err == "error: sd = inf is outside the float range\n"
+
+    def test_ratio_mode_and_mean_whose_product_passes_float_range(self, capsys):
+        # scale * (a1 - 1) / (a2 + 1) once read inf before its division: text and json exited 3
+        # with "mode = inf is outside the float range", where csv, which prints the density alone,
+        # exited 0.  Only where the product reads inf is it regrouped as scale * ((a1 - 1) / (a2 + 1))
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, RATIO_PRODUCT_PAST_FLOAT_RANGE.split() + ["--format", fmt])
+            assert code == 0 and err == ""
+            if fmt == "text":
+                assert "mode = 9.98004e+305\n  mean = 1.001e+306\n  sd = 4.47773e+304\n" in out
+            if fmt == "json":
+                summaries = json.loads(out)["models"]["A"]["summaries"]
+                assert summaries["mode"] == pytest.approx(1e306 * (1000 / 1002), rel=1e-15)
+                assert summaries["mean"] == pytest.approx(1e306 * (1001 / 1000), rel=1e-15)
+                assert summaries["variance"] is None
+                assert summaries["undefined"] == {"variance": "past the float range"}
+        # here the sd, about 1.96e308, really lies past the float range, and the error names it
+        line = "ratio --x1 3 --T1 1e-300 --x2 2 --T2 8e7 --model A"
         for fmt in ("text", "json"):
             assert _exit_code(line.split() + ["--format", fmt]) == 3
             assert capsys.readouterr().err == "error: sd = inf is outside the float range\n"

@@ -44,6 +44,31 @@ class TestUpdateLambda:
         assert seq == pooled
 
 
+class TestUpdatesAreUpdateRate:
+    """update_lambda and combine_observations are update_rate, bit for bit."""
+
+    PRIORS = [FLAT_PRIOR, GammaParams(6.25, 1.25), GammaParams(0.3, 1e-17)]
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_lambda_is_the_unit_time_update(self, prior):
+        for x in (0, 1, 7, 10**17 + 1):
+            assert update_lambda(prior, x) == update_rate(prior, CountObservation(x, 1.0))
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_pooling_is_one_observation_of_the_totals(self, prior):
+        observations = [CountObservation(3, 0.1), CountObservation(0, 0.2), CountObservation(8, 1e-17)]
+        total_t = 0.1 + 0.2 + 1e-17
+        assert total_t != 0.3 + 1e-17  # the times' float sum rounds
+        want = update_rate(prior, CountObservation(11, total_t))
+        assert combine_observations(prior, observations) == want
+        assert combine_observations(prior, iter(observations)) == want
+
+    @pytest.mark.parametrize("x", [-1, 2.5])
+    def test_lambda_refusal(self, x):
+        with pytest.raises(ValueError, match=rf"^x must be a non-negative integer, got {x}$"):
+            update_lambda(FLAT_PRIOR, x)
+
+
 class TestUpdateRate:
     def test_first_channel(self):
         post = update_rate(FLAT_PRIOR, CountObservation(3, 3.0))

@@ -241,10 +241,17 @@ class TestModelSpec:
 
 class TestBuildModel:
     def test_variant_a_nodes(self):
-        model = build_model(flat_spec("A", monitor=_VARIABLES["A"]))
-        assert {n.name for n in model.nodes} == {"r1", "r2"}
+        priors = {"r1": GammaParams(2.5, 0.75), "r2": MCMC_FLAT_PRIOR}
+        model = build_model(flat_spec("A", priors=priors, monitor=_VARIABLES["A"]))
+        # drawn iid from each rate's conjugate update: no Gibbs node, no initial state
+        assert model.nodes == ()
+        chain = run_chain(model, 500, seed=3)
+        assert chain.acceptance == {"r1": 1.0, "r2": 1.0}
+        m, rng = chain.monitored, np.random.default_rng(3)
+        for name, prior, data in (("r1", priors["r1"], D1), ("r2", priors["r2"], D2)):
+            want = rng.standard_gamma(prior.alpha + data.x, 500) / (prior.beta + data.T)
+            np.testing.assert_array_equal(m[name], want)
         # the readouts, bit for bit
-        m = run_chain(model, 500, seed=3).monitored
         np.testing.assert_array_equal(m["rho"], m["r1"] / m["r2"])
         np.testing.assert_array_equal(m["lambda1"], m["r1"] * D1.T)
         np.testing.assert_array_equal(m["lambda2"], m["r2"] * D2.T)

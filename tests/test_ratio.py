@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rateratio.distributions import GammaParams, gamma_summaries
-from rateratio.inference import FLAT_PRIOR, CountObservation
+import rateratio.ratio
+from rateratio.distributions import GammaParams, gamma_ratio_pdf, gamma_summaries
+from rateratio.inference import FLAT_PRIOR, CountObservation, update_rate
 from rateratio.ratio import (
+    RatioPosterior,
     RatioPosteriorSpec,
     combine_ratio_instances,
     implied_r1_pdf,
@@ -124,7 +126,7 @@ class TestModelB:
 
     def test_denominator_shape_guard(self):
         # flat prior and x2 = 0 leaves nothing to anchor the denominator rate
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^normalization undefined: alpha0 \+ x2 - 1 = 0.0 must be > 0$"):
             model_b_pdf(1.0, CountObservation(3, 1.0), CountObservation(0, 1.0))
 
     def test_undefined_flags(self):
@@ -219,6 +221,65 @@ class TestRatioPosterior:
     def test_combine_requires_instances(self):
         with pytest.raises(ValueError):
             combine_ratio_instances([], FLAT_PRIOR)
+
+
+class TestGammaPairMadeOnce:
+    SPECS = [
+        RatioPosteriorSpec("A", CountObservation(3, 3.0), CountObservation(6, 6.0)),
+        RatioPosteriorSpec("B", CountObservation(3, 3.0), CountObservation(6, 6.0)),
+        RatioPosteriorSpec("B", CountObservation(7, 0.5), CountObservation(2, 4.0), GammaParams(2.5, 1.5)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_two_updates_whatever_is_read(self, monkeypatch, spec):
+        calls = []
+
+        def counted(prior, obs):
+            calls.append((prior, obs))
+            return update_rate(prior, obs)
+
+        monkeypatch.setattr(rateratio.ratio, "update_rate", counted)
+        post = RatioPosterior(spec)
+        grid = np.array([0.2, 1.0, 3.0])
+        for _ in range(2):
+            post.pdf(grid), post.logpdf(grid), post.cdf(grid), post.ppf(0.5), post.summaries
+        assert calls == [(FLAT_PRIOR, spec.data1), (spec.prior_r2, spec.data2)]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_helpers_read_the_posterior(self, spec):
+        post, grid = RatioPosterior(spec), np.linspace(0.0, 6.0, 25)
+        d1, d2 = spec.data1, spec.data2
+        if spec.model == "A":
+            np.testing.assert_array_equal(model_a_pdf(grid, d1, d2), post.pdf(grid))
+            assert model_a_summaries(d1, d2) == post.summaries
+        else:
+            np.testing.assert_array_equal(model_b_pdf(grid, d1, d2, spec.prior_r2), post.pdf(grid))
+            assert model_b_summaries(d1, d2, spec.prior_r2) == post.summaries
+        if spec.model == "B" and spec.prior_r2 == FLAT_PRIOR:
+            r1, r2 = model_b_rate_posteriors(d1, d2)
+            assert r1 == update_rate(FLAT_PRIOR, d1)
+            assert r2 == GammaParams(update_rate(FLAT_PRIOR, d2).alpha - 1.0, d2.T)
+            np.testing.assert_array_equal(gamma_ratio_pdf(grid, r1, r2), post.pdf(grid))
+
+    def test_lambda_ratio_is_model_a_at_unit_times(self):
+        post = RatioPosterior(RatioPosteriorSpec("A", CountObservation(4, 1.0), CountObservation(2, 1.0)))
+        grid = np.linspace(0.0, 9.0, 25)
+        np.testing.assert_array_equal(lambda_ratio_pdf(grid, 4, 2), post.pdf(grid))
+        assert lambda_ratio_summaries(4, 2) == post.summaries
+
+    def test_summary_reasons(self):
+        d1 = CountObservation(3, 1.0)
+        cases = [
+            ("A", 0, FLAT_PRIOR, "requires x2 > 0", "requires x2 > 1"),
+            ("A", 1, FLAT_PRIOR, None, "requires x2 > 1"),
+            ("B", 1, FLAT_PRIOR, "requires x2 > 1", "requires x2 > 2"),
+            ("B", 0, GammaParams(2.5, 1.0), None, "requires alpha0 + x2 - 1 > 2"),
+        ]
+        for model, x2, prior, mean_reason, variance_reason in cases:
+            spec = RatioPosteriorSpec(model, d1, CountObservation(x2, 1.0), prior)
+            undefined = RatioPosterior(spec).summaries.undefined
+            assert undefined.get("mean") == mean_reason
+            assert undefined["variance"] == undefined["sd"] == variance_reason
 
 
 def paper_logpdf(rho, model, x1, t1, x2, t2, alpha0=1.0, beta0=0.0):
