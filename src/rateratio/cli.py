@@ -2,11 +2,15 @@
 
 Subcommands: predict, infer, ratio, combine, mc, mcmc.  Global flags on every
 subcommand: --seed, --format {json,csv,text}, --out.  Exit codes: 0 success,
-2 usage error (bad flags, precondition violations, malformed spec files),
+2 usage error (bad flags, cross-flag rules, malformed spec files),
 3 numeric/domain error raised during computation; a stdout pipe closed by
-its reader ends the command quietly with 0.  A command that draws random
-numbers and was given no --seed draws one and writes it to stderr, so the run
-can be replayed.
+its reader ends the command quietly with 0.  Each flag's argparse type holds
+its single-flag bound (a count >= 0, a time or intensity > 0, ...), so a bad
+value is argparse's usage error: it raises SystemExit(2) from parse_args and
+names the flag, before any seed is drawn.  The handlers check only the rules
+that involve more than one flag, the --obs/--instance fields and the spec
+file, and raise UsageError.  A command that draws random numbers and was given
+no --seed draws one and writes it to stderr, so the run can be replayed.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (default: drawn fresh and reported)"
+        "--seed", type=_count, default=None, help="RNG seed (default: drawn fresh and reported)"
     )
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", help="output format"
@@ -115,31 +119,31 @@ def _build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="forward predictive distributions of counts")
     psub = predict.add_subparsers(dest="mode", required=True)
     p_diff = psub.add_parser("diff", parents=[common], help="exact pmf of X1 - X2")
-    p_diff.add_argument("--l1", type=_finite_float, required=True, help="lambda1 (expected counts)")
-    p_diff.add_argument("--l2", type=_finite_float, required=True, help="lambda2 (expected counts)")
+    p_diff.add_argument("--l1", type=_positive, required=True, help="lambda1 (expected counts)")
+    p_diff.add_argument("--l2", type=_positive, required=True, help="lambda2 (expected counts)")
     p_diff.add_argument("--d-min", type=int, default=None)
     p_diff.add_argument("--d-max", type=int, default=None)
     p_diff.set_defaults(handler=_cmd_predict_diff)
     p_ratio = psub.add_parser("ratio", parents=[common], help="simulated X1/X2 with NaN/Inf accounting")
-    p_ratio.add_argument("--l1", type=_finite_float, required=True)
-    p_ratio.add_argument("--l2", type=_finite_float, required=True)
+    p_ratio.add_argument("--l1", type=_positive, required=True)
+    p_ratio.add_argument("--l2", type=_positive, required=True)
     _add_sim_options(p_ratio, n_help="number of draws")
     p_ratio.set_defaults(handler=_cmd_predict_ratio)
 
     infer = sub.add_parser("infer", parents=[common], help="rate posterior from one observation")
-    infer.add_argument("--x", type=int, required=True, help="observed counts")
-    infer.add_argument("--T", type=_finite_float, required=True, help="observation time")
+    infer.add_argument("--x", type=_count, required=True, help="observed counts")
+    infer.add_argument("--T", type=_positive, required=True, help="observation time")
     _add_prior_options(infer)
     infer.set_defaults(handler=_cmd_infer)
 
     ratio = sub.add_parser("ratio", parents=[common], help="closed-form posterior of rho = r1/r2")
     ratio.add_argument("--model", choices=("A", "B"), default="A")
-    ratio.add_argument("--x1", type=int, required=True)
-    ratio.add_argument("--T1", type=_finite_float, required=True)
-    ratio.add_argument("--x2", type=int, required=True)
-    ratio.add_argument("--T2", type=_finite_float, required=True)
-    ratio.add_argument("--prior-alpha0", type=_finite_float, default=None, help="Gamma prior on r2 (model B)")
-    ratio.add_argument("--prior-beta0", type=_finite_float, default=None)
+    ratio.add_argument("--x1", type=_count, required=True)
+    ratio.add_argument("--T1", type=_positive, required=True)
+    ratio.add_argument("--x2", type=_count, required=True)
+    ratio.add_argument("--T2", type=_positive, required=True)
+    ratio.add_argument("--prior-alpha0", type=_positive, default=None, help="Gamma prior on r2 (model B)")
+    ratio.add_argument("--prior-beta0", type=_non_negative, default=None)
     ratio.add_argument("--compare", action="store_true", help="emit models A and B side by side")
     ratio.set_defaults(handler=_cmd_ratio)
 
@@ -164,40 +168,40 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="X1,T1,X2,T2",
         help="one instance; repeatable",
     )
-    c_ratio.add_argument("--prior-alpha0", type=_finite_float, default=None, help="Gamma prior on r2")
-    c_ratio.add_argument("--prior-beta0", type=_finite_float, default=None)
+    c_ratio.add_argument("--prior-alpha0", type=_positive, default=None, help="Gamma prior on r2")
+    c_ratio.add_argument("--prior-beta0", type=_non_negative, default=None)
     c_ratio.set_defaults(handler=_cmd_combine_ratio)
 
     mc = sub.add_parser("mc", help="Monte Carlo simulators")
     msub = mc.add_subparsers(dest="mode", required=True)
     m_gamma = msub.add_parser("gamma-ratio", parents=[common], help="ratio of two Gamma variates")
     for flag in ("--alpha1", "--beta1", "--alpha2", "--beta2"):
-        m_gamma.add_argument(flag, type=_finite_float, required=True)
+        m_gamma.add_argument(flag, type=_positive, required=True)
     _add_sim_options(m_gamma)
     m_gamma.set_defaults(handler=_cmd_mc_gamma)
     m_unif = msub.add_parser("uniform-ratio", parents=[common], help="ratio of two uniform variates")
-    m_unif.add_argument("--rmax", type=_finite_float, default=1.0)
+    m_unif.add_argument("--rmax", type=_positive, default=1.0)
     _add_sim_options(m_unif)
     m_unif.set_defaults(handler=_cmd_mc_uniform)
     m_wait = msub.add_parser(
         "waiting-times", parents=[common], help="arrival times of a Poisson process"
     )
-    m_wait.add_argument("--rate", type=_finite_float, required=True)
-    m_wait.add_argument("--k", type=int, required=True, help="number of arrivals per path")
-    m_wait.add_argument("--paths", type=int, default=1)
+    m_wait.add_argument("--rate", type=_positive, required=True)
+    m_wait.add_argument("--k", type=_at_least_one, required=True, help="number of arrivals per path")
+    m_wait.add_argument("--paths", type=_at_least_one, default=1)
     m_wait.set_defaults(handler=_cmd_mc_waiting)
 
     mcmc = sub.add_parser("mcmc", parents=[common], help="run an exact Gibbs chain")
     mcmc.add_argument("--spec", required=True, help="JSON model spec file")
-    mcmc.add_argument("--n-iter", type=int, default=100_000)
-    mcmc.add_argument("--burn-in", type=int, default=None)
+    mcmc.add_argument("--n-iter", type=_at_least_one, default=100_000)
+    mcmc.add_argument("--burn-in", type=_count, default=None)
     mcmc.set_defaults(handler=_cmd_mcmc)
 
     return parser
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of every float flag: argparse names the flag in the error and exits 2."""
+    """The parse of every float flag and of each --obs/--instance field: finite, or refused."""
     try:
         value = float(text)
     except ValueError:
@@ -207,18 +211,39 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bounded(parse, ok, bound: str):
+    """argparse type: parse(text), refused with its bound unless ok(value)."""
+
+    def parse_bounded(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    parse_bounded.__name__ = parse.__name__  # argparse's "invalid int value: 'abc'"
+    return parse_bounded
+
+
+# every single-flag bound: a refused value exits 2 in parse_args, before any seed is drawn
+_positive = _bounded(_finite_float, lambda v: v > 0, "> 0")
+_non_negative = _bounded(_finite_float, lambda v: v >= 0, ">= 0")
+_count = _bounded(int, lambda v: v >= 0, ">= 0")
+_at_least_one = _bounded(int, lambda v: v >= 1, ">= 1")
+
+
 def _add_sim_options(parser: argparse.ArgumentParser, n_help: str | None = None) -> None:
-    parser.add_argument("--n", type=int, default=1_000_000, help=n_help)
-    parser.add_argument("--cutoff", type=_finite_float, default=DEFAULT_CUTOFF)
-    parser.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--n", type=_at_least_one, default=1_000_000, help=n_help)
+    parser.add_argument("--cutoff", type=_positive, default=DEFAULT_CUTOFF)
+    parser.add_argument("--bins", type=_at_least_one, default=DEFAULT_BINS)
+    parser.add_argument("--workers", type=_at_least_one, default=1)
 
 
 def _add_prior_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior-mean", type=_finite_float, default=None, help="prior mean (with --prior-sd)")
-    parser.add_argument("--prior-sd", type=_finite_float, default=None)
-    parser.add_argument("--prior-alpha", type=_finite_float, default=None, help="prior Gamma shape")
-    parser.add_argument("--prior-beta", type=_finite_float, default=None, help="prior Gamma rate")
+    parser.add_argument("--prior-mean", type=_positive, default=None, help="prior mean (with --prior-sd)")
+    parser.add_argument("--prior-sd", type=_positive, default=None)
+    parser.add_argument("--prior-alpha", type=_positive, default=None, help="prior Gamma shape")
+    # 0 is the improper flat-prior limit
+    parser.add_argument("--prior-beta", type=_non_negative, default=None, help="prior Gamma rate")
 
 
 def _prior_from_args(args) -> GammaParams:
@@ -229,8 +254,6 @@ def _prior_from_args(args) -> GammaParams:
         raise UsageError("give either --prior-mean/--prior-sd or --prior-alpha/--prior-beta, not both")
     if None in elicited:
         raise UsageError("--prior-mean and --prior-sd must be given together")
-    if min(elicited) <= 0:
-        raise UsageError("--prior-mean and --prior-sd must be > 0")
     return elicit_gamma(*elicited)
 
 
@@ -241,8 +264,6 @@ def _gamma_from_flags(args, alpha: str, beta: str) -> GammaParams:
         return FLAT_PRIOR
     if a is None or b is None:
         raise UsageError(f"{alpha} and {beta} must be given together")
-    if a <= 0 or b < 0:
-        raise UsageError(f"{alpha} must be > 0 and {beta} >= 0")
     return GammaParams(a, b)
 
 
@@ -304,20 +325,14 @@ def _summary_lines(s: SummaryStats) -> list[str]:
     ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
-
-
 # ---------------------------------------------------------------- predict
 
 
 def _cmd_predict_diff(args) -> None:
-    _require(args.l1 > 0, "--l1 must be > 0")
-    _require(args.l2 > 0, "--l2 must be > 0")
     lo = -np.inf if args.d_min is None else args.d_min
     hi = np.inf if args.d_max is None else args.d_max
-    _require(lo <= hi, "--d-min must be <= --d-max")
+    if lo > hi:
+        raise UsageError("--d-min must be <= --d-max")
     dist = skellam_dist(args.l1, args.l2)
     # --d-min/--d-max select a display window; pmf values and the mean/sd
     # stay those of the full distribution.
@@ -363,17 +378,7 @@ def _emit_report(args, report: RatioSampleReport, header: str) -> None:
     _emit(args, report.as_dict, lambda fh: write_histogram_csv(report, fh), lines)
 
 
-def _check_sim_args(args) -> None:
-    _require(args.n >= 1, "--n must be >= 1")
-    _require(args.cutoff > 0, "--cutoff must be > 0")
-    _require(args.bins >= 1, "--bins must be >= 1")
-    _require(args.workers >= 1, "--workers must be >= 1")
-
-
 def _cmd_predict_ratio(args) -> None:
-    _require(args.l1 > 0, "--l1 must be > 0")
-    _require(args.l2 > 0, "--l2 must be > 0")
-    _check_sim_args(args)
     report = simulate_count_ratio(
         args.l1, args.l2, args.n, args.cutoff, args.bins, args.seed, args.workers
     )
@@ -384,8 +389,6 @@ def _cmd_predict_ratio(args) -> None:
 
 
 def _cmd_infer(args) -> None:
-    _require(args.x >= 0, "--x must be >= 0")
-    _require(args.T > 0, "--T must be > 0")
     prior = _prior_from_args(args)
     estimate = rate_posterior(CountObservation(args.x, args.T), prior)
     posterior = estimate.posterior
@@ -412,10 +415,6 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_ratio(args) -> None:
-    _require(args.x1 >= 0, "--x1 must be >= 0")
-    _require(args.x2 >= 0, "--x2 must be >= 0")
-    _require(args.T1 > 0, "--T1 must be > 0")
-    _require(args.T2 > 0, "--T2 must be > 0")
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
     if args.model == "A" and prior_r2 != FLAT_PRIOR and not args.compare:
         raise UsageError("model A has no closed form for non-flat priors; use --model B")
@@ -562,9 +561,6 @@ def _cmd_combine_ratio(args) -> None:
 
 
 def _cmd_mc_gamma(args) -> None:
-    for name in ("alpha1", "beta1", "alpha2", "beta2"):
-        _require(getattr(args, name) > 0, f"--{name} must be > 0")
-    _check_sim_args(args)
     report = simulate_gamma_ratio(
         GammaParams(args.alpha1, args.beta1),
         GammaParams(args.alpha2, args.beta2),
@@ -582,16 +578,11 @@ def _cmd_mc_gamma(args) -> None:
 
 
 def _cmd_mc_uniform(args) -> None:
-    _require(args.rmax > 0, "--rmax must be > 0")
-    _check_sim_args(args)
     report = simulate_uniform_ratio(args.rmax, args.n, args.cutoff, args.bins, args.seed, args.workers)
     _emit_report(args, report, f"ratio of two U(0, {args.rmax:g}) variates")
 
 
 def _cmd_mc_waiting(args) -> None:
-    _require(args.rate > 0, "--rate must be > 0")
-    _require(args.k >= 1, "--k must be >= 1")
-    _require(args.paths >= 1, "--paths must be >= 1")
     # one row per path, also for one path
     times = poisson_process_waiting_times(args.rate, args.k, args.seed, n_paths=args.paths)
 
@@ -627,8 +618,6 @@ def _cmd_mc_waiting(args) -> None:
 
 
 def _cmd_mcmc(args) -> None:
-    _require(args.n_iter >= 1, "--n-iter must be >= 1")
-    _require(args.burn_in is None or args.burn_in >= 0, "--burn-in must be >= 0")
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise UsageError(f"spec file not found: {spec_path}")

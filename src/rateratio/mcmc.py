@@ -684,6 +684,8 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
         raise ValueError("n_iter must be >= 1")
     if burn_in is None:
         burn_in = max(1000, n_iter // 100)
+    elif burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     burn_in, n_iter = int(burn_in), int(n_iter)
     rng = np.random.default_rng(seed)
     acceptance = {node.name: 1.0 for node in model.nodes}

@@ -74,9 +74,10 @@ class TestPredict:
         assert lines[-2:] == ["", f"mean = {doc['mean']:.6g}, sd = {doc['sd']:.6g}"]
 
     def test_diff_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["predict", "diff", "--l1", "0", "--l2", "1"])
-        assert code == 2
-        assert "--l1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "diff", "--l1", "0", "--l2", "1"])
+        assert exc.value.code == 2
+        assert "argument --l1: must be > 0, got '0'" in capsys.readouterr().err
 
     def test_ratio_json_report(self, capsys):
         code, out, _ = run_cli(
@@ -130,8 +131,10 @@ class TestInfer:
         assert code == 2 and "not both" in err
 
     def test_negative_counts_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["infer", "--x", "-1", "--T", "1"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--x", "-1", "--T", "1"])
+        assert exc.value.code == 2
+        assert "argument --x: must be >= 0, got '-1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x,T", [("0", "1e9"), ("100000000", "1")])
     def test_extreme_scales_have_a_curve(self, capsys, x, T):
@@ -733,7 +736,7 @@ class TestSharedParser:
             (first, 0),
             (["infer", "--x", "3"], ("SystemExit", 2)),  # --T missing: argparse
             (["combine", "--help"], ("SystemExit", 0)),
-            (["infer", "--x", "-1", "--T", "1"], 2),
+            (["infer", "--x", "-1", "--T", "1"], ("SystemExit", 2)),  # --x below its bound: argparse
             (["ratio", "--model", "B", "--x1", "3", "--T1", "3", "--x2", "0", "--T2", "6"], 3),
         ]
         results = [outcome(argv) for argv, _ in calls]
@@ -747,6 +750,97 @@ class TestSharedParser:
         code, out, _ = run_cli(capsys, argv + ["--obs", "3,3", "--obs", "6,6"])
         assert code == 0
         assert json.loads(out)["observations"] == [{"x": 3, "T": 3.0}, {"x": 6, "T": 6.0}]
+
+
+# one value past its bound for every bounded flag: (command line, flag, bound, value)
+OUT_OF_BOUND_FLAGS = [
+    ("predict diff --l1 {} --l2 1", "--l1", "> 0", "0"),
+    ("predict diff --l1 1 --l2 {}", "--l2", "> 0", "-1"),
+    ("predict ratio --l1 {} --l2 1 --n 100", "--l1", "> 0", "0"),
+    ("predict ratio --l1 1 --l2 {} --n 100", "--l2", "> 0", "-2.5"),
+    ("predict ratio --l1 1 --l2 1 --n {}", "--n", ">= 1", "0"),
+    ("predict ratio --l1 1 --l2 1 --n 100 --seed {}", "--seed", ">= 0", "-1"),
+    ("infer --x {} --T 1", "--x", ">= 0", "-1"),
+    ("infer --x 1 --T {}", "--T", "> 0", "0"),
+    ("infer --x 1 --T 1 --seed {}", "--seed", ">= 0", "-1"),
+    ("infer --x 1 --T 1 --prior-mean {} --prior-sd 1", "--prior-mean", "> 0", "0"),
+    ("infer --x 1 --T 1 --prior-mean 1 --prior-sd {}", "--prior-sd", "> 0", "-1"),
+    ("infer --x 1 --T 1 --prior-alpha {} --prior-beta 1", "--prior-alpha", "> 0", "0"),
+    ("combine rate --obs 1,1 --prior-alpha 1 --prior-beta {}", "--prior-beta", ">= 0", "-0.5"),
+    ("ratio --x1 {} --T1 1 --x2 1 --T2 1", "--x1", ">= 0", "-1"),
+    ("ratio --x1 1 --T1 {} --x2 1 --T2 1", "--T1", "> 0", "0"),
+    ("ratio --x1 1 --T1 1 --x2 {} --T2 1", "--x2", ">= 0", "-3"),
+    ("ratio --x1 1 --T1 1 --x2 1 --T2 {}", "--T2", "> 0", "-1"),
+    ("ratio --model B --x1 1 --T1 1 --x2 1 --T2 1 --prior-alpha0 {} --prior-beta0 1",
+     "--prior-alpha0", "> 0", "0"),
+    ("ratio --model B --x1 1 --T1 1 --x2 1 --T2 1 --prior-alpha0 1 --prior-beta0 {}",
+     "--prior-beta0", ">= 0", "-1"),
+    ("combine ratio --instance 1,1,1,1 --prior-alpha0 {} --prior-beta0 1", "--prior-alpha0", "> 0", "-1"),
+    ("combine ratio --instance 1,1,1,1 --prior-alpha0 1 --prior-beta0 {}", "--prior-beta0", ">= 0", "-1"),
+    ("mc gamma-ratio --alpha1 {} --beta1 1 --alpha2 1 --beta2 1 --n 100", "--alpha1", "> 0", "0"),
+    ("mc gamma-ratio --alpha1 1 --beta1 {} --alpha2 1 --beta2 1 --n 100", "--beta1", "> 0", "-1"),
+    ("mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 {} --beta2 1 --n 100", "--alpha2", "> 0", "0"),
+    ("mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 1 --beta2 {} --n 100", "--beta2", "> 0", "0"),
+    ("mc gamma-ratio --alpha1 1 --beta1 1 --alpha2 1 --beta2 1 --n 100 --seed {}", "--seed", ">= 0", "-1"),
+    ("mc uniform-ratio --rmax {} --n 100", "--rmax", "> 0", "0"),
+    ("mc uniform-ratio --n 100 --cutoff {}", "--cutoff", "> 0", "0"),
+    ("mc uniform-ratio --n 100 --bins {}", "--bins", ">= 1", "0"),
+    ("mc uniform-ratio --n 100 --workers {}", "--workers", ">= 1", "0"),
+    ("mc waiting-times --rate {} --k 2", "--rate", "> 0", "0"),
+    ("mc waiting-times --rate 1 --k {}", "--k", ">= 1", "0"),
+    ("mc waiting-times --rate 1 --k 2 --paths {}", "--paths", ">= 1", "0"),
+    ("mc waiting-times --rate 1 --k 2 --seed {}", "--seed", ">= 0", "-1"),
+    ("mcmc --spec model.json --n-iter {}", "--n-iter", ">= 1", "0"),
+    ("mcmc --spec model.json --burn-in {}", "--burn-in", ">= 0", "-1"),
+    ("mcmc --spec model.json --seed {}", "--seed", ">= 0", "-1"),
+]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "line,flag,bound,value",
+        OUT_OF_BOUND_FLAGS,
+        ids=[line.split(" --")[0].replace(" ", "-") + flag for line, flag, _, _ in OUT_OF_BOUND_FLAGS],
+    )
+    def test_out_of_bound_value_exits_2_naming_the_flag(self, capsys, line, flag, bound, value):
+        # argparse refuses it while parsing: no seed is drawn and nothing is written
+        with pytest.raises(SystemExit) as exc:
+            main(line.format(value).split())
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument {flag}: must be {bound}, got {value!r}" in err
+        assert "rateratio: seed =" not in err
+
+    def test_non_numeric_int_keeps_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["infer", "--x", "abc", "--T", "1"])
+        assert "argument --x: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_zero_prior_beta_is_the_flat_limit(self, capsys):
+        code, out, err = run_cli(capsys, "infer --x 3 --T 3 --prior-alpha 2 --prior-beta 0".split())
+        assert code == 0 and err == ""
+        assert "prior: Gamma(alpha=2, beta=0)" in out.splitlines()
+        assert "posterior: Gamma(alpha=5, beta=3)" in out.splitlines()
+
+
+class TestHandlerRefusals:
+    @pytest.mark.parametrize(
+        "line,message",
+        [("infer --x 1 --T 1 --prior-mean 2", "--prior-mean and --prior-sd must be given together"),
+         ("infer --x 1 --T 1 --prior-beta 2", "--prior-alpha and --prior-beta must be given together"),
+         ("ratio --x1 3 --T1 3 --x2 6 --T2 6 --prior-alpha0 2 --prior-beta0 1",
+          "model A has no closed form for non-flat priors; use --model B"),
+         ("combine rate --obs a,1", "--obs[0]: invalid float value: 'a' in 'a,1'"),
+         ("predict diff --l1 1 --l2 1 --d-min 3 --d-max 2", "--d-min must be <= --d-max"),
+         ("mcmc --spec {missing} --seed 1", "spec file not found: {missing}"),
+         ("mcmc --spec {bad} --seed 1",
+          "spec file is not valid JSON: Expecting value: line 1 column 1 (char 0)")],
+    )
+    def test_exits_2_with_its_reason(self, capsys, tmp_path, line, message):
+        paths = {"missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}
+        paths["bad"].write_text("not json")
+        code, out, err = run_cli(capsys, line.format(**paths).split())
+        assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 NON_FINITE_FLAGS = [

@@ -294,6 +294,12 @@ class TestRunChain:
         chain = run_chain(build_model(flat_spec("B")), 5000, seed=2)
         assert chain.burn_in == 1000
 
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_negative_burn_in_refused(self, variant):
+        # once ran and reported burn_in = -5, printed as "Iterations = -4:45"
+        with pytest.raises(ValueError, match=r"^burn_in must be >= 0$"):
+            run_chain(build_model(flat_spec(variant)), 50, burn_in=-5, seed=1)
+
     def test_variant_a_posterior_means(self):
         chain = run_chain(build_model(flat_spec("A")), 100_000, seed=101)
         s = summarize_chain(chain)
