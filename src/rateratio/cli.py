@@ -10,7 +10,8 @@ value is argparse's usage error: it raises SystemExit(2) from parse_args and
 names the flag, before any seed is drawn.  The handlers check only the rules
 that involve more than one flag, the --obs/--instance fields and the spec
 file, and raise UsageError.  A command that draws random numbers and was given
-no --seed draws one and writes it to stderr, so the run can be replayed.
+no --seed draws one once its input is accepted, and writes it to stderr, so
+the run can be replayed.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class UsageError(Exception):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None and args.handler in _RANDOM_COMMANDS:
-        # draw the seed once and use it everywhere, so the run can be replayed
-        args.seed = np.random.SeedSequence().entropy
-        print(f"rateratio: seed = {args.seed}", file=sys.stderr)
     try:
         args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe raises inside the try
@@ -267,6 +264,18 @@ def _gamma_from_flags(args, alpha: str, beta: str) -> GammaParams:
     return GammaParams(a, b)
 
 
+def _seed(args) -> int:
+    """args.seed, drawn once and written to stderr where none was given, so the run can be replayed.
+
+    Each command that draws random numbers calls it once its input is
+    accepted, so a refused command draws no seed.
+    """
+    if args.seed is None:
+        args.seed = np.random.SeedSequence().entropy
+        print(f"rateratio: seed = {args.seed}", file=sys.stderr)
+    return args.seed
+
+
 def _render(fmt: str, fh, payload, table, lines) -> None:
     """Write one result to fh in one format.  Only the renderer of that format runs.
 
@@ -380,7 +389,7 @@ def _emit_report(args, report: RatioSampleReport, header: str) -> None:
 
 def _cmd_predict_ratio(args) -> None:
     report = simulate_count_ratio(
-        args.l1, args.l2, args.n, args.cutoff, args.bins, args.seed, args.workers
+        args.l1, args.l2, args.n, args.cutoff, args.bins, _seed(args), args.workers
     )
     _emit_report(args, report, f"ratio of counts: lambda1 = {args.l1:g}, lambda2 = {args.l2:g}")
 
@@ -567,7 +576,7 @@ def _cmd_mc_gamma(args) -> None:
         args.n,
         args.cutoff,
         args.bins,
-        args.seed,
+        _seed(args),
         args.workers,
     )
     _emit_report(
@@ -578,13 +587,13 @@ def _cmd_mc_gamma(args) -> None:
 
 
 def _cmd_mc_uniform(args) -> None:
-    report = simulate_uniform_ratio(args.rmax, args.n, args.cutoff, args.bins, args.seed, args.workers)
+    report = simulate_uniform_ratio(args.rmax, args.n, args.cutoff, args.bins, _seed(args), args.workers)
     _emit_report(args, report, f"ratio of two U(0, {args.rmax:g}) variates")
 
 
 def _cmd_mc_waiting(args) -> None:
     # one row per path, also for one path
-    times = poisson_process_waiting_times(args.rate, args.k, args.seed, n_paths=args.paths)
+    times = poisson_process_waiting_times(args.rate, args.k, _seed(args), n_paths=args.paths)
 
     def table(fh) -> None:
         path, event = np.indices(times.shape) + 1
@@ -627,10 +636,11 @@ def _cmd_mcmc(args) -> None:
         raise UsageError(f"spec file is not valid JSON: {exc}") from None
     except ValueError as exc:  # the spec's field path and the reason
         raise UsageError(str(exc)) from None
+    seed = _seed(args)
     warning = spec.warning()
     if warning:
         print(f"rateratio: warning: {warning}", file=sys.stderr)
-    chain = run_chain(build_model(spec), args.n_iter, args.burn_in, args.seed)
+    chain = run_chain(build_model(spec), args.n_iter, args.burn_in, seed)
     summary = summarize_chain(chain)
     if not all(math.isfinite(v.batch_se) for v in summary.variables.values()):
         print(
@@ -660,11 +670,6 @@ def _cmd_mcmc(args) -> None:
     prefix.with_name(prefix.name + ".summary.json").write_text(summaries["json"])
     sys.stdout.write(f"wrote {chain_path}, {prefix.name}.summary.txt, {prefix.name}.summary.json\n")
     sys.stdout.write(summaries.get(args.format, ""))
-
-
-_RANDOM_COMMANDS = frozenset(
-    {_cmd_predict_ratio, _cmd_mc_gamma, _cmd_mc_uniform, _cmd_mc_waiting, _cmd_mcmc}
-)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ is conditionally conjugate, so each node is redrawn exactly from its full
 conditional (Gelfand & Smith 1990), as BUGS-family samplers do: rates by
 Gamma-Poisson conjugacy, latent produced counts by Poisson thinning,
 efficiencies by Beta-binomial conjugacy, and in B_EFF_BKG the split s_i.
+build_model states each node once, as one Python expression over the
+state's variables and the model's named constants, and compiles all the
+sweeps of a chain into one function, which keeps the state in local
+variables.
 
 Where the posterior has closed-form laws, run_chain draws it iid instead.
 Model A's rates are independent a posteriori.  In the B family, under an
@@ -43,9 +47,11 @@ limit instead.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
+from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Literal
@@ -315,20 +321,43 @@ class ModelSpec:
             raise ValueError(f"spec {exc}") from None
 
 
+# Sources hold no number, so every spec of one structure compiles the same code: compile it once
+_compile_source = functools.lru_cache(maxsize=256)(compile)
+# the names by which node expressions call the Generator's methods
+_RNG_METHODS = {"gamma": "standard_gamma", "poisson": "poisson", "binomial": "binomial", "beta": "beta"}
+
+
 @dataclass(frozen=True)
 class _Node:
-    """One block of the state and the exact draw from its full conditional.
+    """One variable of the state and the exact draw from its full conditional.
 
-    update(state, rng) returns a draw of the block given the rest of the state.
-    A rate whose Gamma conditional has a constant shape also carries that
-    shape and its rate as a function of the state: run_chain then draws the
-    standard-Gamma variates of every sweep in one call, and a sweep only divides.
+    expr is one Python expression over the state's variables, the constants
+    in namespace (the model's, which name every number), the Generator rng
+    and its methods gamma (standard_gamma), poisson, binomial and beta.  A
+    batched node is a Gamma rate whose conditional has a constant shape: expr
+    reads its standard-Gamma variate as g_<name>, and a chain draws those of
+    every sweep in one call.  refusal is the message of the ValueError that a
+    ZeroDivisionError in expr becomes.
     """
 
     name: str
-    update: Callable[[dict, np.random.Generator], float]
-    shape: float | None = None
-    rate: Callable[[dict], float] | None = None
+    expr: str
+    namespace: dict = field(repr=False, compare=False)
+    batched: bool = False
+    refusal: str | None = None
+
+    def update(self, state: Mapping, rng: np.random.Generator):
+        """A draw given the rest of the state: a mapping of numbers, or of arrays of independent chains."""
+        # the state's variables and the Generator's names are the locals; a name that expr binds stays there
+        scope = {**state, "rng": rng, **{alias: getattr(rng, name) for alias, name in _RNG_METHODS.items()}}
+        if self.batched:
+            scope[f"g_{self.name}"] = rng.standard_gamma(self.namespace[f"shape_{self.name}"])
+        try:
+            return eval(_compile_source(self.expr, "<node>", "eval"), self.namespace, scope)
+        except ZeroDivisionError:
+            if self.refusal is None:
+                raise
+            raise ValueError(self.refusal) from None
 
 
 @dataclass(frozen=True)
@@ -341,7 +370,9 @@ class Model:
     readouts[name](draws, rng), which a leg registered.  draw(rng, n), where
     it is set, returns n iid posterior draws of the variables a node would
     draw, and the acceptance rate of each node it measured; or None, and
-    run_chain then runs the Gibbs sweeps of the nodes.  Model A has no nodes and
+    run_chain then runs the Gibbs sweeps of the nodes: sweep(state, rng,
+    burn_in, n_iter), compiled from the nodes, runs them all and returns the
+    recorded variables of the last n_iter sweeps.  Model A has no nodes and
     no initial state: its drawer draws each rate from its prior's conjugate update.
     """
 
@@ -350,6 +381,7 @@ class Model:
     initial: Mapping[str, float]
     draw: Callable[[np.random.Generator, int], tuple[dict, dict] | None] | None = None
     readouts: Mapping[str, Callable[[Mapping, np.random.Generator], np.ndarray]] = field(default_factory=dict)
+    sweep: Callable[[dict, np.random.Generator, int, int], dict] | None = None
 
     def init_state(self) -> dict:
         return dict(self.initial)
@@ -408,20 +440,19 @@ class ChainSummary:
         }
 
 
-def _gamma_node(name: str, alpha: float, counts: tuple, rate: Callable[[dict], float]) -> _Node:
-    """name | rest ~ Gamma(alpha + sum(counts), rate(state)): a Poisson rate's conjugate update.
+def _gamma_node(name: str, alpha: float, counts: tuple[str, ...], rate: str, namespace: dict) -> _Node:
+    """name | rest ~ Gamma(alpha + sum(counts), rate): a Poisson rate's conjugate update.
 
-    Each count is a number, or a function of the state when latent counts
-    enter it.  Where every count is a number the shape is constant.
+    counts and rate are expressions.  A count that names a constant is added
+    to alpha once, into the constant shape_<name>; where every count does,
+    the shape is constant and the node is batched.
     """
-    fixed = sum((count for count in counts if not callable(count)), alpha)
-    latent = [count for count in counts if callable(count)]
-
-    def update(state: dict, rng: np.random.Generator) -> float:
-        shape = fixed + sum([count(state) for count in latent])
-        return rng.standard_gamma(shape) / rate(state)
-
-    return _Node(name, update, None if latent else float(fixed), rate)
+    fixed = sum((namespace[count] for count in counts if count in namespace), alpha)
+    latent = [count for count in counts if count not in namespace]
+    namespace[f"shape_{name}"] = fixed
+    if not latent:
+        return _Node(name, f"g_{name} / ({rate})", namespace, batched=True)
+    return _Node(name, f"gamma(shape_{name} + ({' + '.join(latent)})) / ({rate})", namespace)
 
 
 def _thin(produced: str, seen, mean, eps, rng: np.random.Generator):
@@ -438,60 +469,52 @@ def _thin(produced: str, seen, mean, eps, rng: np.random.Generator):
     return seen + rng.poisson(unseen) * 1.0
 
 
-def _leg(produced: str, eps: str, eff: _Efficiency, seen, mean, t: float, initial: dict, readouts: dict):
+def _leg(
+    produced: str, eps: str, eff: _Efficiency, seen: str, mean: str, t: float,
+    namespace: dict, initial: dict, readouts: dict,
+):
     """One Poisson leg of exposure t seen at efficiency eff, as (count, exposure, nodes).
 
     Its rate's Gamma conditional adds the count to its shape and the exposure,
-    times the rate's factor, to its rate.  seen is the leg's seen count, a
-    number or a function of a dict; mean(dict) is rate * t.  Both read the
-    state and the recorded draws alike.  At a fixed eps the seen counts are
-    Pois(rate * eps * t): the leg gives them over eps * t and adds no node.  At
-    a Beta eps the leg gives its latent produced count over t, redrawn by a
-    thinning node (_thin), and a Beta node redraws eps ~ Beta(a + seen,
-    b + produced - seen); eps and the latent count enter the initial state.
-    The leg registers readouts of its produced count, thinned from the
-    recorded draws, and of a fixed eps, a constant column.
+    times the rate's factor, to its rate.  seen, the leg's seen count, and
+    mean, rate * t, are expressions that read the state and the recorded
+    draws alike.  At a fixed eps the seen counts are Pois(rate * eps * t):
+    the leg gives them over eps * t and adds no node.  At a Beta eps the leg
+    gives its latent produced count over t, redrawn by a thinning node
+    (_thin), and a Beta node redraws eps ~ Beta(a + seen, b + produced - seen);
+    eps and the latent count enter the initial state.  The leg registers
+    readouts of its produced count, thinned from the recorded draws, and of a
+    fixed eps, a constant column.
     """
     initial[eps] = eff.initial()
-    seen_of = seen if callable(seen) else (lambda state: seen)
     # the produced count's readout is also its thinning node at a Beta eps
-    readouts[produced] = lambda s, rng: _thin(produced, seen_of(s), mean(s), s.get(eps, eff.fixed), rng)
+    readouts[produced] = f"_thin({produced!r}, {seen}, {mean}, {eps}, rng)"
     if not eff.is_stochastic:
-        readouts[eps] = lambda s, rng: np.full(s["r2"].size, eff.fixed)
+        readouts[eps] = f"np.full(r2.size, {eps})"
         return seen, eff.fixed * t, ()
     # the produced count starts near its posterior: about seen / eps, never below seen
-    k = seen_of(initial)
+    k = eval(_compile_source(seen, "<seen>", "eval"), namespace, initial)
     initial[produced] = max(k, round(k / eff.initial()))
-
-    def redraw_eps(state: dict, rng: np.random.Generator) -> float:
-        k = seen_of(state)
-        return rng.beta(eff.a + k, eff.b + state[produced] - k)
-
-    return (lambda state: state[produced]), t, (_Node(produced, readouts[produced]), _Node(eps, redraw_eps))
+    namespace[f"a_{eps}"], namespace[f"b_{eps}"] = eff.a, eff.b
+    redraw_eps = f"beta(a_{eps} + ({seen}), b_{eps} + {produced} - ({seen}))"
+    return produced, t, (_Node(produced, readouts[produced], namespace), _Node(eps, redraw_eps, namespace))
 
 
-def _split_node(i: int, x: int, t: float, signal, eps_s: str, eps_b: str) -> _Node:
+def _split_node(i: int, x: int, mean: str, eps_s: str, eps_b: str, namespace: dict) -> _Node:
     """s_i | rest: how many of the x_i seen counts are signal.
 
     The seen signal and background counts are independent Poisson variates
     with means lambda_S*epsS and lambda_B*epsB = rb_i*T_i*epsB, so given their
     sum x the split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)),
     whatever was produced unseen.  The thinning nodes of the channel's Beta
-    legs follow it, and with it draw (s_i, nS_i, nB_i) as one block.  The
-    efficiencies are read from the state under the keys eps_s and eps_b.
+    legs follow it, and with it draw (s_i, nS_i, nB_i) as one block.  mean
+    is lambda_S, and eps_s and eps_b name the efficiencies in the state.
     """
-    s_key, rb_key = f"s{i}", f"rb{i}"
-
-    def update(state: dict, rng: np.random.Generator) -> int:
-        seen_s, seen_b = signal(state) * state[eps_s], state[rb_key] * t * state[eps_b]
-        try:
-            # with x = 0 there is nothing to split, and both means may have underflowed to 0
-            return rng.binomial(x, seen_s / (seen_s + seen_b)) if x else 0
-        except ZeroDivisionError:
-            message = f"{s_key}: both seen means of channel {i} underflow to 0, so its split is undefined"
-            raise ValueError(message) from None
-
-    return _Node(s_key, update)
+    if not x:  # nothing to split, and both means may have underflowed to 0
+        return _Node(f"s{i}", "0", namespace)
+    refusal = f"s{i}: both seen means of channel {i} underflow to 0, so its split is undefined"
+    split = f"binomial(x{i}, (seen := {mean} * {eps_s}) / (seen + rb{i} * t{i} * {eps_b}))"
+    return _Node(f"s{i}", split, namespace, refusal=refusal)
 
 
 # the iid drawer gives way to Gibbs sweeps where fewer than this share of its proposals is accepted
@@ -605,7 +628,7 @@ def _iid_drawer(spec: ModelSpec):
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Assemble nodes, conditionals, initial state and, where one exists, the iid drawer."""
+    """Assemble nodes, initial state, the compiled sweep and, where one exists, the iid drawer."""
     priors = spec.priors
     if spec.variant == "A":
         # the rates are independent a posteriori, each its prior's conjugate update: every draw is kept
@@ -619,7 +642,9 @@ def build_model(spec: ModelSpec) -> Model:
 
     x1, t1 = spec.data1.x, spec.data1.T
     x2, t2 = spec.data2.x, spec.data2.T
-    expected = {1: lambda s: s["rho"] * s["r2"] * t1, 2: lambda s: s["r2"] * t2}
+    # the constants that the node expressions name; the expressions hold no number
+    namespace = {"x1": x1, "t1": t1, "x2": x2, "t2": t2, "_thin": _thin, "np": np, "array": array}
+    expected = {1: "rho * r2 * t1", 2: "r2 * t2"}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
     eps1, eps2 = (eff.initial() for eff in spec._signal)
     r2_start = (x2 / eps2 + 1.0) / t2
@@ -628,44 +653,82 @@ def build_model(spec: ModelSpec) -> Model:
     # B and B_EFF see each channel's signal leg whole; B_EFF_BKG splits what it sees
     signal, channel_nodes, readouts = {}, [], {}
     for i, x, t in ((1, x1, t1), (2, x2, t2)):
-        eff_s = spec._signal[i - 1]
+        eff_s, legs = spec._signal[i - 1], (namespace, initial, readouts)
         if spec.variant != "B_EFF_BKG":
-            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, x, expected[i], t, initial, readouts)
+            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, f"x{i}", expected[i], t, *legs)
             channel_nodes += signal[i][2]
             continue
         prior_b, rb, s_key = priors[f"rb{i}"], f"rb{i}", f"s{i}"
         initial[rb] = prior_b.alpha / prior_b.beta
         initial[s_key] = x
-        signal[i] = _leg(
-            f"nS{i}", f"epsS{i}", eff_s, lambda s, k=s_key: s[k], expected[i], t, initial, readouts
-        )
+        signal[i] = _leg(f"nS{i}", f"epsS{i}", eff_s, s_key, expected[i], t, *legs)
         count_b, exposure_b, nodes_b = _leg(
-            f"nB{i}", f"epsB{i}", spec._background[i - 1],
-            lambda s, k=s_key, x=x: x - s[k], lambda s, rb=rb, t=t: s[rb] * t, t, initial, readouts,
+            f"nB{i}", f"epsB{i}", spec._background[i - 1], f"x{i} - {s_key}", f"{rb} * t{i}", t, *legs
         )
-        rate_b = prior_b.beta + exposure_b
-        channel_nodes.append(_gamma_node(rb, prior_b.alpha, (count_b,), lambda s, r=rate_b: r))
-        channel_nodes.append(_split_node(i, x, t, expected[i], f"epsS{i}", f"epsB{i}"))
+        namespace[f"rate_{rb}"] = prior_b.beta + exposure_b
+        channel_nodes.append(_gamma_node(rb, prior_b.alpha, (count_b,), f"rate_{rb}", namespace))
+        channel_nodes.append(_split_node(i, x, expected[i], f"epsS{i}", f"epsB{i}", namespace))
         channel_nodes += signal[i][2] + nodes_b
     # rho | r2 ~ Gamma(a_rho + n1, b_rho + r2*e1) and r2 | rho ~ Gamma(a_2 + n1 + n2,
     # b_2 + rho*e1 + e2), with the count n_i and exposure e_i of each signal leg
     (n1, e1, _), (n2, e2, _) = signal[1], signal[2]
     prho, pr2 = priors["rho"], priors["r2"]
+    namespace.update(e1=e1, e2=e2, beta_rho=prho.beta, beta_r2=pr2.beta)
     nodes = [
-        _gamma_node("rho", prho.alpha, (n1,), lambda s: prho.beta + s["r2"] * e1),
-        _gamma_node("r2", pr2.alpha, (n1, n2), lambda s: pr2.beta + s["rho"] * e1 + e2),
+        _gamma_node("rho", prho.alpha, (n1,), "beta_rho + r2 * e1", namespace),
+        _gamma_node("r2", pr2.alpha, (n1, n2), "beta_r2 + rho * e1 + e2", namespace),
+        *channel_nodes,
     ]
-    return Model(spec, tuple(nodes + channel_nodes), initial, _iid_drawer(spec), readouts)
+    # the rate rules read r1, r2 and rho; a leg's readout may read any variable a node draws
+    recorded = [node.name for node in nodes]
+    if not any(name in readouts and name not in recorded for name in spec.monitor):
+        recorded = [name for name in recorded if name in ("r1", "r2", "rho", *spec.monitor)]
+    sweep = _compile_sweep(nodes, namespace, initial, recorded)
+    readouts = {name: _Node(name, expr, namespace).update for name, expr in readouts.items()}
+    return Model(spec, tuple(nodes), initial, _iid_drawer(spec), readouts, sweep)
 
 
-def _step(node: _Node, rng: np.random.Generator, sweeps: int) -> Callable[[dict], float]:
-    """step(state), one node's new value, with rng bound, for a chain of the given number of sweeps."""
-    if node.shape is None:
-        return lambda state: node.update(state, rng)
-    # a memoryview yields Python floats without a list of them all in memory
-    gammas = iter(memoryview(rng.standard_gamma(node.shape, sweeps)))
-    rate = node.rate
-    return lambda state: next(gammas) / rate(state)
+def _redraw(node: _Node) -> list[str]:
+    """The statements that redraw node into the variable of its name."""
+    draw = f"{node.name} = {node.expr}"
+    if node.refusal is None:
+        return [draw]
+    refuse = f"    raise ValueError(refusal_{node.name}) from None"
+    return ["try:", f"    {draw}", "except ZeroDivisionError:", refuse]
+
+
+def _compile_sweep(nodes: list[_Node], namespace: dict, variables: Mapping, recorded: list[str]):
+    """sweep(state, rng, burn_in, n_iter): every sweep of a chain in one function.
+
+    The function keeps the state in local variables and returns the recorded
+    variables of the last n_iter sweeps.  The standard-Gamma variates of the
+    batched nodes are drawn first, in node order, one array per node, and
+    each sweep takes the next of each.  The source is compiled into
+    namespace, whose constants are its globals, and holds fixed identifiers
+    only: the names of variables, constants and the Generator's methods.
+    """
+    batched = [node.name for node in nodes if node.batched]
+    body = [line for node in nodes for line in _redraw(node)]
+
+    def loop(count: str, record: list[str]) -> list[str]:
+        targets = ", ".join(["_"] + [f"g_{name}" for name in batched])
+        sources = ", ".join([f"range({count})"] + [f"batch_{name}" for name in batched])
+        header = f"for {targets} in zip({sources}):" if batched else f"for _ in range({count}):"
+        return [header, *(f"    {line}" for line in body + record)]
+
+    lines = [
+        f"{', '.join(_RNG_METHODS)} = {', '.join(f'rng.{name}' for name in _RNG_METHODS.values())}",
+        *(f"batch_{name} = iter(memoryview(gamma(shape_{name}, burn_in + n_iter)))" for name in batched),
+        *(f"{name} = state[{name!r}]" for name in variables),
+        *loop("burn_in", []),
+        *(f"out_{name} = array('d')" for name in recorded),
+        *loop("n_iter", [f"out_{name}.append({name})" for name in recorded]),
+        "return {" + ", ".join(f"{name!r}: out_{name}" for name in recorded) + "}",
+    ]
+    source = "def sweep(state, rng, burn_in, n_iter):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace.update({f"refusal_{node.name}": node.refusal for node in nodes if node.refusal})
+    exec(_compile_source(source, "<rateratio.mcmc sweep>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) -> Chain:
@@ -696,22 +759,8 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
     else:
         if model.draw:
             logger.info("iid proposals accepted too rarely: running Gibbs sweeps")
-        state = model.init_state()
-        steps = [(node.name, _step(node, rng, burn_in + n_iter)) for node in model.nodes]
-        # the rate rules read r1, r2 and rho; a leg's readout may read any variable a node draws
-        names = [name for name, _ in steps]
-        if not any(name in model.readouts and name not in names for name in model.spec.monitor):
-            names = [name for name in names if name in ("r1", "r2", "rho", *model.spec.monitor)]
-        columns = [(name, np.empty(n_iter)) for name in names]
-        for _ in range(burn_in):
-            for name, step in steps:
-                state[name] = step(state)
-        for k in range(n_iter):
-            for name, step in steps:
-                state[name] = step(state)
-            for name, column in columns:
-                column[k] = state[name]
-        draws = dict(columns)
+        recorded = model.sweep(model.init_state(), rng, burn_in, n_iter)
+        draws = {name: np.frombuffer(values) for name, values in recorded.items()}
     monitored = {name: _readout(name, draws, model, rng) for name in model.spec.monitor}
     logger.info(
         "chain finished: variant=%s n_iter=%d burn_in=%d sampler=%s",
@@ -737,7 +786,7 @@ def _readout(
     if name in ("lambda1", "lambda2"):
         data = model.spec.data1 if name == "lambda1" else model.spec.data2
         return _readout(f"r{name[-1]}", draws, model, rng) * data.T
-    return model.readouts[name](draws, rng)
+    return model.readouts[name]({**model.initial, **draws}, rng)
 
 
 def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:

@@ -834,11 +834,18 @@ class TestHandlerRefusals:
          ("predict diff --l1 1 --l2 1 --d-min 3 --d-max 2", "--d-min must be <= --d-max"),
          ("mcmc --spec {missing} --seed 1", "spec file not found: {missing}"),
          ("mcmc --spec {bad} --seed 1",
-          "spec file is not valid JSON: Expecting value: line 1 column 1 (char 0)")],
+          "spec file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+         # without --seed a refused spec draws no seed: stderr holds the error alone
+         ("mcmc --spec {missing}", "spec file not found: {missing}"),
+         ("mcmc --spec {bad}", "spec file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+         ("mcmc --spec {invalid}", "spec priors: missing priors for ['r2']; required: ['rho', 'r2']")],
     )
     def test_exits_2_with_its_reason(self, capsys, tmp_path, line, message):
-        paths = {"missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}
+        paths = {name: tmp_path / f"{name}.json" for name in ("missing", "bad", "invalid")}
         paths["bad"].write_text("not json")
+        paths["invalid"].write_text(
+            json.dumps({"variant": "B", "data": {"x1": 3, "T1": 3, "x2": 6, "T2": 6}, "priors": {"rho": "flat"}})
+        )
         code, out, err = run_cli(capsys, line.format(**paths).split())
         assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 

@@ -848,6 +848,118 @@ class TestGibbsAgainstIid:
         _same_law(gibbs["rho"], iid["rho"])
 
 
+# Seeded Gibbs chains whose draws are pinned: (spec, n_iter, burn_in, seed)
+BKG_PRIORS = {"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.0, 0.5),
+              "rb1": GammaParams(2.0, 1.5), "rb2": GammaParams(2.0, 2.5)}
+GOLDEN_CASES = {
+    "B-informative-rho": (
+        ModelSpec("B", CountObservation(30, 3.0), CountObservation(60, 6.0),
+                  priors={"rho": GammaParams(2.0, 1.0), "r2": MCMC_FLAT_PRIOR}),
+        600, None, 21,
+    ),
+    "B_EFF-beta-eps2": (
+        ModelSpec("B_EFF", CountObservation(90, 3.0), CountObservation(120, 6.0),
+                  priors={"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.0, 0.5)},
+                  efficiencies=(0.5, (6.0, 4.0)), monitor=("rho", "r2", "n2", "eps2")),
+        600, 200, 22,
+    ),
+    "BKG-all-beta": (
+        ModelSpec("B_EFF_BKG", CountObservation(40, 2.0), CountObservation(25, 4.0), priors=BKG_PRIORS,
+                  efficiencies=((6.0, 4.0), (5.0, 3.0)), background_efficiencies=((5.0, 5.0), (3.0, 2.0)),
+                  monitor=("rho", "r2", "rb1", "s2", "nS1", "nB2", "epsS1", "epsB2")),
+        600, 200, 23,
+    ),
+    "BKG-benchmark-mix": (
+        ModelSpec("B_EFF_BKG", CountObservation(420, 0.7375338021675913),
+                  CountObservation(139, 18.128473725481495),
+                  priors={"rho": MCMC_FLAT_PRIOR, "r2": GammaParams(2.5601556419228975, 0.2784060316497151),
+                          "rb1": GammaParams(2.0, 0.5478801027450624),
+                          "rb2": GammaParams(2.0, 1.1796433744577488)},
+                  efficiencies=(0.9759869712619491, (7.90272155968438, 5.292092243232162)),
+                  background_efficiencies=((7.90272155968438, 5.292092243232162), 0.2380694749780152)),
+        600, None, 24,
+    ),
+    "BKG-fixed-flat-r2": (
+        ModelSpec("B_EFF_BKG", CountObservation(40, 2.0), CountObservation(25, 4.0),
+                  priors={**BKG_PRIORS, "r2": MCMC_FLAT_PRIOR},
+                  efficiencies=(0.8, 0.6), background_efficiencies=(0.5, 0.9)),
+        600, 200, 25,
+    ),
+    "BKG-latent-readouts-no-burn-in": (
+        ModelSpec("B_EFF_BKG", CountObservation(40, 2.0), CountObservation(25, 4.0),
+                  priors={**BKG_PRIORS, "r2": MCMC_FLAT_PRIOR},
+                  efficiencies=(0.8, (5.0, 3.0)), background_efficiencies=(0.5, 0.9),
+                  monitor=("lambda1", "s1", "nS1", "nB1", "nS2", "epsS2", "epsB1", "r1")),
+        600, 0, 26,
+    ),
+}
+# float.hex of the first, middle and last draw and of the sum of each monitored column
+GOLDEN = {
+    'B-informative-rho': {
+        'r1': ('0x1.635732b714775p+3', '0x1.997b205356a25p+3', '0x1.7b2ca7ffcfb77p+3', '0x1.832834e3173adp+12'),
+        'r2': ('0x1.50b1cd177ad3cp+3', '0x1.a0f439163d012p+3', '0x1.5e7327d4e49a5p+3', '0x1.7655d2aa49e34p+12'),
+        'rho': ('0x1.0e2d5f2883772p+0', '0x1.f6d2ce85ac454p-1', '0x1.14fba81f29f4bp+0', '0x1.3b695de519ee4p+9'),
+    },
+    'B_EFF-beta-eps2': {
+        'rho': ('0x1.e37906287ca26p+0', '0x1.9c2c65d2b44dfp+1', '0x1.6f0a9932fb187p+1', '0x1.a832935750af4p+10'),
+        'r2': ('0x1.9bfcf716c280ap+4', '0x1.52f3b26b4ca44p+4', '0x1.7ffdf8399bfb2p+4', '0x1.996b67513f0b6p+13'),
+        'n2': ('0x1.4e00000000000p+7', '0x1.1200000000000p+7', '0x1.3200000000000p+7', '0x1.4d82000000000p+16'),
+        'eps2': ('0x1.4c5c89588494cp-1', '0x1.b80ab18e8e87ep-1', '0x1.8b9546ac80e3ap-1', '0x1.f5aa09449b7cep+8'),
+    },
+    'BKG-all-beta': {
+        'rho': ('0x1.c7b0c5b1a4c33p+1', '0x1.28dab64ecafafp+2', '0x1.800aaad66e56dp+2', '0x1.89ceccbb94c41p+11'),
+        'r2': ('0x1.7ca6a12bb0d85p+2', '0x1.b172149224e5ep+2', '0x1.5ac5da8414ee8p+2', '0x1.06b1fddcf7a1ep+12'),
+        'rb1': ('0x1.ebae0e9181fa9p-1', '0x1.c282618b8f9e8p+0', '0x1.d705d1d2a0af8p-1', '0x1.a70ad789ff302p+9'),
+        's2': ('0x1.8000000000000p+4', '0x1.8000000000000p+4', '0x1.5000000000000p+4', '0x1.a3c8000000000p+13'),
+        'nS1': ('0x1.7000000000000p+5', '0x1.e800000000000p+5', '0x1.f800000000000p+5', '0x1.4424000000000p+15'),
+        'nB2': ('0x1.0000000000000p+0', '0x1.0000000000000p+1', '0x1.4000000000000p+3', '0x1.14c0000000000p+11'),
+        'epsS1': ('0x1.8679e1d2246b9p-1', '0x1.2833889ca945dp-1', '0x1.3f6acffcd1c25p-1', '0x1.664f5fc317f34p+8'),
+        'epsB2': ('0x1.dc7e5bd73bd03p-1', '0x1.6773f61caf6e1p-1', '0x1.45dce10db15cep-2', '0x1.850140ee86f63p+8'),
+    },
+    'BKG-benchmark-mix': {
+        'r1': ('0x1.36862384328a6p+9', '0x1.1a0545a991896p+9', '0x1.3a76049110f4ap+9', '0x1.55880bf4128f6p+18'),
+        'r2': ('0x1.3dec5408eb7f4p+3', '0x1.22775219400d4p+3', '0x1.c96260c92c7f6p+3', '0x1.a82299be9f9fcp+12'),
+        'rho': ('0x1.f4157fa422df4p+5', '0x1.f11cfdba26e4ep+5', '0x1.6002aade71f09p+5', '0x1.f0cef484d7116p+14'),
+    },
+    'BKG-fixed-flat-r2': {
+        'r1': ('0x1.914994a7b414ap+4', '0x1.9509b91d1ddaap+4', '0x1.dbf359e2898b5p+4', '0x1.d326f009a3d13p+13'),
+        'r2': ('0x1.1baaa94bea8abp+2', '0x1.10e28016984d4p+3', '0x1.14fa3a5df09a3p+3', '0x1.4fcf09be1da2ep+12'),
+        'rho': ('0x1.6a26223a42c98p+2', '0x1.7bf9e9c2200f3p+1', '0x1.b7e74bcad8ddfp+1', '0x1.c204defa04ec0p+10'),
+    },
+    'BKG-latent-readouts-no-burn-in': {
+        'lambda1': ('0x1.7f730817c5c19p+5', '0x1.3a333a74da754p+5', '0x1.b7c2b0aa6efd7p+5', '0x1.d2975dd4d88adp+14'),
+        's1': ('0x1.3000000000000p+5', '0x1.2800000000000p+5', '0x1.3000000000000p+5', '0x1.6b58000000000p+14'),
+        'nS1': ('0x1.4800000000000p+5', '0x1.8800000000000p+5', '0x1.a000000000000p+5', '0x1.c6e0000000000p+14'),
+        'nB1': ('0x1.8000000000000p+1', '0x1.0000000000000p+2', '0x1.8000000000000p+1', '0x1.81c0000000000p+10'),
+        'nS2': ('0x1.6800000000000p+5', '0x1.1000000000000p+5', '0x1.9800000000000p+5', '0x1.5a18000000000p+14'),
+        'epsS2': ('0x1.5b4f84c2238e1p-1', '0x1.6c8c048e0b40ep-1', '0x1.2b6fc4c863990p-1', '0x1.6fa8bb9283e32p+8'),
+        'epsB1': ('0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.2c00000000000p+8'),
+        'r1': ('0x1.7f730817c5c19p+4', '0x1.3a333a74da754p+4', '0x1.b7c2b0aa6efd7p+4', '0x1.d2975dd4d88adp+13'),
+    },
+}
+
+
+class TestGoldenChains:
+    """Seeded Gibbs chains keep every bit of their draws.
+
+    The cases cover the batched Gamma nodes (an informative rho prior), a
+    Beta eps2, B_EFF_BKG with every efficiency Beta, the benchmark's mixed
+    efficiencies and fixed efficiencies under a flat r2, and a chain with no
+    burn-in whose monitor reads latent counts and fixed efficiencies out of
+    the recorded draws.
+    """
+
+    @pytest.mark.parametrize("case", list(GOLDEN_CASES))
+    def test_draws_are_pinned(self, case):
+        spec, n_iter, burn_in, seed = GOLDEN_CASES[case]
+        chain = run_chain(build_model(spec), n_iter, burn_in, seed)
+        got = {
+            name: tuple(float(v).hex() for v in (c[0], c[c.size // 2], c[-1], c.sum()))
+            for name, c in chain.monitored.items()
+        }
+        assert got == GOLDEN[case]
+
+
 class TestSummaries:
     def test_constant_chain(self):
         chain = Chain(
