@@ -24,48 +24,15 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import numeric
-from .distributions import (
-    GammaParams,
-    SummaryStats,
-    _sample_sd,
-    gamma_summaries,
-    poisson_process_waiting_times,
-    skellam_dist,
-)
-from .inference import (
-    FLAT_PRIOR,
-    CountObservation,
-    combine_observations,
-    elicit_gamma,
-    rate_posterior,
-    update_rate,
-)
-from .mcmc import (
-    ModelSpec,
-    build_model,
-    chain_to_csv,
-    format_chain_summary,
-    run_chain,
-    summarize_chain,
-)
-from .montecarlo import (
-    DEFAULT_BINS,
-    DEFAULT_CUTOFF,
-    RatioSampleReport,
-    simulate_count_ratio,
-    simulate_gamma_ratio,
-    simulate_uniform_ratio,
-    write_histogram_csv,
-)
-from .ratio import (
-    RatioPosteriorSpec,
-    combine_ratio_instances,
-    ratio_posterior,
-)
+# Each handler imports the library modules it runs, inside its body, so a
+# launch loads only those: text infer, ratio and combine load no NumPy, and
+# no closed-form command loads mcmc or montecarlo.  Names are looked up in
+# their modules at call time, never kept here.
+if TYPE_CHECKING:
+    from .distributions import GammaParams, SummaryStats
+    from .montecarlo import RatioSampleReport
 
 
 class UsageError(Exception):
@@ -230,8 +197,9 @@ _at_least_one = _bounded(int, lambda v: v >= 1, ">= 1")
 
 def _add_sim_options(parser: argparse.ArgumentParser, n_help: str | None = None) -> None:
     parser.add_argument("--n", type=_at_least_one, default=1_000_000, help=n_help)
-    parser.add_argument("--cutoff", type=_positive, default=DEFAULT_CUTOFF)
-    parser.add_argument("--bins", type=_at_least_one, default=DEFAULT_BINS)
+    # --cutoff and --bins default to None: an absent one keeps the simulator's default
+    parser.add_argument("--cutoff", type=_positive, default=None)
+    parser.add_argument("--bins", type=_at_least_one, default=None)
     parser.add_argument("--workers", type=_at_least_one, default=1)
 
 
@@ -244,6 +212,8 @@ def _add_prior_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _prior_from_args(args) -> GammaParams:
+    from . import inference
+
     elicited = (args.prior_mean, args.prior_sd)
     if elicited == (None, None):
         return _gamma_from_flags(args, "--prior-alpha", "--prior-beta")
@@ -251,17 +221,19 @@ def _prior_from_args(args) -> GammaParams:
         raise UsageError("give either --prior-mean/--prior-sd or --prior-alpha/--prior-beta, not both")
     if None in elicited:
         raise UsageError("--prior-mean and --prior-sd must be given together")
-    return elicit_gamma(*elicited)
+    return inference.elicit_gamma(*elicited)
 
 
 def _gamma_from_flags(args, alpha: str, beta: str) -> GammaParams:
     """Gamma(alpha, beta) from two flags given together; the flat prior when neither is."""
+    from . import distributions, inference
+
     a, b = (getattr(args, flag[2:].replace("-", "_")) for flag in (alpha, beta))
     if a is None and b is None:
-        return FLAT_PRIOR
+        return inference.FLAT_PRIOR
     if a is None or b is None:
         raise UsageError(f"{alpha} and {beta} must be given together")
-    return GammaParams(a, b)
+    return distributions.GammaParams(a, b)
 
 
 def _seed(args) -> int:
@@ -271,6 +243,8 @@ def _seed(args) -> int:
     accepted, so a refused command draws no seed.
     """
     if args.seed is None:
+        import numpy as np
+
         args.seed = np.random.SeedSequence().entropy
         print(f"rateratio: seed = {args.seed}", file=sys.stderr)
     return args.seed
@@ -318,6 +292,8 @@ def _write_csv(fh, columns: dict) -> None:
 
 def _curve(law, x_name: str) -> dict:
     """The law's plotted density: {x_name: grid, "density": values}."""
+    from . import numeric
+
     xs, ys = numeric.pdf_curve(law)
     return {x_name: xs.tolist(), "density": ys.tolist()}
 
@@ -338,11 +314,13 @@ def _summary_lines(s: SummaryStats) -> list[str]:
 
 
 def _cmd_predict_diff(args) -> None:
-    lo = -np.inf if args.d_min is None else args.d_min
-    hi = np.inf if args.d_max is None else args.d_max
+    from . import distributions
+
+    lo = -math.inf if args.d_min is None else args.d_min
+    hi = math.inf if args.d_max is None else args.d_max
     if lo > hi:
         raise UsageError("--d-min must be <= --d-max")
-    dist = skellam_dist(args.l1, args.l2)
+    dist = distributions.skellam_dist(args.l1, args.l2)
     # --d-min/--d-max select a display window; pmf values and the mean/sd
     # stay those of the full distribution.
     keep = (dist.values >= lo) & (dist.values <= hi)
@@ -370,7 +348,18 @@ def _cmd_predict_diff(args) -> None:
     )
 
 
+def _simulation(args) -> dict:
+    """The simulate_* keywords n, seed and workers, and cutoff and bins where given.
+
+    The seed is drawn here, so call this once the other input is accepted.
+    """
+    given = {flag: getattr(args, flag) for flag in ("cutoff", "bins") if getattr(args, flag) is not None}
+    return {"n": args.n, **given, "seed": _seed(args), "workers": args.workers}
+
+
 def _emit_report(args, report: RatioSampleReport, header: str) -> None:
+    from . import montecarlo
+
     def lines() -> list[str]:
         return [
             header,
@@ -384,13 +373,13 @@ def _emit_report(args, report: RatioSampleReport, header: str) -> None:
             f"(in-histogram mass {report.hist_mass:.6g})",
         ]
 
-    _emit(args, report.as_dict, lambda fh: write_histogram_csv(report, fh), lines)
+    _emit(args, report.as_dict, lambda fh: montecarlo.write_histogram_csv(report, fh), lines)
 
 
 def _cmd_predict_ratio(args) -> None:
-    report = simulate_count_ratio(
-        args.l1, args.l2, args.n, args.cutoff, args.bins, _seed(args), args.workers
-    )
+    from . import montecarlo
+
+    report = montecarlo.simulate_count_ratio(args.l1, args.l2, **_simulation(args))
     _emit_report(args, report, f"ratio of counts: lambda1 = {args.l1:g}, lambda2 = {args.l2:g}")
 
 
@@ -398,8 +387,10 @@ def _cmd_predict_ratio(args) -> None:
 
 
 def _cmd_infer(args) -> None:
+    from . import inference
+
     prior = _prior_from_args(args)
-    estimate = rate_posterior(CountObservation(args.x, args.T), prior)
+    estimate = inference.rate_posterior(inference.CountObservation(args.x, args.T), prior)
     posterior = estimate.posterior
     _emit(
         args,
@@ -424,14 +415,17 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_ratio(args) -> None:
+    from . import inference, ratio
+
+    flat = inference.FLAT_PRIOR
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
-    if args.model == "A" and prior_r2 != FLAT_PRIOR and not args.compare:
+    if args.model == "A" and prior_r2 != flat and not args.compare:
         raise UsageError("model A has no closed form for non-flat priors; use --model B")
-    d1 = CountObservation(args.x1, args.T1)
-    d2 = CountObservation(args.x2, args.T2)
+    d1 = inference.CountObservation(args.x1, args.T1)
+    d2 = inference.CountObservation(args.x2, args.T2)
     models = ("A", "B") if args.compare else (args.model,)
     posts = {
-        m: ratio_posterior(RatioPosteriorSpec(m, d1, d2, prior_r2 if m == "B" else FLAT_PRIOR))
+        m: ratio.ratio_posterior(ratio.RatioPosteriorSpec(m, d1, d2, prior_r2 if m == "B" else flat))
         for m in models
     }
 
@@ -449,6 +443,8 @@ def _cmd_ratio(args) -> None:
         }
 
     def table(fh) -> None:
+        from . import numeric
+
         # with --compare, both densities share one grid, wide enough for the wider of the two
         xs, *densities = numeric.pdf_curve(*posts.values())
         names = [f"density_{m.lower()}" for m in models] if args.compare else ["density"]
@@ -458,7 +454,7 @@ def _cmd_ratio(args) -> None:
         out = [f"data: x1 = {args.x1}, T1 = {args.T1:g}, x2 = {args.x2}, T2 = {args.T2:g}"]
         for m, p in posts.items():
             pr = p.spec.prior_r2
-            prior_txt = "flat" if pr == FLAT_PRIOR else f"Gamma(alpha={pr.alpha:g}, beta={pr.beta:g})"
+            prior_txt = "flat" if pr == flat else f"Gamma(alpha={pr.alpha:g}, beta={pr.beta:g})"
             out += ["", f"model {m} (prior on r2: {prior_txt}):"]
             out += ["  " + line for line in _summary_lines(p.summaries)]
         return out
@@ -479,35 +475,45 @@ def _parse_numbers(text: str, count: int, label: str) -> list[float]:
         raise UsageError(f"{label}: {exc} in {text!r}") from None
 
 
-def _observation(x: float, t: float, label: str) -> CountObservation:
-    if x < 0 or x != int(x):
-        raise UsageError(f"{label}: counts must be a non-negative integer, got {x}")
-    if t <= 0:
-        raise UsageError(f"{label}: time must be > 0, got {t}")
-    return CountObservation(int(x), t)
+def _observations(entries: list[str], flag: str, pairs: int) -> list[tuple]:
+    """Each "x,T" (pairs = 1) or "x1,T1,x2,T2" (pairs = 2) entry, as a tuple of CountObservations."""
+    from . import inference
+
+    parsed = []
+    for i, text in enumerate(entries):
+        label = f"{flag}[{i}]"
+        numbers = _parse_numbers(text, 2 * pairs, label)
+        observations = []
+        for x, t in zip(numbers[::2], numbers[1::2]):
+            if x < 0 or x != int(x):
+                raise UsageError(f"{label}: counts must be a non-negative integer, got {x}")
+            if t <= 0:
+                raise UsageError(f"{label}: time must be > 0, got {t}")
+            observations.append(inference.CountObservation(int(x), t))
+        parsed.append(tuple(observations))
+    return parsed
 
 
 def _cmd_combine_rate(args) -> None:
+    from . import distributions, inference
+
     prior = _prior_from_args(args)
-    observations = []
-    for i, text in enumerate(args.obs):
-        label = f"--obs[{i}]"
-        observations.append(_observation(*_parse_numbers(text, 2, label), label))
-    pooled = combine_observations(prior, observations)
-    per_obs = [update_rate(prior, o) for o in observations] if args.per_observation else []
+    observations = [obs for (obs,) in _observations(args.obs, "--obs", 1)]
+    pooled = inference.combine_observations(prior, observations)
+    per_obs = [inference.update_rate(prior, o) for o in observations] if args.per_observation else []
 
     def payload() -> dict:
         doc = {
             "prior": {"alpha": prior.alpha, "beta": prior.beta},
             "observations": [{"x": o.x, "T": o.T} for o in observations],
             "pooled": {"alpha": pooled.alpha, "beta": pooled.beta},
-            "summaries": gamma_summaries(pooled).as_dict(),
+            "summaries": distributions.gamma_summaries(pooled).as_dict(),
         }
         if per_obs:
             doc["per_observation"] = [
                 {
                     "posterior": {"alpha": p.alpha, "beta": p.beta},
-                    "summaries": gamma_summaries(p).as_dict(),
+                    "summaries": distributions.gamma_summaries(p).as_dict(),
                 }
                 for p in per_obs
             ]
@@ -516,7 +522,7 @@ def _cmd_combine_rate(args) -> None:
     def table(fh) -> None:
         rows = []
         for label, params in [("pooled", pooled)] + [(f"obs{i + 1}", p) for i, p in enumerate(per_obs)]:
-            s = gamma_summaries(params)
+            s = distributions.gamma_summaries(params)
             rows.append((label, params.alpha, params.beta, s.mode, s.mean, s.sd))
         _write_csv(fh, dict(zip(("label", "alpha", "beta", "mode", "mean", "sd"), zip(*rows))))
 
@@ -524,10 +530,10 @@ def _cmd_combine_rate(args) -> None:
         out = [
             f"observations: {', '.join(f'({o.x}, {o.T:g})' for o in observations)}",
             f"pooled posterior: Gamma(alpha={pooled.alpha:g}, beta={pooled.beta:g})",
-            *_summary_lines(gamma_summaries(pooled)),
+            *_summary_lines(distributions.gamma_summaries(pooled)),
         ]
         for i, (o, p) in enumerate(zip(observations, per_obs)):
-            s = gamma_summaries(p)
+            s = distributions.gamma_summaries(p)
             out.append(
                 f"obs{i + 1} (x={o.x}, T={o.T:g}): Gamma(alpha={p.alpha:g}, beta={p.beta:g}), "
                 f"mean = {s.mean:.6g}, sd = {s.sd:.6g}"
@@ -538,13 +544,11 @@ def _cmd_combine_rate(args) -> None:
 
 
 def _cmd_combine_ratio(args) -> None:
+    from . import ratio
+
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
-    instances = []
-    for i, text in enumerate(args.instance):
-        label = f"--instance[{i}]"
-        x1, t1, x2, t2 = _parse_numbers(text, 4, label)
-        instances.append((_observation(x1, t1, label), _observation(x2, t2, label)))
-    post = combine_ratio_instances(instances, prior_r2)
+    instances = _observations(args.instance, "--instance", 2)
+    post = ratio.combine_ratio_instances(instances, prior_r2)
     pooled1, pooled2 = post.spec.data1, post.spec.data2
     _emit(
         args,
@@ -570,14 +574,12 @@ def _cmd_combine_ratio(args) -> None:
 
 
 def _cmd_mc_gamma(args) -> None:
-    report = simulate_gamma_ratio(
-        GammaParams(args.alpha1, args.beta1),
-        GammaParams(args.alpha2, args.beta2),
-        args.n,
-        args.cutoff,
-        args.bins,
-        _seed(args),
-        args.workers,
+    from . import distributions, montecarlo
+
+    report = montecarlo.simulate_gamma_ratio(
+        distributions.GammaParams(args.alpha1, args.beta1),
+        distributions.GammaParams(args.alpha2, args.beta2),
+        **_simulation(args),
     )
     _emit_report(
         args,
@@ -587,13 +589,19 @@ def _cmd_mc_gamma(args) -> None:
 
 
 def _cmd_mc_uniform(args) -> None:
-    report = simulate_uniform_ratio(args.rmax, args.n, args.cutoff, args.bins, _seed(args), args.workers)
+    from . import montecarlo
+
+    report = montecarlo.simulate_uniform_ratio(args.rmax, **_simulation(args))
     _emit_report(args, report, f"ratio of two U(0, {args.rmax:g}) variates")
 
 
 def _cmd_mc_waiting(args) -> None:
+    import numpy as np
+
+    from . import distributions
+
     # one row per path, also for one path
-    times = poisson_process_waiting_times(args.rate, args.k, _seed(args), n_paths=args.paths)
+    times = distributions.poisson_process_waiting_times(args.rate, args.k, _seed(args), n_paths=args.paths)
 
     def table(fh) -> None:
         path, event = np.indices(times.shape) + 1
@@ -602,7 +610,7 @@ def _cmd_mc_waiting(args) -> None:
 
     def lines() -> list[str]:
         first, last = times[:, 0], times[:, -1]
-        sd = _sample_sd(first) if first.size > 1 else None
+        sd = distributions._sample_sd(first) if first.size > 1 else None
         return [
             f"Poisson process arrivals: rate = {args.rate:g}, k = {args.k}, paths = {args.paths}",
             f"first arrival: mean = {first.mean():.6g}, sd = {_sig6(sd, 'one path')}",
@@ -627,11 +635,13 @@ def _cmd_mc_waiting(args) -> None:
 
 
 def _cmd_mcmc(args) -> None:
+    from . import mcmc
+
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise UsageError(f"spec file not found: {spec_path}")
     try:
-        spec = ModelSpec.from_json(json.loads(spec_path.read_text()))
+        spec = mcmc.ModelSpec.from_json(json.loads(spec_path.read_text()))
     except json.JSONDecodeError as exc:
         raise UsageError(f"spec file is not valid JSON: {exc}") from None
     except ValueError as exc:  # the spec's field path and the reason
@@ -640,8 +650,8 @@ def _cmd_mcmc(args) -> None:
     warning = spec.warning()
     if warning:
         print(f"rateratio: warning: {warning}", file=sys.stderr)
-    chain = run_chain(build_model(spec), args.n_iter, args.burn_in, seed)
-    summary = summarize_chain(chain)
+    chain = mcmc.run_chain(mcmc.build_model(spec), args.n_iter, args.burn_in, seed)
+    summary = mcmc.summarize_chain(chain)
     if not all(math.isfinite(v.batch_se) for v in summary.variables.values()):
         print(
             "rateratio: warning: fewer than 20 draws give no batch-means SE",
@@ -649,8 +659,8 @@ def _cmd_mcmc(args) -> None:
         )
     renderers = {
         "payload": lambda: {**summary.as_dict(), "acceptance": dict(chain.acceptance)},
-        "table": lambda fh: chain_to_csv(chain, fh),
-        "lines": lambda: [format_chain_summary(summary).removesuffix("\n")],
+        "table": lambda fh: mcmc.chain_to_csv(chain, fh),
+        "lines": lambda: [mcmc.format_chain_summary(summary).removesuffix("\n")],
     }
     if not args.out:
         _emit(args, **renderers)
@@ -665,7 +675,7 @@ def _cmd_mcmc(args) -> None:
         summaries[fmt] = buf.getvalue()
     chain_path = prefix.with_name(prefix.name + ".chain.csv")
     with open(chain_path, "w") as fh:
-        chain_to_csv(chain, fh)
+        mcmc.chain_to_csv(chain, fh)
     prefix.with_name(prefix.name + ".summary.txt").write_text(summaries["text"])
     prefix.with_name(prefix.name + ".summary.json").write_text(summaries["json"])
     sys.stdout.write(f"wrote {chain_path}, {prefix.name}.summary.txt, {prefix.name}.summary.json\n")

@@ -15,13 +15,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-# scipy.special is imported inside each function that calls it, not here:
-# `mc`, `predict ratio` and `mcmc` never need SciPy, and importing it costs
-# about 0.3 s of every launch.  Once loaded, a local import is a dict lookup.
+# NumPy and scipy.special are imported inside each function that calls them,
+# not here: `mc`, `predict ratio` and `mcmc` never need SciPy, which costs
+# about 0.3 s of a launch, and the text closed-form commands (a Gamma law's
+# parameters and summaries) need neither, while NumPy costs about 0.1 s.
+# Once loaded, a local import is a dict lookup.
 
 
 __all__ = [
@@ -136,6 +139,8 @@ class DiscreteDist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if self.values.shape != self.probs.shape:
             raise ValueError("values and probs must have the same shape")
         # Tail truncation must leave < 1e-9 of mass outside the support.
@@ -143,13 +148,19 @@ class DiscreteDist:
             raise ValueError("probabilities must sum to 1 within 1e-9")
 
     def prob(self, value: int) -> float:
+        import numpy as np
+
         hit = np.nonzero(self.values == value)[0]
         return float(self.probs[hit[0]]) if hit.size else 0.0
 
     def mean(self) -> float:
+        import numpy as np
+
         return float(np.sum(self.values * self.probs))
 
     def sd(self) -> float:
+        import numpy as np
+
         m = self.mean()
         return math.sqrt(float(np.sum((self.values - m) ** 2 * self.probs)))
 
@@ -170,6 +181,8 @@ def _elementwise(refuse=None, reason: str = ""):
     def wrap(law):
         @functools.wraps(law)
         def checked(x, *args, **kwargs):
+            import numpy as np
+
             x = np.asarray(x, dtype=float)
             if refuse is not None and np.any(refuse(x)):
                 raise ValueError(reason)
@@ -181,10 +194,17 @@ def _elementwise(refuse=None, reason: str = ""):
     return wrap
 
 
+def _fractional(x):
+    """True where an element of the float array x is not a whole number; NaN is not, inf is."""
+    import numpy as np
+
+    return x != np.floor(x)
+
+
 _on_rates = _elementwise(lambda x: x < 0, "x must be >= 0")
 _on_ratios = _elementwise(lambda rho: rho < 0, "rho must be >= 0")
 _on_levels = _elementwise(lambda q: ~((q >= 0.0) & (q <= 1.0)), "q must be in [0, 1]")  # also refuses NaN
-_on_counts = _elementwise(lambda x: (x != np.floor(x)) | (x < 0), "x must be a non-negative integer")
+_on_counts = _elementwise(lambda x: _fractional(x) | (x < 0), "x must be a non-negative integer")
 
 
 def _sample_sd(values: np.ndarray) -> float:
@@ -194,6 +214,8 @@ def _sample_sd(values: np.ndarray) -> float:
     scaled back; both scalings are exact, so values of ordinary size get
     np.std's result to the bit.
     """
+    import numpy as np
+
     e = np.frexp(np.abs(values).max())[1]
     return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e))
 
@@ -206,6 +228,7 @@ def poisson_pmf(x, lam: float):
         x: non-negative integer count, scalar or array.
         lam: positive Poisson parameter.
     """
+    import numpy as np
     from scipy import special
 
     _check_positive("lambda", lam)
@@ -227,20 +250,27 @@ def poisson_cdf(x, lam: float):
 
 SKELLAM_MAX_POINTS = 2**21  # the largest support skellam_dist tabulates: 16 MB per array
 
-# Debye polynomials u_k(p) of the uniform asymptotic expansion of I_v
-# (Abramowitz & Stegun 9.3.9, 9.3.10), as coefficients of p^0 .. p^12.
-_DEBYE_U = [
-    np.polynomial.Polynomial(np.array(c, dtype=float) / den)
-    for c, den in (
-        ([0, 3, 0, -5], 24.0),
-        ([0, 0, 81, 0, -462, 0, 385], 1152.0),
-        ([0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425], 414720.0),
-        (
-            [0, 0, 0, 0, 4465125, 0, -94121676, 0, 349922430, 0, -446185740, 0, 185910725],
-            39813120.0,
-        ),
-    )
-]
+
+@functools.cache
+def _debye_u() -> list:
+    """Debye polynomials u_k(p) of the uniform asymptotic expansion of I_v, made on first use.
+
+    Abramowitz & Stegun 9.3.9, 9.3.10, as coefficients of p^0 .. p^12.
+    """
+    import numpy as np
+
+    return [
+        np.polynomial.Polynomial(np.array(c, dtype=float) / den)
+        for c, den in (
+            ([0, 3, 0, -5], 24.0),
+            ([0, 0, 81, 0, -462, 0, 385], 1152.0),
+            ([0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425], 414720.0),
+            (
+                [0, 0, 0, 0, 4465125, 0, -94121676, 0, 349922430, 0, -446185740, 0, 185910725],
+                39813120.0,
+            ),
+        )
+    ]
 
 
 def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +284,7 @@ def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
     only at such large z, and the orders v > 0 are returned in the mask for
     the Debye expansion (_debye_rest, _skellam_debye_exponent).
     """
+    import numpy as np
     from scipy import special
 
     with np.errstate(divide="ignore"):
@@ -270,12 +301,14 @@ def _debye_rest(n: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     I_n(z) ~ e^(eta - n asinh(n/z)) / sqrt(2 pi eta) * sum_k u_k(p) / n^k, with eta = sqrt(n^2 + z^2).
     """
+    import numpy as np
+
     p = n / eta
-    series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_DEBYE_U))
+    series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_debye_u()))
     return np.log(series) - 0.5 * np.log(2.0 * math.pi * eta)
 
 
-@_elementwise(lambda d: d != np.floor(d), "d must be an integer")
+@_elementwise(_fractional, "d must be an integer")
 def skellam_pmf(d, lambda1: float, lambda2: float):
     """P(X1 - X2 = d) for independent X1 ~ Pois(lambda1), X2 ~ Pois(lambda2).
 
@@ -293,6 +326,8 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
         d: integer difference, scalar or array.
         lambda1, lambda2: positive Poisson parameters.
     """
+    import numpy as np
+
     _check_positive("lambda1", lambda1)
     _check_positive("lambda2", lambda2)
     v = np.abs(d)
@@ -324,6 +359,7 @@ def _skellam_series(d, lambda1: float, lambda2: float):
     is at most 1/1000 of the one before, so five terms leave an error below
     1e-17.  Nothing cancels, and lambda1 lambda2 may underflow to 0.
     """
+    import numpy as np
     from scipy import special
 
     v = np.abs(d)
@@ -346,6 +382,8 @@ def _skellam_debye_exponent(d, v, eta, lambda1: float, lambda2: float):
     (l_d - l_other - v) - (eta - S).  Swapping (d, l1, l2) -> (-d, l2, l1)
     leaves every operand unchanged, so the symmetry stays exact.
     """
+    import numpy as np
+
     s = lambda1 + lambda2
     gap = abs(lambda1 - lambda2)
     eta_minus_s = (v - gap) * (v + gap) / (eta + s)
@@ -363,6 +401,8 @@ def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
     SKELLAM_MAX_POINTS = 2^21 points (lambda1 + lambda2 above about 1.7e10)
     is refused with a ValueError before anything is allocated.
     """
+    import numpy as np
+
     _check_positive("lambda1", lambda1)
     _check_positive("lambda2", lambda2)
     center = lambda1 - lambda2
@@ -381,6 +421,7 @@ def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
 @_on_rates
 def gamma_logpdf(x, p: GammaParams):
     """log f(x | alpha, beta) with f(x) = beta^alpha / Gamma(alpha) * x^(alpha-1) * exp(-beta x)."""
+    import numpy as np
     from scipy import special
 
     p.require_proper()
@@ -400,6 +441,8 @@ def gamma_logpdf(x, p: GammaParams):
 @_on_rates
 def gamma_pdf(x, p: GammaParams):
     """Gamma density; at x = 0 it is 0 for alpha > 1, beta for alpha = 1, +inf for alpha < 1."""
+    import numpy as np
+
     with np.errstate(over="ignore"):  # past the float range the density reads inf
         return np.exp(gamma_logpdf(x, p))
 
@@ -416,6 +459,7 @@ def gamma_cdf(x, p: GammaParams):
 @_on_levels
 def gamma_ppf(q, p: GammaParams):
     """Quantile of Gamma(alpha, beta) at probability q: gammaincinv(alpha, q) / beta."""
+    import numpy as np
     from scipy import special
 
     p.require_proper()
@@ -449,6 +493,8 @@ def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
         n: number of draws, >= 1.
         seed: integer seed or numpy Generator; the caller owns the RNG state.
     """
+    import numpy as np
+
     p.require_proper()
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -456,9 +502,10 @@ def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
     return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=int(n))
 
 
-@_elementwise(lambda x: x != np.floor(x), "x must be an integer")
+@_elementwise(_fractional, "x must be an integer")
 def binomial_pmf(x, n: int, prob: float):
     """P(X = x) for X ~ Binom(n, prob); 0 outside [0, n] rather than an error."""
+    import numpy as np
     from scipy import special
 
     if not (0.0 <= prob <= 1.0):
@@ -479,26 +526,30 @@ def binomial_pmf(x, n: int, prob: float):
 
 @_on_ratios
 def gamma_ratio_logpdf(rho, p1: GammaParams, p2: GammaParams):
-    """log density of Z1/Z2 for independent Z1 ~ Gamma(p1), Z2 ~ Gamma(p2)."""
+    """log density of Z1/Z2 for independent Z1 ~ Gamma(p1), Z2 ~ Gamma(p2), in scale-free form.
+
+    With s = b2/b1 and u = rho/s,
+    log f = -log s + (a1 - 1) log u - (a1 + a2) log1p(u) - betaln(a1, a2),
+    so no term carries the magnitude of b1 or b2.  log s is log b2 - log b1
+    and log u is log rho - log s, so neither b2/b1 nor rho/s is formed;
+    u = e^(log u) reads inf only past the float range, where log1p(u) is
+    log u to the last bit.
+    """
+    import numpy as np
     from scipy import special
 
     p1.require_proper()
     p2.require_proper()
-    a1, b1, a2, b2 = p1.alpha, p1.beta, p2.alpha, p2.beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = (
-            a1 * math.log(b1)
-            + a2 * math.log(b2)
-            - special.betaln(a1, a2)
-            + (a1 - 1.0) * np.log(rho)
-            - (a1 + a2) * np.log(b2 + rho * b1)
-        )
+    a1, a2 = p1.alpha, p2.alpha
+    log_s = math.log(p2.beta) - math.log(p1.beta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_u = np.log(rho) - log_s
+        u = np.exp(log_u)
+        log1p_u = np.where(u < math.inf, np.log1p(u), log_u)
+        logp = -log_s + (a1 - 1.0) * log_u - (a1 + a2) * log1p_u - special.betaln(a1, a2)
     if a1 == 1.0:
-        logp = np.where(
-            rho == 0.0,
-            math.log(b1) + a2 * math.log(b2) - special.betaln(1.0, a2) - (1.0 + a2) * math.log(b2),
-            logp,
-        )
+        # 0 * log(0) above is nan; at rho = 0 the density is 1 / (s B(1, a2))
+        logp = np.where(rho == 0.0, -log_s - special.betaln(1.0, a2), logp)
     return logp
 
 
@@ -509,6 +560,8 @@ def gamma_ratio_pdf(rho, p1: GammaParams, p2: GammaParams):
     f(rho) = b1^a1 b2^a2 / B(a1, a2) * rho^(a1-1) * (b2 + rho*b1)^-(a1+a2),
     evaluated through the log-Beta function.
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):  # past the float range the density reads inf
         return np.exp(gamma_ratio_logpdf(rho, p1, p2))
 
@@ -520,6 +573,7 @@ def gamma_ratio_cdf(rho, p1: GammaParams, p2: GammaParams):
     b1 Z1 / (b1 Z1 + b2 Z2) is Beta(a1, a2) distributed, and Z1/Z2 <= rho
     exactly when it is <= u.
     """
+    import numpy as np
     from scipy import special
 
     p1.require_proper()
@@ -539,6 +593,7 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
     a subtraction, so quantiles of sharply peaked ratios (large counts on
     both sides) keep full precision.
     """
+    import numpy as np
     from scipy import special
 
     p1.require_proper()
@@ -609,12 +664,16 @@ def uniform_ratio_pdf(rho):
 
     1/2 on 0 <= rho <= 1 and 1/(2 rho^2) beyond.
     """
+    import numpy as np
+
     return np.where(rho <= 1.0, 0.5, 0.5 / np.maximum(rho, 1.0) ** 2)
 
 
 @_on_ratios
 def uniform_ratio_cdf(rho):
     """P(U1/U2 <= rho): rho/2 up to 1, then 1 - 1/(2 rho)."""
+    import numpy as np
+
     return np.where(rho <= 1.0, rho / 2.0, 1.0 - 0.5 / np.maximum(rho, 1.0))
 
 
@@ -625,6 +684,8 @@ def poisson_process_waiting_times(rate: float, k: int, seed, n_paths: int | None
     arrival is Gamma(k, rate) distributed.  Returns shape (k,) for a single
     path, or (n_paths, k) when n_paths is given.
     """
+    import numpy as np
+
     _check_positive("rate", rate)
     if k < 1:
         raise ValueError("k must be >= 1")

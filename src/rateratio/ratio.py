@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
-import numpy as np
-
 from .distributions import (
     GammaParams,
     SummaryStats,
@@ -140,6 +138,8 @@ def model_b_reweighted_pdf(
     of rho, so reweighting it by f0 gives the shape of the general
     posterior; normalize numerically if needed.
     """
+    import numpy as np
+
     prior = np.vectorize(rho_prior_pdf, otypes=[float])(rho)
     return model_b_pdf(rho, d1, d2, prior_r2) * prior
 
@@ -152,6 +152,8 @@ def implied_r1_pdf(r1, rho_max: float, r2_max: float):
     f(r1) = log(rho_max * r2_max / r1) / (rho_max * r2_max)
     on 0 < r1 <= rho_max * r2_max, and 0 outside (not an error).
     """
+    import numpy as np
+
     if not (rho_max > 0) or not (r2_max > 0):
         raise ValueError("rho_max and r2_max must be > 0")
     top = rho_max * r2_max

@@ -211,6 +211,27 @@ class TestRatio:
         last = out.strip().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(1.0043798, abs=1e-7)
 
+    def test_density_far_from_unit_scales(self, capsys):
+        # b2 = 1.23e192, b1 = 5.45e-74 and a2 = 9.11e47: a2 log b2 and
+        # (a1 + a2) log(b2 + rho b1), each ~4e50, once cancelled to 0.0, and
+        # every density past rho = 0 read 1.0.  The constants are this law's
+        # density at those grid points, by mpmath at 160 digits, to 80 digits.
+        argv = ["ratio", "--x1", "5", "--T1", "5.452100082004223e-74", "--x2", "1",
+                "--T2", "1.230264521442318e+192", "--model", "B",
+                "--prior-alpha0", "9.112694986043251e+47", "--prior-beta0", "1.3938324452696672e-173"]
+        want = {
+            129: ("1.0206294078910327e+218", "6.4920912698280791574522993692536162186481952053928023882772685846328749994061721e-219"),
+            258: ("2.049232483031214e+218", "3.3263519023885863605059424445877184865465969232194199909603737030915870562390747e-219"),
+            512: ("4.074543964314982e+218", "2.8992233470162054170120063462870589250006119608455786516987219465654552675938175e-221"),
+        }
+        code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+        rows = out.splitlines()
+        assert code == 0 and len(rows) == 513
+        for line, (rho, density) in want.items():
+            got_rho, got_density = rows[line].split(",")
+            assert got_rho == rho
+            assert float(got_density) == pytest.approx(float(density), rel=1e-12, abs=0.0)
+
     def test_domain_error_exit_code(self, capsys):
         # passes parsing, then hits the flat-prior x2=0 domain condition
         code, _, err = run_cli(

@@ -577,6 +577,19 @@ class TestGammaRatioPdf:
         assert gamma_ratio_pdf(0.0, GammaParams(1.0, 1.0), GammaParams(2.0, 1.0)) > 0
         assert gamma_ratio_pdf(0.0, GammaParams(2.0, 1.0), GammaParams(2.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "rho,p1,p2,want",
+        [
+            # u = rho b1 / b2 = 1e410, past the float range
+            (1e10, GammaParams(3.0, 1e200), GammaParams(4.0, 1e-200), -3795.171058877953277895387),
+            # s = b2 / b1 = 1e400, past the float range
+            (1e300, GammaParams(2.0, 1e-200), GammaParams(5.0, 1e200), -1147.891349115360686556343),
+        ],
+    )
+    def test_logpdf_where_s_or_u_leaves_the_float_range(self, rho, p1, p2, want):
+        # the constants are mpmath's, at 60 digits
+        assert gamma_ratio_logpdf(rho, p1, p2) == pytest.approx(want, rel=1e-14)
+
 
 class TestGammaRatioSummaries:
     def test_reference_configuration(self):

@@ -1,4 +1,8 @@
 import importlib
+import subprocess
+import sys
+
+import pytest
 
 import rateratio
 
@@ -16,3 +20,34 @@ def test_package_all_is_the_union_of_the_module_lists():
         assert hasattr(rateratio, name), name
     # once listed by the package only, and by mcmc only
     assert {"gamma_ratio_logpdf", "VariableSummary"} <= set(rateratio.__all__)
+
+
+def test_name_table_lists_each_module_in_its_own_order():
+    # the package resolves each name through this table, without importing the module first
+    assert set(rateratio._PUBLIC) == set(MODULES)
+    for module, names in rateratio._PUBLIC.items():
+        assert list(names) == importlib.import_module(f"rateratio.{module}").__all__, module
+
+
+def test_lazy_names_resolve_to_their_module_objects():
+    from rateratio import mcmc
+
+    namespace = {}
+    exec("from rateratio import *", namespace)
+    assert set(rateratio.__all__) <= set(namespace)
+    assert namespace["run_chain"] is mcmc.run_chain
+    assert rateratio.run_chain is mcmc.run_chain
+    assert set(rateratio.__all__) <= set(dir(rateratio))
+    assert "__version__" in dir(rateratio)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'rateratio' has no attribute 'no_such_name'"):
+        rateratio.no_such_name
+    assert not hasattr(rateratio, "np")
+
+
+def test_modules_resolve_after_a_bare_package_import():
+    code = "import rateratio, sys; print(rateratio.mcmc.__name__, 'rateratio.montecarlo' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["rateratio.mcmc", "False"]
