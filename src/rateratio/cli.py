@@ -290,12 +290,12 @@ def _write_csv(fh, columns: dict) -> None:
     fh.writelines(line % row for row in zip(*columns.values()))
 
 
-def _curve(law, x_name: str) -> dict:
-    """The law's plotted density: {x_name: grid, "density": values}."""
+def _curve(x_name: str, laws: dict) -> dict:
+    """The plotted densities of named laws on one grid: {x_name: grid, name: values, ...}."""
     from . import numeric
 
-    xs, ys = numeric.pdf_curve(law)
-    return {x_name: xs.tolist(), "density": ys.tolist()}
+    xs, *densities = numeric.pdf_curve(*laws.values())
+    return {x_name: xs.tolist(), **{name: y.tolist() for name, y in zip(laws, densities)}}
 
 
 def _sig6(value: float | None, reason: str) -> str:
@@ -399,9 +399,9 @@ def _cmd_infer(args) -> None:
             "prior": {"alpha": prior.alpha, "beta": prior.beta},
             "posterior": {"alpha": posterior.alpha, "beta": posterior.beta},
             "summaries": estimate.summaries.as_dict(),
-            "curve": _curve(posterior, "r"),
+            "curve": _curve("r", {"density": posterior}),
         },
-        table=lambda fh: _write_csv(fh, _curve(posterior, "r")),
+        table=lambda fh: _write_csv(fh, _curve("r", {"density": posterior})),
         lines=lambda: [
             f"data: x = {args.x}, T = {args.T:g}",
             f"prior: Gamma(alpha={prior.alpha:g}, beta={prior.beta:g})",
@@ -439,16 +439,13 @@ def _cmd_ratio(args) -> None:
                 }
                 for m, p in posts.items()
             },
-            "curves": {m: _curve(p, "rho") for m, p in posts.items()},
+            "curves": {m: _curve("rho", {"density": p}) for m, p in posts.items()},
         }
 
     def table(fh) -> None:
-        from . import numeric
-
         # with --compare, both densities share one grid, wide enough for the wider of the two
-        xs, *densities = numeric.pdf_curve(*posts.values())
         names = [f"density_{m.lower()}" for m in models] if args.compare else ["density"]
-        _write_csv(fh, {"rho": xs.tolist(), **{n: y.tolist() for n, y in zip(names, densities)}})
+        _write_csv(fh, _curve("rho", dict(zip(names, posts.values()))))
 
     def lines() -> list[str]:
         out = [f"data: x1 = {args.x1}, T1 = {args.T1:g}, x2 = {args.x2}, T2 = {args.T2:g}"]
@@ -560,7 +557,7 @@ def _cmd_combine_ratio(args) -> None:
             "prior_r2": {"alpha": prior_r2.alpha, "beta": prior_r2.beta},
             "summaries": post.summaries.as_dict(),
         },
-        table=lambda fh: _write_csv(fh, _curve(post, "rho")),
+        table=lambda fh: _write_csv(fh, _curve("rho", {"density": post})),
         lines=lambda: [
             f"pooled totals: x1 = {pooled1.x}, T1 = {pooled1.T:g}, "
             f"x2 = {pooled2.x}, T2 = {pooled2.T:g}",

@@ -362,18 +362,21 @@ class _Node:
 
 @dataclass(frozen=True)
 class Model:
-    """A built model: nodes in sweep order, the initial state and an iid drawer where one exists.
+    """A built model: nodes in sweep order, the initial state, an iid drawer where one exists, and readouts.
 
     The state holds every variable of the model that a node draws, and every
-    efficiency: a fixed one is a constant that no node redraws.  What no node
-    draws is read out of the recorded draws (_readout), by a rate rule or by
-    readouts[name](draws, rng), which a leg registered.  draw(rng, n), where
-    it is set, returns n iid posterior draws of the variables a node would
-    draw, and the acceptance rate of each node it measured; or None, and
-    run_chain then runs the Gibbs sweeps of the nodes: sweep(state, rng,
-    burn_in, n_iter), compiled from the nodes, runs them all and returns the
-    recorded variables of the last n_iter sweeps.  Model A has no nodes and
-    no initial state: its drawer draws each rate from its prior's conjugate update.
+    efficiency: a fixed one is a constant that no node redraws.  readouts is
+    the one table of every variable that no sampler draws, each an expression
+    over the draws that readouts[name](draws, rng) evaluates: in the B family
+    r1 = rho * r2, lambda_i as its signal leg's mean, and what each leg
+    registered (_leg); in Model A rho = r1 / r2 and lambda_i = r_i * t_i.
+    draw(rng, n), where it is set, returns n iid posterior draws of the
+    variables a node would draw, and the acceptance rate of each node it
+    measured; or None, and run_chain then runs the Gibbs sweeps of the nodes:
+    sweep(state, rng, burn_in, n_iter), compiled from the nodes, runs them all
+    and returns the last n_iter draws of the monitored nodes and of the nodes
+    that a monitored readout reads.  Model A has no nodes and no initial
+    state: its drawer draws each rate from its prior's conjugate update.
     """
 
     spec: ModelSpec
@@ -638,36 +641,40 @@ def build_model(spec: ModelSpec) -> Model:
             draws = {name: rng.standard_gamma(p.alpha, n) / p.beta for name, p in posteriors.items()}
             return draws, {"r1": 1.0, "r2": 1.0}
 
-        return Model(spec, (), {}, draw)
+        # what the drawer does not draw: rho and each rate's expected count lambda_i
+        namespace = {"t1": spec.data1.T, "t2": spec.data2.T}
+        exprs = {"rho": "r1 / r2", "lambda1": "r1 * t1", "lambda2": "r2 * t2"}
+        return Model(spec, (), {}, draw, {name: _Node(name, e, namespace).update for name, e in exprs.items()})
 
     x1, t1 = spec.data1.x, spec.data1.T
     x2, t2 = spec.data2.x, spec.data2.T
     # the constants that the node expressions name; the expressions hold no number
     namespace = {"x1": x1, "t1": t1, "x2": x2, "t2": t2, "_thin": _thin, "np": np, "array": array}
-    expected = {1: "rho * r2 * t1", 2: "r2 * t2"}
+    # what no node draws: r1, each signal leg's mean lambda_i, and then what each leg registers
+    readouts = {"r1": "rho * r2", "lambda1": "rho * r2 * t1", "lambda2": "r2 * t2"}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
     eps1, eps2 = (eff.initial() for eff in spec._signal)
     r2_start = (x2 / eps2 + 1.0) / t2
     initial: dict[str, float] = {"r2": r2_start, "rho": ((x1 / eps1 + 1.0) / t1) / r2_start}
 
     # B and B_EFF see each channel's signal leg whole; B_EFF_BKG splits what it sees
-    signal, channel_nodes, readouts = {}, [], {}
+    signal, channel_nodes = {}, []
     for i, x, t in ((1, x1, t1), (2, x2, t2)):
-        eff_s, legs = spec._signal[i - 1], (namespace, initial, readouts)
+        eff_s, mean, legs = spec._signal[i - 1], readouts[f"lambda{i}"], (namespace, initial, readouts)
         if spec.variant != "B_EFF_BKG":
-            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, f"x{i}", expected[i], t, *legs)
+            signal[i] = _leg(f"n{i}", f"eps{i}", eff_s, f"x{i}", mean, t, *legs)
             channel_nodes += signal[i][2]
             continue
         prior_b, rb, s_key = priors[f"rb{i}"], f"rb{i}", f"s{i}"
         initial[rb] = prior_b.alpha / prior_b.beta
         initial[s_key] = x
-        signal[i] = _leg(f"nS{i}", f"epsS{i}", eff_s, s_key, expected[i], t, *legs)
+        signal[i] = _leg(f"nS{i}", f"epsS{i}", eff_s, s_key, mean, t, *legs)
         count_b, exposure_b, nodes_b = _leg(
             f"nB{i}", f"epsB{i}", spec._background[i - 1], f"x{i} - {s_key}", f"{rb} * t{i}", t, *legs
         )
         namespace[f"rate_{rb}"] = prior_b.beta + exposure_b
         channel_nodes.append(_gamma_node(rb, prior_b.alpha, (count_b,), f"rate_{rb}", namespace))
-        channel_nodes.append(_split_node(i, x, expected[i], f"epsS{i}", f"epsB{i}", namespace))
+        channel_nodes.append(_split_node(i, x, mean, f"epsS{i}", f"epsB{i}", namespace))
         channel_nodes += signal[i][2] + nodes_b
     # rho | r2 ~ Gamma(a_rho + n1, b_rho + r2*e1) and r2 | rho ~ Gamma(a_2 + n1 + n2,
     # b_2 + rho*e1 + e2), with the count n_i and exposure e_i of each signal leg
@@ -679,11 +686,11 @@ def build_model(spec: ModelSpec) -> Model:
         _gamma_node("r2", pr2.alpha, (n1, n2), "beta_r2 + rho * e1 + e2", namespace),
         *channel_nodes,
     ]
-    # the rate rules read r1, r2 and rho; a leg's readout may read any variable a node draws
-    recorded = [node.name for node in nodes]
-    if not any(name in readouts and name not in recorded for name in spec.monitor):
-        recorded = [name for name in recorded if name in ("r1", "r2", "rho", *spec.monitor)]
-    sweep = _compile_sweep(nodes, namespace, initial, recorded)
+    # a chain records the monitored nodes and the nodes that a monitored readout names
+    names, recorded = [node.name for node in nodes], set(spec.monitor)
+    for name in recorded - set(names):
+        recorded.update(_compile_source(readouts[name], "<node>", "eval").co_names)
+    sweep = _compile_sweep(nodes, namespace, initial, [name for name in names if name in recorded])
     readouts = {name: _Node(name, expr, namespace).update for name, expr in readouts.items()}
     return Model(spec, tuple(nodes), initial, _iid_drawer(spec), readouts, sweep)
 
@@ -769,23 +776,10 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
     return Chain(monitored=monitored, n_iter=n_iter, burn_in=burn_in, seed=seed, acceptance=acceptance)
 
 
-def _readout(
-    name: str, draws: Mapping[str, np.ndarray], model: Model, rng: np.random.Generator
-) -> np.ndarray:
-    """The draws of a monitored variable, read out of the recorded draws where no node draws it.
-
-    r1 = rho * r2 in the B family, rho = r1 / r2 in Model A, and lambda_i = r_i * T_i;
-    every other variable by the readout that its leg registered (see _leg).
-    """
+def _readout(name: str, draws: Mapping[str, np.ndarray], model: Model, rng: np.random.Generator) -> np.ndarray:
+    """The draws of a monitored variable: its recorded draws, else its Model.readouts entry over them."""
     if name in draws:
         return draws[name]
-    if name == "r1":
-        return draws["rho"] * draws["r2"]
-    if name == "rho":
-        return draws["r1"] / draws["r2"]
-    if name in ("lambda1", "lambda2"):
-        data = model.spec.data1 if name == "lambda1" else model.spec.data2
-        return _readout(f"r{name[-1]}", draws, model, rng) * data.T
     return model.readouts[name]({**model.initial, **draws}, rng)
 
 

@@ -8,9 +8,9 @@ and its marginal posterior is again a Gamma ratio, now with denominator
 parameters (alpha0 + x2 - 1, beta0 + T2): one power of r2 is spent
 integrating the deterministic link r1 = rho * r2.
 
-Also here: the lambda-ratio special case T1 = T2 = 1, the density of a ratio
-of two i.i.d. uniform rates, and the prior on r1 implied by uniform priors
-on rho and r2.
+Also here: the lambda-ratio special case T1 = T2 = 1 and the prior on r1
+implied by uniform priors on rho and r2.  The density of a ratio of two
+i.i.d. uniform rates is distributions.uniform_ratio_pdf.
 """
 
 from __future__ import annotations

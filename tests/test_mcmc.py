@@ -239,7 +239,54 @@ class TestModelSpec:
         assert spec.variant == "B_EFF_BKG"
 
 
+def _mixed_spec(variant, monitor=("r1", "r2", "rho")):
+    """The variant with a fixed and a Beta efficiency in each pair; B_EFF and B_EFF_BKG run Gibbs sweeps."""
+    if variant == "B_EFF":
+        return flat_spec(variant, efficiencies=(0.9, (20.0, 5.0)), monitor=monitor)
+    if variant == "B_EFF_BKG":
+        priors = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
+        return flat_spec(variant, priors=priors, efficiencies=((20.0, 5.0), 0.9),
+                         background_efficiencies=(0.8, (3.0, 1.0)), monitor=monitor)
+    return flat_spec(variant, monitor=monitor)
+
+
 class TestBuildModel:
+    @pytest.mark.parametrize("variant", ["A", "B", "B_EFF", "B_EFF_BKG"])
+    def test_what_no_sampler_draws_has_a_readout(self, variant):
+        model = build_model(_mixed_spec(variant))
+        # Model A's drawer draws r1 and r2; in the B family every sampler draws nodes only
+        drawn = {n.name for n in model.nodes} or set(model.draw(np.random.default_rng(0), 1)[0])
+        assert set(_VARIABLES[variant]) - drawn <= set(model.readouts)
+
+    @pytest.mark.parametrize("monitor, recorded", [
+        (("nS1",), {"rho", "r2", "s1"}),
+        (("r1", "lambda1"), {"rho", "r2"}),
+        (("lambda2", "epsS2"), {"r2"}),
+        (("rb2", "nB2"), {"rb2", "nB2"}),
+    ], ids=["thinned", "rates", "constant", "nodes"])
+    def test_a_sweep_records_what_its_monitor_reads(self, monitor, recorded):
+        # nS1 at a fixed epsS1 is thinned from s1 and its mean rho * r2 * T1; nB2 at a Beta epsB2 is a node
+        spec = ModelSpec(
+            variant="B_EFF_BKG", data1=D1, data2=D2, monitor=monitor,
+            priors={**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)},
+            efficiencies=(0.9, 0.9), background_efficiencies=(0.8, (3.0, 1.0)),
+        )
+        model = build_model(spec)
+        columns = model.sweep(model.init_state(), np.random.default_rng(0), 2, 3)
+        assert set(columns) == recorded
+        assert all(len(column) == 3 for column in columns.values())
+
+    @pytest.mark.parametrize("variant", ["B_EFF", "B_EFF_BKG"])
+    def test_a_variable_monitored_alone_reads_the_draws(self, variant):
+        # beside every node, or alone, a variable reads the same draws: no readout falls back to the start
+        nodes = [n.name for n in build_model(_mixed_spec(variant)).nodes]
+        for name in _VARIABLES[variant]:
+            alone, beside = (
+                run_chain(build_model(_mixed_spec(variant, monitor)), 50, burn_in=5, seed=2).monitored[name]
+                for monitor in ((name,), (name, *(node for node in nodes if node != name)))
+            )
+            np.testing.assert_array_equal(alone, beside, err_msg=name)
+
     def test_variant_a_nodes(self):
         priors = {"r1": GammaParams(2.5, 0.75), "r2": MCMC_FLAT_PRIOR}
         model = build_model(flat_spec("A", priors=priors, monitor=_VARIABLES["A"]))
