@@ -321,8 +321,9 @@ def _cmd_predict_diff(args) -> None:
     if lo > hi:
         raise UsageError("--d-min must be <= --d-max")
     dist = distributions.skellam_dist(args.l1, args.l2)
-    # --d-min/--d-max select a display window; pmf values and the mean/sd
-    # stay those of the full distribution.
+    # --d-min/--d-max select a display window; the pmf values stay those of
+    # the full distribution, and the mean and sd are its exact moments.
+    mean, sd = args.l1 - args.l2, math.sqrt(args.l1 + args.l2)
     keep = (dist.values >= lo) & (dist.values <= hi)
     values = dist.values[keep].tolist()
     probs = dist.probs[keep].tolist()
@@ -333,8 +334,8 @@ def _cmd_predict_diff(args) -> None:
             "lambda2": args.l2,
             "support": values,
             "pmf": probs,
-            "mean": dist.mean(),
-            "sd": dist.sd(),
+            "mean": mean,
+            "sd": sd,
         },
         table=lambda fh: _write_csv(fh, {"d": values, "probability": probs}),
         lines=lambda: [
@@ -343,7 +344,7 @@ def _cmd_predict_diff(args) -> None:
             f"{'d':>6}  {'f(d)':>12}",
             *map("%6d  %12.6g".__mod__, zip(values, probs)),
             "",
-            f"mean = {dist.mean():.6g}, sd = {dist.sd():.6g}",
+            f"mean = {mean:.6g}, sd = {sd:.6g}",
         ],
     )
 

@@ -21,8 +21,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # NumPy and scipy.special are imported inside each function that calls them,
-# not here: `mc`, `predict ratio` and `mcmc` never need SciPy, which costs
-# about 0.3 s of a launch, and the text closed-form commands (a Gamma law's
+# not here: `mc`, `predict` and `mcmc` never need SciPy, which costs about
+# 0.3 s of a launch, and the text closed-form commands (a Gamma law's
 # parameters and summaries) need neither, while NumPy costs about 0.1 s.
 # Once loaded, a local import is a dict lookup.
 
@@ -251,170 +251,90 @@ def poisson_cdf(x, lam: float):
 SKELLAM_MAX_POINTS = 2**21  # the largest support skellam_dist tabulates: 16 MB per array
 
 
-@functools.cache
-def _debye_u() -> list:
-    """Debye polynomials u_k(p) of the uniform asymptotic expansion of I_v, made on first use.
+def _skellam_bulk(lambda1: float, lambda2: float, limit: int) -> tuple[int, int]:
+    """Ends of mean +- (8 sd + 11) of D = X1 - X2; a lambda <= 0 or more than `limit` points is refused."""
+    _check_positive("lambda1", lambda1)
+    _check_positive("lambda2", lambda2)
+    center, half = lambda1 - lambda2, 8.0 * math.sqrt(lambda1 + lambda2) + 11.0
+    if 2.0 * half + 1.0 > limit:
+        raise ValueError(f"the difference pmf needs about {2.0 * half + 1.0:.4g} support points, more than {limit} "
+                         f"(lambda1 + lambda2 must stay below about {((limit - 23) / 16) ** 2:.2g})")
+    return math.floor(center - half), math.ceil(center + half)
 
-    Abramowitz & Stegun 9.3.9, 9.3.10, as coefficients of p^0 .. p^12.
+
+def _skellam_log_rise(lambda1: float, lambda2: float, d0: int, hi: int):
+    """log P(d) - log P(d0) for d = d0 + 1, ..., hi, where d0 >= 0.
+
+    t_d = P(d) / P(d - 1) = lambda1 / (d + lambda2 t_(d+1)) runs down from 0 at
+    60 + 8 sqrt(lambda1 + lambda2) terms past hi, carried as q_d = lambda1 / t_d
+    - lambda1 to keep the digits of t_d ~ 1 near the mode.  The logs are summed
+    with each addition's rounding error carried (Knuth's two-sum).
     """
     import numpy as np
 
-    return [
-        np.polynomial.Polynomial(np.array(c, dtype=float) / den)
-        for c, den in (
-            ([0, 3, 0, -5], 24.0),
-            ([0, 0, 81, 0, -462, 0, 385], 1152.0),
-            ([0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425], 414720.0),
-            (
-                [0, 0, 0, 0, 4465125, 0, -94121676, 0, 349922430, 0, -446185740, 0, 185910725],
-                39813120.0,
-            ),
-        )
-    ]
-
-
-def _log_ive_direct(v: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """log(I_v(z) e^-z) where `special.ive` serves, and the mask where it does not.
-
-    ive serves where its value is comfortably inside the float range.  It
-    does not where that needs a large order (or a product lambda1*lambda2
-    below 1e-15), or where ive returns NaN (z above 2^30, about 1.07e9).
-    There, order 0 takes the large-argument series
-    I_0(z) e^-z ~ (1 + 1/(8z) + 9/(128z^2)) / sqrt(2 pi z), which ive leaves
-    only at such large z, and the orders v > 0 are returned in the mask for
-    the Debye expansion (_debye_rest, _skellam_debye_exponent).
-    """
-    import numpy as np
-    from scipy import special
-
-    with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(special.ive(v, z)))
-    low = ~(out >= -600.0)  # also takes NaN
-    large_z = low & (v == 0)
-    if np.any(large_z):
-        out[large_z] = -0.5 * np.log(2.0 * math.pi * z) + np.log1p((1.0 + 9.0 / (16.0 * z)) / (8.0 * z))
-    return out, low & (v > 0)
-
-
-def _debye_rest(n: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """log(sum_k u_k(p) / n^k) - log(2 pi eta) / 2 with p = n / eta: the Debye expansion less its exponent.
-
-    I_n(z) ~ e^(eta - n asinh(n/z)) / sqrt(2 pi eta) * sum_k u_k(p) / n^k, with eta = sqrt(n^2 + z^2).
-    """
-    import numpy as np
-
-    p = n / eta
-    series = 1.0 + sum(u(p) / n ** (k + 1) for k, u in enumerate(_debye_u()))
-    return np.log(series) - 0.5 * np.log(2.0 * math.pi * eta)
+    if hi <= d0:
+        return np.empty(0)
+    mu = lambda1 - lambda2
+    start = hi + 60 + int(8.0 * math.sqrt(lambda1 + lambda2))
+    q, qs = start - lambda1, []  # t_(start+1) = 0; qs runs from d = start - 1 down to d0 + 1
+    for d in range(start - 1, d0, -1):
+        q = (d - mu) - lambda2 * q / (lambda1 + q)
+        qs.append(q)
+    with np.errstate(over="ignore"):  # q / lambda1 past the float range: that P(d) reads 0 either way
+        logs = np.maximum(-np.log1p(np.array(qs[start - 1 - hi:][::-1]) / lambda1), -1e4)
+    sums = np.cumsum(logs)
+    before = np.concatenate(([0.0], sums[:-1]))
+    part = sums - before
+    return sums + np.cumsum((before - (sums - part)) + (logs - part))
 
 
 @_elementwise(_fractional, "d must be an integer")
 def skellam_pmf(d, lambda1: float, lambda2: float):
-    """P(X1 - X2 = d) for independent X1 ~ Pois(lambda1), X2 ~ Pois(lambda2).
+    """P(X1 - X2 = d) for independent X1 ~ Pois(lambda1), X2 ~ Pois(lambda2), d an integer or array of them.
 
-    Bessel form e^-(l1+l2) (l1/l2)^(d/2) I_|d|(2 sqrt(l1 l2)), evaluated in
-    log domain with the exponentially scaled Bessel function `ive`, so
-    e^-(l1+l2) e^z collapses to -(sqrt(l1) - sqrt(l2))^2.  The d/2 power is
-    written 0.5*d*(log l1 - log l2), which keeps the (d, l1, l2) ->
-    (-d, l2, l1) symmetry exact.
-
-    Where I_|d| takes the Debye expansion, those terms and its exponent are
-    each about lambda in size and would cancel; there the whole exponent is
-    evaluated in one cancellation-free form instead (_skellam_debye_exponent).
-
-    Arguments:
-        d: integer difference, scalar or array.
-        lambda1, lambda2: positive Poisson parameters.
+    By lambda1 P(d - 1) = d P(d) + lambda2 P(d + 1) (DLMF 10.29.1), the ratios
+    t_d = P(d) / P(d - 1) = lambda1 / (d + lambda2 t_(d+1)) for d > 0, run
+    down from 0, converge to the pmf's (Miller's algorithm; Gautschi 1967,
+    SIAM Review 9(1)); P(-d | lambda1, lambda2) = P(d | lambda2, lambda1)
+    gives d < 0.  The table spans skellam_dist's support and the d's asked
+    for, and is normalized by sum P = 1; d -> -d with lambda1 <-> lambda2
+    keeps each value to the bit.  A d whose Chernoff bound on P(D = d) is
+    below the smallest subnormal reads 0.0 untabulated.  A support of more
+    than 2 SKELLAM_MAX_POINTS points is refused with a ValueError.
     """
     import numpy as np
 
-    _check_positive("lambda1", lambda1)
-    _check_positive("lambda2", lambda2)
+    lo, hi = _skellam_bulk(lambda1, lambda2, 2 * SKELLAM_MAX_POINTS)
+    # min_s log E[e^(s (D - d))] = w - l1 - l2 - |d| log((|d| + w) / (2 l_d)), w = sqrt(d^2 + 4 l1 l2),
+    # l_d = l1 for d > 0 and l2 otherwise; NaN at d = +-inf
     v = np.abs(d)
-    z = 2.0 * math.sqrt(lambda1 * lambda2)
-    log_ive, rest = _log_ive_direct(v, z)
-    logp = np.asarray(
-        -((math.sqrt(lambda1) - math.sqrt(lambda2)) ** 2)
-        + 0.5 * d * (math.log(lambda1) - math.log(lambda2))
-        + log_ive
-    )
-    # the Debye expansion is poor at small orders, where z^2 / 4 = lambda1 lambda2
-    # is tiny next to v + 1; there the power series of I_v converges at once
-    series = rest & (lambda1 * lambda2 <= 1e-3 * (v + 1.0))
-    if np.any(series):
-        logp[series] = _skellam_series(d[series], lambda1, lambda2)
-    debye = rest & ~series
-    if np.any(debye):
-        n = v[debye]
-        eta = np.hypot(n, z)
-        logp[debye] = _skellam_debye_exponent(d[debye], n, eta, lambda1, lambda2) + _debye_rest(n, eta)
-    return np.exp(logp)
-
-
-def _skellam_series(d, lambda1: float, lambda2: float):
-    """log P(D = d) from the power series of I_|d|, for d != 0 and lambda1 lambda2 <= (|d| + 1) / 1000.
-
-    With v = |d| and l_d = l1 for d > 0, l2 for d < 0, P(D = d) is
-    e^-(l1 + l2) l_d^v / v! * sum_k (l1 l2)^k v! / (k! (v + k)!).  Each term
-    is at most 1/1000 of the one before, so five terms leave an error below
-    1e-17.  Nothing cancels, and lambda1 lambda2 may underflow to 0.
-    """
-    import numpy as np
-    from scipy import special
-
-    v = np.abs(d)
-    term = total = np.ones_like(v)
-    for k in range(1, 5):
-        term = term * (lambda1 * lambda2) / (k * (v + k))
-        total = total + term
-    log_rate = np.log(np.where(d > 0, lambda1, lambda2))
-    return -(lambda1 + lambda2) + v * log_rate - special.gammaln(v + 1.0) + np.log(total)
-
-
-def _skellam_debye_exponent(d, v, eta, lambda1: float, lambda2: float):
-    """-(l1 + l2) + d/2 log(l1/l2) + eta - v asinh(v/z), for d != 0, without cancellation.
-
-    With S = l1 + l2, v = |d| and l_d = l1 for d > 0, l2 for d < 0, the sum
-    is exactly (eta - S) + v log(2 l_d / (v + eta)).  eta - S is evaluated
-    as (v - |l1 - l2|)(v + |l1 - l2|) / (eta + S), since
-    eta^2 - S^2 = v^2 - (l1 - l2)^2, and the log as log1p of
-    (2 l_d - v - eta) / (v + eta), whose numerator is
-    (l_d - l_other - v) - (eta - S).  Swapping (d, l1, l2) -> (-d, l2, l1)
-    leaves every operand unchanged, so the symmetry stays exact.
-    """
-    import numpy as np
-
-    s = lambda1 + lambda2
-    gap = abs(lambda1 - lambda2)
-    eta_minus_s = (v - gap) * (v + gap) / (eta + s)
-    toward_d = np.where(d > 0, lambda1 - lambda2, lambda2 - lambda1)
-    return eta_minus_s + v * np.log1p((toward_d - v - eta_minus_s) / (v + eta))
+    w = np.hypot(v, 2.0 * math.sqrt(lambda1 * lambda2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = w - (lambda1 + lambda2) - v * np.log((v + w) / (2.0 * np.where(d > 0, lambda1, lambda2)))
+    live = ((d >= lo) & (d <= hi)) | (bound >= math.log(math.ulp(0.0)))
+    out = np.zeros_like(d)
+    if live.any():
+        lo, hi = min(lo, int(d[live].min())), max(hi, int(d[live].max()))
+        d0 = min(max(0, lo), hi)  # the log ratios are summed outward from d0
+        up, down = _skellam_log_rise(lambda1, lambda2, d0, hi), _skellam_log_rise(lambda2, lambda1, -d0, -lo)
+        top = max(up.max(initial=0.0), down.max(initial=0.0))
+        up, down, at_d0 = np.exp(up - top), np.exp(down - top), math.exp(-top)
+        table = np.concatenate((down[::-1], [at_d0], up)) / (at_d0 + (down.sum() + up.sum()))
+        out[live] = table[(d[live] - lo).astype(int)]
+    return out
 
 
 def skellam_dist(lambda1: float, lambda2: float) -> DiscreteDist:
-    """Tabulate the count-difference pmf of D = X1 - X2.
+    """Tabulate the count-difference pmf of D = X1 - X2 over mean +- (8 sd + 11).
 
-    The support covers mean +- (8 sd + 11) of D.  The 8 sd keep the
-    truncated tail mass far below the DiscreteDist 1e-9 contract for large
-    lambda; the fixed margin covers the Poisson tail, which is much heavier
-    than 8 sd suggests when lambda is small.  A support of more than
-    SKELLAM_MAX_POINTS = 2^21 points (lambda1 + lambda2 above about 1.7e10)
-    is refused with a ValueError before anything is allocated.
+    The 8 sd leave far below 1e-9 of the mass outside at large lambda, and the
+    11 cover the heavier Poisson tail at small lambda.  More than 2^21 points
+    (lambda1 + lambda2 above about 1.7e10) are refused before any is allocated.
     """
     import numpy as np
 
-    _check_positive("lambda1", lambda1)
-    _check_positive("lambda2", lambda2)
-    center = lambda1 - lambda2
-    half = 8.0 * math.sqrt(lambda1 + lambda2) + 11.0
-    if 2.0 * half + 1.0 > SKELLAM_MAX_POINTS:
-        raise ValueError(
-            f"the difference pmf needs about {2.0 * half + 1.0:.4g} support points, "
-            f"more than {SKELLAM_MAX_POINTS} (lambda1 + lambda2 must stay below about 1.7e10)"
-        )
-    d_min = int(math.floor(center - half))
-    d_max = int(math.ceil(center + half))
-    values = np.arange(d_min, d_max + 1)
+    lo, hi = _skellam_bulk(lambda1, lambda2, SKELLAM_MAX_POINTS)
+    values = np.arange(lo, hi + 1)
     return DiscreteDist(values=values, probs=skellam_pmf(values, lambda1, lambda2))
 
 

@@ -73,6 +73,16 @@ class TestPredict:
         assert lines[3:-2] == expected
         assert lines[-2:] == ["", f"mean = {doc['mean']:.6g}, sd = {doc['sd']:.6g}"]
 
+    def test_diff_moments_are_exact(self, capsys):
+        # once sums over the table, which read the means as -1.0000000000000004 and -1.0202e-17
+        code, out, _ = run_cli(capsys, ["predict", "diff", "--l1", "2", "--l2", "3", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["mean"], payload["sd"]) == (-1.0, math.sqrt(5.0))
+        code, out, _ = run_cli(capsys, ["predict", "diff", "--l1", "1", "--l2", "1"])
+        assert code == 0
+        assert out.splitlines()[-1] == "mean = 0, sd = 1.41421"
+
     def test_diff_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "diff", "--l1", "0", "--l2", "1"])

@@ -11,7 +11,6 @@ from scipy import integrate, special, stats
 from rateratio import distributions
 from rateratio.distributions import (
     DiscreteDist,
-    _log_ive_direct,
     _sample_sd,
     GammaParams,
     beta_prime_pdf,
@@ -148,6 +147,69 @@ class TestPoissonCdf:
         assert sups[0] > sups[1] > sups[2]
 
 
+# P(D = d) from mpmath at 40 digits at 9 points across skellam_dist's support of each pair:
+# e^-(l1 + l2) (l1/l2)^(d/2) I_|d|(2 sqrt(l1 l2)), and where besseli does not converge
+# (the tails at 1e4 and every point at 1e5) the sum of the Poisson products over x2
+SKELLAM_40_DIGITS = {
+    (0.3, 0.5): [
+        (-19, 7.09833518340236510350006349233455273289e-24), (-14, 3.177442585298087330292684919863009369264e-16),
+        (-10, 1.225801821190391864961124544374227528699e-10), (-5, 1.199696092607307792672940081169776510415e-4),
+        (0, 5.192983060457965172215846917173604493922e-1), (4, 1.562552574601094053588529248616664754777e-4),
+        (9, 2.474016871957196639057898406662991346377e-11), (13, 1.162818424051179931282125421923397914777e-17),
+        (18, 2.74052610583169495782645244428146655086e-26),
+    ],
+    (2, 0.7): [
+        (-23, 7.541708938547672748875803247904464505103e-28), (-17, 4.750209265606057220282932766474425693316e-19),
+        (-11, 3.739128968373581635866437563951818686051e-11), (-5, 1.184194061694471506096364419691178889016e-4),
+        (2, 2.09199806772765071536930607256221594669e-1), (8, 4.97926781490209365946237610736756552503e-4),
+        (14, 1.386223542040183663432946675779817748047e-8), (20, 3.095918085685924848192912259250100157385e-14),
+        (26, 1.177779337885962025485451626033472682558e-20),
+    ],
+    (12, 30): [
+        (-81, 3.181860833651879630502038821873724402603e-18), (-65, 1.372908142909347968042458147239248098323e-11),
+        (-50, 1.047177441964522656046012350081906606665e-6), (-34, 3.164999627130774095498885483967767128866e-3),
+        (-18, 6.168550079910357471738433888409896467958e-2), (-2, 2.675862951406198129133099504876017194744e-3),
+        (14, 1.391768948683777329798227822577090458695e-7), (29, 4.173580523284481500901532871830088290584e-14),
+        (45, 2.562032461446259166148155399217873887026e-23),
+    ],
+    (150, 100): [
+        (-88, 4.547687624943327136278636350390599640572e-19), (-54, 7.561526657578034294593906004598653002325e-12),
+        (-19, 1.65796095566129565793276837998797529683e-6), (16, 2.47949996976019783795109677615451305722e-3),
+        (50, 2.524312202927740014195244135598024723822e-2), (84, 2.516373941529258538122444191215159363074e-3),
+        (119, 2.211232461642980591377134783569351027554e-6), (154, 2.156943191438786592382356561258474953175e-11),
+        (188, 5.051869829294648730179700062768314891038e-18),
+    ],
+    (1000, 1200): [
+        (-587, 1.798836379471560351942083235158478368412e-17), (-490, 4.666006056735689583963495921606437384843e-11),
+        (-394, 1.677277385658462636897632458975014869474e-6), (-297, 1.003075378579321426776895919198496841911e-3),
+        (-200, 8.505954723684895457081529635930549794848e-3), (-103, 1.001364827430126418425896937347585666816e-3),
+        (-6, 1.615386836356055090817889017394559992826e-6), (90, 4.057460829866918543180614202174727858013e-11),
+        (187, 1.277200947595752594016850020478214766259e-17),
+    ],
+    (5000, 3000): [
+        (1273, 1.611159463759762444187241738041106916333e-17), (1455, 3.52525780348116060362128504047478556527e-11),
+        (1636, 1.101860605789026647547265430257010249782e-6), (1818, 5.620639723724587493483327780790836416101e-4),
+        (2000, 4.460372726355194044224753320756522673829e-3), (2182, 5.632807755457702575640623052354932705334e-4),
+        (2364, 1.159965848799297286486059410777342194892e-6), (2545, 4.277541239384450602190764208776560880853e-11),
+        (2727, 2.593627816209887996303462443959592763992e-17),
+    ],
+    (10000, 10000): [
+        (-1143, 1.859134784562183769892315234672334458545e-17), (-857, 3.000815957947647850144504638574177421758e-11),
+        (-572, 7.910354410894474453232213902067247649204e-7), (-286, 3.650076175147077686210235553051009535182e-4),
+        (0, 2.820965549159162881816469834746830330816e-3), (286, 3.650076175147077686210235553051009535182e-4),
+        (572, 7.910354410894474453232213902067247649204e-7), (857, 3.000815957947647850144504638574177421758e-11),
+        (1143, 1.859134784562183769892315234672334458545e-17),
+    ],
+    (100000, 110000): [
+        (-13678, 9.03104698504475879571436614048453446113e-18), (-12758, 1.191101107763628215897178687201573986954e-11),
+        (-11839, 2.774515723328229863819402507048950893922e-7), (-10920, 1.160402799560420407179202285863269860852e-4),
+        (-10000, 8.705639437868502780023599279487627151635e-4), (-9080, 1.160319649565955839174942984162498825574e-4),
+        (-8161, 2.769466564729342877027330651344610055268e-7), (-7242, 1.182881097436015962453944897676935886428e-11),
+        (-6322, 8.87817627955363833446833062153305769516e-18),
+    ],
+}
+
+
 class TestSkellam:
     def test_central_value(self):
         # brute-force oracle: sum_k e^{-2}/(k!)^2 = 0.30850832255367105
@@ -237,13 +299,33 @@ class TestSkellam:
          (1000, 2e10, -12.778462588448624442), (100000, 2e10, -13.028437588454352983)],
     )
     def test_log_ive_past_ive_range(self, v, z, ref):
-        # order 0 takes the large-argument series, orders v > 0 the Debye expansion
-        out, debye = _log_ive_direct(np.array([v]), z)
-        assert debye[0] == (v > 0)
-        if v == 0:
-            assert out[0] == pytest.approx(ref, abs=1e-14)
         # at lambda1 = lambda2 = z / 2, log P(D = v) = log(I_v(z)) - z
         assert math.log(skellam_pmf(v, z / 2, z / 2)) == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("lambdas", SKELLAM_40_DIGITS, ids=str)
+    def test_pmf_matches_40_digit_constants(self, lambdas):
+        # the Bessel form with its asymptotic branches once missed these by up to 7.6e-12
+        ds, ref = np.array(SKELLAM_40_DIGITS[lambdas]).T
+        np.testing.assert_allclose(skellam_pmf(ds, *lambdas), ref, rtol=1e-13)
+        np.testing.assert_array_equal(skellam_pmf(-ds, *lambdas[::-1]), skellam_pmf(ds, *lambdas))
+
+    @pytest.mark.parametrize(
+        "d,lambda1,lambda2",
+        [(10**9, 1.0, 1.0), (-10**9, 1e7, 4e6), (math.inf, 1.0, 1.0), (-math.inf, 3.0, 2.0)],
+    )
+    def test_pmf_past_the_tail_bound_is_zero_untabulated(self, monkeypatch, d, lambda1, lambda2):
+        # a tabulation out to d would not end; +-inf once read NaN
+        def tabulate(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(distributions, "_skellam_log_rise", tabulate)
+        assert skellam_pmf(d, lambda1, lambda2) == 0.0
+
+    @pytest.mark.parametrize("lambda1", [1e15, math.inf])
+    def test_pmf_table_past_bound_refused(self, lambda1):
+        # twice skellam_dist's bound: 2 (8 sqrt(2e15) + 11) + 1 points would fill memory
+        with pytest.raises(ValueError, match="support points, more than 4194304"):
+            skellam_pmf(0, lambda1, 1e15)
 
     def test_dist_large_equal_rates(self):
         # z = 2 sqrt(l1 l2) = 6e9, where ive returns NaN for every order

@@ -1,8 +1,8 @@
 """Each command imports only what it runs, checked in a fresh interpreter per case.
 
 NumPy costs about 0.1 s of a launch and SciPy about 0.3 s; the text
-closed-form commands need neither, and no command loads the sampler
-modules of another.
+closed-form commands need neither, `predict diff` needs no SciPy, and no
+command loads the sampler modules of another.
 """
 
 import json
@@ -93,6 +93,14 @@ def test_closed_form_commands_skip_the_samplers(line):
     result = child(*argvs)
     assert [code for code, _ in result["runs"]] == [0, 0, 0]
     assert loaded(result["modules"], "rateratio.mcmc", "rateratio.montecarlo") == []
+
+
+def test_predict_diff_loads_no_scipy():
+    # the difference pmf is tabulated by its recurrence, with no Bessel function
+    argvs = [CLOSED_FORM["predict diff"].split() + ["--format", fmt] for fmt in ("json", "csv", "text")]
+    result = child(*argvs)
+    assert [code for code, _ in result["runs"]] == [0, 0, 0]
+    assert loaded(result["modules"], "scipy") == []
 
 
 SIMULATIONS = {
