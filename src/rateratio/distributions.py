@@ -139,8 +139,6 @@ class DiscreteDist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         if self.values.shape != self.probs.shape:
             raise ValueError("values and probs must have the same shape")
         # Tail truncation must leave < 1e-9 of mass outside the support.

@@ -334,30 +334,24 @@ class _Node:
     expr is one Python expression over the state's variables, the constants
     in namespace (the model's, which name every number), the Generator rng
     and its methods gamma (standard_gamma), poisson, binomial and beta.  A
-    batched node is a Gamma rate whose conditional has a constant shape: expr
-    reads its standard-Gamma variate as g_<name>, and a chain draws those of
-    every sweep in one call.  refusal is the message of the ValueError that a
-    ZeroDivisionError in expr becomes.
+    node is batched when expr reads g_<name>, the standard-Gamma variate of a
+    rate whose conditional has the constant shape shape_<name>: a chain draws
+    those of every sweep in one call.  A law that refuses a state (_thin,
+    _signal_share) raises its own ValueError from inside expr.
     """
 
     name: str
     expr: str
     namespace: dict = field(repr=False, compare=False)
-    batched: bool = False
-    refusal: str | None = None
 
     def update(self, state: Mapping, rng: np.random.Generator):
         """A draw given the rest of the state: a mapping of numbers, or of arrays of independent chains."""
-        # the state's variables and the Generator's names are the locals; a name that expr binds stays there
+        code = _compile_source(self.expr, "<node>", "eval")
+        # the state's variables and the Generator's names are the locals
         scope = {**state, "rng": rng, **{alias: getattr(rng, name) for alias, name in _RNG_METHODS.items()}}
-        if self.batched:
+        if f"g_{self.name}" in code.co_names:
             scope[f"g_{self.name}"] = rng.standard_gamma(self.namespace[f"shape_{self.name}"])
-        try:
-            return eval(_compile_source(self.expr, "<node>", "eval"), self.namespace, scope)
-        except ZeroDivisionError:
-            if self.refusal is None:
-                raise
-            raise ValueError(self.refusal) from None
+        return eval(code, self.namespace, scope)
 
 
 @dataclass(frozen=True)
@@ -448,13 +442,13 @@ def _gamma_node(name: str, alpha: float, counts: tuple[str, ...], rate: str, nam
 
     counts and rate are expressions.  A count that names a constant is added
     to alpha once, into the constant shape_<name>; where every count does,
-    the shape is constant and the node is batched.
+    the shape is constant and the node, reading its variate g_<name>, is batched.
     """
     fixed = sum((namespace[count] for count in counts if count in namespace), alpha)
     latent = [count for count in counts if count not in namespace]
     namespace[f"shape_{name}"] = fixed
     if not latent:
-        return _Node(name, f"g_{name} / ({rate})", namespace, batched=True)
+        return _Node(name, f"g_{name} / ({rate})", namespace)
     return _Node(name, f"gamma(shape_{name} + ({' + '.join(latent)})) / ({rate})", namespace)
 
 
@@ -470,6 +464,15 @@ def _thin(produced: str, seen, mean, eps, rng: np.random.Generator):
     if not peak < 9.2e18:
         raise ValueError(f"{produced}: the produced count's mean reads {peak:.3g}, past the int64 range")
     return seen + rng.poisson(unseen) * 1.0
+
+
+def _signal_share(seen, background, i: int):
+    """seen / (seen + background): the signal share of channel i's seen means, numbers or arrays as in _thin."""
+    try:
+        return seen / (seen + background)
+    except ZeroDivisionError:
+        refusal = f"s{i}: both seen means of channel {i} underflow to 0, so its split is undefined"
+        raise ValueError(refusal) from None
 
 
 def _leg(
@@ -511,13 +514,13 @@ def _split_node(i: int, x: int, mean: str, eps_s: str, eps_b: str, namespace: di
     sum x the split is s ~ Binom(x, lambda_S*epsS / (lambda_S*epsS + lambda_B*epsB)),
     whatever was produced unseen.  The thinning nodes of the channel's Beta
     legs follow it, and with it draw (s_i, nS_i, nB_i) as one block.  mean
-    is lambda_S, and eps_s and eps_b name the efficiencies in the state.
+    is lambda_S, and eps_s and eps_b name the efficiencies in the state.  Its
+    law, _signal_share, refuses a state that has no split, as _thin does.
     """
     if not x:  # nothing to split, and both means may have underflowed to 0
         return _Node(f"s{i}", "0", namespace)
-    refusal = f"s{i}: both seen means of channel {i} underflow to 0, so its split is undefined"
-    split = f"binomial(x{i}, (seen := {mean} * {eps_s}) / (seen + rb{i} * t{i} * {eps_b}))"
-    return _Node(f"s{i}", split, namespace, refusal=refusal)
+    share = f"_signal_share({mean} * {eps_s}, rb{i} * t{i} * {eps_b}, {i})"
+    return _Node(f"s{i}", f"binomial(x{i}, {share})", namespace)
 
 
 # the iid drawer gives way to Gibbs sweeps where fewer than this share of its proposals is accepted
@@ -649,7 +652,8 @@ def build_model(spec: ModelSpec) -> Model:
     x1, t1 = spec.data1.x, spec.data1.T
     x2, t2 = spec.data2.x, spec.data2.T
     # the constants that the node expressions name; the expressions hold no number
-    namespace = {"x1": x1, "t1": t1, "x2": x2, "t2": t2, "_thin": _thin, "np": np, "array": array}
+    namespace = {"x1": x1, "t1": t1, "x2": x2, "t2": t2, "np": np, "array": array,
+                 "_thin": _thin, "_signal_share": _signal_share}
     # what no node draws: r1, each signal leg's mean lambda_i, and then what each leg registers
     readouts = {"r1": "rho * r2", "lambda1": "rho * r2 * t1", "lambda2": "r2 * t2"}
     # r2 and rho start near their posterior: the counts over efficiency-scaled times
@@ -695,27 +699,20 @@ def build_model(spec: ModelSpec) -> Model:
     return Model(spec, tuple(nodes), initial, _iid_drawer(spec), readouts, sweep)
 
 
-def _redraw(node: _Node) -> list[str]:
-    """The statements that redraw node into the variable of its name."""
-    draw = f"{node.name} = {node.expr}"
-    if node.refusal is None:
-        return [draw]
-    refuse = f"    raise ValueError(refusal_{node.name}) from None"
-    return ["try:", f"    {draw}", "except ZeroDivisionError:", refuse]
-
-
 def _compile_sweep(nodes: list[_Node], namespace: dict, variables: Mapping, recorded: list[str]):
     """sweep(state, rng, burn_in, n_iter): every sweep of a chain in one function.
 
-    The function keeps the state in local variables and returns the recorded
-    variables of the last n_iter sweeps.  The standard-Gamma variates of the
-    batched nodes are drawn first, in node order, one array per node, and
+    The function keeps the state in local variables, redraws each node by one
+    assignment of its expression, and returns the recorded variables of the
+    last n_iter sweeps.  A node whose expression reads g_<name> is batched:
+    those variates are drawn first, in node order, one array per node, and
     each sweep takes the next of each.  The source is compiled into
     namespace, whose constants are its globals, and holds fixed identifiers
     only: the names of variables, constants and the Generator's methods.
     """
-    batched = [node.name for node in nodes if node.batched]
-    body = [line for node in nodes for line in _redraw(node)]
+    batched = [node.name for node in nodes
+               if f"g_{node.name}" in _compile_source(node.expr, "<node>", "eval").co_names]
+    body = [f"{node.name} = {node.expr}" for node in nodes]
 
     def loop(count: str, record: list[str]) -> list[str]:
         targets = ", ".join(["_"] + [f"g_{name}" for name in batched])
@@ -733,7 +730,6 @@ def _compile_sweep(nodes: list[_Node], namespace: dict, variables: Mapping, reco
         "return {" + ", ".join(f"{name!r}: out_{name}" for name in recorded) + "}",
     ]
     source = "def sweep(state, rng, burn_in, n_iter):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace.update({f"refusal_{node.name}": node.refusal for node in nodes if node.refusal})
     exec(_compile_source(source, "<rateratio.mcmc sweep>", "exec"), namespace)
     return namespace["sweep"]
 

@@ -7,7 +7,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
+from test_cli import SPLIT_UNDERFLOW_SPEC
 
 from rateratio.distributions import GammaParams, gamma_ratio_ppf
 from rateratio.inference import CountObservation
@@ -561,6 +562,19 @@ class TestConditionalUpdates:
             _thin("nB2", 4, mean, 0.5, np.random.default_rng(0))
         assert _thin("nB2", 4, 2 * 9.1e18, 0.5, np.random.default_rng(0)) >= 9.0e18
 
+    def test_split_refuses_alike_in_both_evaluators(self):
+        # node.update and the compiled sweep evaluate one expression, whose law refuses a split of 0 / 0
+        refusal = "^s1: both seen means of channel 1 underflow to 0, so its split is undefined$"
+        priors = {**FLAT, "rb1": GammaParams(2.0, 2.0), "rb2": GammaParams(2.0, 2.0)}
+        model = build_model(flat_spec("B_EFF_BKG", priors=priors))
+        split = {node.name: node for node in model.nodes}["s1"]
+        with pytest.raises(ValueError, match=refusal):
+            split.update({**model.init_state(), "rho": 0.0, "rb1": 0.0}, np.random.default_rng(0))
+        # under this spec both seen means of channel 1 underflow in the first sweep
+        model = build_model(ModelSpec.from_json(SPLIT_UNDERFLOW_SPEC))
+        with pytest.raises(ValueError, match=refusal):
+            model.sweep(model.init_state(), np.random.default_rng(1), 0, 200)
+
     def test_b_eff_bkg_channel_updates(self):
         # Rates rho and r2 held fixed; the target is the joint law of
         # (rb_i, epsS_i, epsB_i, s_i, nS_i, nB_i) given x_i, drawn by rejection
@@ -893,6 +907,86 @@ class TestGibbsAgainstIid:
         for name in names:
             _same_mean(np.asarray(gibbs[name], dtype=float), iid[name])
         _same_law(gibbs["rho"], iid["rho"])
+
+
+def _deciles(cdf):
+    """The nine deciles of a continuous law on (0, inf), by bisection on its CDF."""
+    edges = []
+    for level in np.arange(1, 10) / 10:
+        lo, hi = 0.0, 1.0
+        while cdf(hi) < level:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cdf(mid) < level else (lo, mid)
+        edges.append(hi)
+    return np.array(edges)
+
+
+def _integrated_time(x):
+    """Integrated autocorrelation time of a chain, by Geyer's initial monotone sequence."""
+    x = x - x.mean()
+    size = 1 << (2 * x.size - 1).bit_length()
+    spectrum = np.fft.rfft(x, size)
+    acf = np.fft.irfft(spectrum * np.conj(spectrum), size)[: x.size]
+    pairs = (acf[:-1:2] + acf[1::2]) / acf[0]
+    if (pairs <= 0).any():
+        pairs = pairs[: np.argmax(pairs <= 0)]
+    return -1.0 + 2.0 * np.minimum.accumulate(pairs).sum()
+
+
+class TestBackgroundRhoLaw:
+    """rho's exact law in fixed-efficiency B_EFF_BKG, against iid draws and Gibbs sweeps.
+
+    Under a flat rho prior, r2 ~ Gamma(alpha2, beta2) and fixed efficiencies,
+    integrating rho, r2 and both background rates out leaves independent
+    splits, w1(s1) ∝ NB(x1 - s1; alpha_b1, q1) and
+    w2(s2) ∝ NB(s2; alpha2 - 1, p2) * NB(x2 - s2; alpha_b2, q2), where
+    NB(k; alpha, p) ∝ Gamma(alpha + k)/k! p^k, q_i = epsB_i*T_i/(beta_b_i + epsB_i*T_i)
+    and p2 = epsS2*T2/(beta2 + epsS2*T2).  Given the splits rho is
+    c * BetaPrime(s1 + 1, alpha2 - 1 + s2) with c = (beta2 + epsS2*T2)/(epsS1*T1), so
+    F(q) = sum w1 w2 I_{q/(q+c)}(s1 + 1, alpha2 - 1 + s2).  The test builds F
+    from gammaln and betainc alone, and bins the draws by F's deciles for a
+    chi-square test.  It covers the split tables, the Beta-prime shape and the
+    sweep's split node, which TestGibbsAgainstIid cannot tell apart.
+    """
+
+    X, T, EPS_S, EPS_B = (40, 25), (2.0, 4.0), (0.6, 0.8), (0.5, 0.9)
+    R2, RB = GammaParams(2.0, 0.5), (GammaParams(2.0, 1.5), GammaParams(2.0, 2.5))
+
+    def _rho_cdf(self):
+        def log_nb(k, alpha, p):
+            return special.gammaln(alpha + k) - special.gammaln(k + 1.0) + k * math.log(p)
+
+        (x1, x2), (t1, t2), r2 = self.X, self.T, self.R2
+        s1, s2 = np.arange(x1 + 1.0), np.arange(x2 + 1.0)
+        q1, q2 = (eps * t / (prior.beta + eps * t) for eps, t, prior in zip(self.EPS_B, self.T, self.RB))
+        p2 = self.EPS_S[1] * t2 / (r2.beta + self.EPS_S[1] * t2)
+        log_w1 = log_nb(x1 - s1, self.RB[0].alpha, q1)
+        log_w2 = log_nb(s2, r2.alpha - 1.0, p2) + log_nb(x2 - s2, self.RB[1].alpha, q2)
+        w = np.exp(log_w1 - log_w1.max())[:, None] * np.exp(log_w2 - log_w2.max())[None, :]
+        w /= w.sum()
+        c = (r2.beta + self.EPS_S[1] * t2) / (self.EPS_S[0] * t1)
+        a, b = s1[:, None] + 1.0, r2.alpha - 1.0 + s2[None, :]
+        return lambda q: float(np.sum(w * special.betainc(a, b, q / (q + c))))
+
+    @pytest.mark.parametrize("sampler", ["iid", "gibbs"])
+    def test_rho_deciles(self, sampler):
+        data = [CountObservation(x, t) for x, t in zip(self.X, self.T)]
+        priors = {"rho": MCMC_FLAT_PRIOR, "r2": self.R2, "rb1": self.RB[0], "rb2": self.RB[1]}
+        model = build_model(ModelSpec("B_EFF_BKG", *data, priors=priors, efficiencies=self.EPS_S,
+                                      background_efficiencies=self.EPS_B))
+        assert model.draw is not None
+        edges = _deciles(self._rho_cdf())
+        if sampler == "iid":
+            rho = run_chain(model, 200_000, seed=7).monitored["rho"]
+        else:
+            # model.sweep runs Gibbs sweeps whatever the drawer; keep one draw per integrated time of the bins
+            swept = np.frombuffer(model.sweep(model.init_state(), np.random.default_rng(5), 1000, 200_000)["rho"])
+            rho = swept[:: math.ceil(_integrated_time(np.searchsorted(edges, swept) * 1.0))]
+            assert rho.size >= 5_000
+        counts = np.bincount(np.searchsorted(edges, rho), minlength=10)
+        assert stats.chisquare(counts).pvalue > 1e-3, counts
 
 
 # Seeded Gibbs chains whose draws are pinned: (spec, n_iter, burn_in, seed)
