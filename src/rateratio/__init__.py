@@ -14,7 +14,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each module's public names, its __all__ in order; tests/test_package.py keeps them equal
+# the one list of each module's public names, in order: each module reads its __all__ from its row
 _PUBLIC = {
     "distributions": (
         "GammaParams", "SummaryStats", "DiscreteDist", "poisson_pmf", "poisson_cdf", "skellam_pmf",

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from . import _PUBLIC
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -27,31 +29,7 @@ if TYPE_CHECKING:
 # Once loaded, a local import is a dict lookup.
 
 
-__all__ = [
-    "GammaParams",
-    "SummaryStats",
-    "DiscreteDist",
-    "poisson_pmf",
-    "poisson_cdf",
-    "skellam_pmf",
-    "skellam_dist",
-    "gamma_pdf",
-    "gamma_logpdf",
-    "gamma_cdf",
-    "gamma_ppf",
-    "gamma_summaries",
-    "gamma_sample",
-    "binomial_pmf",
-    "gamma_ratio_pdf",
-    "gamma_ratio_logpdf",
-    "gamma_ratio_cdf",
-    "gamma_ratio_ppf",
-    "gamma_ratio_summaries",
-    "beta_prime_pdf",
-    "uniform_ratio_pdf",
-    "uniform_ratio_cdf",
-    "poisson_process_waiting_times",
-]
+__all__ = list(_PUBLIC["distributions"])
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,11 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import _PUBLIC
 from .distributions import GammaParams, SummaryStats, gamma_summaries
 
 
-__all__ = [
-    "FLAT_PRIOR",
-    "CountObservation",
-    "RateEstimate",
-    "update_lambda",
-    "update_rate",
-    "combine_observations",
-    "elicit_gamma",
-    "relative_belief_ratio",
-    "rate_posterior",
-]
+__all__ = list(_PUBLIC["inference"])
 
 
 FLAT_PRIOR = GammaParams(1.0, 0.0)

@@ -58,23 +58,12 @@ from typing import Literal
 
 import numpy as np
 
+from . import _PUBLIC
 from .distributions import GammaParams, _sample_sd
 from .inference import CountObservation, update_rate
 
 
-__all__ = [
-    "MCMC_FLAT_PRIOR",
-    "ModelSpec",
-    "Model",
-    "Chain",
-    "VariableSummary",
-    "ChainSummary",
-    "build_model",
-    "run_chain",
-    "summarize_chain",
-    "format_chain_summary",
-    "chain_to_csv",
-]
+__all__ = list(_PUBLIC["mcmc"])
 
 
 logger = logging.getLogger(__name__)

@@ -22,17 +22,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import _PUBLIC
 from .distributions import DiscreteDist, GammaParams
 
 
-__all__ = [
-    "RatioSampleReport",
-    "simulate_count_ratio",
-    "simulate_count_difference",
-    "simulate_gamma_ratio",
-    "simulate_uniform_ratio",
-    "write_histogram_csv",
-]
+__all__ = list(_PUBLIC["montecarlo"])
 
 
 SHARD_SIZE = 1_000_000

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
+from . import _PUBLIC
 from .distributions import (
     GammaParams,
     SummaryStats,
@@ -34,21 +35,7 @@ from .distributions import (
 from .inference import FLAT_PRIOR, CountObservation, update_rate
 
 
-__all__ = [
-    "RatioPosteriorSpec",
-    "RatioPosterior",
-    "lambda_ratio_pdf",
-    "lambda_ratio_summaries",
-    "model_a_pdf",
-    "model_a_summaries",
-    "model_b_pdf",
-    "model_b_summaries",
-    "model_b_rate_posteriors",
-    "model_b_reweighted_pdf",
-    "implied_r1_pdf",
-    "ratio_posterior",
-    "combine_ratio_instances",
-]
+__all__ = list(_PUBLIC["ratio"])
 
 
 def lambda_ratio_pdf(rho, x1: int, x2: int):

@@ -949,12 +949,17 @@ class TestBackgroundRhoLaw:
     from gammaln and betainc alone, and bins the draws by F's deciles for a
     chi-square test.  It covers the split tables, the Beta-prime shape and the
     sweep's split node, which TestGibbsAgainstIid cannot tell apart.
+
+    A Beta(a, b) epsS1 leaves the splits as they are and has epsS1 | x ~
+    Beta(a - 1, b), independent of them, so F becomes the mean of that sum over
+    epsS1, taken by Gauss-Jacobi quadrature (at the deciles 24 nodes agree with
+    48 to 1e-10).
     """
 
     X, T, EPS_S, EPS_B = (40, 25), (2.0, 4.0), (0.6, 0.8), (0.5, 0.9)
     R2, RB = GammaParams(2.0, 0.5), (GammaParams(2.0, 1.5), GammaParams(2.0, 2.5))
 
-    def _rho_cdf(self):
+    def _rho_cdf(self, eps_s1):
         def log_nb(k, alpha, p):
             return special.gammaln(alpha + k) - special.gammaln(k + 1.0) + k * math.log(p)
 
@@ -966,27 +971,41 @@ class TestBackgroundRhoLaw:
         log_w2 = log_nb(s2, r2.alpha - 1.0, p2) + log_nb(x2 - s2, self.RB[1].alpha, q2)
         w = np.exp(log_w1 - log_w1.max())[:, None] * np.exp(log_w2 - log_w2.max())[None, :]
         w /= w.sum()
-        c = (r2.beta + self.EPS_S[1] * t2) / (self.EPS_S[0] * t1)
-        a, b = s1[:, None] + 1.0, r2.alpha - 1.0 + s2[None, :]
-        return lambda q: float(np.sum(w * special.betainc(a, b, q / (q + c))))
+        if isinstance(eps_s1, tuple):  # Beta(a - 1, b) posterior: nodes of the weight eps^(a-2) (1-eps)^(b-1)
+            a_eps, b_eps = eps_s1
+            nodes, weights = special.roots_jacobi(24, b_eps - 1.0, a_eps - 2.0)
+            eps, v = (nodes + 1.0) / 2.0, weights / weights.sum()
+        else:
+            eps, v = np.array([eps_s1]), np.ones(1)
+        c = (r2.beta + self.EPS_S[1] * t2) / (eps * t1)
+        a, b = s1[:, None, None] + 1.0, r2.alpha - 1.0 + s2[None, :, None]
+        return lambda q: float(np.sum(w[..., None] * v * special.betainc(a, b, q / (q + c))))
 
-    @pytest.mark.parametrize("sampler", ["iid", "gibbs"])
-    def test_rho_deciles(self, sampler):
+    def _check(self, sampler, eps_s1, sweeps):
         data = [CountObservation(x, t) for x, t in zip(self.X, self.T)]
         priors = {"rho": MCMC_FLAT_PRIOR, "r2": self.R2, "rb1": self.RB[0], "rb2": self.RB[1]}
-        model = build_model(ModelSpec("B_EFF_BKG", *data, priors=priors, efficiencies=self.EPS_S,
+        model = build_model(ModelSpec("B_EFF_BKG", *data, priors=priors, efficiencies=(eps_s1, self.EPS_S[1]),
                                       background_efficiencies=self.EPS_B))
         assert model.draw is not None
-        edges = _deciles(self._rho_cdf())
+        edges = _deciles(self._rho_cdf(eps_s1))
         if sampler == "iid":
             rho = run_chain(model, 200_000, seed=7).monitored["rho"]
         else:
             # model.sweep runs Gibbs sweeps whatever the drawer; keep one draw per integrated time of the bins
-            swept = np.frombuffer(model.sweep(model.init_state(), np.random.default_rng(5), 1000, 200_000)["rho"])
+            swept = np.frombuffer(model.sweep(model.init_state(), np.random.default_rng(5), 1000, sweeps)["rho"])
             rho = swept[:: math.ceil(_integrated_time(np.searchsorted(edges, swept) * 1.0))]
             assert rho.size >= 5_000
         counts = np.bincount(np.searchsorted(edges, rho), minlength=10)
         assert stats.chisquare(counts).pvalue > 1e-3, counts
+
+    @pytest.mark.parametrize("sampler", ["iid", "gibbs"])
+    def test_rho_deciles(self, sampler):
+        self._check(sampler, self.EPS_S[0], sweeps=200_000)
+
+    @pytest.mark.parametrize("sampler", ["iid", "gibbs"])
+    def test_rho_deciles_beta_signal_efficiency(self, sampler):
+        # the sweeps mix about 4x slower here (integrated time ~38 against ~10), so run more of them
+        self._check(sampler, (6.0, 4.0), sweeps=250_000)
 
 
 # Seeded Gibbs chains whose draws are pinned: (spec, n_iter, burn_in, seed)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import subprocess
 import sys
 
@@ -51,3 +52,25 @@ def test_modules_resolve_after_a_bare_package_import():
     code = "import rateratio, sys; print(rateratio.mcmc.__name__, 'rateratio.montecarlo' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.split() == ["rateratio.mcmc", "False"]
+
+
+def test_each_module_reads_its_public_names_from_the_table():
+    # a fresh interpreter imports the modules before anything reads the package's table
+    code = (
+        "import importlib, json\n"
+        f"modules = {{m: importlib.import_module('rateratio.' + m) for m in {MODULES!r}}}\n"
+        "import rateratio\n"
+        "report = {}\n"
+        "for m, module in modules.items():\n"
+        "    namespace = {}\n"
+        "    exec(f'from rateratio.{m} import *', namespace)\n"
+        "    del namespace['__builtins__']\n"
+        "    report[m] = [module.__all__ == list(rateratio._PUBLIC[m]), list(namespace)]\n"
+        "print(json.dumps(report))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert list(report) == list(MODULES)
+    for module, (all_is_row, bound) in report.items():
+        assert all_is_row, module
+        assert bound == list(rateratio._PUBLIC[module]), module
