@@ -279,17 +279,6 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_csv(fh, columns: dict) -> None:
-    """CSV of named, equal-length columns of ints, strings and Python floats.
-
-    "%s" writes a Python float as its repr, the shortest string that reads
-    back to the same float.
-    """
-    fh.write(",".join(columns) + "\n")
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    fh.writelines(line % row for row in zip(*columns.values()))
-
-
 def _curve(x_name: str, laws: dict) -> dict:
     """The plotted densities of named laws on one grid: {x_name: grid, name: values, ...}."""
     from . import numeric
@@ -337,7 +326,7 @@ def _cmd_predict_diff(args) -> None:
             "mean": mean,
             "sd": sd,
         },
-        table=lambda fh: _write_csv(fh, {"d": values, "probability": probs}),
+        table=lambda fh: distributions._write_csv(fh, {"d": values, "probability": probs}),
         lines=lambda: [
             f"difference of counts: lambda1 = {args.l1:g}, lambda2 = {args.l2:g}",
             "",
@@ -388,7 +377,7 @@ def _cmd_predict_ratio(args) -> None:
 
 
 def _cmd_infer(args) -> None:
-    from . import inference
+    from . import distributions, inference
 
     prior = _prior_from_args(args)
     estimate = inference.rate_posterior(inference.CountObservation(args.x, args.T), prior)
@@ -402,7 +391,7 @@ def _cmd_infer(args) -> None:
             "summaries": estimate.summaries.as_dict(),
             "curve": _curve("r", {"density": posterior}),
         },
-        table=lambda fh: _write_csv(fh, _curve("r", {"density": posterior})),
+        table=lambda fh: distributions._write_csv(fh, _curve("r", {"density": posterior})),
         lines=lambda: [
             f"data: x = {args.x}, T = {args.T:g}",
             f"prior: Gamma(alpha={prior.alpha:g}, beta={prior.beta:g})",
@@ -416,7 +405,7 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_ratio(args) -> None:
-    from . import inference, ratio
+    from . import distributions, inference, ratio
 
     flat = inference.FLAT_PRIOR
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
@@ -446,7 +435,7 @@ def _cmd_ratio(args) -> None:
     def table(fh) -> None:
         # with --compare, both densities share one grid, wide enough for the wider of the two
         names = [f"density_{m.lower()}" for m in models] if args.compare else ["density"]
-        _write_csv(fh, _curve("rho", dict(zip(names, posts.values()))))
+        distributions._write_csv(fh, _curve("rho", dict(zip(names, posts.values()))))
 
     def lines() -> list[str]:
         out = [f"data: x1 = {args.x1}, T1 = {args.T1:g}, x2 = {args.x2}, T2 = {args.T2:g}"]
@@ -522,7 +511,7 @@ def _cmd_combine_rate(args) -> None:
         for label, params in [("pooled", pooled)] + [(f"obs{i + 1}", p) for i, p in enumerate(per_obs)]:
             s = distributions.gamma_summaries(params)
             rows.append((label, params.alpha, params.beta, s.mode, s.mean, s.sd))
-        _write_csv(fh, dict(zip(("label", "alpha", "beta", "mode", "mean", "sd"), zip(*rows))))
+        distributions._write_csv(fh, dict(zip(("label", "alpha", "beta", "mode", "mean", "sd"), zip(*rows))))
 
     def lines() -> list[str]:
         out = [
@@ -542,7 +531,7 @@ def _cmd_combine_rate(args) -> None:
 
 
 def _cmd_combine_ratio(args) -> None:
-    from . import ratio
+    from . import distributions, ratio
 
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
     instances = _observations(args.instance, "--instance", 2)
@@ -558,7 +547,7 @@ def _cmd_combine_ratio(args) -> None:
             "prior_r2": {"alpha": prior_r2.alpha, "beta": prior_r2.beta},
             "summaries": post.summaries.as_dict(),
         },
-        table=lambda fh: _write_csv(fh, _curve("rho", {"density": post})),
+        table=lambda fh: distributions._write_csv(fh, _curve("rho", {"density": post})),
         lines=lambda: [
             f"pooled totals: x1 = {pooled1.x}, T1 = {pooled1.T:g}, "
             f"x2 = {pooled2.x}, T2 = {pooled2.T:g}",
@@ -604,7 +593,7 @@ def _cmd_mc_waiting(args) -> None:
     def table(fh) -> None:
         path, event = np.indices(times.shape) + 1
         columns = {"path": path, "event": event, "time": times}
-        _write_csv(fh, {name: values.ravel().tolist() for name, values in columns.items()})
+        distributions._write_csv(fh, {name: values.ravel().tolist() for name, values in columns.items()})
 
     def lines() -> list[str]:
         first, last = times[:, 0], times[:, -1]

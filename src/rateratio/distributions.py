@@ -183,17 +183,40 @@ _on_levels = _elementwise(lambda q: ~((q >= 0.0) & (q <= 1.0)), "q must be in [0
 _on_counts = _elementwise(lambda x: _fractional(x) | (x < 0), "x must be a non-negative integer")
 
 
-def _sample_sd(values: np.ndarray) -> float:
-    """Sample sd (ddof 1) of at least two values, also where their squares leave the float range.
+# The largest mean NumPy draws a Poisson variate at, INT64_MAX - 10 sqrt(INT64_MAX) (its POISSON_LAM_MAX)
+_POISSON_LAM_MAX = 2.0**63 - 10.0 * math.sqrt(2.0**63)
 
-    The values are scaled by a power of two to magnitudes below 1 and the sd
-    scaled back; both scalings are exact, so values of ordinary size get
-    np.std's result to the bit.
+
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values * 2^-e, e): the values scaled by a power of two to magnitudes below 1.
+
+    A mean or sd of the scaled values, scaled back by 2^e, stays in the float
+    range where a sum or the squares of the values would leave it.  Both
+    scalings are exact, so values of ordinary size get NumPy's result to the bit.
     """
     import numpy as np
 
     e = np.frexp(np.abs(values).max())[1]
-    return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e))
+    return np.ldexp(values, -e), e
+
+
+def _sample_sd(values: np.ndarray) -> float:
+    """Sample sd (ddof 1) of at least two values, also where their squares leave the float range."""
+    import numpy as np
+
+    scaled, e = _unit_scaled(values)
+    return float(np.ldexp(scaled.std(ddof=1), e))
+
+
+def _write_csv(fh, columns: dict) -> None:
+    """CSV of named, equal-length columns of ints, strings and Python floats.
+
+    "%s" writes a Python float as its repr, the shortest string that reads
+    back to the same float.
+    """
+    fh.write(",".join(columns) + "\n")
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    fh.writelines(line % row for row in zip(*columns.values()))
 
 
 @_on_counts

@@ -59,7 +59,7 @@ from typing import Literal
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import GammaParams, _sample_sd
+from .distributions import _POISSON_LAM_MAX, GammaParams, _sample_sd, _unit_scaled, _write_csv
 from .inference import CountObservation, update_rate
 
 
@@ -448,9 +448,9 @@ def _thin(produced: str, seen, mean, eps, rng: np.random.Generator):
     numbers in a Gibbs sweep, and arrays of recorded draws in a readout.
     """
     unseen = mean * (1.0 - eps)
-    # NumPy draws Poisson variates below a mean of about 9.22e18; below 9.2e18 a count fits in int64
+    # past _POISSON_LAM_MAX (about 9.22e18) NumPy draws no Poisson variate: its counts would leave int64
     peak = np.max(seen + unseen) if isinstance(unseen, np.ndarray) else seen + unseen
-    if not peak < 9.2e18:
+    if not peak <= _POISSON_LAM_MAX:
         raise ValueError(f"{produced}: the produced count's mean reads {peak:.3g}, past the int64 range")
     return seen + rng.poisson(unseen) * 1.0
 
@@ -768,14 +768,15 @@ def _readout(name: str, draws: Mapping[str, np.ndarray], model: Model, rng: np.r
     return model.readouts[name]({**model.initial, **draws}, rng)
 
 
-def _batch_se(draws: np.ndarray, n_batches: int = 20) -> float:
+def _batch_se(draws: np.ndarray) -> float:
+    n_batches = 20
     n = draws.size
     if n < n_batches:
         return float("nan")
     batch_len = n // n_batches
-    trimmed = draws[: batch_len * n_batches]
+    trimmed, e = _unit_scaled(draws[: batch_len * n_batches])
     means = trimmed.reshape(n_batches, batch_len).mean(axis=1)
-    return _sample_sd(means) / math.sqrt(n_batches)
+    return float(np.ldexp(_sample_sd(means), e)) / math.sqrt(n_batches)
 
 
 def summarize_chain(chain: Chain) -> ChainSummary:
@@ -787,8 +788,9 @@ def summarize_chain(chain: Chain) -> ChainSummary:
         n = draws.size
         sd = _sample_sd(draws) if n > 1 else 0.0
         qs = np.quantile(draws, [level / 100.0 for level in QUANTILE_LEVELS])
+        scaled, e = _unit_scaled(draws)
         variables[name] = VariableSummary(
-            mean=float(draws.mean()),
+            mean=float(np.ldexp(scaled.mean(), e)),
             sd=sd,
             naive_se=sd / math.sqrt(n),
             batch_se=_batch_se(draws),
@@ -861,8 +863,5 @@ def chain_to_csv(chain: Chain, fileobj) -> None:
     Values are written as repr(float), the shortest string that reads back
     to the same float.
     """
-    names = list(chain.monitored)
-    fileobj.write(",".join(["iteration"] + names) + "\n")
-    columns = [memoryview(np.ascontiguousarray(chain.monitored[name], dtype=float)) for name in names]
-    row = "%d" + ",%r" * len(columns) + "\n"
-    fileobj.writelines(row % values for values in zip(range(1, chain.n_iter + 1), *columns))
+    columns = {name: memoryview(np.ascontiguousarray(draws, dtype=float)) for name, draws in chain.monitored.items()}
+    _write_csv(fileobj, {"iteration": range(1, chain.n_iter + 1), **columns})

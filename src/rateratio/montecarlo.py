@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import DiscreteDist, GammaParams
+from .distributions import _POISSON_LAM_MAX, DiscreteDist, GammaParams, _write_csv
 
 
 __all__ = list(_PUBLIC["montecarlo"])
@@ -101,8 +101,7 @@ class RatioSampleReport:
 def write_histogram_csv(report: RatioSampleReport, fileobj) -> None:
     """Histogram rows as (bin_left, bin_right, density)."""
     edges = report.bin_edges.tolist()
-    fileobj.write(",".join(["bin_left", "bin_right", "density"]) + "\n")
-    fileobj.writelines("%r,%r,%r\n" % row for row in zip(edges[:-1], edges[1:], report.density.tolist()))
+    _write_csv(fileobj, {"bin_left": edges[:-1], "bin_right": edges[1:], "density": report.density.tolist()})
 
 
 def _usable_cpus() -> int:
@@ -324,6 +323,14 @@ def _poisson_drawer(lam: float) -> _Draw:
     return draw_alias
 
 
+def _poisson_drawers(lambda1: float, lambda2: float) -> tuple[_Draw, _Draw]:
+    """The drawers of both rates, each refused unless > 0 and at most NumPy's Poisson limit."""
+    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not 0 < lam <= _POISSON_LAM_MAX:
+            raise ValueError(f"{name} must be > 0 and <= {_POISSON_LAM_MAX:.6g}, NumPy's Poisson limit, got {lam}")
+    return _poisson_drawer(lambda1), _poisson_drawer(lambda2)
+
+
 def simulate_count_ratio(
     lambda1: float,
     lambda2: float,
@@ -338,9 +345,7 @@ def simulate_count_ratio(
     0/0 draws are counted as NaN, k/0 (k > 0) as Inf; finite draws feed the
     histogram and the mean/sd.
     """
-    if not (lambda1 > 0) or not (lambda2 > 0):
-        raise ValueError("lambda1 and lambda2 must be > 0")
-    draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
+    draw1, draw2 = _poisson_drawers(lambda1, lambda2)
     return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
 
 
@@ -401,11 +406,9 @@ def simulate_count_difference(
 
     Both counts come a chunk at a time, as in the ratio tally, and each chunk's differences are counted.
     """
-    if not (lambda1 > 0) or not (lambda2 > 0):
-        raise ValueError("lambda1 and lambda2 must be > 0")
+    draw1, draw2 = _poisson_drawers(lambda1, lambda2)
     if n < 1:
         raise ValueError("n must be >= 1")
-    draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
     tallies: dict[int, int] = {}
     for streams, size in _shards(int(n), seed):
         for x1, x2 in _chunk_pairs(streams, draw1, draw2, size):

@@ -670,6 +670,37 @@ class TestMcmcCommand:
             assert v["sd"] == float(np.std(draws[name] / scale, ddof=1)) * scale
             assert v["naive_se"] == v["sd"] / math.sqrt(50) and v["batch_se"] > 0
 
+    @pytest.mark.parametrize("n_iter", [200, 2000])
+    def test_mean_of_draws_near_the_largest_float_is_finite(self, capsys, tmp_path, n_iter):
+        # every rho draw reads 1.4686e307: np.mean's sum once overflowed, so text printed "rho inf"
+        # under NumPy's overflow warning and json exited 3 with "Out of range float values"
+        spec = {
+            "variant": "B",
+            "data": {"x1": 37761, "T1": 2.218062674841966e187, "x2": 354117168196504, "T2": 4.43781344833785e-173},
+            "priors": {"rho": {"alpha": 3.801498601178194e35, "beta": 2.5884395300444172e-272},
+                       "r2": {"alpha": 7.144030821861241, "beta": 9.965242098471647}},
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        outs = {}
+        for fmt in ("text", "json"):
+            argv = ["mcmc", "--spec", str(spec_path), "--n-iter", str(n_iter), "--seed", "1", "--format", fmt]
+            code, outs[fmt], err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+        rho = json.loads(outs["json"], parse_constant=_reject_constant)["variables"]["rho"]
+        assert rho["mean"] == pytest.approx(rho["quantiles"]["50"], rel=1e-15)
+        assert math.isfinite(rho["batch_se"])
+        assert re.search(r"^rho +1\.469e\+307 ", outs["text"], re.MULTILINE)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_predict_ratio_past_numpys_poisson_limit_names_the_rate(capsys, fmt):
+    # NumPy's own refusal, "lam value too large", named neither the rate nor the limit
+    argv = ["predict", "ratio", "--l1", "1e300", "--l2", "1", "--n", "10", "--seed", "1", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "lambda1" in err and "9.22337e+18" in err and "lam value too large" not in err
+
 
 def test_json_output_refuses_non_finite_values():
     # NaN and Infinity are not JSON; main() turns the ValueError into exit 3

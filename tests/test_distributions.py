@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from rateratio import distributions
 from rateratio.distributions import (
     DiscreteDist,
     _sample_sd,
+    _write_csv,
     GammaParams,
     beta_prime_pdf,
     binomial_pmf,
@@ -802,6 +804,30 @@ class TestSampleSd:
 
     def test_constant_values(self):
         assert _sample_sd(np.zeros(3)) == 0.0 and _sample_sd(np.full(4, 7.5)) == 0.0
+
+
+class TestWriteCsv:
+    def test_exact_bytes_of_mixed_columns(self):
+        # one format for every table: a joined header, "%s" rows (a float's repr), "\n" line ends
+        floats = [0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+        buf = io.StringIO()
+        _write_csv(buf, {
+            "label": ["pooled", "obs1", "obs2", "obs3", "obs4", "obs5", "obs6"],
+            "k": [0, -1, 2, 10**20, 3, 4, 5],
+            "iteration": range(1, 8),
+            "view": memoryview(np.array(floats[::-1])),
+            "x": floats,
+        })
+        assert buf.getvalue() == (
+            "label,k,iteration,view,x\n"
+            "pooled,0,1,-inf,0.30000000000000004\n"
+            "obs1,-1,2,inf,-0.0\n"
+            "obs2,2,3,nan,5e-324\n"
+            "obs3,100000000000000000000,4,1.7976931348623157e+308,1.7976931348623157e+308\n"
+            "obs4,3,5,5e-324,nan\n"
+            "obs5,4,6,-0.0,inf\n"
+            "obs6,5,7,0.30000000000000004,-inf\n"
+        )
 
 
 class TestWaitingTimes:

@@ -562,6 +562,12 @@ class TestConditionalUpdates:
             _thin("nB2", 4, mean, 0.5, np.random.default_rng(0))
         assert _thin("nB2", 4, 2 * 9.1e18, 0.5, np.random.default_rng(0)) >= 9.0e18
 
+    def test_thin_draws_up_to_numpys_poisson_limit(self):
+        limit = 9.223372006484771e18  # INT64_MAX - 10 sqrt(INT64_MAX), where NumPy's poisson still draws
+        assert _thin("nB2", 0, limit, 0.0, np.random.default_rng(0)) > 9.2e18
+        with pytest.raises(ValueError, match="^nB2: the produced count's mean reads 9.22e"):
+            _thin("nB2", 0, np.nextafter(limit, np.inf), 0.0, np.random.default_rng(0))
+
     def test_split_refuses_alike_in_both_evaluators(self):
         # node.update and the compiled sweep evaluate one expression, whose law refuses a split of 0 / 0
         refusal = "^s1: both seen means of channel 1 underflow to 0, so its split is undefined$"
@@ -1128,6 +1134,13 @@ class TestSummaries:
         v = summarize_chain(chain).variables["c"]
         assert v.sd == 0.0 and v.naive_se == 0.0
         assert all(q == 2.5 for q in v.quantiles.values())
+
+    def test_moments_past_the_float_range_of_the_sum(self):
+        # a sum of 2000 draws near 1.5e307 overflows: np.mean read inf, and the batch means too
+        draws = np.random.default_rng(2).uniform(1.4e307, 1.5e307, size=2000)
+        v = summarize_chain(Chain(monitored={"x": draws}, n_iter=2000, burn_in=0, seed=None)).variables["x"]
+        assert v.mean == pytest.approx(float(np.mean(draws / 2**20)) * 2**20, rel=1e-15)
+        assert math.isfinite(v.batch_se) and v.batch_se > 0
 
     def test_naive_se_definition(self):
         rng = np.random.default_rng(0)

@@ -701,9 +701,47 @@ class TestHistogramCsv:
         assert float(left) == 0.0 and float(right) == 0.5
         assert float(dens) >= 0.0
 
+    def test_bytes_match_repr_rows(self):
+        # The former writer's row format, kept as the reference for the bytes.  Z1 ~ Gamma(0.002)
+        # puts a quarter of the ratios below the cutoff 1e-300, so the edges and densities are odd floats.
+        report = simulate_gamma_ratio(
+            GammaParams(0.002, 1.0), GammaParams(3.0, 2.0), 20_000, cutoff=1e-300, bins=5000, seed=1
+        )
+        assert np.count_nonzero(report.density) > 10
+        edges = report.bin_edges.tolist()
+        rows = zip(edges[:-1], edges[1:], report.density.tolist())
+        buf = io.StringIO()
+        write_histogram_csv(report, buf)
+        assert buf.getvalue() == "bin_left,bin_right,density\n" + "".join("%r,%r,%r\n" % row for row in rows)
+
     def test_density_integrates_to_hist_mass(self):
         report = simulate_gamma_ratio(
             GammaParams(2.0, 1.0), GammaParams(3.0, 2.0), 200_000, seed=14
         )
         width = report.bin_edges[1] - report.bin_edges[0]
         assert float(report.density.sum() * width) == pytest.approx(report.hist_mass, rel=1e-9)
+
+
+class TestPoissonLimit:
+    """Both count simulators refuse a rate past NumPy's Poisson limit, by name, before any draw."""
+
+    LIMIT = 9.223372006484771e18  # INT64_MAX - 10 sqrt(INT64_MAX)
+
+    def test_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        assert montecarlo._POISSON_LAM_MAX == self.LIMIT
+        assert rng.poisson(self.LIMIT) > 9.2e18
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(self.LIMIT, np.inf))
+
+    # n = 1 keeps simulate_count_difference's support to one value: its tally spans the drawn range
+    @pytest.mark.parametrize("simulate", [simulate_count_ratio, simulate_count_difference])
+    @pytest.mark.parametrize("side", ["lambda1", "lambda2"])
+    def test_each_rate_on_both_sides_of_the_limit(self, simulate, side):
+        rates = {"lambda1": 3.0, "lambda2": 3.0}
+        simulate(**{**rates, side: self.LIMIT}, n=1, seed=1)
+        refusal = rf"^{side} must be > 0 and <= 9\.22337e\+18, NumPy's Poisson limit, got 1e\+300$"
+        with pytest.raises(ValueError, match=refusal):
+            simulate(**{**rates, side: 1e300}, n=1, seed=1)
+        with pytest.raises(ValueError, match=f"^{side} must be > 0"):
+            simulate(**{**rates, side: np.nextafter(self.LIMIT, np.inf)}, n=1, seed=1)
