@@ -117,7 +117,11 @@ def relative_belief_ratio(r: float, obs: CountObservation, r_ref: float) -> floa
     ref = loglik(r_ref)
     if ref == -math.inf:
         raise ValueError(f"likelihood vanishes at r_ref={r_ref} (x={obs.x} > 0)")
-    return math.exp(loglik(r) - ref)
+    log_ratio = loglik(r) - ref
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise ValueError(f"the ratio, e^{log_ratio:.6g}, is past the float range") from None
 
 
 def rate_posterior(obs: CountObservation, prior: GammaParams = FLAT_PRIOR) -> RateEstimate:

@@ -4,11 +4,15 @@ Simulators draw count ratios X1/X2 (with explicit NaN = 0/0 and
 Inf = k/0 bookkeeping), count differences, Gamma-variate ratios and
 uniform-variate ratios.  Work is split into fixed-size shards, each with two
 RNG streams, one per side, spawned deterministically from the master seed.
-A shard is drawn, divided, counted and binned _CHUNK draws at a time in two
-chunk buffers of its own.  The draws and every count depend only on (seed,
-n, parameters): never on the chunk size, nor on how many workers processed
-the shards.  The last bits of the mean and sd follow the chunk size, and
-merged reports are bit-reproducible for any worker count.
+A shard is drawn _CHUNK draws at a time in two chunk buffers of its own.
+Continuous ratios, and count ratios with a side past the alias table's cap,
+are divided, sorted and binned a chunk at a time; a count ratio whose two
+alias tables span at most _PAIR_CAP (x1, x2) pairs counts its pairs instead,
+and reads every ratio off that table once per pair.  The draws and every
+count depend only on (seed, n, parameters): never on the chunk size, nor on
+how many workers processed the shards.  Only on the sort path do the last
+bits of the mean and sd follow the chunk size, and merged reports are
+bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import _POISSON_LAM_MAX, DiscreteDist, GammaParams, _write_csv
+from .distributions import _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _skellam_bulk, _write_csv
 
 
 __all__ = list(_PUBLIC["montecarlo"])
@@ -38,6 +42,7 @@ DEFAULT_BINS = 150
 POISSON_TABLE_CAP = 1 << 14  # alias-table entries; past them a rate is drawn by rng.poisson
 _POISSON_TAIL = 43.0  # each tail outside the table holds < e^-43, so both together < 2^-60
 _CHUNK = 1 << 15  # draws per pass of a shard's tally, on each side
+_PAIR_CAP = 1 << 15  # largest (x1, x2) pair table a count ratio is tallied by: one default chunk buffer's size
 # draw(rng, out) fills float64 out in place; quoted, the Generator leaves numpy.random unimported
 _Draw = Callable[["np.random.Generator", np.ndarray], None]
 
@@ -133,13 +138,18 @@ def _chunk_pairs(streams, draw_num: _Draw, draw_den: _Draw, size: int):
 def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, bins: int) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
-    Each chunk's 0/0 and k/0 are counted, its ratios divided in place and,
-    past any zero denominator, kept in one masked copy.  Both sums are added
-    in draw order, the squares made in the free denominator buffer; then one
-    in-place sort lets every count be read as a difference of positions on
-    the edges np.histogram builds, whose last bin is closed.
+    Two alias-drawn sides whose tables span at most _PAIR_CAP pairs are
+    tallied by _pair_tally.  Otherwise each chunk's 0/0 and k/0 are counted,
+    its ratios divided in place and, past any zero denominator, kept in one
+    masked copy.  Both sums are added in draw order, the squares made in the
+    free denominator buffer; then one in-place sort lets every count be read
+    as a difference of positions on the edges np.histogram builds, whose last
+    bin is closed.
     """
     grids = [np.linspace(0.0, cutoff, k + 1) for k in (bins, MODE_BINS)]
+    supports = [getattr(draw, "support", None) for draw in (draw_num, draw_den)]
+    if None not in supports and supports[0][1] * supports[1][1] <= _PAIR_CAP:
+        return _pair_tally(streams, size, draw_num, draw_den, grids, *supports)
     hists = [np.zeros(k, np.intp) for k in (bins, MODE_BINS)]
     n_nan = n_zero = n_over = 0
     total = total_sq = 0.0
@@ -164,6 +174,39 @@ def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, 
                 positions[-1] = top
                 hist += np.diff(positions)
     return n_nan, n_zero - n_nan, total, total_sq, n_over, *hists
+
+
+def _pair_tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, grids, support1, support2) -> tuple:
+    """_tally's 7-tuple of two sides drawn from alias tables, whose (first count, size) are support1 and support2.
+
+    Each chunk's pair index (x1 - lo1) m2 + (x2 - lo2) is formed in place in
+    the numerator buffer (whole floats, so every step is exact) and counted
+    into one shard table.  Then each pair drawn is read once: (0, 0) is 0/0,
+    the rest of x2 = 0 is k/0, and x1/x2 is the IEEE value num/den gives,
+    binned by the edges at or below it (the last bin closed) and weighted by
+    its count.  The sums add count times ratio over the pairs in table order.
+    """
+    (lo1, m1), (lo2, m2) = support1, support2
+    table = np.zeros(m1 * m2, np.intp)
+    for num, den in _chunk_pairs(streams, draw_num, draw_den, size):
+        num *= m2
+        num += den
+        num -= lo1 * m2 + lo2
+        table += np.bincount(num.astype(np.intp), minlength=table.size)
+    pairs = np.flatnonzero(table)
+    counts, (x1, x2) = table[pairs], np.divmod(pairs, m2)
+    x1 += lo1
+    x2 += lo2
+    zero_den = x2 == 0
+    n_zero, n_nan = int(counts[zero_den].sum()), int(counts[zero_den & (x1 == 0)].sum())
+    ratios, counts = x1[~zero_den] / x2[~zero_den], counts[~zero_den]
+    total, total_sq = float(np.sum(counts * ratios)), float(np.sum(counts * np.square(ratios)))
+    inside = ratios <= grids[0][-1]
+    hists = []
+    for edges in grids:
+        bin_index = np.minimum(np.searchsorted(edges, ratios[inside], "right") - 1, edges.size - 2)
+        hists.append(np.bincount(bin_index, weights=counts[inside], minlength=edges.size - 1).astype(np.intp))
+    return n_nan, n_zero - n_nan, total, total_sq, int(counts[~inside].sum()), *hists
 
 
 def _run_ratio_simulation(
@@ -320,6 +363,7 @@ def _poisson_drawer(lam: float) -> _Draw:
         column += aliased  # 2 column + aliased: one gather in place of a masked pick
         np.take(outcomes, column, out=out)
 
+    draw_alias.support = window[0], m  # (first count, table size): _tally counts pairs of two such sides
     return draw_alias
 
 
@@ -405,8 +449,11 @@ def simulate_count_difference(
     """Empirical pmf of D = X1 - X2 over the contiguous range of observed values.
 
     Both counts come a chunk at a time, as in the ratio tally, and each chunk's differences are counted.
+    The rates skellam_dist refuses, whose bulk spans more than SKELLAM_MAX_POINTS points, are refused
+    here before any draw.
     """
     draw1, draw2 = _poisson_drawers(lambda1, lambda2)
+    _skellam_bulk(lambda1, lambda2, SKELLAM_MAX_POINTS)
     if n < 1:
         raise ValueError("n must be >= 1")
     tallies: dict[int, int] = {}

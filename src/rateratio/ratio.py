@@ -137,16 +137,22 @@ def implied_r1_pdf(r1, rho_max: float, r2_max: float):
 
     rho ~ U(0, rho_max), r2 ~ U(0, r2_max) imply
     f(r1) = log(rho_max * r2_max / r1) / (rho_max * r2_max)
-    on 0 < r1 <= rho_max * r2_max, and 0 outside (not an error).
+    on 0 < r1 <= rho_max * r2_max, and 0 outside (not an error).  The log
+    and the support test are taken as sums of logs, and the division by
+    rho_max * r2_max = m 2^e (frexp of each) as one by m and a power of two,
+    so that neither the product, its reciprocal nor top / r1 leaves the float
+    range first.
     """
     import numpy as np
 
     if not (rho_max > 0) or not (r2_max > 0):
         raise ValueError("rho_max and r2_max must be > 0")
-    top = rho_max * r2_max
+    (m1, e1), (m2, e2) = math.frexp(rho_max), math.frexp(r2_max)
+    log_top = math.log(rho_max) + math.log(r2_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (r1 > 0) & (r1 <= top)
-        return np.where(inside, np.log(top / np.where(inside, r1, 1.0)) / top, 0.0)
+        log_r1 = np.log(np.where(r1 > 0, r1, 1.0))
+        inside = (r1 > 0) & (log_r1 <= log_top)
+        return np.where(inside, np.ldexp((log_top - log_r1) / (m1 * m2), -(e1 + e2)), 0.0)
 
 
 @dataclass(frozen=True)

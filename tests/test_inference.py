@@ -208,6 +208,12 @@ class TestRelativeBeliefRatio:
         expected = (1.5 / 1.0) ** 3 * math.exp(-(1.5 - 1.0) * 2.0)
         assert relative_belief_ratio(1.5, obs, 1.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ratio_past_float_range(self):
+        # the ratio is 1e3000: once a bare OverflowError from math.exp
+        with pytest.raises(ValueError, match=r"^the ratio, e\^6906\.76, is past the float range$"):
+            relative_belief_ratio(1e300, CountObservation(5, 1e-300), 1e-300)
+
 
 class TestRatePosterior:
     def test_summaries_tie_to_posterior(self):

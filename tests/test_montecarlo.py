@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rateratio import montecarlo
+from rateratio import distributions, montecarlo
 from rateratio.distributions import GammaParams, gamma_ratio_pdf, poisson_pmf, skellam_pmf
 from rateratio.montecarlo import (
     simulate_count_difference,
@@ -382,6 +382,72 @@ class TestTally:
         assert report.undefined == {"mean": "no finite draws", "sd": "no finite draws"}
 
 
+# x2 = 0 (0/0 and k/0), x1 = 0 (ratios on the edge 0), lo1 > 0 and, at (400, 200), lo2 > 0 too
+PAIR_RATES = [(0.3, 0.5), (0.3, 10.0), (30.0, 30.0), (5.0, 0.05), (400.0, 80.0), (400.0, 200.0)]
+# edges the ratios hit exactly (0.5, 1, 1.5, ...), a cutoff that is an attainable ratio (3 = 3/1,
+# 2 = 400/200), so the closed last bin holds it, edges one ulp off a ratio (2 (1/3) against 2/3),
+# and ratios past every cutoff
+PAIR_GRIDS = [(3.0, 6), (2.0, 4), (1.0, 3), (8.0, 150)]
+
+
+def table_sizes(lambda1, lambda2):
+    """(lo, m) of both rates' alias tables: the first count and the table size."""
+    return [(lo, hi - lo + 1) for lo, hi in map(montecarlo._poisson_window, (lambda1, lambda2))]
+
+
+class TestPairTally:
+    """Two alias-drawn sides are tallied by counting (x1, x2) pairs: every count as the sort path's."""
+
+    @pytest.fixture
+    def pair_calls(self, monkeypatch):
+        calls, pair_tally = [], montecarlo._pair_tally
+
+        def recording(*args):
+            calls.append(args[-2:])
+            return pair_tally(*args)
+
+        monkeypatch.setattr(montecarlo, "_pair_tally", recording)
+        return calls
+
+    @pytest.mark.parametrize("cutoff,bins", PAIR_GRIDS)
+    @pytest.mark.parametrize("lambda1,lambda2", PAIR_RATES)
+    def test_matches_sort_path(self, monkeypatch, pair_calls, lambda1, lambda2, cutoff, bins):
+        monkeypatch.setattr(montecarlo, "_PAIR_CAP", 1 << 20)  # (400, 80) and (400, 200) pass the cap
+        drawers = montecarlo._poisson_drawers(lambda1, lambda2)
+        # a drawer re-wrapped carries no table support, so it takes the sort path
+        wrapped = [lambda rng, out, draw=draw: draw(rng, out) for draw in drawers]
+        streams, size = montecarlo._shards(50_001, 3)[0]
+        got = montecarlo._tally(streams, size, *drawers, cutoff, bins)
+        streams, size = montecarlo._shards(50_001, 3)[0]
+        expected = montecarlo._tally(streams, size, *wrapped, cutoff, bins)
+        assert pair_calls == [tuple(table_sizes(lambda1, lambda2))]
+        for field_got, field_expected in zip(got, expected):
+            assert type(field_got) is type(field_expected)
+        for i in (0, 1, 4, 5, 6):  # the counts
+            assert np.array_equal(got[i], expected[i]), i
+        for i in (2, 3):  # the sum and the sum of squares
+            assert_sums_agree(got[i], expected[i], size - expected[0] - expected[1])
+
+    @pytest.mark.parametrize("lambda1,taken", [(296.0, True), (296.5, False)])
+    def test_cap(self, pair_calls, lambda1, taken):
+        # tables of 334 and of 335 counts against 98 at lambda2 = 30: either side of 2^15 pairs
+        (_, m1), (_, m2) = table_sizes(lambda1, 30.0)
+        assert m1 * m2 == (32732 if taken else 32830)
+        report = simulate_count_ratio(lambda1, 30.0, 20_000, seed=2)
+        assert len(pair_calls) == taken
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_PAIR_CAP", 0 if taken else 1 << 20)
+            assert_reports_agree(report, simulate_count_ratio(lambda1, 30.0, 20_000, seed=2))
+        assert len(pair_calls) == 1
+
+    def test_cap_ignores_chunk_and_workers(self, monkeypatch, pair_calls):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
+        simulate_count_ratio(296.0, 30.0, 2500, seed=2, workers=2)
+        assert len(pair_calls) == 3
+
+
 def poisson_pmf_saddle(k, lam):
     """Pois(lam) pmf at k > 15 by Loader's saddle-point form, exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k).
 
@@ -603,6 +669,19 @@ class TestCountDifference:
             tracemalloc.stop()
         assert peak <= 6 * 8 * montecarlo._CHUNK, peak / (8 * montecarlo._CHUNK)
 
+    def test_refuses_what_skellam_dist_refuses(self, monkeypatch):
+        # once a bincount over the ~1.7e9 drawn values: NumPy's MemoryError for 12.8 GiB
+        def shards(n, seed):
+            raise AssertionError("drew before checking the support")
+
+        limit = distributions.SKELLAM_MAX_POINTS
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_shards", shards)
+            with pytest.raises(ValueError, match=f"support points, more than {limit} "):
+                simulate_count_difference(1e16, 1e16, 100_000, seed=1)
+        assert distributions._skellam_bulk(8.5e9, 8.5e9, limit)  # just inside: it runs
+        assert simulate_count_difference(8.5e9, 8.5e9, 10, seed=1).probs.sum() == pytest.approx(1.0)
+
     def test_positive_skew(self):
         dist = simulate_count_difference(5.0, 1.0, 400_000, seed=15)
         values = dist.values.astype(float)
@@ -734,12 +813,15 @@ class TestPoissonLimit:
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(self.LIMIT, np.inf))
 
-    # n = 1 keeps simulate_count_difference's support to one value: its tally spans the drawn range
     @pytest.mark.parametrize("simulate", [simulate_count_ratio, simulate_count_difference])
     @pytest.mark.parametrize("side", ["lambda1", "lambda2"])
     def test_each_rate_on_both_sides_of_the_limit(self, simulate, side):
         rates = {"lambda1": 3.0, "lambda2": 3.0}
-        simulate(**{**rates, side: self.LIMIT}, n=1, seed=1)
+        if simulate is simulate_count_ratio:
+            simulate(**{**rates, side: self.LIMIT}, n=1, seed=1)
+        else:  # the rate passes, and the difference's support cap, skellam_dist's, refuses it
+            with pytest.raises(ValueError, match="support points"):
+                simulate(**{**rates, side: self.LIMIT}, n=1, seed=1)
         refusal = rf"^{side} must be > 0 and <= 9\.22337e\+18, NumPy's Poisson limit, got 1e\+300$"
         with pytest.raises(ValueError, match=refusal):
             simulate(**{**rates, side: 1e300}, n=1, seed=1)

@@ -173,6 +173,18 @@ class TestImpliedR1:
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "r1,rho_max,r2_max,expected",
+        [
+            (1e-320, 1.0, 1.0, -math.log(1e-320)),  # ~736.8, once inf: top / r1 overflowed before the log
+            (1.0, 1e200, 1e200, 0.0),  # once nan: rho_max r2_max overflowed; the true 9.2e-398 underflows
+            (1e-11, 1e-310, 1e300, math.log(10.0) * 1e10),  # 1 / rho_max alone would overflow
+        ],
+    )
+    def test_extreme_scales(self, r1, rho_max, r2_max, expected):
+        assert implied_r1_pdf(r1, rho_max, r2_max) == pytest.approx(expected, rel=1e-12)
+
 
 class TestRatioPosterior:
     def test_model_a_wrapper(self):
