@@ -313,9 +313,11 @@ def _cmd_predict_diff(args) -> None:
     # --d-min/--d-max select a display window; the pmf values stay those of
     # the full distribution, and the mean and sd are its exact moments.
     mean, sd = args.l1 - args.l2, math.sqrt(args.l1 + args.l2)
-    keep = (dist.values >= lo) & (dist.values <= hi)
-    values = dist.values[keep].tolist()
-    probs = dist.probs[keep].tolist()
+    values, probs = dist.values, dist.probs
+    if args.d_min is not None or args.d_max is not None:
+        keep = (values >= lo) & (values <= hi)
+        values, probs = values[keep], probs[keep]
+    values, probs = values.tolist(), probs.tolist()
     _emit(
         args,
         payload=lambda: {

@@ -146,6 +146,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
+def _size(name: str, value, least: int = 1) -> int:
+    """value as an int: a whole number >= least, which a whole float or a NumPy integer also is; else ValueError."""
+    if not (least <= value < math.inf):
+        raise ValueError(f"{name} must be >= {least}")
+    if value != int(value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _elementwise(refuse=None, reason: str = ""):
     """Decorator for a law whose first argument is a scalar or an array.
 
@@ -187,25 +196,33 @@ _on_counts = _elementwise(lambda x: _fractional(x) | (x < 0), "x must be a non-n
 _POISSON_LAM_MAX = 2.0**63 - 10.0 * math.sqrt(2.0**63)
 
 
-def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(values * 2^-e, e): the values scaled by a power of two to magnitudes below 1.
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(values * 2^-e - ref, ref, e): the values scaled by a power of two to magnitudes below 1, less the first.
 
-    A mean or sd of the scaled values, scaled back by 2^e, stays in the float
-    range where a sum or the squares of the values would leave it.  Both
-    scalings are exact, so values of ordinary size get NumPy's result to the bit.
+    ref is the first scaled value.  A mean or sd of the centred values, ref
+    added back and scaled back by 2^e, stays in the float range where a sum
+    or the squares of the values would leave it, and values that are all
+    equal give their own value and an sd of 0.  The scaling is exact, so
+    the centring rounds as it would on the values themselves.  Values with
+    a non-finite element are returned as they are, with ref = 0 and e = 0.
     """
     import numpy as np
 
-    e = np.frexp(np.abs(values).max())[1]
-    return np.ldexp(values, -e), e
+    top = np.abs(values).max()
+    if not np.isfinite(top):
+        return values, 0.0, 0
+    e = int(np.frexp(top)[1])
+    scaled = np.ldexp(values, -e)
+    ref = scaled[0]
+    return scaled - ref, ref, e
 
 
 def _sample_sd(values: np.ndarray) -> float:
     """Sample sd (ddof 1) of at least two values, also where their squares leave the float range."""
     import numpy as np
 
-    scaled, e = _unit_scaled(values)
-    return float(np.ldexp(scaled.std(ddof=1), e))
+    centred, _, e = _unit_scaled(values)
+    return float(np.ldexp(centred.std(ddof=1), e))
 
 
 def _write_csv(fh, columns: dict) -> None:
@@ -231,7 +248,9 @@ def poisson_pmf(x, lam: float):
     from scipy import special
 
     _check_positive("lambda", lam)
-    return np.exp(special.xlogy(x, lam) - lam - special.gammaln(x + 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf at x = inf, where the mass is 0
+        logp = special.xlogy(x, lam) - lam - special.gammaln(x + 1.0)
+    return np.where(x == math.inf, 0.0, np.exp(logp))
 
 
 @_on_counts
@@ -287,6 +306,17 @@ def _skellam_log_rise(lambda1: float, lambda2: float, d0: int, hi: int):
     return sums + np.cumsum((before - (sums - part)) + (logs - part))
 
 
+def _skellam_table(lambda1: float, lambda2: float, lo: int, hi: int):
+    """P(D = d) for d = lo, ..., hi, normalized by their sum; the log ratios run outward from 0 or the nearer end."""
+    import numpy as np
+
+    d0 = min(max(0, lo), hi)
+    up, down = _skellam_log_rise(lambda1, lambda2, d0, hi), _skellam_log_rise(lambda2, lambda1, -d0, -lo)
+    top = max(up.max(initial=0.0), down.max(initial=0.0))
+    up, down, at_d0 = np.exp(up - top), np.exp(down - top), math.exp(-top)
+    return np.concatenate((down[::-1], [at_d0], up)) / (at_d0 + (down.sum() + up.sum()))
+
+
 @_elementwise(_fractional, "d must be an integer")
 def skellam_pmf(d, lambda1: float, lambda2: float):
     """P(X1 - X2 = d) for independent X1 ~ Pois(lambda1), X2 ~ Pois(lambda2), d an integer or array of them.
@@ -297,13 +327,16 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
     SIAM Review 9(1)); P(-d | lambda1, lambda2) = P(d | lambda2, lambda1)
     gives d < 0.  The table spans skellam_dist's support and the d's asked
     for, and is normalized by sum P = 1; d -> -d with lambda1 <-> lambda2
-    keeps each value to the bit.  A d whose Chernoff bound on P(D = d) is
-    below the smallest subnormal reads 0.0 untabulated.  A support of more
-    than 2 SKELLAM_MAX_POINTS points is refused with a ValueError.
+    keeps each value to the bit.  A d outside that support whose Chernoff
+    bound on P(D = d) is below the smallest subnormal reads 0.0 untabulated;
+    d's that all lie inside it skip the bound.  A support of more than
+    2 SKELLAM_MAX_POINTS points is refused with a ValueError.
     """
     import numpy as np
 
     lo, hi = _skellam_bulk(lambda1, lambda2, 2 * SKELLAM_MAX_POINTS)
+    if d.size and lo <= d.min() and d.max() <= hi:  # every d in the bulk, as in skellam_dist: no bound to check
+        return _skellam_table(lambda1, lambda2, lo, hi)[(d - lo).astype(int)]
     # min_s log E[e^(s (D - d))] = w - l1 - l2 - |d| log((|d| + w) / (2 l_d)), w = sqrt(d^2 + 4 l1 l2),
     # l_d = l1 for d > 0 and l2 otherwise; NaN at d = +-inf
     v = np.abs(d)
@@ -314,12 +347,7 @@ def skellam_pmf(d, lambda1: float, lambda2: float):
     out = np.zeros_like(d)
     if live.any():
         lo, hi = min(lo, int(d[live].min())), max(hi, int(d[live].max()))
-        d0 = min(max(0, lo), hi)  # the log ratios are summed outward from d0
-        up, down = _skellam_log_rise(lambda1, lambda2, d0, hi), _skellam_log_rise(lambda2, lambda1, -d0, -lo)
-        top = max(up.max(initial=0.0), down.max(initial=0.0))
-        up, down, at_d0 = np.exp(up - top), np.exp(down - top), math.exp(-top)
-        table = np.concatenate((down[::-1], [at_d0], up)) / (at_d0 + (down.sum() + up.sum()))
-        out[live] = table[(d[live] - lo).astype(int)]
+        out[live] = _skellam_table(lambda1, lambda2, lo, hi)[(d[live] - lo).astype(int)]
     return out
 
 
@@ -354,7 +382,8 @@ def gamma_logpdf(x, p: GammaParams):
     if p.alpha == 1.0:
         # 0 * log(0) above is nan; the exponential density is beta at x = 0
         logp = np.where(x == 0.0, math.log(p.beta), logp)
-    return logp
+    # inf - inf above is nan; the density vanishes at x = inf
+    return np.where(x == math.inf, -math.inf, logp)
 
 
 @_on_rates
@@ -415,10 +444,9 @@ def gamma_sample(p: GammaParams, n: int, seed) -> np.ndarray:
     import numpy as np
 
     p.require_proper()
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _size("n", n)
     rng = np.random.default_rng(seed)
-    return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=int(n))
+    return rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=n)
 
 
 @_elementwise(_fractional, "x must be an integer")
@@ -429,7 +457,7 @@ def binomial_pmf(x, n: int, prob: float):
 
     if not (0.0 <= prob <= 1.0):
         raise ValueError(f"prob must be in [0, 1], got {prob}")
-    if n < 0 or n != int(n):
+    if not (0 <= n < math.inf) or n != int(n):
         raise ValueError(f"n must be a non-negative integer, got {n}")
     inside = (x >= 0) & (x <= n)
     xs = np.where(inside, x, 0)
@@ -469,7 +497,8 @@ def gamma_ratio_logpdf(rho, p1: GammaParams, p2: GammaParams):
     if a1 == 1.0:
         # 0 * log(0) above is nan; at rho = 0 the density is 1 / (s B(1, a2))
         logp = np.where(rho == 0.0, -log_s - special.betaln(1.0, a2), logp)
-    return logp
+    # inf - inf above is nan; the density vanishes at rho = inf
+    return np.where(rho == math.inf, -math.inf, logp)
 
 
 @_on_ratios
@@ -606,11 +635,8 @@ def poisson_process_waiting_times(rate: float, k: int, seed, n_paths: int | None
     import numpy as np
 
     _check_positive("rate", rate)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _size("k", k)
+    size = (_size("n_paths", n_paths), k) if n_paths is not None else k
     rng = np.random.default_rng(seed)
-    size = (int(n_paths), int(k)) if n_paths is not None else int(k)
-    if n_paths is not None and n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     gaps = rng.exponential(scale=1.0 / rate, size=size)
     return np.cumsum(gaps, axis=-1)

@@ -104,19 +104,22 @@ def relative_belief_ratio(r: float, obs: CountObservation, r_ref: float) -> floa
 
     Expresses how the data reshape beliefs relative to the reference rate,
     independently of the prior.  r_ref = 0 is admissible only when x = 0
-    (there L(0) = 1 and the ratio is exp(-rT)).
+    (there L(0) = 1 and the ratio is exp(-rT)); L(inf) = 0 for every x, so
+    r = inf gives 0 and r_ref = inf is refused.
     """
-    if r < 0 or r_ref < 0:
-        raise ValueError("rates must be >= 0")
+    if not (r >= 0 and r_ref >= 0):  # also refuses NaN
+        raise ValueError(f"rates must be >= 0, got r={r}, r_ref={r_ref}")
 
     def loglik(rate: float) -> float:
         if rate == 0.0:
             return 0.0 if obs.x == 0 else -math.inf
+        if rate == math.inf:
+            return -math.inf
         return obs.x * math.log(rate) - rate * obs.T
 
     ref = loglik(r_ref)
     if ref == -math.inf:
-        raise ValueError(f"likelihood vanishes at r_ref={r_ref} (x={obs.x} > 0)")
+        raise ValueError(f"likelihood r^{obs.x} e^(-{obs.T:g} r) vanishes at r_ref={r_ref}")
     log_ratio = loglik(r) - ref
     try:
         return math.exp(log_ratio)

@@ -59,7 +59,7 @@ from typing import Literal
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import _POISSON_LAM_MAX, GammaParams, _sample_sd, _unit_scaled, _write_csv
+from .distributions import _POISSON_LAM_MAX, GammaParams, _sample_sd, _size, _unit_scaled, _write_csv
 from .inference import CountObservation, update_rate
 
 
@@ -735,13 +735,8 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
     max(1000, n_iter // 100), far longer than the reference scripts' 100
     updates, so that latent counts forget their start.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    if burn_in is None:
-        burn_in = max(1000, n_iter // 100)
-    elif burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    burn_in, n_iter = int(burn_in), int(n_iter)
+    n_iter = _size("n_iter", n_iter)
+    burn_in = max(1000, n_iter // 100) if burn_in is None else _size("burn_in", burn_in, least=0)
     rng = np.random.default_rng(seed)
     acceptance = {node.name: 1.0 for node in model.nodes}
     drawn = model.draw(rng, n_iter) if model.draw else None
@@ -774,8 +769,8 @@ def _batch_se(draws: np.ndarray) -> float:
     if n < n_batches:
         return float("nan")
     batch_len = n // n_batches
-    trimmed, e = _unit_scaled(draws[: batch_len * n_batches])
-    means = trimmed.reshape(n_batches, batch_len).mean(axis=1)
+    centred, _, e = _unit_scaled(draws[: batch_len * n_batches])
+    means = centred.reshape(n_batches, batch_len).mean(axis=1)
     return float(np.ldexp(_sample_sd(means), e)) / math.sqrt(n_batches)
 
 
@@ -788,9 +783,9 @@ def summarize_chain(chain: Chain) -> ChainSummary:
         n = draws.size
         sd = _sample_sd(draws) if n > 1 else 0.0
         qs = np.quantile(draws, [level / 100.0 for level in QUANTILE_LEVELS])
-        scaled, e = _unit_scaled(draws)
+        centred, ref, e = _unit_scaled(draws)
         variables[name] = VariableSummary(
-            mean=float(np.ldexp(scaled.mean(), e)),
+            mean=float(np.ldexp(ref + centred.mean(), e)),
             sd=sd,
             naive_se=sd / math.sqrt(n),
             batch_se=_batch_se(draws),

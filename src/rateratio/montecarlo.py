@@ -27,7 +27,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _skellam_bulk, _write_csv
+from .distributions import (
+    _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _size, _skellam_bulk, _write_csv,
+)
 
 
 __all__ = list(_PUBLIC["montecarlo"])
@@ -219,15 +221,10 @@ def _run_ratio_simulation(
     workers: int,
 ) -> RatioSampleReport:
     """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    n, bins = _size("n", n), _size("bins", bins)
     if not (cutoff > 0):
         raise ValueError("cutoff must be > 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    n, bins, cutoff = int(n), int(bins), float(cutoff)
+    workers, cutoff = _size("workers", workers), float(cutoff)
     grids = ((bins, f"{bins} bins"), (MODE_BINS, f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})"))
     for k, grid in grids:
         if not np.all(np.diff(np.linspace(0.0, cutoff, k + 1)) > 0):  # the edges the tally searches
@@ -454,10 +451,9 @@ def simulate_count_difference(
     """
     draw1, draw2 = _poisson_drawers(lambda1, lambda2)
     _skellam_bulk(lambda1, lambda2, SKELLAM_MAX_POINTS)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _size("n", n)
     tallies: dict[int, int] = {}
-    for streams, size in _shards(int(n), seed):
+    for streams, size in _shards(n, seed):
         for x1, x2 in _chunk_pairs(streams, draw1, draw2, size):
             diff = np.subtract(x1, x2, out=x1).astype(np.intp)  # whole floats, so the cast is exact
             lo = int(diff.min())

@@ -198,6 +198,16 @@ class TestRatio:
         assert payload["models"]["A"]["summaries"]["mean"] == pytest.approx(4 / 3)
         assert payload["models"]["B"]["summaries"]["mean"] == pytest.approx(1.6)
 
+    def test_compare_csv_puts_both_densities_on_one_grid(self, capsys):
+        # pdf_curve's one 512-point grid: a header and one row per point
+        code, out, err = run_cli(
+            capsys,
+            ["ratio", "--x1", "3", "--T1", "3", "--x2", "6", "--T2", "6", "--compare", "--format", "csv"],
+        )
+        rows = out.splitlines()
+        assert (code, err) == (0, "")
+        assert rows[0] == "rho,density_a,density_b" and len(rows) == 513
+
     def test_json_null_with_reason(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -696,10 +706,11 @@ class TestMcmcCommand:
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_predict_ratio_past_numpys_poisson_limit_names_the_rate(capsys, fmt):
     # NumPy's own refusal, "lam value too large", named neither the rate nor the limit
-    argv = ["predict", "ratio", "--l1", "1e300", "--l2", "1", "--n", "10", "--seed", "1", "--format", fmt]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (3, "")
-    assert "lambda1" in err and "9.22337e+18" in err and "lam value too large" not in err
+    for l1 in ("1e19", "1e300"):  # just past the limit, and far past it
+        argv = ["predict", "ratio", "--l1", l1, "--l2", "1", "--n", "10", "--seed", "1", "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "lambda1" in err and "9.22337e+18" in err and "lam value too large" not in err
 
 
 def test_json_output_refuses_non_finite_values():
@@ -871,7 +882,7 @@ class TestFlagBounds:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert f"argument {flag}: must be {bound}, got {value!r}" in err
-        assert "rateratio: seed =" not in err
+        assert "seed =" not in err
 
     def test_non_numeric_int_keeps_argparse_wording(self, capsys):
         with pytest.raises(SystemExit):

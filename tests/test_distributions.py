@@ -124,6 +124,11 @@ class TestPoissonPmf:
     def test_matches_reference(self, x, lam):
         assert poisson_pmf(x, lam) == pytest.approx(stats.poisson.pmf(x, lam), rel=1e-10)
 
+    def test_infinite_count_has_no_mass(self):
+        # xlogy(inf, lam) - gammaln(inf) was inf - inf: nan under a RuntimeWarning
+        assert poisson_pmf(math.inf, 3.0) == 0.0
+        assert poisson_pmf([2, math.inf], 3.0).tolist() == [poisson_pmf(2, 3.0), 0.0]
+
 
 class TestPoissonCdf:
     def test_zero(self):
@@ -246,6 +251,16 @@ class TestSkellam:
     def test_invalid(self):
         with pytest.raises(ValueError):
             skellam_pmf(0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.15, 0.15), (0.3, 7.0), (30.0, 41.0), (1e3, 2.5), (1e4, 1e4)])
+    def test_dist_is_the_pmf_over_its_support_to_the_bit(self, lambda1, lambda2):
+        # the bulk alone skips the Chernoff bound; a far d, which reads 0, sends the pmf through it
+        dist = skellam_dist(lambda1, lambda2)
+        far = dist.values[-1] + 10**6
+        bounded = skellam_pmf(np.append(dist.values, far), lambda1, lambda2)
+        assert bounded[-1] == 0.0
+        assert np.array_equal(dist.probs, bounded[:-1])
+        assert np.array_equal(dist.probs, skellam_pmf(dist.values, lambda1, lambda2))
 
     def test_dist_sums_to_one(self):
         dist = skellam_dist(1.0, 1.0)
@@ -421,6 +436,13 @@ class TestGammaPdf:
     def test_improper_params_rejected(self):
         with pytest.raises(ValueError):
             gamma_pdf(1.0, GammaParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_density_vanishes_at_infinity(self, alpha):
+        # (alpha - 1) log(x) - beta x was inf - inf (or 0 * inf) at x = inf: nan
+        p = GammaParams(alpha, 1.0)
+        assert gamma_logpdf(math.inf, p) == -math.inf and gamma_pdf(math.inf, p) == 0.0
+        assert gamma_pdf([1.0, math.inf], p).tolist() == [gamma_pdf(1.0, p), 0.0]
 
 
 class TestGammaCdf:
@@ -601,6 +623,16 @@ class TestGammaSample:
         with pytest.raises(ValueError):
             gamma_sample(GammaParams(1.0, 1.0), 0, seed=0)
 
+    def test_fractional_size_refused(self):
+        # once silently truncated to 2 draws
+        with pytest.raises(ValueError, match=r"^n must be a whole number, got 2\.5$"):
+            gamma_sample(GammaParams(2.0, 1.0), 2.5, seed=1)
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.int32(3)])
+    def test_whole_float_and_numpy_sizes_pass(self, n):
+        want = gamma_sample(GammaParams(2.0, 1.0), 3, seed=1)
+        assert np.array_equal(gamma_sample(GammaParams(2.0, 1.0), n, seed=1), want)
+
 
 class TestBinomialPmf:
     def test_certain(self):
@@ -620,6 +652,12 @@ class TestBinomialPmf:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             binomial_pmf(1, 5, 1.5)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, -1])
+    def test_invalid_n_refused_naming_it(self, n):
+        # n = inf once raised a bare OverflowError from int(n), and NaN a ValueError naming no argument
+        with pytest.raises(ValueError, match=rf"^n must be a non-negative integer, got {n}$"):
+            binomial_pmf(1, n, 0.5)
 
     def test_degenerate_edges(self):
         assert binomial_pmf(0, 4, 0.0) == 1.0
@@ -673,6 +711,14 @@ class TestGammaRatioPdf:
     def test_logpdf_where_s_or_u_leaves_the_float_range(self, rho, p1, p2, want):
         # the constants are mpmath's, at 60 digits
         assert gamma_ratio_logpdf(rho, p1, p2) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha1", [0.5, 1.0, 2.0])
+    def test_density_vanishes_at_infinity(self, alpha1):
+        # (a1 - 1) log u - (a1 + a2) log1p(u) was inf - inf (or 0 * inf) at rho = inf: nan
+        p1, p2 = GammaParams(alpha1, 1.0), GammaParams(3.0, 1.0)
+        assert gamma_ratio_logpdf(math.inf, p1, p2) == -math.inf
+        assert gamma_ratio_pdf(math.inf, p1, p2) == 0.0
+        assert beta_prime_pdf(math.inf, alpha1, 3.0) == 0.0
 
 
 class TestGammaRatioSummaries:
@@ -858,3 +904,13 @@ class TestWaitingTimes:
         a = poisson_process_waiting_times(1.5, 10, seed=9, n_paths=4)
         b = poisson_process_waiting_times(1.5, 10, seed=9, n_paths=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k,n_paths,name", [(2.5, None, "k"), (2, 2.5, "n_paths")])
+    def test_fractional_size_refused(self, k, n_paths, name):
+        # once silently truncated to 2
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got 2\.5$"):
+            poisson_process_waiting_times(1.0, k, seed=1, n_paths=n_paths)
+
+    def test_whole_float_and_numpy_sizes_pass(self):
+        want = poisson_process_waiting_times(1.0, 3, seed=1, n_paths=2)
+        assert np.array_equal(poisson_process_waiting_times(1.0, 3.0, seed=1, n_paths=np.int64(2)), want)

@@ -208,6 +208,22 @@ class TestRelativeBeliefRatio:
         expected = (1.5 / 1.0) ** 3 * math.exp(-(1.5 - 1.0) * 2.0)
         assert relative_belief_ratio(1.5, obs, 1.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [0, 2])
+    def test_infinite_rate_has_ratio_zero(self, x):
+        # L(inf) = 0; loglik(inf) was x log(inf) - inf T = inf - inf (0 * inf at x = 0): nan
+        assert relative_belief_ratio(math.inf, CountObservation(x, 1.0), 1.0) == 0.0
+
+    @pytest.mark.parametrize("r,r_ref", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_rate_refused(self, r, r_ref):
+        with pytest.raises(ValueError, match=r"^rates must be >= 0, got r=.*, r_ref=.*$"):
+            relative_belief_ratio(r, CountObservation(2, 1.0), r_ref)
+
+    @pytest.mark.parametrize("x", [0, 2])
+    def test_infinite_reference_refused(self, x):
+        # once nan: the reference likelihood vanishes there whatever x is
+        with pytest.raises(ValueError, match=r"^likelihood r\^\d e\^\(-1 r\) vanishes at r_ref=inf$"):
+            relative_belief_ratio(1.0, CountObservation(x, 1.0), math.inf)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ratio_past_float_range(self):
         # the ratio is 1e3000: once a bare OverflowError from math.exp

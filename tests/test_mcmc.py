@@ -342,6 +342,12 @@ class TestRunChain:
         chain = run_chain(build_model(flat_spec("B")), 5000, seed=2)
         assert chain.burn_in == 1000
 
+    @pytest.mark.parametrize("n_iter,burn_in,name", [(50.5, None, "n_iter"), (50, 5.5, "burn_in")])
+    def test_fractional_size_refused(self, n_iter, burn_in, name):
+        # once silently truncated
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got \d+\.5$"):
+            run_chain(build_model(flat_spec("A")), n_iter, burn_in=burn_in, seed=1)
+
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_negative_burn_in_refused(self, variant):
         # once ran and reported burn_in = -5, printed as "Iterations = -4:45"
@@ -1134,6 +1140,37 @@ class TestSummaries:
         v = summarize_chain(chain).variables["c"]
         assert v.sd == 0.0 and v.naive_se == 0.0
         assert all(q == 2.5 for q in v.quantiles.values())
+
+    def test_constant_chain_reads_its_own_value(self):
+        # np.mean's pairwise sum rounds: the mean read 0.10000000000000002, the sd 1.39e-17
+        # and the batch SE 6.4e-18, as the deviations were taken from that rounded mean
+        chain = Chain(monitored={"c": np.full(2000, 0.1)}, n_iter=2000, burn_in=0, seed=None)
+        v = summarize_chain(chain).variables["c"]
+        assert (v.mean, v.sd, v.naive_se, v.batch_se) == (0.1, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_iter", [200, 2000])
+    def test_mean_of_draws_near_the_largest_float_lies_within_them(self, n_iter):
+        # every rho draw reads 1.4686449333869355e+307: the mean once read ...352e+307, below every
+        # quantile, with an sd of 2.5e291 at 200 draws and a batch SE of 5.7e290 at 2000
+        spec = ModelSpec.from_json({
+            "variant": "B",
+            "data": {"x1": 37761, "T1": 2.218062674841966e187, "x2": 354117168196504, "T2": 4.43781344833785e-173},
+            "priors": {"rho": {"alpha": 3.801498601178194e35, "beta": 2.5884395300444172e-272},
+                       "r2": {"alpha": 7.144030821861241, "beta": 9.965242098471647}},
+        })
+        chain = run_chain(build_model(spec), n_iter, seed=1)
+        rho = chain.monitored["rho"]
+        v = summarize_chain(chain).variables["rho"]
+        assert rho.min() <= v.mean <= rho.max()
+        if rho.min() == rho.max():
+            assert (v.mean, v.sd, v.batch_se) == (rho[0], 0.0, 0.0)
+
+    def test_non_finite_draws_summarize_as_ever(self):
+        # no draw is subtracted from a chain that holds inf: the mean is inf, not inf - inf
+        draws = np.array([1.0, math.inf, 2.0] * 10)
+        with np.errstate(invalid="ignore"):
+            v = summarize_chain(Chain(monitored={"x": draws}, n_iter=30, burn_in=0, seed=None)).variables["x"]
+        assert v.mean == math.inf
 
     def test_moments_past_the_float_range_of_the_sum(self):
         # a sum of 2000 draws near 1.5e307 overflows: np.mean read inf, and the batch means too

@@ -642,6 +642,10 @@ class TestInPlaceDraws:
 
 
 class TestCountDifference:
+    def test_fractional_size_refused(self):
+        with pytest.raises(ValueError, match=r"^n must be a whole number, got 2\.5$"):
+            simulate_count_difference(1.0, 1.0, 2.5, seed=1)
+
     def test_matches_skellam(self):
         n = 1_000_000
         dist = simulate_count_difference(1.0, 1.0, n, seed=31)
@@ -756,6 +760,17 @@ class TestUniformRatio:
         # With hundreds of bins a few ~3-sigma excursions are expected.
         assert np.mean(z <= 3.0) >= 0.99
         assert np.all(z <= 5.0)
+
+    @pytest.mark.parametrize("size", ["n", "bins", "workers"])
+    def test_fractional_size_refused(self, size):
+        # once silently truncated to 2
+        with pytest.raises(ValueError, match=rf"^{size} must be a whole number, got 2\.5$"):
+            simulate_uniform_ratio(1.0, **{"n": 10, size: 2.5})
+
+    def test_whole_float_and_numpy_sizes_pass(self):
+        want = simulate_uniform_ratio(1.0, 1000, bins=20, seed=3)
+        got = simulate_uniform_ratio(1.0, 1000.0, bins=np.int64(20), seed=3, workers=1.0)
+        assert np.array_equal(got.counts, want.counts) and (got.mean, got.sd) == (want.mean, want.sd)
 
     def test_histogram_matches_law(self):
         from rateratio.distributions import uniform_ratio_pdf

@@ -57,6 +57,11 @@ class TestLambdaRatio:
 
 
 class TestModelA:
+    def test_density_vanishes_at_infinity(self):
+        # once nan, through gamma_ratio_logpdf's inf - inf
+        assert model_a_pdf(math.inf, CountObservation(2, 1.0), CountObservation(3, 2.0)) == 0.0
+        assert lambda_ratio_pdf(math.inf, 2, 3) == 0.0
+
     def test_reference_summaries(self):
         s = model_a_summaries(CountObservation(3, 3.0), CountObservation(6, 6.0))
         assert s.mean == pytest.approx(4 / 3, rel=1e-12)
