@@ -465,21 +465,20 @@ def _parse_numbers(text: str, count: int, label: str) -> list[float]:
 
 
 def _observations(entries: list[str], flag: str, pairs: int) -> list[tuple]:
-    """Each "x,T" (pairs = 1) or "x1,T1,x2,T2" (pairs = 2) entry, as a tuple of CountObservations."""
+    """Each "x,T" (pairs = 1) or "x1,T1,x2,T2" (pairs = 2) entry, as a tuple of CountObservations.
+
+    CountObservation's own rule refuses a count or a time, with flag[i] put before its reason.
+    """
     from . import inference
 
     parsed = []
     for i, text in enumerate(entries):
         label = f"{flag}[{i}]"
         numbers = _parse_numbers(text, 2 * pairs, label)
-        observations = []
-        for x, t in zip(numbers[::2], numbers[1::2]):
-            if x < 0 or x != int(x):
-                raise UsageError(f"{label}: counts must be a non-negative integer, got {x}")
-            if t <= 0:
-                raise UsageError(f"{label}: time must be > 0, got {t}")
-            observations.append(inference.CountObservation(int(x), t))
-        parsed.append(tuple(observations))
+        try:
+            parsed.append(tuple(map(inference.CountObservation, numbers[::2], numbers[1::2])))
+        except ValueError as exc:
+            raise UsageError(f"{label}: {exc}") from None
     return parsed
 
 

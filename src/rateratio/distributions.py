@@ -36,20 +36,20 @@ __all__ = list(_PUBLIC["distributions"])
 class GammaParams:
     """Shape/rate pair (alpha, beta) of a Gamma distribution.
 
-    beta carries units 1/time when the variable is a rate.  beta == 0 is
-    permitted as the improper flat-prior limit: it may enter conjugate
-    update rules, but density, CDF, sampling and summaries require a
-    proper distribution and reject it.
+    beta carries units 1/time when the variable is a rate.  alpha must be
+    finite and > 0, and beta finite and >= 0: beta == 0 is permitted as the
+    improper flat-prior limit.  It may enter conjugate update rules, but
+    density, CDF, sampling and summaries require a proper distribution and
+    reject it.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.beta >= 0):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        _check_positive("alpha", self.alpha)
+        if not (0 <= self.beta < math.inf):  # beta = 0, the improper limit, is this rule's one exception
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     @property
     def is_proper(self) -> bool:
@@ -141,17 +141,20 @@ class DiscreteDist:
         return math.sqrt(float(np.sum((self.values - m) ** 2 * self.probs)))
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0):
-        raise ValueError(f"{name} must be > 0, got {value}")
+def _check_positive(name: str, value: float) -> float:
+    """value, if it is finite and > 0: the one rule of every rate, time, scale and Gamma shape; else ValueError."""
+    if not (0 < value < math.inf):  # also refuses NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _size(name: str, value, least: int = 1) -> int:
-    """value as an int: a whole number >= least, which a whole float or a NumPy integer also is; else ValueError."""
-    if not (least <= value < math.inf):
-        raise ValueError(f"{name} must be >= {least}")
-    if value != int(value):
-        raise ValueError(f"{name} must be a whole number, got {value}")
+    """value as an int, if it is a whole number >= least: the one rule of every count and size; else ValueError.
+
+    A whole float or a NumPy integer is taken; inf and NaN are refused.
+    """
+    if not (least <= value < math.inf) or value != int(value):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
     return int(value)
 
 
@@ -270,7 +273,7 @@ SKELLAM_MAX_POINTS = 2**21  # the largest support skellam_dist tabulates: 16 MB 
 
 
 def _skellam_bulk(lambda1: float, lambda2: float, limit: int) -> tuple[int, int]:
-    """Ends of mean +- (8 sd + 11) of D = X1 - X2; a lambda <= 0 or more than `limit` points is refused."""
+    """Ends of mean +- (8 sd + 11) of D = X1 - X2, for lambdas _check_positive takes and at most `limit` points."""
     _check_positive("lambda1", lambda1)
     _check_positive("lambda2", lambda2)
     center, half = lambda1 - lambda2, 8.0 * math.sqrt(lambda1 + lambda2) + 11.0
@@ -457,8 +460,7 @@ def binomial_pmf(x, n: int, prob: float):
 
     if not (0.0 <= prob <= 1.0):
         raise ValueError(f"prob must be in [0, 1], got {prob}")
-    if not (0 <= n < math.inf) or n != int(n):
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    n = _size("n", n, least=0)
     inside = (x >= 0) & (x <= n)
     xs = np.where(inside, x, 0)
     logp = (

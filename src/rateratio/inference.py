@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _PUBLIC
-from .distributions import GammaParams, SummaryStats, gamma_summaries
+from .distributions import GammaParams, SummaryStats, _check_positive, _size, gamma_summaries
 
 
 __all__ = list(_PUBLIC["inference"])
@@ -26,16 +26,14 @@ FLAT_PRIOR = GammaParams(1.0, 0.0)
 
 @dataclass(frozen=True)
 class CountObservation:
-    """One measurement: x counts observed over live time T."""
+    """One measurement: x counts observed over live time T; x is kept as an int, so a whole float is taken."""
 
     x: int
     T: float
 
     def __post_init__(self) -> None:
-        if self.x < 0 or self.x != int(self.x):
-            raise ValueError(f"x must be a non-negative integer, got {self.x}")
-        if not (self.T > 0):
-            raise ValueError(f"T must be > 0, got {self.T}")
+        object.__setattr__(self, "x", _size("x", self.x, least=0))
+        _check_positive("T", self.T)
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,8 @@ def elicit_gamma(mu0: float, sigma0: float) -> GammaParams:
     alpha0 = mu0^2 / sigma0^2, beta0 = mu0 / sigma0^2.  Raises ValueError
     when either leaves the range of normal floats (1e-308 to 1e308).
     """
-    if not (mu0 > 0):
-        raise ValueError(f"mu0 must be > 0, got {mu0}")
-    if not (sigma0 > 0):
-        raise ValueError(f"sigma0 must be > 0, got {sigma0}")
+    _check_positive("mu0", mu0)
+    _check_positive("sigma0", sigma0)
     try:
         mu_sq, sigma_sq = mu0**2, sigma0**2
     except OverflowError:  # a float ** raises past 1e308

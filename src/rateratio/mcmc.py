@@ -59,7 +59,9 @@ from typing import Literal
 import numpy as np
 
 from . import _PUBLIC
-from .distributions import _POISSON_LAM_MAX, GammaParams, _sample_sd, _size, _unit_scaled, _write_csv
+from .distributions import (
+    _POISSON_LAM_MAX, GammaParams, _check_positive, _sample_sd, _size, _unit_scaled, _write_csv,
+)
 from .inference import CountObservation, update_rate
 
 
@@ -121,16 +123,16 @@ def _prior(raw, path: str) -> GammaParams:
         return MCMC_FLAT_PRIOR
     if isinstance(raw, dict):
         values = _numbers(raw, ("alpha", "beta"), path, '{"alpha": ..., "beta": ...} or "flat"')
-        for key, value in zip(("alpha", "beta"), values):
-            if value <= 0:
-                raise ValueError(f'{path}.{key}: must be > 0 (use "flat" for a flat prior)')
-        raw = GammaParams(*values)
+        try:
+            raw = GammaParams(*values)
+        except ValueError as exc:  # its reason starts with the field's name: "priors.r2.alpha must be ..."
+            raise ValueError(f"{path}.{exc}") from None
     if not isinstance(raw, GammaParams):
         raise ValueError(f'{path}: expected GammaParams, {{"alpha": ..., "beta": ...}} or "flat"')
     if not raw.is_proper:
         raise ValueError(
             f"{path}: improper (beta == 0); samplers need a proper "
-            "prior — use MCMC_FLAT_PRIOR = Gamma(1, 1e-6) for a flat prior"
+            'prior — use "flat" (MCMC_FLAT_PRIOR = Gamma(1, 1e-6)) for a flat prior'
         )
     return raw
 
@@ -149,9 +151,7 @@ class _Efficiency:
         if isinstance(raw, dict):
             raw = _numbers(raw, ("a", "b"), path, '{"a": ..., "b": ...}')
         if isinstance(raw, (tuple, list)) and len(raw) == 2:
-            a, b = (_number(value, f"{path}.{key}") for key, value in zip("ab", raw))
-            if a <= 0 or b <= 0:
-                raise ValueError(f"{path}: Beta parameters must be > 0, got ({a}, {b})")
+            a, b = (_check_positive(key, _number(value, key)) for key, value in zip((f"{path}.a", f"{path}.b"), raw))
             # past the float range a / (a + b) and NumPy's Beta draws both read 0
             if not math.isfinite(a + b):
                 raise ValueError(f"{path}: Beta parameters sum past the float range, got ({a}, {b})")
@@ -283,7 +283,7 @@ class ModelSpec:
     def from_json(cls, payload) -> "ModelSpec":
         """The spec of a JSON document, as json.loads reads it.
 
-        Every error is a ValueError "spec <field path>: <reason>".
+        Every error is a ValueError that starts with "spec " and the path of the field at fault.
         """
         try:
             if not isinstance(payload, dict):
@@ -291,19 +291,12 @@ class ModelSpec:
             extra = set(payload) - _JSON_KEYS
             if extra:
                 raise ValueError(f"$: unknown keys {sorted(extra)}")
-            keys = ("x1", "T1", "x2", "T2")
-            values = _numbers(payload.get("data"), keys, "data", "an object with x1, T1, x2, T2")
-            data = dict(zip(keys, values))
-            for key in ("x1", "x2"):
-                if data[key] < 0 or data[key] != int(data[key]):
-                    raise ValueError(f"data.{key}: must be a non-negative integer")
-            for key in ("T1", "T2"):
-                if data[key] <= 0:
-                    raise ValueError(f"data.{key}: must be > 0")
+            x1, t1, x2, t2 = _numbers(payload.get("data"), ("x1", "T1", "x2", "T2"), "data",
+                                      "an object with x1, T1, x2, T2")
             return cls(
                 variant=payload.get("variant"),
-                data1=CountObservation(int(data["x1"]), data["T1"]),
-                data2=CountObservation(int(data["x2"]), data["T2"]),
+                data1=CountObservation(_size("data.x1", x1, least=0), _check_positive("data.T1", t1)),
+                data2=CountObservation(_size("data.x2", x2, least=0), _check_positive("data.T2", t2)),
                 **{key: value for key, value in payload.items() if key not in ("variant", "data")},
             )
         except ValueError as exc:
@@ -733,7 +726,9 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
     recorded.  A sweep redraws each node in turn from its full conditional,
     so every update is accepted and nothing is tuned.  burn_in defaults to
     max(1000, n_iter // 100), far longer than the reference scripts' 100
-    updates, so that latent counts forget their start.
+    updates, so that latent counts forget their start.  A monitored variable
+    that reads inf or nan, such as rho = r1 / r2 where r2 underflowed to 0,
+    is refused with its name and the first such iteration.
     """
     n_iter = _size("n_iter", n_iter)
     burn_in = max(1000, n_iter // 100) if burn_in is None else _size("burn_in", burn_in, least=0)
@@ -748,7 +743,13 @@ def run_chain(model: Model, n_iter: int, burn_in: int | None = None, seed=None) 
             logger.info("iid proposals accepted too rarely: running Gibbs sweeps")
         recorded = model.sweep(model.init_state(), rng, burn_in, n_iter)
         draws = {name: np.frombuffer(values) for name, values in recorded.items()}
-    monitored = {name: _readout(name, draws, model, rng) for name in model.spec.monitor}
+    with np.errstate(all="ignore"):  # a readout past the float range is refused below, not warned of
+        monitored = {name: _readout(name, draws, model, rng) for name in model.spec.monitor}
+    for name, values in monitored.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(f"{name} reads {values[first]} at iteration {first + 1}: the chain left the float range")
     logger.info(
         "chain finished: variant=%s n_iter=%d burn_in=%d sampler=%s",
         model.spec.variant, n_iter, burn_in, "gibbs" if drawn is None else "iid",
@@ -763,14 +764,13 @@ def _readout(name: str, draws: Mapping[str, np.ndarray], model: Model, rng: np.r
     return model.readouts[name]({**model.initial, **draws}, rng)
 
 
-def _batch_se(draws: np.ndarray) -> float:
+def _batch_se(centred: np.ndarray, e: int) -> float:
+    """Batch-means SE from 20 batches of the draws that _unit_scaled gave as (centred, _, e); NaN below 20 draws."""
     n_batches = 20
-    n = draws.size
-    if n < n_batches:
+    batch_len = centred.size // n_batches
+    if not batch_len:
         return float("nan")
-    batch_len = n // n_batches
-    centred, _, e = _unit_scaled(draws[: batch_len * n_batches])
-    means = centred.reshape(n_batches, batch_len).mean(axis=1)
+    means = centred[: batch_len * n_batches].reshape(n_batches, batch_len).mean(axis=1)
     return float(np.ldexp(_sample_sd(means), e)) / math.sqrt(n_batches)
 
 
@@ -781,14 +781,14 @@ def summarize_chain(chain: Chain) -> ChainSummary:
     variables = {}
     for name, draws in chain.monitored.items():
         n = draws.size
-        sd = _sample_sd(draws) if n > 1 else 0.0
+        centred, ref, e = _unit_scaled(draws)  # once, for the mean, the sd and the batch means
+        sd = float(np.ldexp(centred.std(ddof=1), e)) if n > 1 else 0.0
         qs = np.quantile(draws, [level / 100.0 for level in QUANTILE_LEVELS])
-        centred, ref, e = _unit_scaled(draws)
         variables[name] = VariableSummary(
             mean=float(np.ldexp(ref + centred.mean(), e)),
             sd=sd,
             naive_se=sd / math.sqrt(n),
-            batch_se=_batch_se(draws),
+            batch_se=_batch_se(centred, e),
             quantiles=dict(zip(QUANTILE_LEVELS, map(float, qs))),
         )
     return ChainSummary(

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import _PUBLIC
 from .distributions import (
-    _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _size, _skellam_bulk, _write_csv,
+    _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _check_positive, _size, _skellam_bulk,
+    _write_csv,
 )
 
 
@@ -222,9 +223,7 @@ def _run_ratio_simulation(
 ) -> RatioSampleReport:
     """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call."""
     n, bins = _size("n", n), _size("bins", bins)
-    if not (cutoff > 0):
-        raise ValueError("cutoff must be > 0")
-    workers, cutoff = _size("workers", workers), float(cutoff)
+    cutoff, workers = float(_check_positive("cutoff", cutoff)), _size("workers", workers)
     grids = ((bins, f"{bins} bins"), (MODE_BINS, f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})"))
     for k, grid in grids:
         if not np.all(np.diff(np.linspace(0.0, cutoff, k + 1)) > 0):  # the edges the tally searches
@@ -426,8 +425,7 @@ def simulate_uniform_ratio(
     The resulting law does not depend on r_max; r_max only sets the scale of
     the two uniforms.
     """
-    if not (r_max > 0):
-        raise ValueError("r_max must be > 0")
+    _check_positive("r_max", r_max)
 
     def draw(rng: np.random.Generator, out: np.ndarray) -> None:
         # the draws of rng.uniform(0, r_max, size), which is 0 + r_max * random()

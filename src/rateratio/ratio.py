@@ -24,6 +24,7 @@ from . import _PUBLIC
 from .distributions import (
     GammaParams,
     SummaryStats,
+    _check_positive,
     _elementwise,
     _on_ratios,
     _ratio_summaries,
@@ -145,8 +146,8 @@ def implied_r1_pdf(r1, rho_max: float, r2_max: float):
     """
     import numpy as np
 
-    if not (rho_max > 0) or not (r2_max > 0):
-        raise ValueError("rho_max and r2_max must be > 0")
+    _check_positive("rho_max", rho_max)
+    _check_positive("r2_max", r2_max)
     (m1, e1), (m2, e2) = math.frexp(rho_max), math.frexp(r2_max)
     log_top = math.log(rho_max) + math.log(r2_max)
     with np.errstate(divide="ignore", invalid="ignore"):

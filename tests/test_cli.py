@@ -282,13 +282,22 @@ class TestCombine:
         assert code == 2 and "--obs[0]" in err
 
     @pytest.mark.parametrize("argv,reason", [
-        ("combine ratio --instance 3,3,2.5,6", "--instance[0]: counts must be a non-negative integer, got 2.5"),
-        ("combine ratio --instance 3,3,6,6 --instance 1,0,2,2", "--instance[1]: time must be > 0, got 0.0"),
-        ("combine rate --obs 2.5,6", "--obs[0]: counts must be a non-negative integer, got 2.5"),
+        ("combine ratio --instance 3,3,2.5,6", "--instance[0]: x must be a whole number >= 0, got 2.5"),
+        ("combine ratio --instance 3,3,6,6 --instance 1,0,2,2", "--instance[1]: T must be finite and > 0, got 0.0"),
+        ("combine rate --obs 2.5,6", "--obs[0]: x must be a whole number >= 0, got 2.5"),
     ])
     def test_instance_and_obs_share_one_count_time_rule(self, capsys, argv, reason):
         code, out, err = run_cli(capsys, argv.split())
         assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+    def test_counts_stay_integers_in_json(self, capsys):
+        code, out, _ = run_cli(capsys, "combine rate --obs 3.0,6 --format json".split())
+        (obs,) = json.loads(out)["observations"]
+        assert code == 0 and obs == {"x": 3, "T": 6.0} and type(obs["x"]) is int
+        code, out, _ = run_cli(capsys, "combine ratio --instance 3.0,3,6.0,6 --format json".split())
+        doc = json.loads(out)
+        counts = [part[key] for part in (doc["instances"][0], doc["pooled"]) for key in ("x1", "x2")]
+        assert code == 0 and counts == [3, 6, 3, 6] and all(type(x) is int for x in counts)
 
     def test_ratio_combination_pools_totals(self, capsys):
         code, out, _ = run_cli(
@@ -701,6 +710,34 @@ class TestMcmcCommand:
         assert rho["mean"] == pytest.approx(rho["quantiles"]["50"], rel=1e-15)
         assert math.isfinite(rho["batch_se"])
         assert re.search(r"^rho +1\.469e\+307 ", outs["text"], re.MULTILINE)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_rate_past_the_float_range_exits_3_naming_it(self, capsys, tmp_path, fmt):
+        # every r2 draw underflows to 0, so rho = r1 / r2 reads inf: text and csv once printed inf
+        # under NumPy's RuntimeWarnings with exit 0, and json exited 3 with a reason naming no variable
+        spec = {
+            "variant": "A",
+            "data": {"x1": 4926816, "T1": 4.057659656963435e72, "x2": 0, "T2": 1.4746903029620366e177},
+            "priors": {"r1": {"alpha": 0.00010324705544180189, "beta": 3.172313533321729},
+                       "r2": {"alpha": 0.0004334042670575367, "beta": 0.1252821546322733}},
+        }
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["mcmc", "--spec", str(spec_path), "--n-iter", "200", "--seed", "1", "--format", fmt]
+        assert run_cli(capsys, argv) == (3, "", "error: rho reads inf at iteration 1: the chain left the float range\n")
+
+    def test_whole_float_count_gives_the_chain_of_its_int(self, capsys, tmp_path):
+        outs = []
+        for x1 in (3, 3.0):
+            spec = {"variant": "B", "data": {"x1": x1, "T1": 3.0, "x2": 6, "T2": 6.0},
+                    "priors": {"rho": "flat", "r2": "flat"}}
+            spec_path = tmp_path / f"{x1!r}.json"
+            spec_path.write_text(json.dumps(spec))
+            code, out, _ = run_cli(capsys, ["mcmc", "--spec", str(spec_path), "--n-iter", "500", "--seed", "4",
+                                            "--format", "csv"])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -36,7 +36,8 @@ from rateratio.distributions import (
     uniform_ratio_cdf,
     uniform_ratio_pdf,
 )
-from rateratio.inference import FLAT_PRIOR, CountObservation
+from rateratio.inference import FLAT_PRIOR, CountObservation, elicit_gamma
+from rateratio.montecarlo import simulate_gamma_ratio, simulate_uniform_ratio
 from rateratio.ratio import implied_r1_pdf, model_b_reweighted_pdf
 from helpers import assert_all_bins_within, bin_probabilities
 
@@ -97,6 +98,36 @@ class TestGammaParams:
     def test_invalid(self, alpha, beta):
         with pytest.raises(ValueError):
             GammaParams(alpha, beta)
+
+
+# an infinite scalar input, and the start of its refusal: each call once returned nan or zeros, took
+# the value, raised a bare OverflowError or gave a reason that named no parameter
+INFINITE_INPUTS = {
+    "CountObservation-x": (lambda: CountObservation(math.inf, 1.0), "x must be a whole number >= 0"),
+    "CountObservation-T": (lambda: CountObservation(3, math.inf), "T must be finite and > 0"),
+    "GammaParams-alpha": (lambda: GammaParams(math.inf, 1.0), "alpha must be finite and > 0"),
+    "gamma_pdf-beta": (lambda: gamma_pdf(1.0, GammaParams(2.0, math.inf)), "beta must be finite and >= 0"),
+    "gamma_sample-beta": (lambda: gamma_sample(GammaParams(2.0, math.inf), 3, 1), "beta must be finite and >= 0"),
+    "gamma_sample-n": (lambda: gamma_sample(P1, math.inf, 1), "n must be a whole number >= 1"),
+    "poisson_pmf": (lambda: poisson_pmf(3, math.inf), "lambda must be finite and > 0"),
+    "poisson_cdf": (lambda: poisson_cdf(3, math.inf), "lambda must be finite and > 0"),
+    "skellam_dist": (lambda: skellam_dist(math.inf, 1.0), "lambda1 must be finite and > 0"),
+    "beta_prime_pdf": (lambda: beta_prime_pdf(1.0, math.inf, 2.0), "alpha must be finite and > 0"),
+    "implied_r1_pdf-rho_max": (lambda: implied_r1_pdf(1.0, math.inf, 1.0), "rho_max must be finite and > 0"),
+    "implied_r1_pdf-r2_max": (lambda: implied_r1_pdf(1.0, 1.0, math.inf), "r2_max must be finite and > 0"),
+    "waiting_times": (lambda: poisson_process_waiting_times(math.inf, 3, 1), "rate must be finite and > 0"),
+    "elicit_gamma": (lambda: elicit_gamma(math.inf, 1.0), "mu0 must be finite and > 0"),
+    "simulate_gamma_ratio-cutoff": (
+        lambda: simulate_gamma_ratio(P1, P2, 100, cutoff=math.inf, seed=1), "cutoff must be finite and > 0"
+    ),
+    "simulate_uniform_ratio": (lambda: simulate_uniform_ratio(math.inf, 100, seed=1), "r_max must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("call,reason", INFINITE_INPUTS.values(), ids=INFINITE_INPUTS)
+def test_infinite_scalar_refused_naming_it(call, reason):
+    with pytest.raises(ValueError, match=rf"^{re.escape(reason)}, got inf$"):
+        call()
 
 
 class TestPoissonPmf:
@@ -340,8 +371,12 @@ class TestSkellam:
 
     @pytest.mark.parametrize("lambda1", [1e15, math.inf])
     def test_pmf_table_past_bound_refused(self, lambda1):
-        # twice skellam_dist's bound: 2 (8 sqrt(2e15) + 11) + 1 points would fill memory
-        with pytest.raises(ValueError, match="support points, more than 4194304"):
+        # twice skellam_dist's bound: 2 (8 sqrt(2e15) + 11) + 1 points would fill memory; an infinite
+        # rate is refused first, by the rule of every rate
+        reason = "support points, more than 4194304"
+        if lambda1 == math.inf:
+            reason = r"^lambda1 must be finite and > 0, got inf$"
+        with pytest.raises(ValueError, match=reason):
             skellam_pmf(0, lambda1, 1e15)
 
     def test_dist_large_equal_rates(self):
@@ -625,7 +660,7 @@ class TestGammaSample:
 
     def test_fractional_size_refused(self):
         # once silently truncated to 2 draws
-        with pytest.raises(ValueError, match=r"^n must be a whole number, got 2\.5$"):
+        with pytest.raises(ValueError, match=r"^n must be a whole number >= 1, got 2\.5$"):
             gamma_sample(GammaParams(2.0, 1.0), 2.5, seed=1)
 
     @pytest.mark.parametrize("n", [3.0, np.int64(3), np.int32(3)])
@@ -656,7 +691,7 @@ class TestBinomialPmf:
     @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, -1])
     def test_invalid_n_refused_naming_it(self, n):
         # n = inf once raised a bare OverflowError from int(n), and NaN a ValueError naming no argument
-        with pytest.raises(ValueError, match=rf"^n must be a non-negative integer, got {n}$"):
+        with pytest.raises(ValueError, match=rf"^n must be a whole number >= 0, got {n}$"):
             binomial_pmf(1, n, 0.5)
 
     def test_degenerate_edges(self):
@@ -908,7 +943,7 @@ class TestWaitingTimes:
     @pytest.mark.parametrize("k,n_paths,name", [(2.5, None, "k"), (2, 2.5, "n_paths")])
     def test_fractional_size_refused(self, k, n_paths, name):
         # once silently truncated to 2
-        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got 2\.5$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= 1, got 2\.5$"):
             poisson_process_waiting_times(1.0, k, seed=1, n_paths=n_paths)
 
     def test_whole_float_and_numpy_sizes_pass(self):

@@ -27,6 +27,10 @@ class TestCountObservation:
         with pytest.raises(ValueError):
             CountObservation(x, T)
 
+    def test_whole_float_count_is_kept_as_an_int(self):
+        x = CountObservation(3.0, 1.0).x
+        assert type(x) is int and x == 3
+
 
 class TestUpdateLambda:
     def test_flat_no_counts(self):
@@ -65,7 +69,7 @@ class TestUpdatesAreUpdateRate:
 
     @pytest.mark.parametrize("x", [-1, 2.5])
     def test_lambda_refusal(self, x):
-        with pytest.raises(ValueError, match=rf"^x must be a non-negative integer, got {x}$"):
+        with pytest.raises(ValueError, match=rf"^x must be a whole number >= 0, got {x}$"):
             update_lambda(FLAT_PRIOR, x)
 
 

@@ -10,7 +10,8 @@ import pytest
 from scipy import integrate, optimize, special, stats
 from test_cli import SPLIT_UNDERFLOW_SPEC
 
-from rateratio.distributions import GammaParams, gamma_ratio_ppf
+from rateratio import mcmc
+from rateratio.distributions import GammaParams, _sample_sd, _unit_scaled, gamma_ratio_ppf
 from rateratio.inference import CountObservation
 from rateratio.ratio import RatioPosteriorSpec, model_b_summaries, ratio_posterior
 from rateratio.mcmc import (
@@ -221,8 +222,14 @@ class TestModelSpec:
         assert ModelSpec.from_json(payload) == flat_spec("B")
         with pytest.raises(ValueError, match=r"^spec monitor: "):
             ModelSpec.from_json({**payload, "monitor": ["rho", "zz"]})
-        with pytest.raises(ValueError, match=r"^spec data\.x1: must be a non-negative integer"):
+        with pytest.raises(ValueError, match=r"^spec data\.x1 must be a whole number >= 0, got 2\.5$"):
             ModelSpec.from_json({**payload, "data": {"x1": 2.5, "T1": 3.0, "x2": 6, "T2": 6.0}})
+        with pytest.raises(ValueError, match=r"^spec data\.T2 must be finite and > 0, got 0\.0$"):
+            ModelSpec.from_json({**payload, "data": {"x1": 3, "T1": 3.0, "x2": 6, "T2": 0}})
+        with pytest.raises(ValueError, match=r"^spec priors\.r2\.beta must be finite and >= 0, got -1\.0$"):
+            ModelSpec.from_json({**payload, "priors": {"rho": "flat", "r2": {"alpha": 2, "beta": -1}}})
+        with pytest.raises(ValueError, match=r"^spec efficiencies\[0\]\.b must be finite and > 0, got 0\.0$"):
+            ModelSpec.from_json({**payload, "variant": "B_EFF", "efficiencies": [{"a": 2, "b": 0}, 0.9]})
 
     def test_background_variant_priors(self):
         spec = ModelSpec(
@@ -345,13 +352,13 @@ class TestRunChain:
     @pytest.mark.parametrize("n_iter,burn_in,name", [(50.5, None, "n_iter"), (50, 5.5, "burn_in")])
     def test_fractional_size_refused(self, n_iter, burn_in, name):
         # once silently truncated
-        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got \d+\.5$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= [01], got \d+\.5$"):
             run_chain(build_model(flat_spec("A")), n_iter, burn_in=burn_in, seed=1)
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_negative_burn_in_refused(self, variant):
         # once ran and reported burn_in = -5, printed as "Iterations = -4:45"
-        with pytest.raises(ValueError, match=r"^burn_in must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^burn_in must be a whole number >= 0, got -5$"):
             run_chain(build_model(flat_spec(variant)), 50, burn_in=-5, seed=1)
 
     def test_variant_a_posterior_means(self):
@@ -1147,6 +1154,20 @@ class TestSummaries:
         chain = Chain(monitored={"c": np.full(2000, 0.1)}, n_iter=2000, burn_in=0, seed=None)
         v = summarize_chain(chain).variables["c"]
         assert (v.mean, v.sd, v.naive_se, v.batch_se) == (0.1, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n,scale", [(20, 1e-300), (1003, 1.0), (5000, 1e300)])
+    def test_one_scaling_serves_mean_sd_and_batch_means(self, monkeypatch, n, scale):
+        # the mean, _sample_sd and the batch means each once scaled the same draws
+        calls = []
+        monkeypatch.setattr(mcmc, "_unit_scaled", lambda draws: calls.append(draws.size) or _unit_scaled(draws))
+        draws = np.random.default_rng(n).standard_cauchy(n) * scale
+        v = summarize_chain(Chain(monitored={"x": draws}, n_iter=n, burn_in=0, seed=None)).variables["x"]
+        assert calls == [n]
+        # to the bit, what separate scalings of the draws and of the batched draws give
+        batch_len = n // 20
+        centred, _, e = _unit_scaled(draws[: 20 * batch_len])
+        batch_se = float(np.ldexp(_sample_sd(centred.reshape(20, batch_len).mean(axis=1)), e)) / math.sqrt(20)
+        assert (v.sd, v.batch_se) == (_sample_sd(draws), batch_se)
 
     @pytest.mark.parametrize("n_iter", [200, 2000])
     def test_mean_of_draws_near_the_largest_float_lies_within_them(self, n_iter):

@@ -164,7 +164,7 @@ class TestShardBuffers:
 
     def test_refuses_no_workers(self):
         # with no thread no shard would be drawn
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match=r"^workers must be a whole number >= 1, got 0$"):
             simulate_uniform_ratio(1.0, 10, workers=0)
 
 
@@ -643,7 +643,7 @@ class TestInPlaceDraws:
 
 class TestCountDifference:
     def test_fractional_size_refused(self):
-        with pytest.raises(ValueError, match=r"^n must be a whole number, got 2\.5$"):
+        with pytest.raises(ValueError, match=r"^n must be a whole number >= 1, got 2\.5$"):
             simulate_count_difference(1.0, 1.0, 2.5, seed=1)
 
     def test_matches_skellam(self):
@@ -764,7 +764,7 @@ class TestUniformRatio:
     @pytest.mark.parametrize("size", ["n", "bins", "workers"])
     def test_fractional_size_refused(self, size):
         # once silently truncated to 2
-        with pytest.raises(ValueError, match=rf"^{size} must be a whole number, got 2\.5$"):
+        with pytest.raises(ValueError, match=rf"^{size} must be a whole number >= 1, got 2\.5$"):
             simulate_uniform_ratio(1.0, **{"n": 10, size: 2.5})
 
     def test_whole_float_and_numpy_sizes_pass(self):
