@@ -141,6 +141,9 @@ class DiscreteDist:
         return math.sqrt(float(np.sum((self.values - m) ** 2 * self.probs)))
 
 
+_FLOAT_MAX = (2.0 - 2.0**-52) * 2.0**1023  # sys.float_info.max
+
+
 def _check_positive(name: str, value: float) -> float:
     """value, if it is finite and > 0: the one rule of every rate, time, scale and Gamma shape; else ValueError."""
     if not (0 < value < math.inf):  # also refuses NaN
@@ -151,10 +154,15 @@ def _check_positive(name: str, value: float) -> float:
 def _size(name: str, value, least: int = 1) -> int:
     """value as an int, if it is a whole number >= least: the one rule of every count and size; else ValueError.
 
-    A whole float or a NumPy integer is taken; inf and NaN are refused.
+    A whole float or a NumPy integer is taken; inf and NaN are refused, and so
+    is a Python int past the largest float, which no float can hold.
     """
     if not (least <= value < math.inf) or value != int(value):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
+    if value > _FLOAT_MAX:  # an int compares with a float exactly
+        raise ValueError(
+            f"{name} must be at most {_FLOAT_MAX:.6g}, the largest float, got about 10^{math.log10(value):.0f}"
+        )
     return int(value)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _PUBLIC
-from .distributions import GammaParams, SummaryStats, _check_positive, _size, gamma_summaries
+from .distributions import _FLOAT_MAX, GammaParams, SummaryStats, _check_positive, _size, gamma_summaries
 
 
 __all__ = list(_PUBLIC["inference"])
@@ -65,8 +65,19 @@ def combine_observations(
     observations = list(observations)
     if not observations:
         raise ValueError("observations must be non-empty")
-    totals = CountObservation(sum(o.x for o in observations), sum(o.T for o in observations))
-    return update_rate(prior, totals)
+    x, T = _pooled("counts x", [o.x for o in observations]), _pooled("times T", [o.T for o in observations])
+    return update_rate(prior, CountObservation(x, T))
+
+
+def _pooled(name: str, values: list):
+    """The sum of the given counts or times, refused where it passes the largest float though no one value does."""
+    total = sum(values)
+    if total > _FLOAT_MAX:  # a float sum is inf there; an int sum compares exactly
+        raise ValueError(
+            f"the sum of the given {name} overflows the float range: {len(values)} values, "
+            f"the largest {max(values):.6g}"
+        )
+    return total
 
 
 def elicit_gamma(mu0: float, sigma0: float) -> GammaParams:

@@ -4,14 +4,16 @@ Simulators draw count ratios X1/X2 (with explicit NaN = 0/0 and
 Inf = k/0 bookkeeping), count differences, Gamma-variate ratios and
 uniform-variate ratios.  Work is split into fixed-size shards, each with two
 RNG streams, one per side, spawned deterministically from the master seed.
-A shard is drawn _CHUNK draws at a time in two chunk buffers of its own.
+A shard is drawn _CHUNK draws at a time into chunk buffers of its own.
 Continuous ratios, and count ratios with a side past the alias table's cap,
-are divided, sorted and binned a chunk at a time; a count ratio whose two
-alias tables span at most _PAIR_CAP (x1, x2) pairs counts its pairs instead,
-and reads every ratio off that table once per pair.  The draws and every
-count depend only on (seed, n, parameters): never on the chunk size, nor on
-how many workers processed the shards.  Only on the sort path do the last
-bits of the mean and sd follow the chunk size, and merged reports are
+draw each side from its own stream and are divided, sorted and binned a chunk
+at a time; a count ratio whose two Poisson laws span at most _PAIR_CAP
+(x1, x2) pairs draws each pair from one alias table over the pairs, from the
+shard's first stream, counts its pairs, and reads every ratio once per pair.
+Every alias table is built by one vectorized sweep (_alias).  The draws and
+every count depend only on (seed, n, parameters): never on the chunk size,
+nor on how many workers processed the shards.  Only on the sort path do the
+last bits of the mean and sd follow the chunk size, and merged reports are
 bit-reproducible for any worker count.
 """
 
@@ -45,7 +47,8 @@ DEFAULT_BINS = 150
 POISSON_TABLE_CAP = 1 << 14  # alias-table entries; past them a rate is drawn by rng.poisson
 _POISSON_TAIL = 43.0  # each tail outside the table holds < e^-43, so both together < 2^-60
 _CHUNK = 1 << 15  # draws per pass of a shard's tally, on each side
-_PAIR_CAP = 1 << 15  # largest (x1, x2) pair table a count ratio is tallied by: one default chunk buffer's size
+_PAIR_CAP = 1 << 15  # largest (x1, x2) pair table a count ratio is drawn from: one default chunk buffer's size
+_ALIAS_UNIT = 1 << 40  # an alias table's column masses are whole numbers of 1 / _ALIAS_UNIT
 # draw(rng, out) fills float64 out in place; quoted, the Generator leaves numpy.random unimported
 _Draw = Callable[["np.random.Generator", np.ndarray], None]
 
@@ -141,18 +144,18 @@ def _chunk_pairs(streams, draw_num: _Draw, draw_den: _Draw, size: int):
 def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, bins: int) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
-    Two alias-drawn sides whose tables span at most _PAIR_CAP pairs are
-    tallied by _pair_tally.  Otherwise each chunk's 0/0 and k/0 are counted,
-    its ratios divided in place and, past any zero denominator, kept in one
-    masked copy.  Both sums are added in draw order, the squares made in the
-    free denominator buffer; then one in-place sort lets every count be read
-    as a difference of positions on the edges np.histogram builds, whose last
-    bin is closed.
+    A numerator drawer that carries a pair table (`pairs`, from _pair_table)
+    is tallied by _pair_tally.  Otherwise each side is drawn from its own
+    stream and each chunk's 0/0 and k/0 are counted, its ratios divided in
+    place and, past any zero denominator, kept in one masked copy.  Both sums
+    are added in draw order, the squares made in the free denominator buffer;
+    then one in-place sort lets every count be read as a difference of
+    positions on the edges np.histogram builds, whose last bin is closed.
     """
     grids = [np.linspace(0.0, cutoff, k + 1) for k in (bins, MODE_BINS)]
-    supports = [getattr(draw, "support", None) for draw in (draw_num, draw_den)]
-    if None not in supports and supports[0][1] * supports[1][1] <= _PAIR_CAP:
-        return _pair_tally(streams, size, draw_num, draw_den, grids, *supports)
+    pairs = getattr(draw_num, "pairs", None)
+    if pairs is not None:
+        return _pair_tally(streams[0], size, pairs, grids)
     hists = [np.zeros(k, np.intp) for k in (bins, MODE_BINS)]
     n_nan = n_zero = n_over = 0
     total = total_sq = 0.0
@@ -179,25 +182,25 @@ def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, 
     return n_nan, n_zero - n_nan, total, total_sq, n_over, *hists
 
 
-def _pair_tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, grids, support1, support2) -> tuple:
-    """_tally's 7-tuple of two sides drawn from alias tables, whose (first count, size) are support1 and support2.
+def _pair_tally(rng: np.random.Generator, size: int, pairs: tuple, grids) -> tuple:
+    """_tally's 7-tuple of `size` (x1, x2) pairs drawn from rng through the pair table (q, alias, lo1, lo2, m2).
 
-    Each chunk's pair index (x1 - lo1) m2 + (x2 - lo2) is formed in place in
-    the numerator buffer (whole floats, so every step is exact) and counted
-    into one shard table.  Then each pair drawn is read once: (0, 0) is 0/0,
-    the rest of x2 = 0 is k/0, and x1/x2 is the IEEE value num/den gives,
+    Each chunk's alias draws are counted by one np.bincount over the slots
+    2 column + aliased; at the end of the shard each aliased slot is folded
+    onto its column's alias, which gives the count of every pair index
+    (x1 - lo1) m2 + (x2 - lo2).  Then each pair drawn is read once: (0, 0) is
+    0/0, the rest of x2 = 0 is k/0, and x1/x2 is the IEEE value num/den gives,
     binned by the edges at or below it (the last bin closed) and weighted by
     its count.  The sums add count times ratio over the pairs in table order.
     """
-    (lo1, m1), (lo2, m2) = support1, support2
-    table = np.zeros(m1 * m2, np.intp)
-    for num, den in _chunk_pairs(streams, draw_num, draw_den, size):
-        num *= m2
-        num += den
-        num -= lo1 * m2 + lo2
-        table += np.bincount(num.astype(np.intp), minlength=table.size)
-    pairs = np.flatnonzero(table)
-    counts, (x1, x2) = table[pairs], np.divmod(pairs, m2)
+    q, alias, lo1, lo2, m2 = pairs
+    slots = np.zeros(2 * q.size, np.intp)
+    buffer = np.empty(min(size, _CHUNK))
+    for start in range(0, size, _CHUNK):
+        slots += np.bincount(_alias_slots(rng, buffer[: size - start], q), minlength=slots.size)
+    table = slots[::2] + np.bincount(alias, weights=slots[1::2], minlength=q.size).astype(np.intp)
+    drawn = np.flatnonzero(table)
+    counts, (x1, x2) = table[drawn], np.divmod(drawn, m2)
     x1 += lo1
     x2 += lo2
     zero_den = x2 == 0
@@ -302,41 +305,83 @@ def _poisson_window(lam: float) -> tuple[int, int] | None:
     return max(0, math.ceil(lam - down)), math.floor(lam + up)
 
 
-def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walker's alias table (q, here, there) of Pois(lam) on lo..hi, built by Vose's O(m) method.
+def _alias(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (q, alias) of pmf: column j yields j with probability q[j], else alias[j].
 
-    Column j yields here[j] = lo + j with probability q[j], else its alias
-    there[j].  The pmf is a product of ratios from the mode outward, each
-    term a few ulp from the true one, then normalized: no lgamma, whose
-    absolute error near lgamma(1e5) alone moves the pmf by 1e-10.
+    Built in NumPy by the sweep of Hübschle-Schneider and Sanders ("Parallel
+    Weighted Random Sampling", ESA 2019), in exact integer arithmetic.  Each
+    column's mass pmf[j] m / sum(pmf) is rounded to whole units of
+    1 / _ALIAS_UNIT, the largest taking what makes them sum to exactly m
+    columns.  A light column (mass < 1), in index order, takes its deficit
+    from the heavy one whose stretch of cumulative excess holds the deficit
+    of the lights before it; a heavy column, in index order, is then filled
+    to 1 + its cumulative excess - the cumulative deficit of the lights it
+    served, in [0, 1], and aliased to the next heavy one, which makes up the
+    rest.  The last heavy column is left full.
+    """
+    m = pmf.size
+    units = np.rint(pmf * (m * _ALIAS_UNIT / pmf.sum())).astype(np.int64)
+    units[np.argmax(units)] += m * _ALIAS_UNIT - int(units.sum())
+    heavy, light = np.flatnonzero(units >= _ALIAS_UNIT), np.flatnonzero(units < _ALIAS_UNIT)
+    excess = np.cumsum(units[heavy] - _ALIAS_UNIT)
+    deficit = np.zeros(light.size + 1, np.int64)  # the deficit of the lights before each, then of all
+    np.cumsum(_ALIAS_UNIT - units[light], out=deficit[1:])
+    alias = np.empty(m, np.intp)
+    alias[light] = heavy[np.searchsorted(excess, deficit[:-1], "right")]
+    alias[heavy] = np.append(heavy[1:], heavy[-1])
+    units[heavy] = _ALIAS_UNIT + excess - deficit[np.searchsorted(deficit, excess, "left")]
+    return units / _ALIAS_UNIT, alias
+
+
+def _alias_slots(rng: np.random.Generator, out: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """2 column + aliased of one draw from the alias table q per entry of out, which holds the uniforms.
+
+    A draw takes one uniform u: column = floor(u m), fraction = u m - column,
+    and it is aliased if fraction >= q[column].
+    """
+    m = q.size
+    rng.random(out=out)
+    out *= m
+    column = out.astype(np.intp)  # truncation: floor of u m >= 0
+    np.minimum(column, m - 1, out=column)  # u m < m under round-to-nearest; rounded up, it is m
+    out -= column  # the fraction
+    aliased = out >= np.take(q, column)
+    column += column
+    column += aliased
+    return column
+
+
+def _poisson_pmf(lam: float, lo: int, hi: int) -> np.ndarray:
+    """Pois(lam) on lo..hi, normalized over it.
+
+    The pmf is a product of ratios from the mode outward, each term a few ulp
+    from the true one: no lgamma, whose absolute error near lgamma(1e5) alone
+    moves the pmf by 1e-10.
     """
     here = np.arange(lo, hi + 1, dtype=np.float64)
-    m, mode = here.size, math.floor(lam) - lo
-    pmf = np.empty(m)
+    mode = math.floor(lam) - lo
+    pmf = np.empty(here.size)
     pmf[mode] = 1.0
     pmf[mode + 1 :] = np.cumprod(lam / here[mode + 1 :])  # p(k) = p(k - 1) lam / k
     pmf[:mode] = np.cumprod(here[mode:0:-1] / lam)[::-1]  # p(k - 1) = p(k) k / lam
-    scaled = (pmf * (m / pmf.sum())).tolist()
-    q, alias = [1.0] * m, list(range(m))  # a full column is its own alias
-    small = [j for j, s in enumerate(scaled) if s < 1.0]
-    large = [j for j, s in enumerate(scaled) if s >= 1.0]
-    while small and large:
-        j, k = small.pop(), large.pop()
-        q[j], alias[j] = scaled[j], k
-        scaled[k] = (scaled[k] + scaled[j]) - 1.0  # keeps more bits than scaled[k] - (1 - scaled[j])
-        (small if scaled[k] < 1.0 else large).append(k)
-    return np.array(q), here, here[alias]
+    return pmf / pmf.sum()
+
+
+def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walker's alias table (q, here, there) of Pois(lam) on lo..hi: column j yields here[j] = lo + j or there[j]."""
+    q, alias = _alias(_poisson_pmf(lam, lo, hi))
+    here = np.arange(lo, hi + 1, dtype=np.float64)
+    return q, here, here[alias]
 
 
 def _poisson_drawer(lam: float) -> _Draw:
     """draw(rng, out): fill float64 out with Pois(lam) counts, through an alias table built here, once.
 
-    A draw takes one uniform u: column = floor(u m), fraction = u m - column,
-    and the count is here[column] if fraction < q[column], else there[column],
-    all written in place in out, which first holds the uniforms.  A rate whose
-    table would pass POISSON_TABLE_CAP entries (lam above ~7.8e5) is drawn by
-    rng.poisson instead, and its counts are cast into out.  Counts below 2^53
-    are exact in float64.
+    Each count takes one uniform (_alias_slots), and here[column] or
+    there[column] is gathered in place into out, which first holds the
+    uniforms.  A rate whose table would pass POISSON_TABLE_CAP entries (lam
+    above ~7.8e5) is drawn by rng.poisson instead, and its counts are cast
+    into out.  Counts below 2^53 are exact in float64.
     """
     window = _poisson_window(lam)
     if window is None:
@@ -346,21 +391,29 @@ def _poisson_drawer(lam: float) -> _Draw:
 
         return draw_poisson
     q, here, there = _alias_table(lam, *window)
-    m, outcomes = q.size, np.column_stack((here, there)).ravel()  # here[j] at 2j, there[j] at 2j + 1
+    outcomes = np.column_stack((here, there)).ravel()  # here[j] at 2j, there[j] at 2j + 1
 
     def draw_alias(rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.random(out=out)
-        out *= m
-        column = out.astype(np.intp)  # truncation: floor of u m >= 0
-        np.minimum(column, m - 1, out=column)  # u m < m under round-to-nearest; rounded up, it is m
-        out -= column  # the fraction
-        aliased = out >= q[column]
-        column += column
-        column += aliased  # 2 column + aliased: one gather in place of a masked pick
-        np.take(outcomes, column, out=out)
+        np.take(outcomes, _alias_slots(rng, out, q), out=out)  # one gather in place of a masked pick
 
-    draw_alias.support = window[0], m  # (first count, table size): _tally counts pairs of two such sides
     return draw_alias
+
+
+def _pair_table(lambda1: float, lambda2: float) -> tuple | None:
+    """(q, alias, lo1, lo2, m2): the alias table of the pair (x1, x2) at index (x1 - lo1) m2 + (x2 - lo2).
+
+    Its pmf is the outer product of the two rates' pmfs on their alias
+    tables' windows.  None where a rate has no table, or where the two
+    tables span more than _PAIR_CAP pairs.
+    """
+    windows = [_poisson_window(lam) for lam in (lambda1, lambda2)]
+    if None in windows:
+        return None
+    (lo1, hi1), (lo2, hi2) = windows
+    if (hi1 - lo1 + 1) * (hi2 - lo2 + 1) > _PAIR_CAP:
+        return None
+    pmf = np.outer(_poisson_pmf(lambda1, lo1, hi1), _poisson_pmf(lambda2, lo2, hi2)).ravel()
+    return *_alias(pmf), lo1, lo2, hi2 - lo2 + 1
 
 
 def _poisson_drawers(lambda1: float, lambda2: float) -> tuple[_Draw, _Draw]:
@@ -383,9 +436,11 @@ def simulate_count_ratio(
     """Distribution of X1/X2 for independent Poisson counts.
 
     0/0 draws are counted as NaN, k/0 (k > 0) as Inf; finite draws feed the
-    histogram and the mean/sd.
+    histogram and the mean/sd.  Where _pair_table gives a table, it is built
+    here, once, and each pair is drawn from it.
     """
     draw1, draw2 = _poisson_drawers(lambda1, lambda2)
+    draw1.pairs = _pair_table(lambda1, lambda2)
     return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
 
 

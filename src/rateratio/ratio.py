@@ -33,7 +33,7 @@ from .distributions import (
     gamma_ratio_pdf,
     gamma_ratio_ppf,
 )
-from .inference import FLAT_PRIOR, CountObservation, update_rate
+from .inference import FLAT_PRIOR, CountObservation, _pooled, update_rate
 
 
 __all__ = list(_PUBLIC["ratio"])
@@ -239,15 +239,10 @@ def combine_ratio_instances(
     """
     if not instances:
         raise ValueError("instances must be non-empty")
-    x1 = sum(d1.x for d1, _ in instances)
-    t1 = sum(d1.T for d1, _ in instances)
-    x2 = sum(d2.x for _, d2 in instances)
-    t2 = sum(d2.T for _, d2 in instances)
-    spec = RatioPosteriorSpec(
-        model="B",
-        data1=CountObservation(x1, t1),
-        data2=CountObservation(x2, t2),
-        prior_r2=prior_r2,
+    data1, data2 = (
+        CountObservation(_pooled(f"counts x{i}", [d.x for d in side]), _pooled(f"times T{i}", [d.T for d in side]))
+        for i, side in enumerate(zip(*instances), 1)
     )
+    spec = RatioPosteriorSpec(model="B", data1=data1, data2=data2, prior_r2=prior_r2)
     return ratio_posterior(spec)
 

@@ -8,8 +8,10 @@ deterministic, not merely probable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special, stats
 
 
 def bin_probabilities(pdf, edges: np.ndarray) -> np.ndarray:
@@ -18,6 +20,23 @@ def bin_probabilities(pdf, edges: np.ndarray) -> np.ndarray:
     for i in range(probs.size):
         probs[i], _ = integrate.quad(pdf, edges[i], edges[i + 1], limit=200)
     return probs
+
+
+def count_ratio_moments(lambda1: float, lambda2: float) -> tuple[float, float]:
+    """Exact (mean, sd) of X1/X2 given X2 >= 1, for independent X1 ~ Pois(lambda1) and X2 ~ Pois(lambda2).
+
+    By independence E[X1^j / X2^j | X2 >= 1] = E[X1^j] E[X2^-j | X2 >= 1].
+    Since Ei(x) = gamma + ln x + sum over k >= 1 of x^k / (k k!) (DLMF 6.6.2),
+    E[1/X2 | X2 >= 1] = e^-lambda2 (Ei(lambda2) - gamma - ln lambda2) / (1 - e^-lambda2).
+    E[X1^2] = lambda1 + lambda1^2, and E[1/X2^2 | X2 >= 1] is the sum of
+    p_k / k^2 over k >= 1, up to lambda2 + 12 sd + 30 (the rest is below
+    1e-15), renormalized over k >= 1.
+    """
+    p_positive = -math.expm1(-lambda2)
+    mean = lambda1 * math.exp(-lambda2) * (float(special.expi(lambda2)) - np.euler_gamma - math.log(lambda2)) / p_positive
+    k = np.arange(1.0, int(lambda2 + 12 * math.sqrt(lambda2) + 30))
+    second = (lambda1 + lambda1**2) * float(np.sum(stats.poisson.pmf(k, lambda2) / k**2)) / p_positive
+    return mean, math.sqrt(second - mean**2)
 
 
 def bin_zscores(counts: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:

@@ -1200,6 +1200,25 @@ class TestEdgeInputs:
         for d, p in below:
             assert p == pytest.approx(math.exp(-1.0) / math.factorial(-d), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [(f"infer --x {10**400} --T 1", "x must be at most 1.79769e+308, the largest float, got about 10^400"),
+         (f"ratio --x1 3 --T1 1 --x2 {10**400} --T2 1",
+          "x must be at most 1.79769e+308, the largest float, got about 10^400"),
+         ("combine rate --obs 1,1e308 --obs 1,1e308",
+          "the sum of the given times T overflows the float range: 2 values, the largest 1e+308"),
+         ("combine rate --obs 1e308,1 --obs 1e308,1",
+          "the sum of the given counts x overflows the float range: 2 values, the largest 1e+308"),
+         ("combine ratio --instance 1,1,1,1e308 --instance 1,1,1,1e308",
+          "the sum of the given times T2 overflows the float range: 2 values, the largest 1e+308")],
+        ids=["infer-count", "ratio-count", "pooled-time", "pooled-count", "pooled-instance-time"],
+    )
+    def test_past_the_float_range_exits_3_with_its_reason(self, capsys, line, message):
+        # a count once exited 1 with "OverflowError: int too large to convert to float", and a
+        # pooled time exited 3 with "T must be finite and > 0, got inf": a total no one typed
+        code, out, err = run_cli(capsys, line.split())
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("line", ELICITED_PAST_FLOAT_RANGE)
     def test_elicited_prior_past_float_range_exits_3(self, capsys, line):
         # mu0**2 / sigma0**2 once raised OverflowError: (34, 'Numerical result out of range')

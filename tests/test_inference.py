@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,15 @@ class TestUpdatesAreUpdateRate:
             update_lambda(FLAT_PRIOR, x)
 
 
+    @pytest.mark.parametrize("x,power", [(10**400, 400), (2**1024, 308)])
+    def test_count_past_the_largest_float_refused(self, x, power):
+        # once "OverflowError: int too large to convert to float", from alpha0 + x in update_rate
+        reason = rf"^x must be at most 1\.79769e\+308, the largest float, got about 10\^{power}$"
+        with pytest.raises(ValueError, match=reason):
+            rate_posterior(CountObservation(x, 1.0))
+        assert CountObservation(int(sys.float_info.max), 1.0).x == int(sys.float_info.max)
+
+
 class TestUpdateRate:
     def test_first_channel(self):
         post = update_rate(FLAT_PRIOR, CountObservation(3, 3.0))
@@ -113,6 +123,17 @@ class TestCombineObservations:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_observations(FLAT_PRIOR, [])
+
+    @pytest.mark.parametrize(
+        "observations,name",
+        [([CountObservation(1, 1e308), CountObservation(2, 1e308)], "times T"),
+         ([CountObservation(10**308, 1.0), CountObservation(10**308, 1.0)], "counts x")],
+    )
+    def test_sum_past_the_float_range_refused(self, observations, name):
+        # a pooled time of inf was once refused as "T must be finite and > 0, got inf"
+        reason = rf"^the sum of the given {name} overflows the float range: 2 values, the largest 1e\+308$"
+        with pytest.raises(ValueError, match=reason):
+            combine_observations(FLAT_PRIOR, observations)
 
     def test_single_equals_update(self):
         obs = CountObservation(4, 2.5)

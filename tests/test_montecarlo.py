@@ -22,7 +22,7 @@ from rateratio.montecarlo import (
     simulate_uniform_ratio,
     write_histogram_csv,
 )
-from helpers import assert_all_bins_within, bin_probabilities
+from helpers import assert_all_bins_within, bin_probabilities, count_ratio_moments
 
 
 def mass_identity(report):
@@ -199,11 +199,30 @@ FOOTPRINT_SIMULATORS = {
 }
 
 
+def pair_reference(pairs, rng, n):
+    """n (x1, x2) pairs from the pair table (q, alias, lo1, lo2, m2): rng.random(n) mapped at once, then decoded.
+
+    Pair index i is x1 = lo1 + i // m2 and x2 = lo2 + i % m2, as float64 sides.
+    """
+    q, alias, lo1, lo2, m2 = pairs
+    u = rng.random(n) * q.size
+    column = np.minimum(u.astype(np.intp), q.size - 1)
+    index = np.where(u - column >= q[column], alias[column], column)
+    return (lo1 + index // m2).astype(np.float64), (lo2 + index % m2).astype(np.float64)
+
+
 def whole_pair_tally(streams, size, draw_num, draw_den, cutoff, bins):
-    """`montecarlo._tally`'s signature over the parent's path: each side drawn whole from its stream."""
-    num, den = np.empty(size), np.empty(size)
-    draw_num(streams[0], num)
-    draw_den(streams[1], den)
+    """`montecarlo._tally`'s signature over the parent's path: each side drawn whole from its stream.
+
+    Where the numerator carries a pair table, the pairs are drawn whole from the first stream and decoded.
+    """
+    pairs = getattr(draw_num, "pairs", None)
+    if pairs is not None:
+        num, den = pair_reference(pairs, streams[0], size)
+    else:
+        num, den = np.empty(size), np.empty(size)
+        draw_num(streams[0], num)
+        draw_den(streams[1], den)
     return parent_tally(num, den, cutoff, bins)
 
 
@@ -396,15 +415,15 @@ def table_sizes(lambda1, lambda2):
 
 
 class TestPairTally:
-    """Two alias-drawn sides are tallied by counting (x1, x2) pairs: every count as the sort path's."""
+    """Count ratios within the cap draw each (x1, x2) pair from one alias table: every count as the sort path's."""
 
     @pytest.fixture
     def pair_calls(self, monkeypatch):
         calls, pair_tally = [], montecarlo._pair_tally
 
-        def recording(*args):
-            calls.append(args[-2:])
-            return pair_tally(*args)
+        def recording(rng, size, pairs, grids):
+            calls.append(pairs[0].size)
+            return pair_tally(rng, size, pairs, grids)
 
         monkeypatch.setattr(montecarlo, "_pair_tally", recording)
         return calls
@@ -413,14 +432,17 @@ class TestPairTally:
     @pytest.mark.parametrize("lambda1,lambda2", PAIR_RATES)
     def test_matches_sort_path(self, monkeypatch, pair_calls, lambda1, lambda2, cutoff, bins):
         monkeypatch.setattr(montecarlo, "_PAIR_CAP", 1 << 20)  # (400, 80) and (400, 200) pass the cap
-        drawers = montecarlo._poisson_drawers(lambda1, lambda2)
-        # a drawer re-wrapped carries no table support, so it takes the sort path
-        wrapped = [lambda rng, out, draw=draw: draw(rng, out) for draw in drawers]
+        draw_num, draw_den = montecarlo._poisson_drawers(lambda1, lambda2)
+        draw_num.pairs = pairs = montecarlo._pair_table(lambda1, lambda2)
+        (lo1, m1), (lo2, m2) = table_sizes(lambda1, lambda2)
+        assert pairs[2:] == (lo1, lo2, m2)
         streams, size = montecarlo._shards(50_001, 3)[0]
-        got = montecarlo._tally(streams, size, *drawers, cutoff, bins)
+        got = montecarlo._tally(streams, size, draw_num, draw_den, cutoff, bins)
+        # the sort path, fed the same pairs decoded from the same stream
         streams, size = montecarlo._shards(50_001, 3)[0]
-        expected = montecarlo._tally(streams, size, *wrapped, cutoff, bins)
-        assert pair_calls == [tuple(table_sizes(lambda1, lambda2))]
+        num, den = pair_reference(pairs, streams[0], size)
+        expected = montecarlo._tally(streams, size, copying(num), copying(den), cutoff, bins)
+        assert pair_calls == [m1 * m2]
         for field_got, field_expected in zip(got, expected):
             assert type(field_got) is type(field_expected)
         for i in (0, 1, 4, 5, 6):  # the counts
@@ -429,7 +451,7 @@ class TestPairTally:
             assert_sums_agree(got[i], expected[i], size - expected[0] - expected[1])
 
     @pytest.mark.parametrize("lambda1,taken", [(296.0, True), (296.5, False)])
-    def test_cap(self, pair_calls, lambda1, taken):
+    def test_cap(self, monkeypatch, pair_calls, lambda1, taken):
         # tables of 334 and of 335 counts against 98 at lambda2 = 30: either side of 2^15 pairs
         (_, m1), (_, m2) = table_sizes(lambda1, 30.0)
         assert m1 * m2 == (32732 if taken else 32830)
@@ -437,8 +459,11 @@ class TestPairTally:
         assert len(pair_calls) == taken
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_PAIR_CAP", 0 if taken else 1 << 20)
-            assert_reports_agree(report, simulate_count_ratio(lambda1, 30.0, 20_000, seed=2))
+            simulate_count_ratio(lambda1, 30.0, 20_000, seed=2)
         assert len(pair_calls) == 1
+        # the sort path, fed the decoded pairs where the pair table was taken and both sides' draws where not
+        monkeypatch.setattr(montecarlo, "_tally", whole_pair_tally)
+        assert_reports_agree(report, simulate_count_ratio(lambda1, 30.0, 20_000, seed=2))
 
     def test_cap_ignores_chunk_and_workers(self, monkeypatch, pair_calls):
         monkeypatch.setattr(montecarlo, "_CHUNK", 300)
@@ -446,6 +471,69 @@ class TestPairTally:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
         simulate_count_ratio(296.0, 30.0, 2500, seed=2, workers=2)
         assert len(pair_calls) == 3
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(2.0, 3.0), (0.3, 0.5), (30.0, 30.0), (296.0, 30.0)])
+    @pytest.mark.parametrize("pair_cap", [montecarlo._PAIR_CAP, 0])
+    def test_exact_moments(self, monkeypatch, pair_calls, lambda1, lambda2, pair_cap):
+        # on the pair path, and on the sort path with the cap at 0
+        monkeypatch.setattr(montecarlo, "_PAIR_CAP", pair_cap)
+        n = 4_000_000
+        report = simulate_count_ratio(lambda1, lambda2, n, seed=11)
+        assert len(pair_calls) == (4 if pair_cap else 0)
+        mean, sd = count_ratio_moments(lambda1, lambda2)
+        n_finite = n - round(n * report.frac_nan) - round(n * report.frac_inf)
+        assert abs(report.mean - mean) <= 5 * sd / math.sqrt(n_finite), (report.mean, mean)
+        assert report.sd == pytest.approx(sd, rel=0.01)
+
+    def test_pair_table_law(self):
+        # the joint table is that of the outer product of the two laws, in the order the read-back decodes
+        for lambda1, lambda2 in [(2.0, 0.3), (0.3, 2.0), (296.0, 30.0)]:
+            q, alias, *_ = montecarlo._pair_table(lambda1, lambda2)
+            assert_table_law(q, alias, joint_pmf(lambda1, lambda2))
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(296.5, 30.0), (1e6, 0.3), (0.3, 1e6)])
+    def test_no_pair_table(self, lambda1, lambda2):
+        # past _PAIR_CAP pairs, or a side past the alias table's cap
+        assert montecarlo._pair_table(lambda1, lambda2) is None
+
+
+def joint_pmf(lambda1, lambda2):
+    """SciPy's pmf of (x1, x2) on both rates' alias-table windows, at index (x1 - lo1) m2 + (x2 - lo2)."""
+    ks = [np.arange(lo, hi + 1) for lo, hi in map(montecarlo._poisson_window, (lambda1, lambda2))]
+    return np.outer(stats.poisson.pmf(ks[0], lambda1), stats.poisson.pmf(ks[1], lambda2)).ravel()
+
+
+def assert_table_law(q, alias, pmf):
+    """Every q in [0, 1], and the law of the table, (q + bincount(alias, 1 - q)) / m, within 1e-12 of pmf."""
+    assert q.dtype == np.float64 and q.shape == alias.shape == pmf.shape
+    assert np.all((0.0 <= q) & (q <= 1.0))
+    law = (q + np.bincount(alias, weights=1 - q, minlength=q.size)) / q.size
+    assert 0.5 * np.abs(law - pmf / pmf.sum()).sum() <= 1e-12
+
+
+# the joint pmfs of count ratios within the cap, and pmfs built to hit the sweep's edge cases:
+# no light column; one heavy; lights that round to 0 units; and lights whose deficit starts
+# exactly where a heavy's excess ends, which the next heavy must serve
+JOINT_RATES = [(0.3, 0.5), (3.0, 5.0), (30.0, 30.0), (296.0, 30.0)]
+BUILDER_PMFS = {
+    **{f"joint{rates}": functools.partial(joint_pmf, *rates) for rates in JOINT_RATES},
+    "uniform": lambda: np.full(1000, 1e-3),
+    "one entry": lambda: np.eye(1, 50, 17).ravel(),
+    "rounds to 0 units": lambda: np.array([0.5, 1e-30, 0.5, 1e-30]),
+    "deficits end on excesses": lambda: np.array([1.0, 3.0, 1.0, 3.0]) / 8,
+}
+
+
+class TestAlias:
+    @pytest.mark.parametrize("name", BUILDER_PMFS)
+    def test_law(self, name):
+        pmf = BUILDER_PMFS[name]()
+        assert_table_law(*montecarlo._alias(pmf), pmf)
+
+    def test_ties_take_the_next_heavy(self):
+        # masses 0.5, 1.5, 0.5, 1.5: the second light's deficit starts where the first heavy's excess ends
+        q, alias = montecarlo._alias(np.array([1.0, 3.0, 1.0, 3.0]) / 8)
+        assert q.tolist() == [0.5, 1.0, 0.5, 1.0] and alias.tolist() == [1, 3, 3, 3]
 
 
 def poisson_pmf_saddle(k, lam):

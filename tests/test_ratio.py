@@ -239,6 +239,17 @@ class TestRatioPosterior:
         with pytest.raises(ValueError):
             combine_ratio_instances([], FLAT_PRIOR)
 
+    @pytest.mark.parametrize(
+        "instance,name",
+        [((CountObservation(1, 1e308), CountObservation(1, 1.0)), "times T1"),
+         ((CountObservation(1, 1.0), CountObservation(10**308, 1.0)), "counts x2")],
+    )
+    def test_combine_refuses_sums_past_the_float_range(self, instance, name):
+        # a pooled time of inf was once refused as "T must be finite and > 0, got inf"
+        reason = rf"^the sum of the given {name} overflows the float range: 2 values, the largest 1e\+308$"
+        with pytest.raises(ValueError, match=reason):
+            combine_ratio_instances([instance, instance], FLAT_PRIOR)
+
 
 class TestGammaPairMadeOnce:
     SPECS = [
