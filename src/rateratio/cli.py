@@ -378,11 +378,21 @@ def _cmd_predict_ratio(args) -> None:
 # ---------------------------------------------------------------- infer
 
 
+def _observation(x: int, T: float, flag: str):
+    """CountObservation(x, T), with the count's flag put before its refusal; argparse has checked T."""
+    from . import inference
+
+    try:
+        return inference.CountObservation(x, T)
+    except ValueError as exc:  # a count past the float range
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _cmd_infer(args) -> None:
     from . import distributions, inference
 
     prior = _prior_from_args(args)
-    estimate = inference.rate_posterior(inference.CountObservation(args.x, args.T), prior)
+    estimate = inference.rate_posterior(_observation(args.x, args.T, "--x"), prior)
     posterior = estimate.posterior
     _emit(
         args,
@@ -413,8 +423,7 @@ def _cmd_ratio(args) -> None:
     prior_r2 = _gamma_from_flags(args, "--prior-alpha0", "--prior-beta0")
     if args.model == "A" and prior_r2 != flat and not args.compare:
         raise UsageError("model A has no closed form for non-flat priors; use --model B")
-    d1 = inference.CountObservation(args.x1, args.T1)
-    d2 = inference.CountObservation(args.x2, args.T2)
+    d1, d2 = _observation(args.x1, args.T1, "--x1"), _observation(args.x2, args.T2, "--x2")
     models = ("A", "B") if args.compare else (args.model,)
     posts = {
         m: ratio.ratio_posterior(ratio.RatioPosteriorSpec(m, d1, d2, prior_r2 if m == "B" else flat))

@@ -562,13 +562,24 @@ def gamma_ratio_ppf(q, p1: GammaParams, p2: GammaParams):
         return p2.beta * u / (p1.beta * one_minus_u)
 
 
-def _ratio_summaries(
-    num: GammaParams, den: GammaParams, mean_reason: str, variance_reason: str
-) -> SummaryStats:
+def _gamma_ratio_lacks(
+    alpha2: float, mean_reason: str = "requires alpha2 > 1", variance_reason: str = "requires alpha2 > 2"
+) -> dict[str, str]:
+    """The moments a Gamma ratio whose denominator has shape alpha2 lacks, each with its reason.
+
+    The mean needs alpha2 > 1, the variance and sd alpha2 > 2.
+    """
+    lacks = {} if alpha2 > 1.0 else {"mean": mean_reason}
+    if not alpha2 > 2.0:
+        lacks["variance"] = lacks["sd"] = variance_reason
+    return lacks
+
+
+def _ratio_summaries(num: GammaParams, den: GammaParams, *reasons: str) -> SummaryStats:
     """Mode / mean / sd of the Gamma ratio num/den, each missing moment with its reason.
 
-    Mean requires den.alpha > 1, variance den.alpha > 2; mode uses the
-    0-at-the-boundary convention when num.alpha < 1 (the density is
+    The moments lacking are _gamma_ratio_lacks(den.alpha, *reasons); mode uses
+    the 0-at-the-boundary convention when num.alpha < 1 (the density is
     unbounded at 0 there), and is 0 at num.alpha = 1 whatever the scale.
     """
     a1, a2 = num.alpha, den.alpha
@@ -580,12 +591,10 @@ def _ratio_summaries(
 
     mode = scaled(a1 - 1.0, a2 + 1.0) if a1 > 1.0 else 0.0
     mean = variance = sd = None
-    undefined = {}
-    if a2 > 1.0:
+    undefined = _gamma_ratio_lacks(a2, *reasons)
+    if "mean" not in undefined:
         mean = scaled(a1, a2 - 1.0)
-    else:
-        undefined["mean"] = mean_reason
-    if a2 > 2.0:
+    if "sd" not in undefined:
         # m2 = (a1 + 1)/(a2 - 2) - a1/(a2 - 1), without the difference that cancels at large shapes
         m1, m2 = a1 / (a2 - 1.0), (a1 + a2 - 1.0) / (a2 - 1.0) / (a2 - 2.0)
         try:
@@ -594,8 +603,6 @@ def _ratio_summaries(
             variance = scale * (scale * m1 * m2)
         sd = math.sqrt(variance) if math.isfinite(variance) else scale * math.sqrt(m1) * math.sqrt(m2)
         variance = _finite_variance(variance, undefined)
-    else:
-        undefined["variance"] = undefined["sd"] = variance_reason
     return SummaryStats(mode, mean, variance, sd, undefined)
 
 
@@ -603,7 +610,7 @@ def gamma_ratio_summaries(p1: GammaParams, p2: GammaParams) -> SummaryStats:
     """Mode / mean / sd of Z1/Z2; mean needs alpha2 > 1, variance alpha2 > 2."""
     p1.require_proper()
     p2.require_proper()
-    return _ratio_summaries(p1, p2, "requires alpha2 > 1", "requires alpha2 > 2")
+    return _ratio_summaries(p1, p2)
 
 
 def beta_prime_pdf(x, alpha: float, beta: float):

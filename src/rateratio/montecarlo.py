@@ -1,20 +1,22 @@
 """Forward predictive simulation and sampling-based cross-checks.
 
-Simulators draw count ratios X1/X2 (with explicit NaN = 0/0 and
-Inf = k/0 bookkeeping), count differences, Gamma-variate ratios and
-uniform-variate ratios.  Work is split into fixed-size shards, each with two
-RNG streams, one per side, spawned deterministically from the master seed.
-A shard is drawn _CHUNK draws at a time into chunk buffers of its own.
-Continuous ratios, and count ratios with a side past the alias table's cap,
-draw each side from its own stream and are divided, sorted and binned a chunk
-at a time; a count ratio whose two Poisson laws span at most _PAIR_CAP
-(x1, x2) pairs draws each pair from one alias table over the pairs, from the
-shard's first stream, counts its pairs, and reads every ratio once per pair.
-Every alias table is built by one vectorized sweep (_alias).  The draws and
-every count depend only on (seed, n, parameters): never on the chunk size,
-nor on how many workers processed the shards.  Only on the sort path do the
-last bits of the mean and sd follow the chunk size, and merged reports are
-bit-reproducible for any worker count.
+Simulators draw count ratios X1/X2 (with explicit NaN = 0/0 and Inf = k/0
+bookkeeping), count differences, Gamma-variate ratios and uniform-variate
+ratios, in fixed-size shards, each with two RNG streams, one per side,
+spawned deterministically from the master seed.  A ratio simulator chooses
+one shard tally, tally(streams, size, grids), which _run_ratio_simulation
+hands every shard with the two histogram grids it builds once, and names the
+moments its law lacks, which the report gives as None: the uniform ratio's
+mean and sd, the Gamma ratio's mean at alpha2 <= 1 and sd at alpha2 <= 2.
+_sort_tally, bound to one drawer per side, draws each side _CHUNK draws at a
+time from its own stream and divides, sorts and bins each chunk;
+_pair_tally, bound to one alias table over the (x1, x2) pairs, serves the
+count ratios within _PAIR_CAP pairs: it draws each pair with one uniform
+from the shard's first stream, counts the pairs and reads each ratio once.
+Every alias table is one (q, outcomes) pair built by one vectorized sweep
+(_alias).  The draws and every count depend only on (seed, n, parameters),
+never on the chunk size or the worker count; only on the sort path do the
+last bits of the mean and sd follow the chunk size.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import _PUBLIC
 from .distributions import (
-    _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _check_positive, _size, _skellam_bulk,
-    _write_csv,
+    _POISSON_LAM_MAX, SKELLAM_MAX_POINTS, DiscreteDist, GammaParams, _check_positive, _gamma_ratio_lacks, _size,
+    _skellam_bulk, _write_csv,
 )
 
 
@@ -60,9 +62,10 @@ class RatioSampleReport:
     density integrates (over the histogram bins) to the in-histogram mass;
     frac_nan + frac_inf + in-histogram mass + frac_overflow = 1.  mean/sd
     cover every finite draw, including those beyond the cutoff; they are
-    None when no draw was finite or when their sums leave the float range,
-    and `undefined` maps each None one to its reason.  mode_estimate is the
-    argmax bin center of a 1000-bin histogram — an estimate only.
+    None where the law lacks them, where no draw was finite or where their
+    sums leave the float range, and `undefined` maps each None one to its
+    reason.  mode_estimate is the argmax bin center of a 1000-bin histogram —
+    an estimate only.
     """
 
     bin_edges: np.ndarray
@@ -141,22 +144,18 @@ def _chunk_pairs(streams, draw_num: _Draw, draw_den: _Draw, size: int):
         yield num, den
 
 
-def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, bins: int) -> tuple:
+def _sort_tally(draw_num: _Draw, draw_den: _Draw, streams, size: int, grids) -> tuple:
     """(NaN count, Inf count, sum, sum of squares, count past cutoff, histogram, fine histogram) of num/den.
 
-    A numerator drawer that carries a pair table (`pairs`, from _pair_table)
-    is tallied by _pair_tally.  Otherwise each side is drawn from its own
-    stream and each chunk's 0/0 and k/0 are counted, its ratios divided in
-    place and, past any zero denominator, kept in one masked copy.  Both sums
-    are added in draw order, the squares made in the free denominator buffer;
-    then one in-place sort lets every count be read as a difference of
-    positions on the edges np.histogram builds, whose last bin is closed.
+    Each side is drawn from its own stream and each chunk's 0/0 and k/0 are
+    counted, its ratios divided in place and, past any zero denominator, kept
+    in one masked copy.  Both sums are added in draw order, the squares made
+    in the free denominator buffer; then one in-place sort lets every count be
+    read as a difference of positions on the grids' edges, whose last bin is
+    closed, as np.histogram's is.
     """
-    grids = [np.linspace(0.0, cutoff, k + 1) for k in (bins, MODE_BINS)]
-    pairs = getattr(draw_num, "pairs", None)
-    if pairs is not None:
-        return _pair_tally(streams[0], size, pairs, grids)
-    hists = [np.zeros(k, np.intp) for k in (bins, MODE_BINS)]
+    cutoff = grids[0][-1]
+    hists = [np.zeros(edges.size - 1, np.intp) for edges in grids]
     n_nan = n_zero = n_over = 0
     total = total_sq = 0.0
     # ratios and squares past the float range are inf; the report says what that means
@@ -182,23 +181,22 @@ def _tally(streams, size: int, draw_num: _Draw, draw_den: _Draw, cutoff: float, 
     return n_nan, n_zero - n_nan, total, total_sq, n_over, *hists
 
 
-def _pair_tally(rng: np.random.Generator, size: int, pairs: tuple, grids) -> tuple:
-    """_tally's 7-tuple of `size` (x1, x2) pairs drawn from rng through the pair table (q, alias, lo1, lo2, m2).
+def _pair_tally(pairs: tuple, streams, size: int, grids) -> tuple:
+    """_sort_tally's 7-tuple of `size` (x1, x2) pairs drawn from the first stream through the pair table.
 
-    Each chunk's alias draws are counted by one np.bincount over the slots
-    2 column + aliased; at the end of the shard each aliased slot is folded
-    onto its column's alias, which gives the count of every pair index
-    (x1 - lo1) m2 + (x2 - lo2).  Then each pair drawn is read once: (0, 0) is
-    0/0, the rest of x2 = 0 is k/0, and x1/x2 is the IEEE value num/den gives,
-    binned by the edges at or below it (the last bin closed) and weighted by
-    its count.  The sums add count times ratio over the pairs in table order.
+    pairs is _pair_table's (q, outcomes, lo1, lo2, m2).  One np.bincount per
+    chunk counts its alias slots, and one weighted by those counts gives each
+    outcome's, the pair index (x1 - lo1) m2 + (x2 - lo2).  Each pair drawn is
+    then read once: (0, 0) is 0/0, the rest of x2 = 0 is k/0, and x1/x2, the
+    IEEE value num/den gives, is binned by the edges at or below it (the last
+    bin closed) and weighted by its count; the sums add count times ratio in table order.
     """
-    q, alias, lo1, lo2, m2 = pairs
-    slots = np.zeros(2 * q.size, np.intp)
+    q, outcomes, lo1, lo2, m2 = pairs
+    slots = np.zeros(outcomes.size, np.intp)
     buffer = np.empty(min(size, _CHUNK))
     for start in range(0, size, _CHUNK):
-        slots += np.bincount(_alias_slots(rng, buffer[: size - start], q), minlength=slots.size)
-    table = slots[::2] + np.bincount(alias, weights=slots[1::2], minlength=q.size).astype(np.intp)
+        slots += np.bincount(_alias_slots(streams[0], buffer[: size - start], q), minlength=slots.size)
+    table = np.bincount(outcomes, weights=slots, minlength=q.size).astype(np.intp)  # exact below 2^53
     drawn = np.flatnonzero(table)
     counts, (x1, x2) = table[drawn], np.divmod(drawn, m2)
     x1 += lo1
@@ -216,21 +214,20 @@ def _pair_tally(rng: np.random.Generator, size: int, pairs: tuple, grids) -> tup
 
 
 def _run_ratio_simulation(
-    draw_num: _Draw,
-    draw_den: _Draw,
-    n: int,
-    cutoff: float,
-    bins: int,
-    seed: int,
-    workers: int,
+    tally: Callable[..., tuple], n: int, cutoff: float, bins: int, seed: int, workers: int, lacks: Mapping = {}
 ) -> RatioSampleReport:
-    """Tally num/den shard by shard; a side drawn in consecutive chunks must give the draws of one call."""
+    """Add up tally(streams, size, grids) over the shards, on grids built here; a moment in lacks reads None.
+
+    lacks maps each moment the law lacks to its reason.  A side drawn in
+    consecutive chunks must give the draws of one call.
+    """
     n, bins = _size("n", n), _size("bins", bins)
     cutoff, workers = float(_check_positive("cutoff", cutoff)), _size("workers", workers)
-    grids = ((bins, f"{bins} bins"), (MODE_BINS, f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})"))
-    for k, grid in grids:
-        if not np.all(np.diff(np.linspace(0.0, cutoff, k + 1)) > 0):  # the edges the tally searches
-            raise ValueError(f"cutoff {cutoff!r} is too small for {grid}: their edges must increase")
+    grids = [np.linspace(0.0, cutoff, k + 1) for k in (bins, MODE_BINS)]
+    names = (f"{bins} bins", f"the mode estimate's {MODE_BINS} fine bins (bins = {bins})")
+    for edges, name in zip(grids, names):
+        if not np.all(np.diff(edges) > 0):  # the edges the tally searches
+            raise ValueError(f"cutoff {cutoff!r} is too small for {name}: their edges must increase")
     if not math.isfinite(1.0 / (cutoff / bins)):  # the density of a bin that holds every draw
         raise ValueError(
             f"cutoff {cutoff!r} over bins = {bins} gives a bin width of {cutoff / bins!r}, "
@@ -241,7 +238,7 @@ def _run_ratio_simulation(
     threads = min(workers, len(jobs), _usable_cpus())
 
     def shard(job) -> tuple:
-        return _tally(*job, draw_num, draw_den, cutoff, bins)
+        return tally(*job, grids)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -272,20 +269,21 @@ def _run_ratio_simulation(
         except OverflowError:  # total**2; total * total would move the last bit of some finite sd
             pass
     reason = "sums past the float range" if n_finite else "no finite draws"
+    undefined = {name: reason for name, value in (("mean", mean), ("sd", sd)) if value is None} | dict(lacks)
     mode = (int(np.argmax(fine)) + 0.5) * (cutoff / MODE_BINS) if fine.sum() > 0 else None
     return RatioSampleReport(
-        bin_edges=np.linspace(0.0, cutoff, bins + 1),
+        bin_edges=grids[0],
         counts=hist,
         density=hist / (n * (cutoff / bins)),
-        mean=mean,
-        sd=sd,
+        mean=None if "mean" in undefined else mean,
+        sd=None if "sd" in undefined else sd,
         mode_estimate=mode,
         frac_nan=n_nan / n,
         frac_inf=n_inf / n,
         frac_overflow=n_over / n,
         n=n,
         seed=seed,
-        undefined={name: reason for name, value in (("mean", mean), ("sd", sd)) if value is None},
+        undefined=undefined,
     )
 
 
@@ -305,19 +303,20 @@ def _poisson_window(lam: float) -> tuple[int, int] | None:
     return max(0, math.ceil(lam - down)), math.floor(lam + up)
 
 
-def _alias(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker's alias table (q, alias) of pmf: column j yields j with probability q[j], else alias[j].
+def _alias(pmf: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (q, outcomes) of pmf over values: slot 2j holds values[j], slot 2j + 1 its alias's.
 
-    Built in NumPy by the sweep of Hübschle-Schneider and Sanders ("Parallel
-    Weighted Random Sampling", ESA 2019), in exact integer arithmetic.  Each
-    column's mass pmf[j] m / sum(pmf) is rounded to whole units of
-    1 / _ALIAS_UNIT, the largest taking what makes them sum to exactly m
-    columns.  A light column (mass < 1), in index order, takes its deficit
-    from the heavy one whose stretch of cumulative excess holds the deficit
-    of the lights before it; a heavy column, in index order, is then filled
-    to 1 + its cumulative excess - the cumulative deficit of the lights it
-    served, in [0, 1], and aliased to the next heavy one, which makes up the
-    rest.  The last heavy column is left full.
+    _alias_slots draws column j's first slot with probability q[j].  Built in
+    NumPy by the sweep of Hübschle-Schneider and Sanders ("Parallel Weighted
+    Random Sampling", ESA 2019), in exact integer arithmetic.  Each column's
+    mass pmf[j] m / sum(pmf) is rounded to whole units of 1 / _ALIAS_UNIT,
+    the largest taking what makes them sum to exactly m columns.  A light
+    column (mass < 1), in index order, takes its deficit from the heavy one
+    whose stretch of cumulative excess holds the deficit of the lights before
+    it; a heavy column, in index order, is then filled to 1 + its cumulative
+    excess - the cumulative deficit of the lights it served, in [0, 1], and
+    aliased to the next heavy one, which makes up the rest.  The last heavy
+    column is left full.
     """
     m = pmf.size
     units = np.rint(pmf * (m * _ALIAS_UNIT / pmf.sum())).astype(np.int64)
@@ -330,7 +329,7 @@ def _alias(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alias[light] = heavy[np.searchsorted(excess, deficit[:-1], "right")]
     alias[heavy] = np.append(heavy[1:], heavy[-1])
     units[heavy] = _ALIAS_UNIT + excess - deficit[np.searchsorted(deficit, excess, "left")]
-    return units / _ALIAS_UNIT, alias
+    return units / _ALIAS_UNIT, np.column_stack((values, values[alias])).ravel()
 
 
 def _alias_slots(rng: np.random.Generator, out: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -367,21 +366,14 @@ def _poisson_pmf(lam: float, lo: int, hi: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _alias_table(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walker's alias table (q, here, there) of Pois(lam) on lo..hi: column j yields here[j] = lo + j or there[j]."""
-    q, alias = _alias(_poisson_pmf(lam, lo, hi))
-    here = np.arange(lo, hi + 1, dtype=np.float64)
-    return q, here, here[alias]
-
-
 def _poisson_drawer(lam: float) -> _Draw:
     """draw(rng, out): fill float64 out with Pois(lam) counts, through an alias table built here, once.
 
-    Each count takes one uniform (_alias_slots), and here[column] or
-    there[column] is gathered in place into out, which first holds the
-    uniforms.  A rate whose table would pass POISSON_TABLE_CAP entries (lam
-    above ~7.8e5) is drawn by rng.poisson instead, and its counts are cast
-    into out.  Counts below 2^53 are exact in float64.
+    Each count takes one uniform (_alias_slots), and its slot's outcome is
+    gathered in place into out, which first holds the uniforms.  A rate whose
+    table would pass POISSON_TABLE_CAP entries (lam above ~7.8e5) is drawn by
+    rng.poisson instead, and its counts are cast into out.  Counts below 2^53
+    are exact in float64.
     """
     window = _poisson_window(lam)
     if window is None:
@@ -390,8 +382,8 @@ def _poisson_drawer(lam: float) -> _Draw:
             np.copyto(out, rng.poisson(lam, out.size), casting="unsafe")
 
         return draw_poisson
-    q, here, there = _alias_table(lam, *window)
-    outcomes = np.column_stack((here, there)).ravel()  # here[j] at 2j, there[j] at 2j + 1
+    lo, hi = window
+    q, outcomes = _alias(_poisson_pmf(lam, lo, hi), np.arange(lo, hi + 1, dtype=np.float64))
 
     def draw_alias(rng: np.random.Generator, out: np.ndarray) -> None:
         np.take(outcomes, _alias_slots(rng, out, q), out=out)  # one gather in place of a masked pick
@@ -400,7 +392,7 @@ def _poisson_drawer(lam: float) -> _Draw:
 
 
 def _pair_table(lambda1: float, lambda2: float) -> tuple | None:
-    """(q, alias, lo1, lo2, m2): the alias table of the pair (x1, x2) at index (x1 - lo1) m2 + (x2 - lo2).
+    """(q, outcomes, lo1, lo2, m2): the alias table of the pair index (x1 - lo1) m2 + (x2 - lo2).
 
     Its pmf is the outer product of the two rates' pmfs on their alias
     tables' windows.  None where a rate has no table, or where the two
@@ -413,15 +405,14 @@ def _pair_table(lambda1: float, lambda2: float) -> tuple | None:
     if (hi1 - lo1 + 1) * (hi2 - lo2 + 1) > _PAIR_CAP:
         return None
     pmf = np.outer(_poisson_pmf(lambda1, lo1, hi1), _poisson_pmf(lambda2, lo2, hi2)).ravel()
-    return *_alias(pmf), lo1, lo2, hi2 - lo2 + 1
+    return *_alias(pmf, np.arange(pmf.size)), lo1, lo2, hi2 - lo2 + 1
 
 
-def _poisson_drawers(lambda1: float, lambda2: float) -> tuple[_Draw, _Draw]:
-    """The drawers of both rates, each refused unless > 0 and at most NumPy's Poisson limit."""
+def _check_rates(lambda1: float, lambda2: float) -> None:
+    """Refuse a rate unless > 0 and at most NumPy's Poisson limit."""
     for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not 0 < lam <= _POISSON_LAM_MAX:
             raise ValueError(f"{name} must be > 0 and <= {_POISSON_LAM_MAX:.6g}, NumPy's Poisson limit, got {lam}")
-    return _poisson_drawer(lambda1), _poisson_drawer(lambda2)
 
 
 def simulate_count_ratio(
@@ -437,11 +428,15 @@ def simulate_count_ratio(
 
     0/0 draws are counted as NaN, k/0 (k > 0) as Inf; finite draws feed the
     histogram and the mean/sd.  Where _pair_table gives a table, it is built
-    here, once, and each pair is drawn from it.
+    here, once, and each pair is drawn from it; else each rate's drawer is.
     """
-    draw1, draw2 = _poisson_drawers(lambda1, lambda2)
-    draw1.pairs = _pair_table(lambda1, lambda2)
-    return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
+    _check_rates(lambda1, lambda2)
+    pairs = _pair_table(lambda1, lambda2)
+    if pairs is None:
+        tally = functools.partial(_sort_tally, _poisson_drawer(lambda1), _poisson_drawer(lambda2))
+    else:
+        tally = functools.partial(_pair_tally, pairs)
+    return _run_ratio_simulation(tally, n, cutoff, bins, seed, workers)
 
 
 def simulate_gamma_ratio(
@@ -453,9 +448,10 @@ def simulate_gamma_ratio(
     seed: int = 0,
     workers: int = 1,
 ) -> RatioSampleReport:
-    """Distribution of Z1/Z2 for independent Gamma variates."""
+    """Distribution of Z1/Z2 for independent Gamma variates; its mean needs alpha2 > 1, its sd alpha2 > 2."""
     p1.require_proper()
     p2.require_proper()
+    lacks = {k: v for k, v in _gamma_ratio_lacks(p2.alpha).items() if k != "variance"}  # a report has no variance
 
     def draw(p: GammaParams, rng: np.random.Generator, out: np.ndarray) -> None:
         # rng.gamma(alpha, 1 / beta, size)'s draws: it scales standard_gamma's, and overflows quietly
@@ -463,8 +459,8 @@ def simulate_gamma_ratio(
         with np.errstate(over="ignore"):
             out *= 1.0 / p.beta
 
-    draw1, draw2 = functools.partial(draw, p1), functools.partial(draw, p2)
-    return _run_ratio_simulation(draw1, draw2, n, cutoff, bins, seed, workers)
+    tally = functools.partial(_sort_tally, functools.partial(draw, p1), functools.partial(draw, p2))
+    return _run_ratio_simulation(tally, n, cutoff, bins, seed, workers, lacks=lacks)
 
 
 def simulate_uniform_ratio(
@@ -478,7 +474,7 @@ def simulate_uniform_ratio(
     """Distribution of U1/U2 for independent U(0, r_max) variates.
 
     The resulting law does not depend on r_max; r_max only sets the scale of
-    the two uniforms.
+    the two uniforms.  It has no mean and no sd: P(U1/U2 > r) = 1/(2r) for r >= 1.
     """
     _check_positive("r_max", r_max)
 
@@ -487,7 +483,9 @@ def simulate_uniform_ratio(
         rng.random(out=out)
         out *= r_max
 
-    return _run_ratio_simulation(draw, draw, n, cutoff, bins, seed, workers)
+    lacks = dict.fromkeys(("mean", "sd"), "infinite: P(R > r) = 1/(2r) for r >= 1")
+    tally = functools.partial(_sort_tally, draw, draw)
+    return _run_ratio_simulation(tally, n, cutoff, bins, seed, workers, lacks=lacks)
 
 
 def simulate_count_difference(
@@ -502,8 +500,9 @@ def simulate_count_difference(
     The rates skellam_dist refuses, whose bulk spans more than SKELLAM_MAX_POINTS points, are refused
     here before any draw.
     """
-    draw1, draw2 = _poisson_drawers(lambda1, lambda2)
+    _check_rates(lambda1, lambda2)
     _skellam_bulk(lambda1, lambda2, SKELLAM_MAX_POINTS)
+    draw1, draw2 = _poisson_drawer(lambda1), _poisson_drawer(lambda2)
     n = _size("n", n)
     tallies: dict[int, int] = {}
     for streams, size in _shards(n, seed):

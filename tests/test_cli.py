@@ -1202,9 +1202,9 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize(
         "line,message",
-        [(f"infer --x {10**400} --T 1", "x must be at most 1.79769e+308, the largest float, got about 10^400"),
+        [(f"infer --x {10**400} --T 1", "--x: x must be at most 1.79769e+308, the largest float, got about 10^400"),
          (f"ratio --x1 3 --T1 1 --x2 {10**400} --T2 1",
-          "x must be at most 1.79769e+308, the largest float, got about 10^400"),
+          "--x2: x must be at most 1.79769e+308, the largest float, got about 10^400"),
          ("combine rate --obs 1,1e308 --obs 1,1e308",
           "the sum of the given times T overflows the float range: 2 values, the largest 1e+308"),
          ("combine rate --obs 1e308,1 --obs 1e308,1",
@@ -1227,17 +1227,69 @@ class TestEdgeInputs:
 
 
     @pytest.mark.parametrize("line,undefined", zip(MC_SUMS_PAST_FLOAT_RANGE, (["sd"], ["mean", "sd"])))
-    def test_monte_carlo_sums_past_float_range(self, capsys, line, undefined):
-        # total**2 once raised OverflowError (exit 1); a sum of inf once printed "sd = 0"
-        code, out, _ = run_cli(capsys, line.split() + ["--format", "json"])
-        assert code == 0
-        payload = json.loads(out)
+    def test_monte_carlo_sums_past_float_range(self, capsys, monkeypatch, line, undefined):
+        # total**2 once raised OverflowError (exit 1); a sum of inf once printed "sd = 0".  At alpha2 < 1
+        # the law has neither moment, and its reasons are given; with its rule taken out, the sums' are
+        from rateratio import montecarlo
+
+        def moments() -> tuple[dict, str]:
+            code, out, _ = run_cli(capsys, line.split() + ["--format", "json"])
+            assert code == 0
+            payload = json.loads(out)
+            code, text, _ = run_cli(capsys, line.split())
+            assert code == 0
+            return {name: payload[name] for name in ("mean", "sd")}, text
+
+        payload, text = moments()
+        for name, reason in (("mean", "requires alpha2 > 1"), ("sd", "requires alpha2 > 2")):
+            assert payload[name] is None and f"{name} = undef({reason})" in text
+        run = montecarlo._run_ratio_simulation
+        monkeypatch.setattr(montecarlo, "_run_ratio_simulation", lambda *args, lacks=None: run(*args))
+        payload, text = moments()
         for name in ("mean", "sd"):
             assert (payload[name] is None) == (name in undefined)
-        code, out, _ = run_cli(capsys, line.split())
-        assert code == 0
+            assert (f"{name} = undef(sums past the float range)" in text) == (name in undefined)
+
+    @pytest.mark.parametrize("beta1,undefined", [("1e-152", ["sd"]), ("1e-306", ["mean", "sd"])])
+    def test_monte_carlo_sums_past_float_range_of_a_law_with_both_moments(self, capsys, beta1, undefined):
+        # Z1 / beta1 puts the ratios near 1 / beta1, and Z2 ~ Gamma(3) gives the law a mean and an sd; at
+        # 1e-152 the sum's square passes the float range and the sum of squares does not
+        line = f"mc gamma-ratio --alpha1 1 --beta1 {beta1} --alpha2 3 --beta2 1 --n 1000 --seed 1"
+        code, out, err = run_cli(capsys, line.split() + ["--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        code, text, err = run_cli(capsys, line.split())
+        assert (code, err) == (0, "")
         for name in ("mean", "sd"):
-            assert (f"{name} = undef(sums past the float range)" in out) == (name in undefined)
+            assert (payload[name] is None) == (name in undefined)
+            assert (f"{name} = undef(sums past the float range)" in text) == (name in undefined)
+
+    @pytest.mark.parametrize(
+        "line,reasons",
+        [(f"mc uniform-ratio --rmax 1 --n 1000000 --seed {seed}",
+          dict.fromkeys(("mean", "sd"), "infinite: P(R > r) = 1/(2r) for r >= 1")) for seed in (1, 2, 3)]
+        + [("mc gamma-ratio --alpha1 2 --beta1 1 --alpha2 0.5 --beta2 1 --n 1000000 --seed 1",
+            {"mean": "requires alpha2 > 1", "sd": "requires alpha2 > 2"}),
+           ("mc gamma-ratio --alpha1 2 --beta1 1 --alpha2 1.5 --beta2 1 --n 1000000 --seed 1",
+            {"sd": "requires alpha2 > 2"})],
+    )
+    def test_monte_carlo_reports_no_moment_its_law_lacks(self, capsys, line, reasons):
+        # the sample mean and sd of U1/U2 once read 6.19 and 396 at seed 1, of a law whose tail
+        # P(R > r) = 1/(2r) gives it neither; Gamma(2, 1) / Gamma(1.5, 1) has a mean, 4, and no sd
+        outs = {}
+        for fmt in ("json", "text", "csv"):
+            code, outs[fmt], err = run_cli(capsys, line.split() + ["--format", fmt])
+            assert (code, err) == (0, "")
+        payload = json.loads(outs["json"])
+        for name in ("mean", "sd"):
+            assert (payload[name] is None) == (name in reasons)
+            assert (f"{name} = undef({reasons.get(name)})" in outs["text"]) == (name in reasons)
+        if "mean" not in reasons:
+            assert payload["mean"] == pytest.approx(4.0, rel=0.05)
+        # csv gives the histogram only: its densities are the json report's
+        rows = outs["csv"].splitlines()
+        assert rows[0] == "bin_left,bin_right,density"
+        assert [float(row.split(",")[2]) for row in rows[1:]] == payload["density"]
 
     @pytest.mark.parametrize("line", MC_SUMS_PAST_FLOAT_RANGE)
     def test_monte_carlo_overflow_leaves_stderr_empty(self, line):

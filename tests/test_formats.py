@@ -106,16 +106,21 @@ def test_predict_diff(outputs):
 @pytest.mark.parametrize(
     "outputs", ["predict-ratio", "mc-gamma-ratio", "mc-uniform-ratio"], indirect=True
 )
-def test_ratio_reports(outputs):
+def test_ratio_reports(request, outputs):
     doc, rows, text = outputs
     assert column(rows, "bin_left") == doc["bin_edges"][:-1]
     assert column(rows, "bin_right") == doc["bin_edges"][1:]
     assert column(rows, "density") == doc["density"]
+    # U1/U2 has neither a mean nor an sd: json gives null, and text undef(reason)
+    lacking = request.node.callspec.params["outputs"] == "mc-uniform-ratio"
+    assert (doc["mean"] is None, doc["sd"] is None) == (lacking, lacking)
+    infinite = "undef(infinite: P(R > r) = 1/(2r) for r >= 1)"
+    mean, sd = (infinite, infinite) if lacking else (g(doc["mean"]), g(doc["sd"]))
     assert_lines_in(
         text,
         [
             f"n = {doc['n']}, seed = {doc['seed']}",
-            f"mean = {g(doc['mean'])}, sd = {g(doc['sd'])}, mode_estimate = {g(doc['mode_estimate'])}",
+            f"mean = {mean}, sd = {sd}, mode_estimate = {g(doc['mode_estimate'])}",
             f"frac_nan = {g(doc['frac_nan'])}, frac_inf = {g(doc['frac_inf'])}, "
             f"frac_overflow = {g(doc['frac_overflow'])}",
             f"histogram: {doc['bins']} bins over [0, {doc['cutoff']:g}]",

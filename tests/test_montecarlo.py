@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rateratio import distributions, montecarlo
-from rateratio.distributions import GammaParams, gamma_ratio_pdf, poisson_pmf, skellam_pmf
+from rateratio.distributions import GammaParams, gamma_ratio_pdf, gamma_ratio_summaries, poisson_pmf, skellam_pmf
 from rateratio.montecarlo import (
     simulate_count_difference,
     simulate_count_ratio,
@@ -44,6 +44,11 @@ def count_ratio_masses(lambda1, lambda2, cutoff, bins):
     hist = np.histogram(ratio, bins=bins, range=(0.0, cutoff), weights=weight)[0]
     overflow = weight[ratio > cutoff].sum()
     return p1[0] * p2[0], (1.0 - p1[0]) * p2[0], hist, overflow
+
+
+def grids(cutoff, bins):
+    """The two grids `montecarlo._run_ratio_simulation` hands every shard tally: the report's bins, then the mode's."""
+    return [np.linspace(0.0, cutoff, k + 1) for k in (bins, montecarlo.MODE_BINS)]
 
 
 def assert_binomial_5sigma(count, n, p):
@@ -157,7 +162,8 @@ class TestShardBuffers:
             return draw
 
         # five shards, each side of each in chunks of at most 300 from a stream of its own
-        montecarlo._run_ratio_simulation(*map(recording, sides), 4500, 1.0, 10, seed=1, workers=workers)
+        tally = functools.partial(montecarlo._sort_tally, *map(recording, sides))
+        montecarlo._run_ratio_simulation(tally, 4500, 1.0, 10, seed=1, workers=workers)
         for calls in sides:
             assert sorted(sum(sizes) for sizes in calls.values()) == [500, 1000, 1000, 1000, 1000]
         assert not sides[0].keys() & sides[1].keys()
@@ -169,7 +175,7 @@ class TestShardBuffers:
 
 
 def parent_tally(num, den, cutoff, bins):
-    """The mask-and-copy tally of a whole drawn pair that `montecarlo._tally` replaced: the byte reference."""
+    """The mask-and-copy tally of a whole drawn pair that `montecarlo._sort_tally` replaced: the byte reference."""
     zero_den = den == 0
     nan_mask = zero_den & (num == 0)
     inf_mask = zero_den & (num != 0)
@@ -200,30 +206,56 @@ FOOTPRINT_SIMULATORS = {
 
 
 def pair_reference(pairs, rng, n):
-    """n (x1, x2) pairs from the pair table (q, alias, lo1, lo2, m2): rng.random(n) mapped at once, then decoded.
+    """n (x1, x2) pairs from the pair table (q, outcomes, lo1, lo2, m2): rng.random(n) mapped at once, then decoded.
 
-    Pair index i is x1 = lo1 + i // m2 and x2 = lo2 + i % m2, as float64 sides.
+    Column j holds pair index j, and its alias's at outcomes[2j + 1].  Pair
+    index i is x1 = lo1 + i // m2 and x2 = lo2 + i % m2, as float64 sides.
     """
-    q, alias, lo1, lo2, m2 = pairs
+    q, outcomes, lo1, lo2, m2 = pairs
     u = rng.random(n) * q.size
     column = np.minimum(u.astype(np.intp), q.size - 1)
-    index = np.where(u - column >= q[column], alias[column], column)
+    index = np.where(u - column >= q[column], outcomes[1::2][column], column)
     return (lo1 + index // m2).astype(np.float64), (lo2 + index % m2).astype(np.float64)
 
 
-def whole_pair_tally(streams, size, draw_num, draw_den, cutoff, bins):
-    """`montecarlo._tally`'s signature over the parent's path: each side drawn whole from its stream.
+def whole_sort_tally(draw_num, draw_den, streams, size, grids):
+    """`montecarlo._sort_tally`'s signature over the parent's path: each side drawn whole from its stream."""
+    num, den = np.empty(size), np.empty(size)
+    draw_num(streams[0], num)
+    draw_den(streams[1], den)
+    return parent_tally(num, den, grids[0][-1], grids[0].size - 1)
 
-    Where the numerator carries a pair table, the pairs are drawn whole from the first stream and decoded.
-    """
-    pairs = getattr(draw_num, "pairs", None)
-    if pairs is not None:
-        num, den = pair_reference(pairs, streams[0], size)
-    else:
-        num, den = np.empty(size), np.empty(size)
-        draw_num(streams[0], num)
-        draw_den(streams[1], den)
-    return parent_tally(num, den, cutoff, bins)
+
+def whole_pair_tally(pairs, streams, size, grids):
+    """`montecarlo._pair_tally`'s signature over the parent's path: the pairs drawn whole from the first stream."""
+    return parent_tally(*pair_reference(pairs, streams[0], size), grids[0][-1], grids[0].size - 1)
+
+
+def take_parent_path(patch):
+    """Tally every shard by the parent's path, whichever tally the simulator chooses."""
+    patch.setattr(montecarlo, "_sort_tally", whole_sort_tally)
+    patch.setattr(montecarlo, "_pair_tally", whole_pair_tally)
+
+
+def record_shards(patch, shards):
+    """Put the tally of every shard into shards, whichever tally the simulator chooses."""
+    run = montecarlo._run_ratio_simulation
+
+    def recorded(tally, *args, **kwargs):
+        def shard(*job):
+            result = tally(*job)
+            shards.append(result)
+            return result
+
+        return run(shard, *args, **kwargs)
+
+    patch.setattr(montecarlo, "_run_ratio_simulation", recorded)
+
+
+def drop_lacks(patch):
+    """Run every simulation as if its law had a mean and an sd: only the sums decide them."""
+    run = montecarlo._run_ratio_simulation
+    patch.setattr(montecarlo, "_run_ratio_simulation", lambda *args, lacks=None: run(*args))
 
 
 def order_bound(n_terms, abs_sum):
@@ -284,27 +316,22 @@ class TestTally:
         simulate = RATIO_SIMULATORS[name]
         reports = [simulate(n, seed=n, workers=w) for w in (1, 2)]
         assert json.dumps(reports[0].as_dict()) == json.dumps(reports[1].as_dict())
-        monkeypatch.setattr(montecarlo, "_tally", whole_pair_tally)
+        take_parent_path(monkeypatch)
         for workers, report in zip((1, 2), reports):
             assert_reports_agree(report, simulate(n, seed=n, workers=workers))
 
     @pytest.mark.parametrize("name", RATIO_SIMULATORS)
     def test_chunk_size_moves_no_count(self, monkeypatch, name):
         # the draws do not depend on the chunk size, so no count does: only the sums' last bits
-        simulate, tally, default = RATIO_SIMULATORS[name], montecarlo._tally, montecarlo._CHUNK
+        simulate, default = RATIO_SIMULATORS[name], montecarlo._CHUNK
 
         def run(chunk, workers):
             """The report at chunks of `chunk` draws, and the fine histogram of its shards."""
-            fine = []
-
-            def recording(*args):
-                shard = tally(*args)
-                fine.append(shard[-1])
-                return shard
-
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            monkeypatch.setattr(montecarlo, "_tally", recording)
-            return simulate(2_500_001, seed=4, workers=workers), sum(fine)
+            shards = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "_CHUNK", chunk)
+                record_shards(patch, shards)
+                return simulate(2_500_001, seed=4, workers=workers), sum(shard[-1] for shard in shards)
 
         for workers in (1, 2):
             (report, fine), (reference, reference_fine) = run(300, workers), run(default, workers)
@@ -348,7 +375,7 @@ class TestTally:
         with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_CHUNK", 7)
             expected = parent_tally(num.copy(), den.copy(), cutoff, bins)
-            got = montecarlo._tally((None, None), num.size, copying(num), copying(den), cutoff, bins)
+            got = montecarlo._sort_tally(copying(num), copying(den), (None, None), num.size, grids(cutoff, bins))
         assert len(got) == len(expected)
         for field_got, field_expected in zip(got, expected):
             assert type(field_got) is type(field_expected)
@@ -364,35 +391,54 @@ class TestTally:
     )
     def test_refuses_bin_grid_before_any_draw(self, cutoff, grid):
         # once NumPy's "Cannot create 1000 finite-sized bins", after a whole shard was drawn
-        def draw(rng, out):
+        def tally(*args):
             raise AssertionError("drew before checking the bin grid")
 
         reason = re.escape(f"cutoff {cutoff!r} is too small for ") + ".*" + re.escape(grid)
         with pytest.raises(ValueError, match=reason):
-            montecarlo._run_ratio_simulation(draw, draw, 10, cutoff, 150, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(tally, 10, cutoff, 150, seed=1, workers=1)
 
     def test_refuses_bin_width_past_float_range_before_any_draw(self):
         # a bin of width 1e-323 that held every draw would have a density of 1e323
-        def draw(rng, out):
+        def tally(*args):
             raise AssertionError("drew before checking the bin width")
 
         with pytest.raises(ValueError, match=r"cutoff 1e-320 over bins = 1000 gives a bin width of 1e-323"):
-            montecarlo._run_ratio_simulation(draw, draw, 10, 1e-320, 1000, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(tally, 10, 1e-320, 1000, seed=1, workers=1)
 
     def test_refuses_inf_over_inf(self):
         # 0/0 is counted as NaN and inf/2 lies past the cutoff; inf/inf is undefined
         num, den = copying(np.array([np.inf, np.inf, 1.0, 0.0])), copying(np.array([np.inf, 2.0, 4.0, 0.0]))
+        tally = functools.partial(montecarlo._sort_tally, num, den)
         with pytest.raises(ValueError, match=re.escape("1 of the 4 draws overflowed the float range")):
-            montecarlo._run_ratio_simulation(num, den, 4, 8.0, 10, seed=1, workers=1)
+            montecarlo._run_ratio_simulation(tally, 4, 8.0, 10, seed=1, workers=1)
 
     @pytest.mark.parametrize("alpha2,seed,undefined", [(0.01, 1, ["sd"]), (0.002, 3, ["mean", "sd"])])
-    def test_sums_past_float_range(self, alpha2, seed, undefined):
-        # total**2 once raised OverflowError; a sum of inf once gave sd = max(0, inf - inf) = 0
-        with np.errstate(over="ignore"):
-            report = simulate_gamma_ratio(GammaParams(1.0, 1.0), GammaParams(alpha2, 1.0), 1000, seed=seed)
+    def test_sums_past_float_range(self, monkeypatch, alpha2, seed, undefined):
+        # total**2 once raised OverflowError; a sum of inf once gave sd = max(0, inf - inf) = 0.  At
+        # alpha2 < 1 the law has neither moment, and its reasons win; with its rule taken out, the sums' show
+        def simulate():
+            with np.errstate(over="ignore"):
+                return simulate_gamma_ratio(GammaParams(1.0, 1.0), GammaParams(alpha2, 1.0), 1000, seed=seed)
+
+        report = simulate()
+        assert report.undefined == {"mean": "requires alpha2 > 1", "sd": "requires alpha2 > 2"}
+        assert report.mean is None and report.sd is None
+        drop_lacks(monkeypatch)
+        report = simulate()
         assert report.undefined == dict.fromkeys(undefined, "sums past the float range")
         assert report.sd is None and (report.mean is None) == ("mean" in undefined)
         assert report.mean is None or 1e280 < report.mean < math.inf
+        assert mass_identity(report) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta1,undefined", [(1e-152, ["sd"]), (1e-306, ["mean", "sd"])])
+    def test_sums_past_float_range_of_a_law_with_both_moments(self, beta1, undefined):
+        # Z1 / beta1 puts the ratios near 1 / beta1, and Z2 ~ Gamma(3) gives the law a mean and an sd; at
+        # 1e-152 the sum's square passes the float range and the sum of squares does not
+        report = simulate_gamma_ratio(GammaParams(1.0, beta1), GammaParams(3.0, 1.0), 1000, seed=1)
+        assert report.undefined == dict.fromkeys(undefined, "sums past the float range")
+        assert report.sd is None and (report.mean is None) == ("mean" in undefined)
+        assert report.mean is None or report.mean == pytest.approx(0.5 / beta1, rel=0.05)  # E[Z1] E[1 / Z2]
         assert mass_identity(report) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_finite_draws_reason(self):
@@ -421,9 +467,9 @@ class TestPairTally:
     def pair_calls(self, monkeypatch):
         calls, pair_tally = [], montecarlo._pair_tally
 
-        def recording(rng, size, pairs, grids):
+        def recording(pairs, streams, size, grids):
             calls.append(pairs[0].size)
-            return pair_tally(rng, size, pairs, grids)
+            return pair_tally(pairs, streams, size, grids)
 
         monkeypatch.setattr(montecarlo, "_pair_tally", recording)
         return calls
@@ -432,16 +478,15 @@ class TestPairTally:
     @pytest.mark.parametrize("lambda1,lambda2", PAIR_RATES)
     def test_matches_sort_path(self, monkeypatch, pair_calls, lambda1, lambda2, cutoff, bins):
         monkeypatch.setattr(montecarlo, "_PAIR_CAP", 1 << 20)  # (400, 80) and (400, 200) pass the cap
-        draw_num, draw_den = montecarlo._poisson_drawers(lambda1, lambda2)
-        draw_num.pairs = pairs = montecarlo._pair_table(lambda1, lambda2)
+        pairs = montecarlo._pair_table(lambda1, lambda2)
         (lo1, m1), (lo2, m2) = table_sizes(lambda1, lambda2)
         assert pairs[2:] == (lo1, lo2, m2)
         streams, size = montecarlo._shards(50_001, 3)[0]
-        got = montecarlo._tally(streams, size, draw_num, draw_den, cutoff, bins)
+        got = montecarlo._pair_tally(pairs, streams, size, grids(cutoff, bins))
         # the sort path, fed the same pairs decoded from the same stream
         streams, size = montecarlo._shards(50_001, 3)[0]
         num, den = pair_reference(pairs, streams[0], size)
-        expected = montecarlo._tally(streams, size, copying(num), copying(den), cutoff, bins)
+        expected = montecarlo._sort_tally(copying(num), copying(den), streams, size, grids(cutoff, bins))
         assert pair_calls == [m1 * m2]
         for field_got, field_expected in zip(got, expected):
             assert type(field_got) is type(field_expected)
@@ -462,7 +507,7 @@ class TestPairTally:
             simulate_count_ratio(lambda1, 30.0, 20_000, seed=2)
         assert len(pair_calls) == 1
         # the sort path, fed the decoded pairs where the pair table was taken and both sides' draws where not
-        monkeypatch.setattr(montecarlo, "_tally", whole_pair_tally)
+        take_parent_path(monkeypatch)
         assert_reports_agree(report, simulate_count_ratio(lambda1, 30.0, 20_000, seed=2))
 
     def test_cap_ignores_chunk_and_workers(self, monkeypatch, pair_calls):
@@ -488,8 +533,9 @@ class TestPairTally:
     def test_pair_table_law(self):
         # the joint table is that of the outer product of the two laws, in the order the read-back decodes
         for lambda1, lambda2 in [(2.0, 0.3), (0.3, 2.0), (296.0, 30.0)]:
-            q, alias, *_ = montecarlo._pair_table(lambda1, lambda2)
-            assert_table_law(q, alias, joint_pmf(lambda1, lambda2))
+            q, outcomes, *_ = montecarlo._pair_table(lambda1, lambda2)
+            assert np.array_equal(outcomes[::2], np.arange(q.size))  # column j holds pair index j
+            assert_table_law(q, outcomes[1::2], joint_pmf(lambda1, lambda2))
 
     @pytest.mark.parametrize("lambda1,lambda2", [(296.5, 30.0), (1e6, 0.3), (0.3, 1e6)])
     def test_no_pair_table(self, lambda1, lambda2):
@@ -524,16 +570,56 @@ BUILDER_PMFS = {
 }
 
 
+def alias_indices(pmf):
+    """(q, alias) of `montecarlo._alias`'s table of pmf over its own indices, whose slot 2j holds j."""
+    q, outcomes = montecarlo._alias(pmf, np.arange(pmf.size))
+    assert np.array_equal(outcomes[::2], np.arange(pmf.size))
+    return q, outcomes[1::2]
+
+
 class TestAlias:
     @pytest.mark.parametrize("name", BUILDER_PMFS)
     def test_law(self, name):
         pmf = BUILDER_PMFS[name]()
-        assert_table_law(*montecarlo._alias(pmf), pmf)
+        assert_table_law(*alias_indices(pmf), pmf)
 
     def test_ties_take_the_next_heavy(self):
         # masses 0.5, 1.5, 0.5, 1.5: the second light's deficit starts where the first heavy's excess ends
-        q, alias = montecarlo._alias(np.array([1.0, 3.0, 1.0, 3.0]) / 8)
+        q, alias = alias_indices(np.array([1.0, 3.0, 1.0, 3.0]) / 8)
         assert q.tolist() == [0.5, 1.0, 0.5, 1.0] and alias.tolist() == [1, 3, 3, 3]
+
+
+def tables_built(build):
+    """The (q, outcomes) tables `montecarlo._alias` builds while build() runs, in order."""
+    tables, alias = [], montecarlo._alias
+
+    def recording(pmf, values):
+        tables.append(alias(pmf, values))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_alias", recording)
+        build()
+    return tables
+
+
+# each simulator at three shards, two workers: the tables it draws from, each built once per call
+ALIAS_BUILDS = {
+    "pair path": (lambda **kw: simulate_count_ratio(3.0, 5.0, **kw), 1),
+    "past the pair cap": (lambda **kw: simulate_count_ratio(296.5, 30.0, **kw), 2),
+    "gamma": (RATIO_SIMULATORS["gamma"], 0),
+    "uniform": (RATIO_SIMULATORS["uniform"], 0),
+    "count difference": (lambda **kw: simulate_count_difference(3.0, 5.0, kw["n"], kw["seed"]), 2),
+}
+
+
+@pytest.mark.parametrize("name", ALIAS_BUILDS)
+def test_each_simulation_builds_the_alias_tables_it_draws_from(monkeypatch, name):
+    # a pair-path count ratio once built both rates' tables too, and drew from neither
+    simulate, built = ALIAS_BUILDS[name]
+    monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
+    assert len(tables_built(lambda: simulate(n=2500, seed=1, workers=2))) == built
 
 
 def poisson_pmf_saddle(k, lam):
@@ -563,6 +649,12 @@ def table_cap_rates():
 TABLE_RATES = [1e-300, 0.05, 3.0, 9.99, 10.0, 30.0, 1e3, 1e5, "cap"]
 
 
+def poisson_table(lam):
+    """The (q, outcomes) alias table `montecarlo._poisson_drawer(lam)` builds and draws from."""
+    (table,) = tables_built(lambda: montecarlo._poisson_drawer(lam))
+    return table
+
+
 def draw_poisson(lam, rng, n):
     """n counts from `montecarlo._poisson_drawer(lam)`, drawn into a fresh float64 array."""
     out = np.full(n, np.nan)
@@ -579,7 +671,9 @@ class TestPoissonDrawer:
     @pytest.mark.parametrize("lam", TABLE_RATES)
     def test_table_law(self, lam):
         lam = rate(lam)
-        q, here, there = montecarlo._alias_table(lam, *montecarlo._poisson_window(lam))
+        q, outcomes = poisson_table(lam)
+        (lo, hi), here, there = montecarlo._poisson_window(lam), outcomes[::2], outcomes[1::2]
+        assert np.array_equal(here, np.arange(lo, hi + 1))
         law = (q + np.bincount((there - here[0]).astype(int), weights=1 - q, minlength=q.size)) / q.size
         reference = stats.poisson.pmf(here, lam) if lam <= 1e3 else poisson_pmf_saddle(here, lam)
         assert 0.5 * np.abs(law - reference).sum() <= 1e-12
@@ -622,8 +716,8 @@ class TestPoissonDrawer:
             def random(self, out):
                 out[:] = u
 
-        q, here, there = montecarlo._alias_table(10.0, *montecarlo._poisson_window(10.0))
-        assert set(draw_poisson(10.0, TopOfRange(), 3)) <= {here[-1], there[-1]}
+        q, outcomes = poisson_table(10.0)
+        assert set(draw_poisson(10.0, TopOfRange(), 3)) <= set(outcomes[-2:])  # the top column's two slots
 
     def test_chunks_do_not_change_draws(self):
         # a side drawn in consecutive chunks from one stream gives the draws of one call
@@ -637,10 +731,10 @@ class TestPoissonDrawer:
 
 def alias_reference(lam, rng, n):
     """The allocating Poisson drawer: n uniforms from rng.random(n), mapped through the alias table at once."""
-    window = montecarlo._poisson_window(lam)
-    if window is None:
+    if montecarlo._poisson_window(lam) is None:
         return rng.poisson(lam, n).astype(np.float64)
-    q, here, there = montecarlo._alias_table(lam, *window)
+    q, outcomes = poisson_table(lam)
+    here, there = outcomes[::2], outcomes[1::2]
     u = rng.random(n) * q.size
     column = np.minimum(u.astype(np.intp), q.size - 1)
     return np.where(u - column >= q[column], there[column], here[column])
@@ -655,9 +749,9 @@ class TestInPlaceDraws:
         # of 300 from its own stream, joined up here
         monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1000)
         monkeypatch.setattr(montecarlo, "_CHUNK", 300)
-        pairs, tally = [], montecarlo._tally
+        pairs, tally = [], montecarlo._sort_tally
 
-        def recording(streams, size, draw_num, draw_den, cutoff, bins):
+        def recording(draw_num, draw_den, streams, size, grids):
             sides = [], []
 
             def record(side, draw):
@@ -668,11 +762,11 @@ class TestInPlaceDraws:
                 return draw_recorded
 
             try:
-                return tally(streams, size, record(sides[0], draw_num), record(sides[1], draw_den), cutoff, bins)
+                return tally(record(sides[0], draw_num), record(sides[1], draw_den), streams, size, grids)
             finally:
                 pairs.append(tuple(np.concatenate(side) for side in sides))
 
-        monkeypatch.setattr(montecarlo, "_tally", recording)
+        monkeypatch.setattr(montecarlo, "_sort_tally", recording)
         return pairs
 
     @staticmethod
@@ -710,7 +804,8 @@ class TestInPlaceDraws:
         self.assert_same(drawn, self.expected(6, uniform, uniform))
 
     @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 10.0), (1e5, "past cap")])
-    def test_poisson(self, drawn, lambda1, lambda2):
+    def test_poisson(self, monkeypatch, drawn, lambda1, lambda2):
+        monkeypatch.setattr(montecarlo, "_PAIR_CAP", 0)  # each rate drawn by its own drawer, as past the cap
         lambda1, lambda2 = rate(lambda1), rate(lambda2)
         simulate_count_ratio(lambda1, lambda2, 2500, seed=7)
         drawers = (functools.partial(alias_reference, lam) for lam in (lambda1, lambda2))
@@ -794,6 +889,15 @@ class TestGammaRatio:
         # fourth moment diverges here, so the sample sd converges slowly;
         # loose tolerance, pinned by the fixed seed
         assert report.sd == pytest.approx(math.sqrt(8.0), rel=0.1)
+
+    @pytest.mark.parametrize("alpha2", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_lacks_the_moments_gamma_ratio_summaries_lacks(self, alpha2):
+        # the mean needs alpha2 > 1 and the sd alpha2 > 2, with gamma_ratio_summaries' reasons
+        p1, p2 = GammaParams(2.0, 1.0), GammaParams(alpha2, 1.0)
+        summaries, report = gamma_ratio_summaries(p1, p2), simulate_gamma_ratio(p1, p2, 1000, seed=1)
+        assert report.undefined == {k: v for k, v in summaries.undefined.items() if k in ("mean", "sd")}
+        for name in ("mean", "sd"):
+            assert (getattr(report, name) is None) == (getattr(summaries, name) is None)
 
     def test_unit_denominator_rate_mean(self):
         n = 1_000_000
